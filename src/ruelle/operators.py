@@ -45,12 +45,18 @@ __all__ = [
 ]
 
 # Aliasing monitor on the top-|m| quartile of Fourier coefficients, column
-# by column, relative to the largest coefficient.  Automatic sample counts
-# are doubled until the tail clears TAIL_TOL; an explicitly requested K is
-# honoured as long as the tail stays below TAIL_REJECT (comfortably under
-# every spectral tolerance used downstream).
+# by column, relative to the largest coefficient c.  A column is resolved
+# when its tail is below TAIL_TOL or below its own roundoff floor
+# (n+1) eps max|g| / max|c|: the samples g = (tau/r)^n or (R/tau)^n are
+# built by n repeated products, each adding about eps max|g| of noise that
+# the FFT spreads evenly over all coefficients, so no K pushes the tail
+# under that floor.  Automatic sample counts are doubled until every column
+# is resolved; an explicitly requested K is honoured as long as no
+# unresolved tail exceeds TAIL_REJECT (comfortably under every spectral
+# tolerance used downstream).
 TAIL_TOL = 1e-14
 TAIL_REJECT = 1e-9
+EPS = np.finfo(float).eps
 
 # Entries below this fraction of the largest matrix entry are roundoff from
 # the FFT of analytically sparse columns (e.g. tau = z^d produces exactly
@@ -89,6 +95,21 @@ def _transport(coeff_fft: np.ndarray, rho: float, r: float, R: float, nplus: int
     return np.concatenate([plus, minus])
 
 
+def _unresolved_tail(fd, n: int, step_max: float):
+    """(tail, floor) relative to max|c| for column n, with samples
+    g = step^n, if its aliasing tail is above both TAIL_TOL and its
+    roundoff floor, else None.  max|g| is step_max^n up to roundoff, since
+    |g| = |step|^n pointwise; the floor is only needed above TAIL_TOL."""
+    scale = fd.max_abs()
+    if scale == 0:
+        return None
+    tail = fd.tail_max() / scale
+    if tail <= TAIL_TOL:
+        return None
+    floor = (n + 1) * EPS * step_max**n / scale
+    return None if tail <= floor else (tail, floor)
+
+
 def assemble_dual(
     m,
     annulus: Annulus,
@@ -101,8 +122,11 @@ def assemble_dual(
     Refuses to assemble if the map is not holomorphically expansive on the
     annulus (the compositions would not be defined on the boundary
     circles).  With K=None the sample count starts at max(256, 8N) and is
-    doubled until the aliasing tail of every column passes TAIL_TOL; an
-    explicit K that fails the monitor raises instead.
+    doubled (up to 65536) until the aliasing tail of every column n is
+    below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
+    tolerance and that column's roundoff floor; an explicit K with an
+    unresolved tail above TAIL_REJECT raises instead.  Both errors quote
+    the tail and its floor.
     """
     if nminus is None:
         nminus = nplus
@@ -125,37 +149,39 @@ def assemble_dual(
         tp = m.eval(circle_nodes(rho_plus, k))
         tm = m.eval(circle_nodes(rho_minus, k))
         cols = np.empty((nplus + nminus, nplus + nminus), dtype=complex)
-        worst_tail = 0.0
+        tails = []
         g = np.ones(k, dtype=complex)
         step = tp / r
+        step_max = float(np.abs(step).max())
         for n in range(nplus):
             fd = fourier_coeffs_from_samples(g, rho_plus)
-            scale = fd.max_abs()
-            if scale > 0:
-                worst_tail = max(worst_tail, fd.tail_max() / scale)
+            tails.append(_unresolved_tail(fd, n, step_max))
             cols[:, n] = _transport(fd.raw, rho_plus, r, R, nplus, nminus)
             g = g * step
         g = np.ones(k, dtype=complex)
         step = R / tm
+        step_max = float(np.abs(step).max())
         for n in range(1, nminus + 1):
             g = g * step
             fd = fourier_coeffs_from_samples(g, rho_minus)
-            scale = fd.max_abs()
-            if scale > 0:
-                worst_tail = max(worst_tail, fd.tail_max() / scale)
+            tails.append(_unresolved_tail(fd, n, step_max))
             cols[:, nplus + n - 1] = _transport(fd.raw, rho_minus, r, R, nplus, nminus)
 
-        if worst_tail <= TAIL_TOL:
+        unresolved = [t for t in tails if t is not None]
+        if not unresolved:
             break
+        tail, floor = max(unresolved)
         if not auto:
-            if worst_tail > TAIL_REJECT:
+            if tail > TAIL_REJECT:
                 raise RuntimeError(
-                    f"aliasing tail {worst_tail:.3g} exceeds {TAIL_REJECT:g} at "
-                    f"K={k}; request a larger K"
+                    f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) exceeds "
+                    f"{TAIL_REJECT:g} at K={k}; request a larger K"
                 )
             break
         if k >= 1 << 16:
-            raise RuntimeError(f"aliasing tail {worst_tail:.3g} unresolved at K={k}")
+            raise RuntimeError(
+                f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) unresolved at K={k}"
+            )
         k *= 2
 
     top = np.abs(cols).max()

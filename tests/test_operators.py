@@ -3,7 +3,7 @@ import pytest
 
 from helpers import blaschke_spectrum, match_multiset
 from ruelle.maps import Annulus, BlaschkeProduct, TrigLift
-from ruelle.numerics import fourier_coeffs_from_samples
+from ruelle.numerics import default_samples, fourier_coeffs_from_samples
 from ruelle.operators import (
     HardyPair,
     TruncatedOperator,
@@ -13,7 +13,7 @@ from ruelle.operators import (
     singular_values,
     transfer_apply_rational,
 )
-from ruelle.spectra import eigenvalues
+from ruelle.spectra import converged_spectrum, eigenvalues
 from ruelle.traces import trace_contour
 
 
@@ -80,6 +80,39 @@ class TestAssembly:
             assert np.trace(T.matrix) == pytest.approx(
                 trace_contour(m, annulus), abs=1e-8
             )
+
+
+class TestAliasingMonitor:
+    """Automatic K stops where the column tails reach their roundoff floor,
+    and real aliasing still escalates K or fails loudly."""
+
+    def test_bstar_at_512_resolves(self, bstar, annulus):
+        T = assemble_dual(bstar, annulus, 512)
+        assert T.samples <= 16 * 512
+        match_multiset(blaschke_spectrum(-0.5, 11), eigenvalues(T).eigenvalues, 1e-8)
+
+    def test_auto_K_matches_doubled_K(self, bstar, annulus):
+        T = assemble_dual(bstar, annulus, 256)
+        doubled = assemble_dual(bstar, annulus, 256, K=2 * T.samples)
+        top = np.abs(T.matrix).max()
+        assert np.abs(T.matrix - doubled.matrix).max() <= 1e-14 * top
+
+    def test_triglift_converges_without_escalation(self, annulus):
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            spec = converged_spectrum(TrigLift(2, (0.1,)), annulus)
+        assert spec.truncation[2] <= 16 * spec.truncation[0]
+
+    def test_real_aliasing_escalates(self):
+        T = assemble_dual(TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32)
+        assert default_samples(32) == 256
+        assert T.samples == 512
+
+    def test_explicit_K_with_large_tail_raises(self, annulus):
+        # the pole of z (z - 0.7)/(1 - 0.7 z) at 1/0.7 sits close to R = 1.25
+        near_pole = BlaschkeProduct(1.0, (0.0, 0.7))
+        with pytest.raises(RuntimeError, match="roundoff floor .* exceeds .* request a larger K"):
+            assemble_dual(near_pole, annulus, 32, K=256)
+        assert assemble_dual(near_pole, annulus, 32).samples > 256
 
 
 class TestSingularValues:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import blaschke_spectrum, match_multiset
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap
+from ruelle.lifts import find_expansive_annulus
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, second_iterate_multiplier
 from ruelle.operators import assemble_dual
 from ruelle.spectra import (
     Spectrum,
@@ -148,3 +149,26 @@ class TestAntiRealness:
     def test_all_converged_real(self, anti_bstar, annulus):
         spec = converged_spectrum(anti_bstar, annulus)
         assert np.abs(spec.converged().imag).max() < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="converged_spectrum reports an eigenvalue at the roundoff floor as "
+    "converged: truncations 64 and 128 carry the same roundoff and agree",
+)
+def test_floor_eigenvalue_matches_closed_form():
+    # anti-Blaschke map with second-iterate multiplier mu = 0.0784, so its
+    # eighth eigenvalue +-mu^4 = 3.78e-5 lies near the truncation's
+    # roundoff floor
+    floor_star = BlaschkeProduct(
+        complex(-0.6931143075585181, 0.7208276886036468),
+        (complex(-0.06947472054505469, -0.23304948848809703),
+         complex(-0.056942402897746186, 0.14855363242454417)),
+        anti=True,
+    )
+    mu = second_iterate_multiplier(floor_star)
+    spec = converged_spectrum(floor_star, find_expansive_annulus(floor_star))
+    lam8 = spec.eigenvalues[7]
+    err = min(abs(lam8 - mu**4), abs(lam8 + mu**4))
+    # fixed either by resolving lambda_8 or by no longer reporting it converged
+    assert err <= 1e-8 or spec.converged_count < 8, f"lambda_8 = {lam8:.3g}, error {err:.3g}"
