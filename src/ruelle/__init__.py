@@ -62,7 +62,6 @@ from .lifts import (
     build_homotopy,
     find_expansive_annulus,
     lift,
-    lift_eval,
 )
 from .julia import Raster, render, write_pgm
 

@@ -20,12 +20,12 @@ from .maps import Annulus, MobiusFamilyMap, from_descriptor, min_expansion, to_d
 from .operators import assemble_dual
 from .spectra import converged_spectrum, decay_fit, order_estimate
 from .traces import (
+    closed_form_multiplier,
     det_from_spectrum,
     det_from_traces,
     det_product_formula,
     log_abs_det_product,
     trace_report,
-    _closed_form_multiplier,
 )
 
 __all__ = ["main"]
@@ -82,6 +82,14 @@ def _config_dict(args, **extra) -> dict:
     return cfg
 
 
+def _map_and_annulus(args):
+    """The --map, its annulus (--annulus, else the automatic search) and the
+    resolved configuration that the artifact embeds."""
+    m = _parse_map(args.map)
+    ann = _parse_annulus(args.annulus) if args.annulus else find_expansive_annulus(m)
+    return m, ann, _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m))
+
+
 def _spectrum_rows(spec) -> str:
     lines = ["n,re,im,modulus,converged"]
     cc = spec.converged_count or 0
@@ -91,8 +99,7 @@ def _spectrum_rows(spec) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    m = _parse_map(args.map)
-    ann = _parse_annulus(args.annulus) if args.annulus else find_expansive_annulus(m)
+    m, ann, config = _map_and_annulus(args)
     code = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -106,7 +113,6 @@ def cmd_spectrum(args) -> int:
     except ValueError:
         beta = None
     rho = order_estimate(spec)
-    config = _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m))
     if args.format == "json":
         doc = {
             "config": config,
@@ -134,11 +140,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    m = _parse_map(args.map)
-    ann = _parse_annulus(args.annulus) if args.annulus else find_expansive_annulus(m)
+    m, ann, config = _map_and_annulus(args)
     rep = trace_report(m, ann, nplus=args.N)
     doc = {
-        "config": _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m)),
+        "config": config,
         "contour": [rep.contour.real, rep.contour.imag],
         "eigensum": [rep.eigensum.real, rep.eigensum.imag],
         "maxPairwiseDiff": rep.max_pairwise_diff,
@@ -150,14 +155,12 @@ def cmd_trace(args) -> int:
 
 
 def cmd_det(args) -> int:
-    m = _parse_map(args.map)
-    ann = _parse_annulus(args.annulus) if args.annulus else find_expansive_annulus(m)
-    info = _closed_form_multiplier(m)
+    m, ann, config = _map_and_annulus(args)
+    info = closed_form_multiplier(m)
 
     if args.zeta_scan:
         grid = _parse_grid(args.zeta_scan)
         spec = None if info is not None else converged_spectrum(m, ann)
-        config = _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m))
         lines = ["# config: " + json.dumps(config), "zeta_re,zeta_im,logabsZ"]
         for zeta in grid:
             if info is not None:
@@ -178,7 +181,7 @@ def cmd_det(args) -> int:
         routes["traces"] = det_from_traces(m, ann, z, nmax=args.nmax)
     if info is not None:
         routes["product"] = det_product_formula(info[0], info[1], z)
-    doc = {"config": _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m))}
+    doc = {"config": config}
     for name, res in routes.items():
         doc[name] = {"value": [res.value.real, res.value.imag], "tail": res.tail}
     _emit(json.dumps(doc, indent=1) + "\n", args.out)

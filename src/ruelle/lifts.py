@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Annulus, _MapBase
+from .maps import Annulus, _MapBase, check_holo_expansive
 from .numerics import circle_nodes, fourier_coeffs_from_samples
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "build_homotopy",
     "find_expansive_annulus",
     "lift",
-    "lift_eval",
 ]
 
 
@@ -66,10 +65,6 @@ class LiftSeries:
         if len(self.ns):
             out = out + np.exp(1j * np.multiply.outer(th, self.ns)) @ self.gs
         return complex(out) if np.ndim(theta) == 0 else out
-
-
-def lift_eval(L: LiftSeries, theta):
-    return L.eval(theta)
 
 
 def _roundtrip_error(m, L: LiftSeries, im_offset: float, samples: int = 256) -> float:
@@ -303,29 +298,24 @@ def find_expansive_annulus(m, samples: int = 2048, widths=None) -> Annulus:
     contraction ratio.
 
     The quality of an annulus for the spectral assembly is the relative
-    inclusion depth q = max(sup|tau|_r / r, R / inf|tau|_R) (mirrored for
+    inclusion depth q = ``check_holo_expansive(...).ratio`` (mirrored for
     orientation-reversing maps): truncation errors decay like q^N, so the
     search minimises q rather than the absolute margin, which would always
     favour the widest admissible annulus.
     """
+    if samples < 256:
+        raise ValueError("need at least 256 samples")
     if widths is None:
         widths = np.geomspace(0.01, 0.5, 24)
     best = None
     for t in widths:
-        r, R = math.exp(-t), math.exp(t)
+        ann = Annulus(math.exp(-t), math.exp(t))
         try:
-            with np.errstate(all="ignore"):
-                vr = np.abs(m.eval(circle_nodes(r, samples)))
-                vR = np.abs(m.eval(circle_nodes(R, samples)))
+            q = check_holo_expansive(m, ann, samples).ratio
         except (ValueError, OverflowError, FloatingPointError):
             continue
-        if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
-            continue
-        q_preserving = max(vr.max() / r, R / vR.min())
-        q_reversing = max(R / vr.min(), vR.max() / r)
-        q = min(q_preserving, q_reversing)
         if q < 1 and (best is None or q < best[0]):
-            best = (q, Annulus(r, R))
+            best = (q, ann)
     if best is None:
         raise RuntimeError("no annulus in the search range certifies expansivity")
     return best[1]

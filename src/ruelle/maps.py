@@ -66,13 +66,6 @@ class _MapBase:
     def __call__(self, z):
         return self.eval(z)
 
-    @property
-    def orientation(self) -> int:
-        d = self.degree
-        if abs(d) < 2:
-            raise ValueError(f"orientation undefined for |degree| < 2 (degree {d})")
-        return 1 if d > 0 else -1
-
 
 @dataclass(frozen=True)
 class BlaschkeProduct(_MapBase):
@@ -327,10 +320,15 @@ class InclusionCheck:
     verdict 'A1': tau(T_r) inside D_r and tau(T_R) outside D_R (orientation
     preserving); 'A2': the swapped inclusions (reversing); 'none'
     otherwise.  margin is the distance to violation (negative for 'none').
+    ratio is the contraction ratio q, the smaller of max(sup|tau|_r / r,
+    R / inf|tau|_R) and its mirror max(R / inf|tau|_r, sup|tau|_R / r): it is
+    below 1 exactly when the verdict is not 'none', and truncation errors
+    decay like q^N.
     """
 
     verdict: str
     margin: float
+    ratio: float
 
 
 def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionCheck:
@@ -345,15 +343,16 @@ def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionC
     with np.errstate(all="ignore"):
         vr = np.abs(m.eval(circle_nodes(r, samples)))
         vR = np.abs(m.eval(circle_nodes(R, samples)))
-    if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
-        return InclusionCheck("none", -math.inf)
+        if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
+            return InclusionCheck("none", -math.inf, math.inf)
+        ratio = float(min(max(vr.max() / r, R / vR.min()), max(R / vr.min(), vR.max() / r)))
     a1 = min(r - vr.max(), vR.min() - R)
     a2 = min(vr.min() - R, r - vR.max())
     if a1 > 0:
-        return InclusionCheck("A1", float(a1))
+        return InclusionCheck("A1", float(a1), ratio)
     if a2 > 0:
-        return InclusionCheck("A2", float(a2))
-    return InclusionCheck("none", float(max(a1, a2)))
+        return InclusionCheck("A2", float(a2), ratio)
+    return InclusionCheck("none", float(max(a1, a2)), ratio)
 
 
 def fixed_point_disk(m, tol: float = 1e-13, max_iter: int = 10000):

@@ -84,8 +84,9 @@ def converged_spectrum(
         raise ValueError(f"max_order {max_order} must be at least 2*start = {2 * start}")
     best = None
     n = start
+    # each level's fine truncation is the next level's coarse one
+    coarse = eigenvalues(assemble_dual(m, annulus, n, n))
     while 2 * n <= max_order:
-        coarse = eigenvalues(assemble_dual(m, annulus, n, n))
         fine = eigenvalues(assemble_dual(m, annulus, 2 * n, 2 * n))
         count = _leading_match(fine.eigenvalues, coarse.eigenvalues, tol)
         result = Spectrum(fine.eigenvalues, fine.truncation, count, tol)
@@ -93,7 +94,7 @@ def converged_spectrum(
             best = result
         if count >= want:
             return result
-        n *= 2
+        coarse, n = fine, 2 * n
     warnings.warn(
         f"spectrum not converged to tol={tol:g} for {want} eigenvalues "
         f"up to truncation {max_order}",

@@ -42,6 +42,7 @@ __all__ = [
     "JensenCheck",
     "TraceReport",
     "blaschke_trace_closed",
+    "closed_form_multiplier",
     "det_from_spectrum",
     "det_from_traces",
     "det_product_formula",
@@ -104,21 +105,32 @@ def trace_power(m, n: int, annulus: Annulus, K: int = 4096) -> complex:
     )
 
 
-def blaschke_trace_closed(mu: complex, anti: bool, n: int = 1) -> complex:
-    """Closed-form Tr(L^n) for a Blaschke product with interior multiplier mu:
-    1 + mu^n/(1-mu^n) + conj(mu)^n/(1-conj(mu)^n); in the anti case 1 for
-    odd n and 1 + 2 mu^n/(1-mu^n) for even n."""
+def _families(mu: complex, anti: bool) -> tuple:
+    """The non-trivial Blaschke spectrum {c b^k : k >= 1} as (base b, signs c)
+    pairs: {mu^k, conj(mu)^k} for a product, {+mu^k, -mu^k} for an anti-product
+    (mu the square root of the second-iterate multiplier).  Each base appears
+    once with all its signs, so sums over the signs stay exact integers (odd
+    anti traces are exactly 1)."""
     mu = complex(mu)
     if abs(mu) >= 1:
         raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
+    if anti:
+        return ((mu, (1, -1)),)
+    return ((mu, (1,)), (mu.conjugate(), (1,)))
+
+
+def blaschke_trace_closed(mu: complex, anti: bool, n: int = 1) -> complex:
+    """Closed-form Tr(L^n) for a Blaschke product with interior multiplier mu:
+    1 + sum over bases b of (sum of signs c^n) b^n/(1-b^n), i.e.
+    1 + mu^n/(1-mu^n) + conj(mu)^n/(1-conj(mu)^n); in the anti case 1 for
+    odd n and 1 + 2 mu^n/(1-mu^n) for even n."""
+    families = _families(mu, anti)
     if n < 1:
         raise ValueError(f"power must be >= 1, got n={n}")
-    if anti:
-        if n % 2 == 1:
-            return 1.0 + 0j
-        return 1 + 2 * mu**n / (1 - mu**n)
-    mc = mu.conjugate()
-    return 1 + mu**n / (1 - mu**n) + mc**n / (1 - mc**n)
+    total = 1
+    for b, signs in families:
+        total += sum(c**n for c in signs) * b**n / (1 - b**n)
+    return total
 
 
 @dataclass(frozen=True)
@@ -200,9 +212,8 @@ def det_product_formula(
     """Closed-form determinant for (anti-)Blaschke products:
     (1-z) prod_k (1 - mu^k z)(1 - conj(mu)^k z), the second factor replaced
     by (1 + mu^k z) in the anti case."""
+    families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
-    if abs(mu) >= 1:
-        raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
     if kmax is None:
         if mu == 0:
             kmax = 1
@@ -211,10 +222,11 @@ def det_product_formula(
         kmax = min(kmax, 5000)
     value = 1 - z
     for k in range(1, kmax + 1):
-        if anti:
-            value *= (1 - mu**k * z) * (1 + mu**k * z)
-        else:
-            value *= (1 - mu**k * z) * (1 - mu.conjugate() ** k * z)
+        factor = 1
+        for b, signs in families:
+            for c in signs:
+                factor *= 1 - c * b**k * z
+        value *= factor
     head = abs(mu) ** (kmax + 1) * abs(z)
     tail = abs(value) * math.expm1(2 * head / max(1 - abs(mu), 1e-12)) if head < 1 else math.inf
     return DetResult(complex(value), tail)
@@ -232,23 +244,18 @@ def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:
 
 def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     """log|det(I - e^zeta L)| for the closed-form determinant, computed in
-    log space so that quadratic growth in Re zeta never overflows."""
-    mu = complex(mu)
-    if abs(mu) >= 1:
-        raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
+    log space so that quadratic growth in Re zeta never overflows; a factor
+    (1 - c b^k e^zeta) with sign c = -1 is (1 - e^(zeta + k log b + i pi))."""
+    families = _families(mu, anti)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     total = _log_abs_1m_exp(zeta)
     if mu != 0:
-        log_mu = np.log(mu)
-        log_muc = np.log(mu.conjugate())
+        logs = [(np.log(b), signs) for b, signs in families]
         kcut = int((zeta.real.max() + 45) / -math.log(abs(mu))) + 2
         for k in range(1, kcut + 1):
-            if anti:
-                total += _log_abs_1m_exp(zeta + k * log_mu)
-                total += _log_abs_1m_exp(zeta + k * log_mu + 1j * math.pi)
-            else:
-                total += _log_abs_1m_exp(zeta + k * log_mu)
-                total += _log_abs_1m_exp(zeta + k * log_muc)
+            for log_b, signs in logs:
+                for c in signs:
+                    total += _log_abs_1m_exp(zeta + k * log_b + 1j * math.pi * (c < 0))
     return total if total.size > 1 else total[0]
 
 
@@ -256,36 +263,32 @@ def _lattice_zeros(mu: complex, center: complex, radius: float, anti: bool) -> l
     """All zeros of zeta -> det(I - e^zeta L) with |zeta - center| < radius,
     as a multiset (coinciding lattice families count with multiplicity).
 
-    Families: e^zeta = 1 gives 2 pi i m; e^zeta = mu^-k (k >= 1) gives
-    -k log(mu) + 2 pi i m, and likewise for conj(mu) (Blaschke) or -mu^-k
-    (anti, shifting by i pi)."""
-    mu, center = complex(mu), complex(center)
-    if abs(mu) >= 1:
-        raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
+    Families: e^zeta = 1 gives 2 pi i m; e^zeta = c^-1 b^-k (k >= 1) gives
+    -k log(b) + i pi [c < 0] + 2 pi i m for each base b and sign c.  A zero
+    at the center itself is refused (ValueError)."""
+    families = _families(mu, anti)
+    center = complex(center)
     zeros = []
     mmax = int((radius + abs(center.imag)) / (2 * math.pi)) + 2
     for m in range(-mmax, mmax + 1):
         zc = 2j * math.pi * m
         if abs(zc - center) < radius:
             zeros.append(zc)
-    if mu == 0:
-        return zeros
-    if anti:
-        base = -np.log(complex(mu))
-        offsets = (0.0, math.pi)
-        bases = (base, base)
-    else:
-        bases = (-np.log(complex(mu)), -np.log(complex(mu.conjugate())))
-        offsets = (0.0, 0.0)
-    kmax = int((radius + abs(center.real)) / abs(np.real(bases[0]))) + 2
-    mspan = mmax + int(kmax * (abs(np.imag(bases[0])) / (2 * math.pi) + 1)) + 2
-    for base, off in zip(bases, offsets):
-        for k in range(1, kmax + 1):
-            anchor = k * base + 1j * off
-            for m in range(-mspan, mspan + 1):
-                zc = anchor + 2j * math.pi * m
-                if abs(zc - center) < radius:
-                    zeros.append(zc)
+    if mu != 0:
+        lead = -np.log(families[0][0])
+        kmax = int((radius + abs(center.real)) / abs(np.real(lead))) + 2
+        mspan = mmax + int(kmax * (abs(np.imag(lead)) / (2 * math.pi) + 1)) + 2
+        for b, signs in families:
+            base = -np.log(b)
+            for c in signs:
+                for k in range(1, kmax + 1):
+                    anchor = k * base + 1j * math.pi * (c < 0)
+                    for m in range(-mspan, mspan + 1):
+                        zc = anchor + 2j * math.pi * m
+                        if abs(zc - center) < radius:
+                            zeros.append(zc)
+    if any(abs(zc - center) < 1e-9 for zc in zeros):
+        raise ValueError("center coincides with a determinant zero; shift it")
     return zeros
 
 
@@ -294,10 +297,7 @@ def det_zero_count_lattice(
 ) -> int:
     """Exact count (with multiplicity) of determinant zeros in the open disk
     |zeta - center| < radius, by direct lattice enumeration."""
-    zeros = _lattice_zeros(mu, center, radius, anti)
-    if any(abs(zc - center) < 1e-9 for zc in zeros):
-        raise ValueError("center coincides with a determinant zero; shift it")
-    return len(zeros)
+    return len(_lattice_zeros(mu, center, radius, anti))
 
 
 @dataclass(frozen=True)
@@ -325,8 +325,6 @@ def jensen_count_check(
         raise ValueError(f"K={K} too small for the boundary average (need >= 1024)")
     center = complex(center)
     zeros = _lattice_zeros(mu, center, 2 * R, anti)
-    if any(abs(zc - center) < 1e-9 for zc in zeros):
-        raise ValueError("center coincides with a determinant zero; shift it")
     counting = float(sum(math.log(2 * R / abs(zc - center)) for zc in zeros))
 
     zero_arr = np.array(zeros) if zeros else np.empty(0, dtype=complex)
@@ -357,7 +355,11 @@ class TraceReport:
     max_pairwise_diff: float
 
 
-def _closed_form_multiplier(m):
+def closed_form_multiplier(m):
+    """(mu, anti) for the closed forms of a map that has them, else None:
+    the interior fixed-point multiplier of a Blaschke product or of a Mobius
+    family member with real w in [0, 1] (which is one; mu = -w/2), and for an
+    anti-product the square root of its second-iterate multiplier."""
     if isinstance(m, BlaschkeProduct):
         if m.anti:
             return second_iterate_multiplier(m), True
@@ -373,7 +375,7 @@ def trace_report(m, annulus: Annulus, nplus: int = 48, K: int | None = None) -> 
     T = assemble_dual(m, annulus, nplus, nplus, K)
     eigensum = complex(np.trace(T.matrix))
     closed = None
-    info = _closed_form_multiplier(m)
+    info = closed_form_multiplier(m)
     if info is not None:
         mu, anti = info
         closed = blaschke_trace_closed(mu, anti, 1)

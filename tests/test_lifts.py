@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ruelle.lifts import build_homotopy, find_expansive_annulus, lift, lift_eval
+from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     BlaschkeProduct,
     MobiusFamilyMap,
@@ -71,16 +71,16 @@ class TestLift:
 class TestLiftEval:
     def test_linear_point(self):
         L = lift(TrigLift(2))
-        assert lift_eval(L, np.pi / 2) == pytest.approx(np.pi, abs=1e-14)
+        assert L.eval(np.pi / 2) == pytest.approx(np.pi, abs=1e-14)
 
     def test_bstar_at_zero(self, bstar):
         # B*(1) = 1 so alpha = 0 and lift(0) = 0
         L = lift(bstar)
-        assert abs(lift_eval(L, 0.0)) < 1e-12
+        assert abs(L.eval(0.0)) < 1e-12
 
     def test_imaginary_argument(self):
         L = lift(TrigLift(2))
-        assert lift_eval(L, 0.05j) == pytest.approx(0.1j, abs=1e-14)
+        assert L.eval(0.05j) == pytest.approx(0.1j, abs=1e-14)
 
     def test_strip_guard(self, bstar):
         L = lift(bstar)

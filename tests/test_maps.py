@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_difference
+from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import (
     Annulus,
     BlaschkeProduct,
@@ -155,6 +158,56 @@ class TestInclusions:
                 if chk.verdict == "none":
                     continue
                 assert chk.verdict == ("A1" if orientation(m) == 1 else "A2")
+
+
+WIDTHS = np.geomspace(0.01, 0.5, 24)
+
+
+def _search_maps(bstar, anti_bstar):
+    return (bstar, anti_bstar, TrigLift(2, (0.1,)), MobiusFamilyMap(0.7))
+
+
+class TestContractionRatio:
+    def test_ratio_below_one_iff_verdict(self, bstar, anti_bstar):
+        class Shifted:
+            def eval(self, z):
+                return bstar.eval(z) + 0.05
+
+        maps = _search_maps(bstar, anti_bstar) + (Shifted(), iterate(bstar, 6))
+        seen = set()
+        for m in maps:
+            for t in list(WIDTHS) + [0.8, 1.2]:
+                chk = check_holo_expansive(m, Annulus(np.exp(-t), np.exp(t)), 512)
+                assert (chk.ratio < 1) == (chk.verdict != "none")
+                seen.add(chk.verdict)
+        assert seen == {"A1", "A2", "none"}
+
+    def test_squaring_ratio(self, squaring, annulus):
+        # max(0.64/0.8, 1.25/1.5625) = 0.8
+        assert check_holo_expansive(squaring, annulus).ratio == pytest.approx(0.8, abs=1e-12)
+
+    def test_search_returns_argmin_ratio(self, bstar, anti_bstar):
+        for m in _search_maps(bstar, anti_bstar):
+            best = None
+            for t in WIDTHS:
+                ann = Annulus(np.exp(-t), np.exp(t))
+                try:
+                    q = check_holo_expansive(m, ann, 2048).ratio
+                except ValueError:
+                    continue
+                if q < 1 and (best is None or q < best[0]):
+                    best = (q, ann)
+            assert find_expansive_annulus(m) == best[1]
+
+    def test_search_raises_no_runtime_warning(self, bstar, anti_bstar):
+        for m in _search_maps(bstar, anti_bstar):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                find_expansive_annulus(m)
+
+    def test_search_sample_floor(self, bstar):
+        with pytest.raises(ValueError, match="256"):
+            find_expansive_annulus(bstar, samples=128)
 
 
 class TestFixedPoint:

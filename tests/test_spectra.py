@@ -69,6 +69,26 @@ class TestConverged:
         # multiplier of the interior fixed point is -w/2
         assert abs(spec.eigenvalues[1]) == pytest.approx(0.25, abs=1e-9)
 
+    def test_fine_level_reused_as_next_coarse(self, monkeypatch):
+        # levels 32->64, 64->128, 128->256 need the four orders 32..256 once each
+        from ruelle import spectra
+        from ruelle.maps import TrigLift
+
+        orders = []
+        real = spectra.assemble_dual
+
+        def counting(m, annulus, nplus, nminus, *args, **kwargs):
+            orders.append(nplus)
+            return real(m, annulus, nplus, nminus, *args, **kwargs)
+
+        m, ann = TrigLift(2, (0.1,)), Annulus(0.8, 1.25)
+        monkeypatch.setattr(spectra, "assemble_dual", counting)
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            spec = converged_spectrum(m, ann)
+        assert orders == [32, 64, 128, 256]
+        n = spec.truncation[0]
+        assert np.array_equal(spec.eigenvalues, eigenvalues(real(m, ann, n, n)).eigenvalues)
+
     def test_warns_when_unconverged(self):
         from ruelle.maps import TrigLift
 

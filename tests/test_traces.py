@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import residue_sum
-from ruelle.maps import TrigLift
+from helpers import blaschke_spectrum, residue_sum
+from ruelle.maps import MobiusFamilyMap, TrigLift
 from ruelle.spectra import converged_spectrum
 from ruelle.traces import (
     blaschke_trace_closed,
+    closed_form_multiplier,
     det_from_spectrum,
     det_from_traces,
     det_product_formula,
@@ -94,6 +95,84 @@ class TestClosedForm:
     def test_domain(self):
         with pytest.raises(ValueError, match="mu"):
             blaschke_trace_closed(1.0, False, 1)
+
+
+# (mu, anti): B*, a complex multiplier, and anti-B*
+ORACLE_CASES = [(-0.5, False), (0.3 + 0.2j, False), (0.5, True)]
+
+
+def _oracle(mu, anti):
+    # enough terms of the independent multiset that the rest is below 1e-40
+    return blaschke_spectrum(mu, 160, anti)
+
+
+class TestClosedFormsAgainstSpectrum:
+    """Each closed form against the multiset {1, mu^k, conj(mu)^k} (anti:
+    {1, +-mu^k}) built independently by ``helpers.blaschke_spectrum``."""
+
+    @pytest.mark.parametrize("mu, anti", ORACLE_CASES)
+    def test_trace_is_power_sum(self, mu, anti):
+        lams = _oracle(mu, anti)
+        for n in range(1, 9):
+            want = complex(np.sum(lams**n))
+            assert blaschke_trace_closed(mu, anti, n) == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("mu, anti", ORACLE_CASES)
+    def test_det_is_product(self, mu, anti):
+        lams = _oracle(mu, anti)
+        for z in (0.3, 2.0, -1.5 + 0.7j, 1 / mu):
+            want = complex(np.prod(1 - lams * z))
+            got = det_product_formula(mu, anti, z).value
+            assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+
+    @pytest.mark.parametrize("mu, anti", ORACLE_CASES)
+    def test_log_abs_det_is_log_product(self, mu, anti):
+        lams = _oracle(mu, anti)
+        for zeta in (0.7 + 0.3j, 2.0, -1.0 + 5j, 4.5 - 2j):
+            want = math.log(abs(np.prod(1 - lams * np.exp(zeta))))
+            assert log_abs_det_product(mu, anti, zeta) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("mu, anti", ORACLE_CASES)
+    def test_lattice_count_is_product_zero_count(self, mu, anti):
+        # zeta -> prod (1 - lambda e^zeta) vanishes at -log(lambda) + 2 pi i m
+        lams = _oracle(mu, anti)
+        for center, radius in ((-1.0, 12.0), (3.0 + 1j, 8.0), (-0.5, 20.0)):
+            want = 0
+            for lam in lams:
+                anchor = -np.log(lam)
+                mspan = int((radius + abs(anchor.imag - center.imag)) / (2 * math.pi)) + 2
+                ms = np.arange(-mspan, mspan + 1)
+                want += int(np.sum(np.abs(anchor + 2j * math.pi * ms - center) < radius))
+            assert det_zero_count_lattice(mu, center, radius, anti) == want
+
+    @pytest.mark.parametrize("mu", (0.5, -0.5, 0.3 + 0.2j, 0.0, 0.9j, -0.77))
+    def test_anti_odd_trace_is_exactly_one(self, mu):
+        for n in (1, 3, 5, 7, 9, 15):
+            assert blaschke_trace_closed(mu, True, n) == 1
+
+
+class TestClosedFormMultiplier:
+    def test_product(self, bstar):
+        mu, anti = closed_form_multiplier(bstar)
+        assert mu == pytest.approx(-0.5, abs=1e-12)
+        assert anti is False
+
+    def test_anti_product(self, anti_bstar):
+        mu, anti = closed_form_multiplier(anti_bstar)
+        assert mu == pytest.approx(0.5, abs=1e-12)
+        assert anti is True
+
+    def test_real_mobius(self):
+        # the interior fixed point is 0 with multiplier -w/2
+        mu, anti = closed_form_multiplier(MobiusFamilyMap(0.7))
+        assert mu == pytest.approx(-0.35, abs=1e-12)
+        assert anti is False
+
+    def test_complex_mobius_has_none(self):
+        assert closed_form_multiplier(MobiusFamilyMap(0.5 + 0.26j)) is None
+
+    def test_triglift_has_none(self):
+        assert closed_form_multiplier(TrigLift(2, (0.1,))) is None
 
 
 class TestDetRoutes:
