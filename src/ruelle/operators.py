@@ -191,8 +191,28 @@ def assemble_dual(
 
 
 def singular_values(T) -> np.ndarray:
-    """Singular values of the truncated operator, decreasing."""
+    """Singular values of the truncated operator, decreasing.
+
+    When no column of a ``TruncatedOperator`` has entries in both the plus
+    and the minus rows, a column permutation makes the matrix block
+    diagonal: the plus rows on the columns that reach them, the minus rows
+    on the rest.  Permutations preserve singular values, and those of a
+    block-diagonal matrix are the union of its blocks' plus zeros up to
+    min(shape), so two half-size SVDs give the full set.  Maps that fix 0
+    and infinity decouple this way, and so do their anti-products, whose
+    plus rows take column 0 and the minus columns.  A raw array has no
+    block structure and takes the full SVD.
+    """
     matrix = np.asarray(getattr(T, "matrix", T))
+    nplus = getattr(T, "nplus", None)
+    if nplus is not None:
+        top = matrix[:nplus].any(axis=0)
+        if not (top & matrix[nplus:].any(axis=0)).any():
+            sv = np.zeros(min(matrix.shape))
+            blocks = (matrix[:nplus, top], matrix[nplus:, ~top])
+            parts = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+            sv[: len(parts)] = np.sort(parts)[::-1]
+            return sv
     return np.linalg.svd(matrix, compute_uv=False)
 
 

@@ -44,12 +44,27 @@ def _sorted_desc(vals: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(T: TruncatedOperator) -> Spectrum:
-    """All eigenvalues of the truncated matrix, sorted."""
-    try:
-        vals = np.linalg.eigvals(T.matrix)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(T.matrix)) if T.matrix.size else float("nan")
-        raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
+    """All eigenvalues of the truncated matrix, sorted.
+
+    A finite lower-triangular matrix returns its diagonal without a dense
+    solve.  This is exact, not an approximation: the eigenvalues of a
+    triangular matrix are its diagonal entries, and LAPACK's balancing step
+    isolates every one of them by permutation alone, so ``eigvals`` returns
+    these same numbers bit for bit after an O(n^3) scan.  Maps that fix 0
+    and infinity (Blaschke products with a zero at 0, the Mobius family)
+    assemble a lower-triangular adjoint, since tau^n vanishes to order n at
+    0 and tau^-n to order n at infinity; its diagonal holds 1 and the
+    powers of tau'(0) and their conjugates.
+    """
+    a = T.matrix
+    if np.isfinite(a).all() and not np.triu(a, 1).any():
+        vals = np.diag(a)
+    else:
+        try:
+            vals = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(a)) if a.size else float("nan")
+            raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     return Spectrum(_sorted_desc(vals), (T.nplus, T.nminus, T.samples))
 
 

@@ -154,6 +154,52 @@ class TestSingularValues:
         envelope = sv[0] * q ** np.arange(len(sv))
         assert np.all(sv <= envelope * (1 + 1e-12))
 
+    @staticmethod
+    def _record_svd(monkeypatch):
+        shapes, real = [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "zeros, anti, nminus",
+        [
+            ((0.0, 0.5), False, 32),
+            ((0.0, 0.5), True, 32),
+            ((0.0, 0.3 + 0.2j, -0.4), True, 32),
+            ((0.0, 0.5), False, 16),
+        ],
+        ids=["B*", "anti-B*", "anti-three-zero", "nminus=N//2"],
+    )
+    def test_decoupled_blocks_take_two_half_size_svds(self, zeros, anti, nminus, annulus, monkeypatch):
+        T = assemble_dual(BlaschkeProduct(1.0, zeros, anti=anti), annulus, 32, nminus)
+        full = np.linalg.svd(T.matrix, compute_uv=False)
+        shapes = self._record_svd(monkeypatch)
+        sv = singular_values(T)
+        # one SVD per row block, on the columns that reach it
+        assert [rows for rows, _ in shapes] == [T.nplus, T.nminus]
+        assert sum(cols for _, cols in shapes) == T.size
+        assert len(sv) == T.size
+        assert np.all(np.diff(sv) <= 0)
+        np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
+        fro = np.sum(np.abs(T.matrix) ** 2)
+        assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12)
+
+    def test_coupled_blocks_take_one_full_svd(self, bstar, annulus, monkeypatch):
+        ops = [
+            assemble_dual(TrigLift(2, (0.1,)), annulus, 16),
+            assemble_dual(BlaschkeProduct(1.0, (0.2, 0.3j)), annulus, 16),
+            assemble_dual(bstar, annulus, 16).matrix,  # a raw array has no blocks
+        ]
+        shapes = self._record_svd(monkeypatch)
+        for T in ops:
+            singular_values(T)
+        assert shapes == [(32, 32)] * 3
+
 
 class TestTransferApply:
     def test_squaring_identity_function(self):

@@ -3,8 +3,14 @@ import pytest
 
 from helpers import blaschke_spectrum, match_multiset
 from ruelle.lifts import find_expansive_annulus
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, second_iterate_multiplier
-from ruelle.operators import assemble_dual
+from ruelle.maps import (
+    Annulus,
+    BlaschkeProduct,
+    MobiusFamilyMap,
+    TrigLift,
+    second_iterate_multiplier,
+)
+from ruelle.operators import TruncatedOperator, assemble_dual
 from ruelle.spectra import (
     Spectrum,
     converged_spectrum,
@@ -52,6 +58,56 @@ class TestEigenvalues:
             assert np.min(np.abs(lead - np.conj(lam))) < 1e-9
 
 
+# maps that fix 0 and infinity: their adjoint is lower triangular, with 1,
+# the powers of tau'(0) and their conjugates on the diagonal
+TRIANGULAR_MAPS = {
+    "B*": BlaschkeProduct(1.0, (0.0, 0.5)),
+    "mobius0.7": MobiusFamilyMap(0.7),
+    "mobius0.6+0.2i": MobiusFamilyMap(0.6 + 0.2j),
+    "three-zero": BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j, -0.4)),
+}
+
+
+class TestTriangularShortcut:
+    @pytest.mark.parametrize("auto", [False, True], ids=["fixed", "auto"])
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("name", list(TRIANGULAR_MAPS))
+    def test_diagonal_is_eigvals_bit_for_bit(self, name, N, auto, monkeypatch):
+        m = TRIANGULAR_MAPS[name]
+        T = assemble_dual(m, find_expansive_annulus(m) if auto else Annulus(0.8, 1.25), N)
+        assert not np.triu(T.matrix, 1).any()
+        vals = np.linalg.eigvals(T.matrix)
+        expect = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
+
+        def refuse(a):
+            raise AssertionError("dense eigensolve of a triangular matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        got = eigenvalues(T).eigenvalues
+        assert got.dtype == expect.dtype
+        # compare the bits, so signed zeros and the order of ties count too
+        assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+
+    def test_non_triangular_maps_reach_eigvals(self, anti_bstar, annulus, monkeypatch):
+        shapes, real = [], np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        for m in (anti_bstar, TrigLift(2, (0.1,))):
+            eigenvalues(assemble_dual(m, annulus, 16))
+        assert shapes == [(32, 32), (32, 32)]
+
+    def test_non_finite_triangular_matrix_fails_loudly(self, annulus):
+        # the shortcut must not hand back a NaN diagonal as a spectrum
+        a = np.diag([1.0, np.nan, 0.5, 0.25]).astype(complex)
+        T = TruncatedOperator(annulus, 1, 2, 2, a, 256)
+        with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
+            eigenvalues(T)
+
+
 class TestConverged:
     def test_bstar(self, bstar, annulus):
         spec = converged_spectrum(bstar, annulus, tol=1e-9)
@@ -72,7 +128,6 @@ class TestConverged:
     def test_fine_level_reused_as_next_coarse(self, monkeypatch):
         # levels 32->64, 64->128, 128->256 need the four orders 32..256 once each
         from ruelle import spectra
-        from ruelle.maps import TrigLift
 
         orders = []
         real = spectra.assemble_dual
@@ -90,8 +145,6 @@ class TestConverged:
         assert np.array_equal(spec.eigenvalues, eigenvalues(real(m, ann, n, n)).eigenvalues)
 
     def test_warns_when_unconverged(self):
-        from ruelle.maps import TrigLift
-
         wavy = TrigLift(2, cos_coeffs=(0.4,))
         thin = Annulus(0.97, 1.03)
         with pytest.warns(RuntimeWarning, match="not converged"):
