@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Fingerprint the command-line artifacts: run a fixed set of `ruelle`
+commands in-process in a temporary directory and print one line per
+artifact, `name sha256 exit-code`.
+
+Two source trees that print the same lines produce byte-identical
+artifacts.  No hash is compared here, because the bits of a floating-point
+result may differ across CPUs, numpy builds and BLAS thread counts (the
+anti-product `spectrum` and `det --z` artifacts change with
+OPENBLAS_NUM_THREADS); compare two runs on one machine with one
+environment instead.  Exits 1 if a command fails with a usage or input
+error (exit code 1) or writes no artifact; a numerical warning (exit code
+2) is part of the fingerprint.
+
+Usage: PYTHONPATH=src python scripts/artifact_hashes.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from ruelle.cli import main
+
+BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]]}'
+ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
+TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
+MOBIUS = '{"type":"mobius","w":[0.7,0]}'
+FIXED = ["--annulus", "0.8,1.25"]
+
+# name -> arguments; "--out <name>" is appended
+ARTIFACTS = {
+    "spectrum-bstar-fixed.csv": ["spectrum", "--map", BSTAR, *FIXED],
+    "spectrum-bstar-auto.json": ["spectrum", "--map", BSTAR, "--format", "json"],
+    "spectrum-anti-auto.csv": ["spectrum", "--map", ANTI],
+    "spectrum-trig-fixed.csv": ["spectrum", "--map", TRIG, *FIXED],
+    "spectrum-trig-auto.csv": ["spectrum", "--map", TRIG],
+    "spectrum-bstar-fixed-N64.csv": [
+        "spectrum", "--map", BSTAR, *FIXED, "--N", "64",
+        "--dump-matrix", "matrix-bstar-fixed-N64.csv",
+    ],
+    "scan-mobius-fixed.csv": ["scan", "--family", "mobius", "--grid", "0:1:11", *FIXED],
+    "scan-mobius-auto.csv": ["scan", "--family", "mobius", "--grid", "0:1:6"],
+    "scan-homotopy.csv": [
+        "scan", "--family", "homotopy", "--map0", BSTAR, "--map1", TRIG, "--grid", "0:1:4",
+    ],
+    "det-zeta-anti.csv": ["det", "--map", ANTI, "--zeta-scan", "0.25:30.25:16"],
+    "det-zeta-bstar.csv": ["det", "--map", BSTAR, "--zeta-scan", "5:50:16"],
+    "det-zeta-trig.csv": ["det", "--map", TRIG, "--zeta-scan", "0:3:4"],
+    "det-z-bstar.json": ["det", "--map", BSTAR, "--z", "0.25,0.1"],
+    "det-z-anti.json": ["det", "--map", ANTI, "--z", "0.3"],
+    "det-z-mobius.json": ["det", "--map", MOBIUS, "--z", "0.2"],
+    "trace-bstar.json": ["trace", "--map", BSTAR],
+    "trace-anti.json": ["trace", "--map", ANTI],
+    "trace-mobius.json": ["trace", "--map", MOBIUS],
+    "trace-trig.json": ["trace", "--map", TRIG],
+    "homotopy-check.json": ["homotopy-check", "--map0", BSTAR, "--map1", TRIG],
+    "julia.pgm": ["julia", "--w", "0.5,0.26"],
+}
+# further files a command writes besides its --out
+EXTRA_FILES = {"spectrum-bstar-fixed-N64.csv": ("matrix-bstar-fixed-N64.csv",)}
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run() -> int:
+    failed, home = 0, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, argv in ARTIFACTS.items():
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--out", name])
+            for path in (name, *EXTRA_FILES.get(name, ())):
+                if code == 1 or not os.path.exists(path):
+                    print(f"{path} missing {code}")
+                    failed = 1
+                else:
+                    print(f"{path} {sha256(path)} {code}", flush=True)
+        os.chdir(home)
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(run())

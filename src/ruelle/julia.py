@@ -18,7 +18,7 @@ BASIN_ZERO = 0
 BASIN_INFINITY = 1
 BASIN_UNDECIDED = 2
 
-_GRAY = {BASIN_ZERO: 0, BASIN_INFINITY: 255, BASIN_UNDECIDED: 128}
+_GRAY = np.array([0, 255, 128], dtype=np.uint8)  # PGM gray level by basin code
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def write_pgm(raster: Raster, path, mode: str = "basin"):
     """Binary PGM (P5, maxval 255).  basin mode: 0 / 255 / 128 for the zero
     basin, infinity basin, undecided; steps mode: counts scaled to 0..255."""
     if mode == "basin":
-        payload = np.vectorize(_GRAY.get, otypes=[np.uint8])(raster.basin)
+        payload = _GRAY[raster.basin]
     elif mode == "steps":
         top = max(int(raster.steps.max()), 1)
         payload = (raster.steps.astype(np.float64) * 255.0 / top).astype(np.uint8)

@@ -2,10 +2,10 @@
 exponentially convergent circle quadrature.
 
 Everything here works with samples at the K-th roots of unity scaled to a
-circle |z| = radius.  For functions analytic in a neighbourhood of the
-circle both the coefficient recovery and the quadrature converge
-geometrically in K, which is what makes the operator assembly and the
-contour traces in the rest of the package spectrally accurate.
+circle |z| = radius, along the last axis (one row per function).  For
+functions analytic near the circle both the coefficient recovery and the
+quadrature converge geometrically in K, which is what makes the operator
+assembly and the contour traces of the package spectrally accurate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _require_power_of_two(K: int):
 def _check_finite(values: np.ndarray, radius: float):
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        theta = 2 * np.pi * bad[0] / len(values)
+        theta = 2 * np.pi * (bad[0] % values.shape[-1]) / values.shape[-1]
         raise ValueError(
             f"non-finite sample on circle |z|={radius:g} at angle {theta:.8f}"
         )
@@ -52,11 +52,13 @@ def _check_finite(values: np.ndarray, radius: float):
 
 @dataclass(frozen=True)
 class FourierData:
-    """Fourier coefficients of theta -> f(radius * e^{i theta}).
+    """Fourier coefficients of samples taken on the circle |z| = radius.
 
-    coeff(m) is (1/K) sum_j f(z_j) e^{-2 pi i j m / K} for m in
+    ``raw`` holds the full FFT layout along its last axis, one row per
+    function; tail_max() and max_abs() reduce over that axis.  For one
+    function, coeff(m) is (1/K) sum_j f(z_j) e^{-2 pi i j m / K} for m in
     [-K/2, K/2), i.e. the coefficient of z^m / radius^m in the Laurent
-    expansion sampled on the circle.  ``raw`` holds the full FFT layout.
+    expansion sampled on the circle.
     """
 
     radius: float
@@ -64,7 +66,7 @@ class FourierData:
 
     @property
     def samples(self) -> int:
-        return len(self.raw)
+        return self.raw.shape[-1]
 
     def coeff(self, m: int) -> complex:
         K = self.samples
@@ -77,25 +79,25 @@ class FourierData:
         K = self.samples
         return {m: complex(self.raw[m % K]) for m in range(-K // 2, K // 2)}
 
-    def tail_max(self) -> float:
+    def tail_max(self):
         """Largest |coeff| over the quarter of indices with largest |m|.
 
         For an analytic integrand this decays geometrically; a large value
         relative to max|coeff| signals aliasing (K too small).
         """
         K = self.samples
-        return float(np.max(np.abs(self.raw[3 * K // 8 : 5 * K // 8 + 1])))
+        return np.abs(self.raw[..., 3 * K // 8 : 5 * K // 8 + 1]).max(axis=-1)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.raw)))
+    def max_abs(self):
+        return np.abs(self.raw).max(axis=-1)
 
 
 def fourier_coeffs_from_samples(values, radius: float) -> FourierData:
-    """FourierData from samples already taken at circle_nodes(radius, K)."""
+    """FourierData from samples at circle_nodes(radius, K), along the last axis."""
     values = np.asarray(values, dtype=complex)
-    _require_power_of_two(len(values))
+    _require_power_of_two(values.shape[-1])
     _check_finite(values, radius)
-    return FourierData(radius, np.fft.fft(values) / len(values))
+    return FourierData(radius, np.fft.fft(values) / values.shape[-1])
 
 
 def fourier_coeffs(f, radius: float, K: int) -> FourierData:

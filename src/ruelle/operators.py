@@ -3,11 +3,13 @@
 The adjoint acts on H^2(D_r) + H^2_0(D_R^inf) with orthonormal basis
 e_m^(rho)(z) = z^m / rho^m: nonnegative powers scaled by r (the "plus"
 block), negative powers scaled by R (the "minus" block).  Its matrix is a
-compression of the composition operator f -> f o tau: each input basis
-vector is composed with tau, expanded in Fourier coefficients on the
-boundary circle dictated by the orientation (preserving: plus inputs on
-T_r, minus inputs on T_R; reversing: swapped), and the resulting Laurent
-data is transported back into the two blocks.
+compression of the composition operator f -> f o tau, built block-wise: a
+block's inputs composed with tau, (tau/r)^n or (R/tau)^n, are sampled by
+repeated products on the boundary circle dictated by the orientation
+(preserving: plus inputs on T_r, minus inputs on T_R; reversing: swapped),
+stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
+by one row FFT per chunk and transported back into the two blocks, with the
+bits of a column-by-column build.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -44,8 +46,8 @@ __all__ = [
     "transfer_apply_rational",
 ]
 
-# Aliasing monitor on the top-|m| quartile of Fourier coefficients, column
-# by column, relative to the largest coefficient c.  A column is resolved
+# Aliasing monitor on the top-|m| quartile of Fourier coefficients, per
+# column, relative to the largest coefficient c.  A column is resolved
 # when its tail is below TAIL_TOL or below its own roundoff floor
 # (n+1) eps max|g| / max|c|: the samples g = (tau/r)^n or (R/tau)^n are
 # built by n repeated products, each adding about eps max|g| of noise that
@@ -63,6 +65,8 @@ EPS = np.finfo(float).eps
 # one coefficient per column); snapping them restores the exact nilpotent
 # structure and keeps spurious eigenvalues at 0 instead of ~1e-4.
 SNAP_TOL = 1e-14
+
+CHUNK_SAMPLES = 1 << 17  # per FFT call in the assembly: 2 MB of samples
 
 
 @dataclass(frozen=True)
@@ -86,28 +90,33 @@ class TruncatedOperator:
         return self.nplus + self.nminus
 
 
-def _transport(coeff_fft: np.ndarray, rho: float, r: float, R: float, nplus: int, nminus: int):
-    """One output column from Fourier data taken on the circle |z| = rho."""
-    K = len(coeff_fft)
-    plus = coeff_fft[np.arange(nplus) % K] * (r / rho) ** np.arange(nplus)
-    mrange = np.arange(1, nminus + 1)
-    minus = coeff_fft[(-mrange) % K] * (rho / R) ** mrange
-    return np.concatenate([plus, minus])
-
-
-def _unresolved_tail(fd, n: int, step_max: float):
-    """(tail, floor) relative to max|c| for column n, with samples
-    g = step^n, if its aliasing tail is above both TAIL_TOL and its
-    roundoff floor, else None.  max|g| is step_max^n up to roundoff, since
-    |g| = |step|^n pointwise; the floor is only needed above TAIL_TOL."""
-    scale = fd.max_abs()
-    if scale == 0:
-        return None
-    tail = fd.tail_max() / scale
-    if tail <= TAIL_TOL:
-        return None
-    floor = (n + 1) * EPS * step_max**n / scale
-    return None if tail <= floor else (tail, floor)
+def _assemble_block(out, step, powers: range, rho, r, R, nplus):
+    """Fill the columns of ``out`` from the samples g_n = g_{n-1} step, g_0 = 1,
+    on |z| = rho for n in ``powers``; return the (tail, floor) of each
+    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    K = len(step)
+    step_max = float(np.abs(step).max())
+    mplus, mminus = np.arange(nplus), np.arange(1, len(out) - nplus + 1)
+    index = np.concatenate([mplus % K, -mminus % K])
+    weight = np.concatenate([(r / rho) ** mplus, (rho / R) ** mminus])
+    g = np.ones(K, dtype=complex)
+    rows = max(1, CHUNK_SAMPLES // K)
+    unresolved = []
+    for start in range(0, len(powers), rows):
+        n = np.asarray(powers[start : start + rows])
+        chunk = np.empty((len(n), K), dtype=complex)
+        for i, power in enumerate(n):
+            if power:
+                g = g * step
+            chunk[i] = g
+        fd = fourier_coeffs_from_samples(chunk, rho)
+        out[:, start : start + len(n)] = (fd.raw[:, index] * weight).T
+        scale = fd.max_abs()
+        tail = np.divide(fd.tail_max(), scale, out=np.zeros(len(n)), where=scale > 0)
+        bad = np.flatnonzero(tail > TAIL_TOL)
+        floor = (n[bad] + 1) * EPS * step_max ** n[bad] / scale[bad]
+        unresolved += [(t, f) for t, f in zip(tail[bad], floor) if t > f]
+    return unresolved
 
 
 def assemble_dual(
@@ -121,9 +130,11 @@ def assemble_dual(
 
     Refuses to assemble if the map is not holomorphically expansive on the
     annulus (the compositions would not be defined on the boundary
-    circles).  With K=None the sample count starts at max(256, 8N) and is
-    doubled (up to 65536) until the aliasing tail of every column n is
-    below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
+    circles).  Each block is built in row chunks of at most 2^17 samples,
+    one FFT per chunk, with the bits of a column-by-column build.  With
+    K=None the sample count starts at max(256, 8N) and is doubled (up to
+    65536) until the aliasing tail of every column n is below
+    max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
     tolerance and that column's roundoff floor; an explicit K with an
     unresolved tail above TAIL_REJECT raises instead.  Both errors quote
     the tail and its floor.
@@ -149,25 +160,10 @@ def assemble_dual(
         tp = m.eval(circle_nodes(rho_plus, k))
         tm = m.eval(circle_nodes(rho_minus, k))
         cols = np.empty((nplus + nminus, nplus + nminus), dtype=complex)
-        tails = []
-        g = np.ones(k, dtype=complex)
-        step = tp / r
-        step_max = float(np.abs(step).max())
-        for n in range(nplus):
-            fd = fourier_coeffs_from_samples(g, rho_plus)
-            tails.append(_unresolved_tail(fd, n, step_max))
-            cols[:, n] = _transport(fd.raw, rho_plus, r, R, nplus, nminus)
-            g = g * step
-        g = np.ones(k, dtype=complex)
-        step = R / tm
-        step_max = float(np.abs(step).max())
-        for n in range(1, nminus + 1):
-            g = g * step
-            fd = fourier_coeffs_from_samples(g, rho_minus)
-            tails.append(_unresolved_tail(fd, n, step_max))
-            cols[:, nplus + n - 1] = _transport(fd.raw, rho_minus, r, R, nplus, nminus)
-
-        unresolved = [t for t in tails if t is not None]
+        unresolved = _assemble_block(cols[:, :nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
+        unresolved += _assemble_block(
+            cols[:, nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+        )
         if not unresolved:
             break
         tail, floor = max(unresolved)

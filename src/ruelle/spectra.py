@@ -57,13 +57,14 @@ def eigenvalues(T: TruncatedOperator) -> Spectrum:
     powers of tau'(0) and their conjugates.
     """
     a = T.matrix
-    if np.isfinite(a).all() and not np.triu(a, 1).any():
+    finite = np.isfinite(a).all()
+    if finite and not np.triu(a, 1).any():
         vals = np.diag(a)
     else:
         try:
             vals = np.linalg.eigvals(a)
         except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(a)) if a.size else float("nan")
+            cond = float(np.linalg.cond(a)) if finite and a.size else float("nan")
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     return Spectrum(_sorted_desc(vals), (T.nplus, T.nminus, T.samples))
 

@@ -6,6 +6,7 @@ from ruelle.julia import (
     BASIN_INFINITY,
     BASIN_UNDECIDED,
     BASIN_ZERO,
+    Raster,
     render,
     write_pgm,
 )
@@ -92,6 +93,16 @@ class TestPgm:
         write_pgm(raster, path)
         payload = path.read_bytes().split(b"255\n", 1)[1]
         assert payload == bytes(16 * 16)
+
+    def test_three_codes_basin_payload(self, tmp_path):
+        codes = np.arange(16 * 16, dtype=np.uint8).reshape(16, 16) % 3
+        raster = Raster(16, 16, VIEW, codes, np.zeros((16, 16), dtype=np.int32))
+        gray = {BASIN_ZERO: 0, BASIN_INFINITY: 255, BASIN_UNDECIDED: 128}
+        path = tmp_path / "basin.pgm"
+        write_pgm(raster, path)
+        payload = path.read_bytes().split(b"255\n", 1)[1]
+        assert payload == bytes(gray[c] for c in raster.basin.ravel())
+        assert set(payload) == {0, 128, 255}
 
     def test_steps_mode(self, tmp_path):
         raster = render(0.0, VIEW, 32, 32, max_iter=60)

@@ -10,6 +10,7 @@ from ruelle.numerics import (
     circle_nodes,
     default_samples,
     fourier_coeffs,
+    fourier_coeffs_from_samples,
 )
 
 
@@ -144,3 +145,29 @@ def test_fourier_data_round_trip_dict():
     assert isinstance(fd, FourierData)
     assert d[1] == pytest.approx(2.0, abs=1e-14)
     assert d[-1] == pytest.approx(1.0, abs=1e-14)
+
+
+class TestStackedSamples:
+    """A (rows, K) array is transformed row by row along its last axis."""
+
+    def _stack(self, rows=5, K=64):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal((rows, K)) + 1j * rng.standard_normal((rows, K))
+
+    def test_rows_match_one_dimensional_calls(self):
+        stack = self._stack()
+        fd = fourier_coeffs_from_samples(stack, 0.9)
+        assert fd.samples == 64
+        for i, row in enumerate(stack):
+            one = fourier_coeffs_from_samples(row, 0.9)
+            assert np.array_equal(fd.raw[i], one.raw)
+            assert fd.tail_max()[i] == one.tail_max()
+            assert fd.max_abs()[i] == one.max_abs()
+        assert np.ndim(one.tail_max()) == 0 and np.ndim(one.max_abs()) == 0
+
+    def test_non_finite_sample_quotes_its_angle(self):
+        stack = self._stack()
+        stack[3, 5] = np.nan
+        angle = 2 * np.pi * 5 / 64
+        with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
+            fourier_coeffs_from_samples(stack, 0.9)

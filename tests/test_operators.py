@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import blaschke_spectrum, match_multiset
-from ruelle.maps import Annulus, BlaschkeProduct, TrigLift
-from ruelle.numerics import default_samples, fourier_coeffs_from_samples
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
+from ruelle.numerics import circle_nodes, default_samples, fourier_coeffs_from_samples
 from ruelle.operators import (
+    SNAP_TOL,
     HardyPair,
     TruncatedOperator,
     assemble_dual,
@@ -113,6 +116,62 @@ class TestAliasingMonitor:
         with pytest.raises(RuntimeError, match="roundoff floor .* exceeds .* request a larger K"):
             assemble_dual(near_pole, annulus, 32, K=256)
         assert assemble_dual(near_pole, annulus, 32).samples > 256
+
+
+def _column_by_column(m, annulus, N, K):
+    """The truncation built one column at a time: sequential products,
+    one 1-D FFT per column, the transport weights, then the snap."""
+    r, R = annulus.r, annulus.R
+    rho_plus, rho_minus = (r, R) if check_holo_expansive(m, annulus).verdict == "A1" else (R, r)
+    mrange = np.arange(1, N + 1)
+
+    def transport(samples, rho):
+        c = fourier_coeffs_from_samples(samples, rho).raw
+        plus = c[np.arange(N) % K] * (r / rho) ** np.arange(N)
+        minus = c[(-mrange) % K] * (rho / R) ** mrange
+        return np.concatenate([plus, minus])
+
+    cols = []
+    g, step = np.ones(K, dtype=complex), m.eval(circle_nodes(rho_plus, K)) / r
+    for _ in range(N):
+        cols.append(transport(g, rho_plus))
+        g = g * step
+    g, step = np.ones(K, dtype=complex), R / m.eval(circle_nodes(rho_minus, K))
+    for _ in range(N):
+        g = g * step
+        cols.append(transport(g, rho_minus))
+    matrix = np.column_stack(cols)
+    matrix[np.abs(matrix) < SNAP_TOL * np.abs(matrix).max()] = 0.0
+    return matrix
+
+
+class TestBlockAssembly:
+    """Row-chunked assembly gives the column-by-column matrix bit for bit;
+    N=48 at K=4096 splits each block into chunks of 32 and 16 rows."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            TrigLift(2, (0.1,)),
+            MobiusFamilyMap(0.7),
+        ],
+        ids=["bstar", "anti_bstar", "triglift", "mobius"],
+    )
+    @pytest.mark.parametrize("N, K", [(16, 256), (48, 4096)])
+    def test_matches_column_by_column(self, m, N, K, annulus):
+        T = assemble_dual(m, annulus, N, N, K)
+        assert T.samples == K
+        assert np.array_equal(T.matrix, _column_by_column(m, annulus, N, K))
+
+    def test_underflowed_columns_count_as_resolved(self):
+        # |tau / r| = 0.01 on |z| = r, so the samples step^n underflow to
+        # exactly 0 from n = 162 on: no 0/0 tail, and no K escalation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
+        assert T.samples == default_samples(256)
 
 
 class TestSingularValues:

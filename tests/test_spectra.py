@@ -104,7 +104,7 @@ class TestTriangularShortcut:
         # the shortcut must not hand back a NaN diagonal as a spectrum
         a = np.diag([1.0, np.nan, 0.5, 0.25]).astype(complex)
         T = TruncatedOperator(annulus, 1, 2, 2, a, 256)
-        with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
+        with pytest.raises(RuntimeError, match="eigensolver failed"):
             eigenvalues(T)
 
 
