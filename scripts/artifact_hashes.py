@@ -5,12 +5,16 @@ artifact, `name sha256 exit-code`.
 
 Two source trees that print the same lines produce byte-identical
 artifacts.  No hash is compared here, because the bits of a floating-point
-result may differ across CPUs, numpy builds and BLAS thread counts (the
-anti-product `spectrum` and `det --z` artifacts change with
-OPENBLAS_NUM_THREADS); compare two runs on one machine with one
-environment instead.  Exits 1 if a command fails with a usage or input
-error (exit code 1) or writes no artifact; a numerical warning (exit code
-2) is part of the fingerprint.
+result may differ across CPUs and numpy builds; compare two runs on one
+machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
+OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
+the same 22 lines: the anti-product spectra, which once went through a
+threaded dense eigensolve, now come from the matrix's zero pattern.  The
+TrigLift and generic-product spectra still take `np.linalg.eigvals`, so
+more threads or another BLAS may change them; that was not measured.
+Exits 1 if a command fails with a usage or input error (exit code 1) or
+writes no artifact; a numerical warning (exit code 2) is part of the
+fingerprint.
 
 Usage: PYTHONPATH=src python scripts/artifact_hashes.py
 """

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent and write the result as BENCH_*.json.
+
+For each workload, `perfbench/run.py` runs untraced in the parent tree and
+in the change tree by turns: the parent first in even pairs and the change
+first in odd ones, so that drift of the host's speed falls on both sides
+alike.  Then each tree runs the workload once traced.  The last line of a
+run's output is its result line; the file keeps every result line and, for
+each end-to-end metric of BENCHMARK.json, the median and quartiles of each
+side and the number of pairs in which the change was better.  The file is
+rewritten after every run, so an interrupted comparison keeps what it did.
+
+Each run lasts BENCHMARK.json's `run_seconds`; the untraced runs use seed
+SEED and the traced ones TRACE_SEED, PAIRS pairs per workload.  Each tree
+is recorded by its git commit (if any), whether it has uncommitted edits,
+and a sha256 of the files under its src/ and perfbench/, so that the file
+names the exact source it measured even when the change is not committed.
+
+Usage (each tree is a source checkout with src/ and perfbench/):
+
+    python3 scripts/bench_compare.py --parent PARENT --change CHANGE \\
+        --workload spectra-deep --workload cli-session --out BENCH_7.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 1
+TRACE_SEED = 7
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def git(tree: Path, *args):
+    res = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+    return res.stdout if res.returncode == 0 else None
+
+
+def source(tree: Path) -> dict:
+    """The tree's commit, whether it differs from that commit, and a sha256
+    over the relative path and bytes of every file under src/ and perfbench/."""
+    digest = hashlib.sha256()
+    files = [f for d in ("src", "perfbench") for f in sorted((tree / d).rglob("*"))
+             if f.is_file() and "__pycache__" not in f.parts]
+    for f in files:
+        digest.update(f.relative_to(tree).as_posix().encode() + b"\0" + f.read_bytes() + b"\0")
+    commit, status = git(tree, "rev-parse", "HEAD"), git(tree, "status", "--porcelain")
+    return {"commit": commit.strip() if commit else None,
+            "dirty": bool(status.strip()) if status is not None else None,
+            "sha256": digest.hexdigest()}
+
+
+def summarise(runs: list, end_to_end: list) -> dict:
+    summary = {}
+    for spec in end_to_end:
+        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+        values = {s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
+                  for s in SIDES}
+        entry = {"unit": spec["unit"], "better": spec["better"]}
+        for side, vals in values.items():
+            if vals:
+                q1, med, q3 = np.percentile(vals, [25, 50, 75])
+                entry[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
+        pairs = list(zip(values["parent"], values["change"]))
+        entry["pairs_change_better"] = sum(sign * (c - p) > 0 for p, c in pairs)
+        entry["pairs"] = len(pairs)
+        summary[name] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent, "change": args.change}
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
+    doc = {
+        "seconds": seconds, "seed": SEED, "trace_seed": TRACE_SEED,
+        "sources": {s: source(t) for s, t in trees.items()},
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": np.__version__},
+        "workloads": {},
+    }
+
+    def save():
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for workload in args.workload:
+        entry = doc["workloads"][workload] = {"runs": [], "summary": {}, "traced": {}}
+        for pair in range(PAIRS):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                result = run_bench(trees[side], workload, SEED, seconds, 0)
+                entry["runs"].append({"pair": pair, "side": side, "result": result})
+                entry["summary"] = summarise(entry["runs"], end_to_end)
+                save()
+                ops = result["metrics"]["ops_per_s"]["value"]
+                print(f"{workload} pair {pair} {side}: ops_per_s {ops:.4g}", flush=True)
+        for side in SIDES:
+            result = run_bench(trees[side], workload, TRACE_SEED, seconds, 1)
+            entry["traced"][side] = {k: v["value"] for k, v in result["metrics"].items()}
+            save()
+            print(f"{workload} traced {side}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

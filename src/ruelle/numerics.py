@@ -97,7 +97,7 @@ def fourier_coeffs_from_samples(values, radius: float) -> FourierData:
     values = np.asarray(values, dtype=complex)
     _require_power_of_two(values.shape[-1])
     _check_finite(values, radius)
-    return FourierData(radius, np.fft.fft(values) / values.shape[-1])
+    return FourierData(radius, np.fft.fft(values, norm="forward"))
 
 
 def fourier_coeffs(f, radius: float, K: int) -> FourierData:

@@ -187,29 +187,40 @@ def assemble_dual(
 
 
 def singular_values(T) -> np.ndarray:
-    """Singular values of the truncated operator, decreasing.
+    """Singular values of the truncated operator, decreasing, min(shape) of them.
 
-    When no column of a ``TruncatedOperator`` has entries in both the plus
-    and the minus rows, a column permutation makes the matrix block
-    diagonal: the plus rows on the columns that reach them, the minus rows
-    on the rest.  Permutations preserve singular values, and those of a
-    block-diagonal matrix are the union of its blocks' plus zeros up to
-    min(shape), so two half-size SVDs give the full set.  Maps that fix 0
-    and infinity decouple this way, and so do their anti-products, whose
-    plus rows take column 0 and the minus columns.  A raw array has no
-    block structure and takes the full SVD.
+    Two exact reductions keep zeros away from LAPACK:
+
+    - When no column of a ``TruncatedOperator`` has entries in both the plus
+      and the minus rows, a column permutation makes the matrix block
+      diagonal: the plus rows on the columns that reach them, the minus
+      rows on the rest.  Permutations preserve singular values, and those
+      of a block-diagonal matrix are the union of its blocks', so two
+      half-size SVDs give the full set.  Maps that fix 0 and infinity
+      decouple this way, and so do their anti-products, whose plus rows
+      take column 0 and the minus columns.  A raw array has no block
+      structure and takes one SVD.
+    - Each SVD drops the all-zero rows and columns of its block: up to a
+      permutation the block is [[A, 0], [0, 0]], which has the singular
+      values of A plus zeros.  B* at N = 512 has 246 such columns among
+      the 635 of its minus block.
+
+    The zeros removed either way return as the padding up to min(shape).
     """
     matrix = np.asarray(getattr(T, "matrix", T))
     nplus = getattr(T, "nplus", None)
+    blocks = [matrix]
     if nplus is not None:
         top = matrix[:nplus].any(axis=0)
         if not (top & matrix[nplus:].any(axis=0)).any():
-            sv = np.zeros(min(matrix.shape))
-            blocks = (matrix[:nplus, top], matrix[nplus:, ~top])
-            parts = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
-            sv[: len(parts)] = np.sort(parts)[::-1]
-            return sv
-    return np.linalg.svd(matrix, compute_uv=False)
+            blocks = [matrix[:nplus, top], matrix[nplus:, ~top]]
+    parts = np.concatenate([
+        np.linalg.svd(b[np.ix_(b.any(axis=1), b.any(axis=0))], compute_uv=False)
+        for b in blocks
+    ])
+    sv = np.zeros(min(matrix.shape))
+    sv[: len(parts)] = np.sort(parts)[::-1]
+    return sv
 
 
 @dataclass(frozen=True)

@@ -43,24 +43,63 @@ def _sorted_desc(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
+def _pattern_eigenvalues(a: np.ndarray, nplus: int) -> np.ndarray | None:
+    """The eigenvalues that the zero pattern of a finite ``a`` gives in
+    closed form (see ``eigenvalues``), or None when it has neither pattern.
+    Each test costs O(n^2) at most; a generic matrix fails the anti-product
+    one at row 0."""
+    if not np.triu(a, 1).any():
+        return np.diag(a)
+    X, Y = a[1:nplus, nplus:], a[nplus:, 1:nplus]
+    if (
+        a[0, 1:].any()
+        or a[1:, 0].any()
+        or a[1:nplus, 1:nplus].any()
+        or a[nplus:, nplus:].any()
+        or np.triu(X, 1).any()
+        or np.triu(Y, 1).any()
+    ):
+        return None
+    nu = np.asarray(X.diagonal() * Y.diagonal(), dtype=complex)
+    root = np.sqrt(nu[nu != 0])
+    vals = np.zeros(len(a), dtype=complex)
+    vals[0] = a[0, 0]
+    vals[1 : 1 + 2 * len(root)] = np.concatenate([root, -root])
+    return vals
+
+
 def eigenvalues(T: TruncatedOperator) -> Spectrum:
     """All eigenvalues of the truncated matrix, sorted.
 
-    A finite lower-triangular matrix returns its diagonal without a dense
-    solve.  This is exact, not an approximation: the eigenvalues of a
-    triangular matrix are its diagonal entries, and LAPACK's balancing step
-    isolates every one of them by permutation alone, so ``eigvals`` returns
-    these same numbers bit for bit after an O(n^3) scan.  Maps that fix 0
-    and infinity (Blaschke products with a zero at 0, the Mobius family)
-    assemble a lower-triangular adjoint, since tau^n vanishes to order n at
-    0 and tau^-n to order n at infinity; its diagonal holds 1 and the
-    powers of tau'(0) and their conjugates.
+    A finite matrix with one of two zero patterns returns its spectrum
+    without a dense solve; any other matrix takes ``np.linalg.eigvals``.
+
+    - Lower triangular: the diagonal.  This is exact, not an approximation:
+      the eigenvalues of a triangular matrix are its diagonal entries, and
+      LAPACK's balancing step isolates every one of them by permutation
+      alone, so ``eigvals`` returns these same numbers bit for bit after an
+      O(n^3) scan.  Maps that fix 0 and infinity (Blaschke products with a
+      zero at 0, the Mobius family) assemble a lower-triangular adjoint,
+      since tau^n vanishes to order n at 0 and tau^-n to order n at
+      infinity; its diagonal holds 1 and the powers of tau'(0) and their
+      conjugates.
+    - Anti-product: row 0 and column 0 vanish off the diagonal, both
+      diagonal blocks vanish, and the blocks X = a[1:nplus, nplus:] and
+      Y = a[nplus:, 1:nplus] are lower triangular.  Anti-Blaschke products
+      with a zero at 0 assemble this, since they swap 0 and infinity.  The
+      spectrum is then a[0, 0] together with that of [[0, X], [Y, 0]],
+      whose eigenvalues are +-sqrt(nu) for the eigenvalues nu of the
+      smaller of XY and YX, and zeros up to the dimension.  Both products
+      are lower triangular with diagonal X_ii Y_ii, i < min(X.shape), so
+      each eigenvalue is one product and one square root of matrix
+      entries, correct to a few ulps of the matrix's exact eigenvalue;
+      ``eigvals`` on this non-normal matrix loses digits to the
+      eigenvalues' condition numbers instead.
     """
     a = T.matrix
     finite = np.isfinite(a).all()
-    if finite and not np.triu(a, 1).any():
-        vals = np.diag(a)
-    else:
+    vals = _pattern_eigenvalues(a, T.nplus) if finite else None
+    if vals is None:
         try:
             vals = np.linalg.eigvals(a)
         except np.linalg.LinAlgError as exc:

@@ -165,6 +165,25 @@ class TestStackedSamples:
             assert fd.max_abs()[i] == one.max_abs()
         assert np.ndim(one.tail_max()) == 0 and np.ndim(one.max_abs()) == 0
 
+    def test_forward_scaling_matches_division_up_to_signed_zeros(self):
+        # norm="forward" multiplies each component by the exact 1/K and keeps
+        # a -0.0, where dividing a complex array by K can return +0.0 (the
+        # -ones row's coefficient 0 is -1-0j here, -1+0j after the division);
+        # every nonzero word is the same
+        K = 64
+        rng = np.random.default_rng(5)
+        stack = np.array([
+            np.ones(K), -np.ones(K), np.full(K, -0.0),
+            rng.standard_normal(K), 1j * rng.standard_normal(K), -1j * np.ones(K),
+            np.cos(2 * np.pi * np.arange(K) / K), np.exp(2j * np.pi * np.arange(K) / K),
+            (rng.standard_normal(K) + 1j * rng.standard_normal(K)) * 1e-310,
+        ], dtype=complex)
+        got = fourier_coeffs_from_samples(stack, 0.9).raw.view(np.float64)
+        want = (np.fft.fft(stack) / K).view(np.float64)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got[differ] == 0) and np.all(want[differ] == 0)
+        assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
     def test_non_finite_sample_quotes_its_angle(self):
         stack = self._stack()
         stack[3, 5] = np.nan

@@ -120,13 +120,13 @@ class TestAliasingMonitor:
 
 def _column_by_column(m, annulus, N, K):
     """The truncation built one column at a time: sequential products,
-    one 1-D FFT per column, the transport weights, then the snap."""
+    one 1-D FFT per column divided by K, the transport weights, then the snap."""
     r, R = annulus.r, annulus.R
     rho_plus, rho_minus = (r, R) if check_holo_expansive(m, annulus).verdict == "A1" else (R, r)
     mrange = np.arange(1, N + 1)
 
     def transport(samples, rho):
-        c = fourier_coeffs_from_samples(samples, rho).raw
+        c = np.fft.fft(samples) / K
         plus = c[np.arange(N) % K] * (r / rho) ** np.arange(N)
         minus = c[(-mrange) % K] * (rho / R) ** mrange
         return np.concatenate([plus, minus])
@@ -215,14 +215,19 @@ class TestSingularValues:
 
     @staticmethod
     def _record_svd(monkeypatch):
-        shapes, real = [], np.linalg.svd
+        """Patch np.linalg.svd to keep a copy of each argument; return the list."""
+        calls, real = [], np.linalg.svd
 
         def recording(a, *args, **kwargs):
-            shapes.append(a.shape)
+            calls.append(np.array(a))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
-        return shapes
+        return calls
+
+    @staticmethod
+    def _nonzero_shape(a):
+        return np.count_nonzero(a.any(axis=1)), np.count_nonzero(a.any(axis=0))
 
     @pytest.mark.parametrize(
         "zeros, anti, nminus",
@@ -237,11 +242,12 @@ class TestSingularValues:
     def test_decoupled_blocks_take_two_half_size_svds(self, zeros, anti, nminus, annulus, monkeypatch):
         T = assemble_dual(BlaschkeProduct(1.0, zeros, anti=anti), annulus, 32, nminus)
         full = np.linalg.svd(T.matrix, compute_uv=False)
-        shapes = self._record_svd(monkeypatch)
+        calls = self._record_svd(monkeypatch)
         sv = singular_values(T)
-        # one SVD per row block, on the columns that reach it
+        shapes = [a.shape for a in calls]
+        # one SVD per row block, on the nonzero columns that reach it
         assert [rows for rows, _ in shapes] == [T.nplus, T.nminus]
-        assert sum(cols for _, cols in shapes) == T.size
+        assert sum(cols for _, cols in shapes) == self._nonzero_shape(T.matrix)[1]
         assert len(sv) == T.size
         assert np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
@@ -254,10 +260,36 @@ class TestSingularValues:
             assemble_dual(BlaschkeProduct(1.0, (0.2, 0.3j)), annulus, 16),
             assemble_dual(bstar, annulus, 16).matrix,  # a raw array has no blocks
         ]
-        shapes = self._record_svd(monkeypatch)
+        calls = self._record_svd(monkeypatch)
         for T in ops:
             singular_values(T)
-        assert shapes == [(32, 32)] * 3
+        # one SVD each, on the nonzero rows and columns
+        assert [a.shape for a in calls] == [self._nonzero_shape(getattr(T, "matrix", T)) for T in ops]
+
+    @pytest.mark.parametrize(
+        "case", ["B*@512", "anti-B*", "triglift", "all-zero", "raw-array"]
+    )
+    def test_no_svd_sees_a_zero_row_or_column(self, case, bstar, anti_bstar, annulus, monkeypatch):
+        T = {
+            "B*@512": lambda: assemble_dual(bstar, annulus, 512),
+            "anti-B*": lambda: assemble_dual(anti_bstar, annulus, 128),
+            "triglift": lambda: assemble_dual(TrigLift(2, (0.1,)), annulus, 16),
+            "all-zero": lambda: _toy_operator(np.zeros((12, 12), dtype=complex)),
+            "raw-array": lambda: np.pad(assemble_dual(bstar, annulus, 16).matrix, ((0, 3), (2, 0))),
+        }[case]()
+        matrix = getattr(T, "matrix", T)
+        if case != "all-zero":
+            assert not matrix.any(axis=0).all()  # the case has zero columns to drop
+        full = np.linalg.svd(matrix, compute_uv=False)
+        calls = self._record_svd(monkeypatch)
+        sv = singular_values(T)
+        for a in calls:
+            assert a.any(axis=0).all() and a.any(axis=1).all()
+        assert len(sv) == min(matrix.shape)
+        assert np.all(np.diff(sv) <= 0)
+        np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
+        fro = np.sum(np.abs(matrix) ** 2)
+        assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12, abs=0)
 
 
 class TestTransferApply:

@@ -21,6 +21,17 @@ from ruelle.spectra import (
 )
 
 
+# anti-Blaschke map with second-iterate multiplier mu = 0.0784, so its eighth
+# eigenvalue +-mu^4 = 3.78e-5 lies near the truncation's roundoff floor; its
+# zeros miss 0, so its adjoint has no zero pattern
+FLOOR_STAR = BlaschkeProduct(
+    complex(-0.6931143075585181, 0.7208276886036468),
+    (complex(-0.06947472054505469, -0.23304948848809703),
+     complex(-0.056942402897746186, 0.14855363242454417)),
+    anti=True,
+)
+
+
 def _synthetic(moduli, tol=1e-9):
     vals = np.array([1.0] + list(moduli), dtype=complex)
     return Spectrum(vals, (0, 0, 0), converged_count=len(vals), tol=tol)
@@ -88,7 +99,8 @@ class TestTriangularShortcut:
         # compare the bits, so signed zeros and the order of ties count too
         assert np.array_equal(got.view(np.float64), expect.view(np.float64))
 
-    def test_non_triangular_maps_reach_eigvals(self, anti_bstar, annulus, monkeypatch):
+    def test_non_triangular_maps_reach_eigvals(self, annulus, monkeypatch):
+        # neither pattern: an anti-product whose zeros miss 0, FLOOR_STAR, a TrigLift
         shapes, real = [], np.linalg.eigvals
 
         def recording(a):
@@ -96,9 +108,10 @@ class TestTriangularShortcut:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", recording)
-        for m in (anti_bstar, TrigLift(2, (0.1,))):
-            eigenvalues(assemble_dual(m, annulus, 16))
-        assert shapes == [(32, 32), (32, 32)]
+        for m in (BlaschkeProduct(1.0, (0.1, 0.5), anti=True), FLOOR_STAR, TrigLift(2, (0.1,))):
+            eigenvalues(assemble_dual(m, find_expansive_annulus(m), 16))
+        eigenvalues(assemble_dual(TrigLift(2, (0.1,)), annulus, 16))
+        assert shapes == [(32, 32)] * 4
 
     def test_non_finite_triangular_matrix_fails_loudly(self, annulus):
         # the shortcut must not hand back a NaN diagonal as a spectrum
@@ -106,6 +119,53 @@ class TestTriangularShortcut:
         T = TruncatedOperator(annulus, 1, 2, 2, a, 256)
         with pytest.raises(RuntimeError, match="eigensolver failed"):
             eigenvalues(T)
+
+
+# anti-Blaschke products with a zero at 0 swap 0 and infinity: their adjoint
+# pairs two lower-triangular off-diagonal blocks
+ANTI_MAPS = {
+    "anti-B*": BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+    "anti-three-zero": BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j, -0.4), anti=True),
+}
+
+
+def _rank_errors(vals, closed):
+    """Distance of each value to the nearest closed-form eigenvalue."""
+    return np.abs(vals[:, None] - closed[None, :]).min(axis=1)
+
+
+class TestAntiProductShortcut:
+    @pytest.mark.parametrize("auto", [False, True], ids=["fixed", "auto"])
+    @pytest.mark.parametrize("N", [32, 64, 128, 256])
+    @pytest.mark.parametrize("name", list(ANTI_MAPS))
+    def test_paired_diagonals_match_closed_form(self, name, N, auto, monkeypatch):
+        m = ANTI_MAPS[name]
+        T = assemble_dual(m, find_expansive_annulus(m) if auto else Annulus(0.8, 1.25), N)
+        dense = np.linalg.eigvals(T.matrix)
+        dense = dense[np.lexsort((np.angle(dense), -np.abs(dense)))]
+
+        def refuse(a):
+            raise AssertionError("dense eigensolve of an anti-product")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        got = eigenvalues(T).eigenvalues
+        assert len(got) == T.size
+        assert np.all(np.diff(np.abs(got)) <= 0)
+        # the pool holds 23 so that a cut through a +-pair finds both members
+        closed = blaschke_spectrum(second_iterate_multiplier(m), 23, anti=True)
+        err, dense_err = _rank_errors(got[:21], closed), _rank_errors(dense[:21], closed)
+        # no worse than eigvals at any rank, up to one roundoff unit of the
+        # largest matrix entry, which both routes carry
+        eps = np.finfo(float).eps * np.abs(T.matrix).max()
+        assert np.all(err <= dense_err + eps), np.max(err - dense_err)
+        assert err.max() <= dense_err.max()
+
+    def test_anti_product_with_nan_fails_loudly(self, anti_bstar, annulus):
+        T = assemble_dual(anti_bstar, annulus, 16)
+        a = T.matrix.copy()
+        a[T.nplus + 3, 3] = np.nan  # a diagonal entry of Y
+        with pytest.raises(RuntimeError, match="eigensolver failed"):
+            eigenvalues(TruncatedOperator(annulus, -1, T.nplus, T.nminus, a, T.samples))
 
 
 class TestConverged:
@@ -230,17 +290,8 @@ class TestAntiRealness:
     "converged: truncations 64 and 128 carry the same roundoff and agree",
 )
 def test_floor_eigenvalue_matches_closed_form():
-    # anti-Blaschke map with second-iterate multiplier mu = 0.0784, so its
-    # eighth eigenvalue +-mu^4 = 3.78e-5 lies near the truncation's
-    # roundoff floor
-    floor_star = BlaschkeProduct(
-        complex(-0.6931143075585181, 0.7208276886036468),
-        (complex(-0.06947472054505469, -0.23304948848809703),
-         complex(-0.056942402897746186, 0.14855363242454417)),
-        anti=True,
-    )
-    mu = second_iterate_multiplier(floor_star)
-    spec = converged_spectrum(floor_star, find_expansive_annulus(floor_star))
+    mu = second_iterate_multiplier(FLOOR_STAR)
+    spec = converged_spectrum(FLOOR_STAR, find_expansive_annulus(FLOOR_STAR))
     lam8 = spec.eigenvalues[7]
     err = min(abs(lam8 - mu**4), abs(lam8 + mu**4))
     # fixed either by resolving lambda_8 or by no longer reporting it converged
