@@ -17,6 +17,7 @@ import numpy as np
 from . import julia as julia_mod
 from .lifts import build_homotopy, find_expansive_annulus
 from .maps import Annulus, MobiusFamilyMap, from_descriptor, min_expansion, to_descriptor
+from .numerics import circle_nodes
 from .operators import assemble_dual
 from .spectra import converged_spectrum, decay_fit, order_estimate
 from .traces import (
@@ -160,14 +161,16 @@ def cmd_det(args) -> int:
 
     if args.zeta_scan:
         grid = _parse_grid(args.zeta_scan)
-        spec = None if info is not None else converged_spectrum(m, ann)
+        if info is not None:
+            # one call for the grid: the terms past a point's own cutoff are
+            # log|1 - e^s| with Re s < -45, exactly 0.0
+            vals = np.atleast_1d(log_abs_det_product(info[0], info[1], grid))
+        else:
+            spec = converged_spectrum(m, ann)
+            vals = [np.log(abs(det_from_spectrum(spec, complex(zeta)).value)) for zeta in grid]
         lines = ["# config: " + json.dumps(config), "zeta_re,zeta_im,logabsZ"]
-        for zeta in grid:
-            if info is not None:
-                val = float(log_abs_det_product(info[0], info[1], complex(zeta)))
-            else:
-                val = float(np.log(abs(det_from_spectrum(spec, complex(zeta)).value)))
-            lines.append(f"{zeta:.16g},0,{val:.16g}")
+        for zeta, val in zip(grid, vals):
+            lines.append(f"{zeta:.16g},0,{float(val):.16g}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -199,8 +202,8 @@ def _scan_members(args):
         fam = build_homotopy(
             _parse_map(args.map0),
             _parse_map(args.map1),
-            epsilon=getattr(args, "epsilon", None),
-            eta_cap=getattr(args, "eta", None),
+            epsilon=args.epsilon,
+            eta_cap=args.eta,
         )
         for w in grid:
             yield float(w), fam.member(complex(w))
@@ -259,7 +262,7 @@ def cmd_homotopy_check(args) -> int:
     fam = build_homotopy(map0, map1, epsilon=args.epsilon, eta_cap=args.eta)
     # sup distance between the endpoint map and the member at real w = eta,
     # against the first-order bound eta * sup |d T / d w|
-    b = np.exp(1j * 2 * np.pi * np.arange(512) / 512)
+    b = circle_nodes(1.0, 512)
     pts = np.concatenate([fam.r0 * b, b, fam.R0 * b])
     member0, member_eta = fam.member(0.0), fam.member(min(fam.eta, 1.0))
     sup_dist = float(np.max(np.abs(member0.eval(pts) - member_eta.eval(pts))))
@@ -286,9 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ruelle", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_map=True):
-        if with_map:
-            p.add_argument("--map", required=True, help="JSON descriptor (inline or file path)")
+    def common(p):
+        p.add_argument("--map", required=True, help="JSON descriptor (inline or file path)")
         p.add_argument("--annulus", help="r,R override")
         p.add_argument("--out", help="output path (default stdout)")
 

@@ -67,21 +67,25 @@ class LiftSeries:
         return complex(out) if np.ndim(theta) == 0 else out
 
 
-def _roundtrip_error(m, L: LiftSeries, im_offset: float, samples: int = 256) -> float:
-    theta = 2 * np.pi * np.arange(samples) / samples + 1j * im_offset
+def _roundtrip_error(m, L: LiftSeries, im_offset: float) -> float:
+    theta = 2 * np.pi * np.arange(256) / 256 + 1j * im_offset
     return float(np.max(np.abs(np.exp(1j * L.eval(theta)) - m.eval(np.exp(1j * theta)))))
 
 
-def lift(m, K: int = 1024) -> LiftSeries:
+def lift(m) -> LiftSeries:
     """Lift of a circle-preserving map from the Fourier data of its
-    logarithmic derivative h(z) = z tau'(z)/tau(z) on the unit circle.
+    logarithmic derivative h(z) = z tau'(z)/tau(z) on 1024 nodes of the
+    unit circle.  A lift that those nodes do not resolve fails the
+    roundtrip check below instead of passing.
 
     The mean of h is the degree (checked to 1e-8 before rounding); the
     remaining coefficients integrate term by term into the periodic part.
     alpha is the principal argument of tau(1).  The strip half-width is
     certified by halving a decay-based candidate until the roundtrip
-    e^{i lift(theta)} = tau(e^{i theta}) holds on the strip boundary.
+    e^{i lift(theta)} = tau(e^{i theta}) holds to 1e-8 on 256 points of
+    each strip boundary.
     """
+    K = 1024
     z = circle_nodes(1.0, K)
     tv = m.eval(z)
     if np.min(np.abs(tv)) < 1e-12:
@@ -198,22 +202,8 @@ class HomotopyMember(_MapBase):
         return np.exp(1j * self._combined(theta)) * slope / z
 
 
-def _difference_sup(l0: LiftSeries, l1: LiftSeries, im: float, samples: int, deriv: bool) -> float:
-    theta = 2 * np.pi * np.arange(samples) / samples + 1j * im
-    if deriv:
-        vals = l1.deriv(theta) - l0.deriv(theta)
-    else:
-        vals = l1.eval(theta) - l0.eval(theta)
-    return float(np.max(np.abs(vals)))
-
-
 def build_homotopy(
-    map0,
-    map1,
-    boundary_samples: int = 4096,
-    lift_samples: int = 1024,
-    epsilon: float | None = None,
-    eta_cap: float | None = None,
+    map0, map1, epsilon: float | None = None, eta_cap: float | None = None
 ) -> HomotopyFamily:
     """Certify a homotopy family between map0 and map1 (equal degrees).
 
@@ -225,9 +215,12 @@ def build_homotopy(
     e^{-/+ eps (rho+1)/2}.  eta is sized from sup|lift1 - lift0| so the
     whole neighbourhood keeps |T| within the certified corridor; epsilon
     and eta_cap override the starting strip width and the eta ceiling.
+    Derivatives and lift differences are sampled on 512 points of the
+    three rows Im theta = 0, +eps, -eps, and the inclusions on 4096 points
+    of each boundary circle, where the margins are read.
     """
-    l0 = lift(map0, lift_samples)
-    l1 = lift(map1, lift_samples)
+    l0 = lift(map0)
+    l1 = lift(map1)
     if l0.d != l1.d:
         raise ValueError(f"degree mismatch: {l0.d} vs {l1.d}")
     d = l0.d
@@ -241,18 +234,14 @@ def build_homotopy(
     while eps >= 1e-4:
         grid = 2 * np.pi * np.arange(512) / 512
         rows = [grid, grid + 1j * eps, grid - 1j * eps]
-        rho_real = math.inf
-        for theta in rows:
-            for L in (l0, l1):
-                rho_real = min(rho_real, float(np.min(sgn * L.deriv(theta).real)))
+        derivs = [(l0.deriv(theta), l1.deriv(theta)) for theta in rows]
+        rho_real = min(float(np.min(sgn * dl.real)) for pair in derivs for dl in pair)
         if rho_real <= 1 + 1e-3:
             eps /= 2
             continue
 
-        m_deriv = max(
-            _difference_sup(l0, l1, im, 512, deriv=True) for im in (0.0, eps, -eps)
-        )
-        m_lift = _difference_sup(l0, l1, 0.0, 512, deriv=False)
+        m_deriv = max(float(np.max(np.abs(d1 - d0))) for d0, d1 in derivs)
+        m_lift = float(np.max(np.abs(l1.eval(grid) - l0.eval(grid))))
         slack = (rho_real - 1) / 2
         eta = min(
             slack / m_deriv if m_deriv > 1e-14 else math.inf,
@@ -271,7 +260,7 @@ def build_homotopy(
             for u in (0.0, 0.5, 1.0)
             for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False)
         ]
-        b = 2 * np.pi * np.arange(boundary_samples) / boundary_samples
+        b = 2 * np.pi * np.arange(4096) / 4096
         inner_vals0, inner_vals1 = l0.eval(b + 1j * eps), l1.eval(b + 1j * eps)
         outer_vals0, outer_vals1 = l0.eval(b - 1j * eps), l1.eval(b - 1j * eps)
         margin_inner = math.inf
@@ -293,9 +282,10 @@ def build_homotopy(
     raise RuntimeError("maps too wild for certified homotopy at this resolution")
 
 
-def find_expansive_annulus(m, samples: int = 2048, widths=None) -> Annulus:
-    """Search symmetric annuli (e^-t, e^t) and return the one with the best
-    contraction ratio.
+def find_expansive_annulus(m, samples: int = 2048) -> Annulus:
+    """Search symmetric annuli (e^-t, e^t) for 24 widths t geometrically
+    spaced in [0.01, 0.5] and return the one with the best contraction
+    ratio.
 
     The quality of an annulus for the spectral assembly is the relative
     inclusion depth q = ``check_holo_expansive(...).ratio`` (mirrored for
@@ -305,10 +295,8 @@ def find_expansive_annulus(m, samples: int = 2048, widths=None) -> Annulus:
     """
     if samples < 256:
         raise ValueError("need at least 256 samples")
-    if widths is None:
-        widths = np.geomspace(0.01, 0.5, 24)
     best = None
-    for t in widths:
+    for t in np.geomspace(0.01, 0.5, 24):
         ann = Annulus(math.exp(-t), math.exp(t))
         try:
             q = check_holo_expansive(m, ann, samples).ratio

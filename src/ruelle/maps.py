@@ -277,15 +277,15 @@ def iterate(m, n: int):
     return ComposedMap((m,) * n)
 
 
-def degree(m, K: int = 2048) -> int:
-    """Degree as a winding number: the circle integral of tau'/tau over the
-    unit circle, rounded to the nearest integer.
+def degree(m) -> int:
+    """Degree as a winding number: the circle integral of tau'/tau over
+    2048 nodes of the unit circle, rounded to the nearest integer.
 
     The quadrature residual must be below 1e-6; a larger residual means the
-    map does not preserve the circle (or K is hopelessly small, e.g. for a
+    map does not preserve the circle (or 2048 nodes are too few, e.g. for a
     high iterate -- use the map's analytic ``degree`` attribute there).
     """
-    w = circle_integral(lambda z: m.deriv(z) / m.eval(z), 1.0, K)
+    w = circle_integral(lambda z: m.deriv(z) / m.eval(z), 1.0, 2048)
     d = round(w.real)
     if abs(w - d) >= 1e-6:
         raise ValueError(
@@ -355,16 +355,17 @@ def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionC
     return InclusionCheck("none", float(max(a1, a2)), ratio)
 
 
-def fixed_point_disk(m, tol: float = 1e-13, max_iter: int = 10000):
+def fixed_point_disk(m):
     """The unique attracting fixed point z0 in the unit disk and its
     multiplier mu = tau'(z0).
 
     Plain forward iteration from 0 (globally convergent in practice since
-    |mu| < 1 for holomorphically expansive maps), then Newton refinement
-    down to |tau(z0) - z0| <= tol.
+    |mu| < 1 for holomorphically expansive maps) for at most 10000 steps,
+    until a step is below 1e-6, then at most 60 Newton steps down to
+    |tau(z0) - z0| <= 1e-13.
     """
     z = 0j
-    for _ in range(max_iter):
+    for _ in range(10000):
         zn = m.eval(z)
         if not (np.isfinite(zn.real) and np.isfinite(zn.imag)):
             raise RuntimeError("no attracting interior fixed point located")
@@ -376,7 +377,7 @@ def fixed_point_disk(m, tol: float = 1e-13, max_iter: int = 10000):
         raise RuntimeError("no attracting interior fixed point located")
     for _ in range(60):
         res = m.eval(z) - z
-        if abs(res) <= tol:
+        if abs(res) <= 1e-13:
             break
         denom = m.deriv(z) - 1
         if denom == 0:

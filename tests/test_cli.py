@@ -141,6 +141,16 @@ class TestDetZetaScan:
         # trivial spectrum {1}: log|1 - e^-1|
         assert val == pytest.approx(np.log(1 - np.exp(-1)), abs=1e-9)
 
+    def test_one_point_grid_writes_one_row(self, tmp_path):
+        from ruelle.traces import log_abs_det_product
+
+        out = tmp_path / "zscan.csv"
+        code = main(["det", "--map", BSTAR, "--annulus", "0.8,1.25",
+                     "--zeta-scan", "2.5:2.5:1", "--out", str(out)])
+        assert code == 0
+        _, rows = _rows(out)
+        assert rows == [f"2.5,0,{float(log_abs_det_product(-0.5, False, 2.5)):.16g}"]
+
     def test_needs_z_or_scan(self):
         assert main(["det", "--map", BSTAR, "--annulus", "0.8,1.25"]) == 1
 

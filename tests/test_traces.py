@@ -48,6 +48,21 @@ class TestTraceContour:
         with pytest.raises(ValueError, match="contour"):
             trace_contour(HasBoundaryFixedPoint(), annulus)
 
+    def test_each_circle_evaluated_once(self, bstar, annulus):
+        class Counting:
+            degree = 2
+
+            def __init__(self):
+                self.radii = []
+
+            def eval(self, z):
+                self.radii.append(float(np.abs(z).max()))
+                return bstar.eval(z)
+
+        m = Counting()
+        assert trace_contour(m, annulus) == trace_contour(bstar, annulus)
+        assert m.radii == pytest.approx([annulus.r, annulus.R], abs=1e-15)
+
 
 class TestTracePower:
     def test_bstar_second_power(self, bstar, annulus):
@@ -281,6 +296,18 @@ class TestJensen:
         chk = jensen_count_check(-0.5, 0.01)
         assert chk.counting_side == 0.0
         assert abs(chk.boundary_side) < 1e-3
+
+
+class TestLogAbsDetOnAGrid:
+    @pytest.mark.parametrize("mu, anti", ORACLE_CASES)
+    def test_grid_matches_pointwise_word_for_word(self, mu, anti):
+        # the per-point cutoffs differ across each grid, so the grid call
+        # runs past most points' own cutoff
+        for grid in (np.linspace(-3, 40, 17), np.array([0.25, 30.25, -8 + 2j, 12 - 5j])):
+            grid = grid.astype(complex)
+            got = log_abs_det_product(mu, anti, grid)
+            want = np.array([log_abs_det_product(mu, anti, zeta) for zeta in grid])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGrowth:
