@@ -8,7 +8,7 @@ artifacts.  No hash is compared here, because the bits of a floating-point
 result may differ across CPUs and numpy builds; compare two runs on one
 machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
 OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
-the same 22 lines: the anti-product spectra, which once went through a
+the same 24 lines: the anti-product spectra, which once went through a
 threaded dense eigensolve, now come from the matrix's zero pattern.  The
 TrigLift and generic-product spectra still take `np.linalg.eigvals`, so
 more threads or another BLAS may change them; that was not measured.
@@ -67,6 +67,9 @@ ARTIFACTS = {
     "trace-trig.json": ["trace", "--map", TRIG],
     "homotopy-check.json": ["homotopy-check", "--map0", BSTAR, "--map1", TRIG],
     "julia.pgm": ["julia", "--w", "0.5,0.26"],
+    "julia-steps.pgm": ["julia", "--w", "0.5,0.26", "--mode", "steps"],
+    # 60000 pixels: one full render block and a partial one
+    "julia-300x200.pgm": ["julia", "--w", "0.8,0.3", "--size", "300x200"],
 }
 # further files a command writes besides its --out
 EXTRA_FILES = {"spectrum-bstar-fixed-N64.csv": ("matrix-bstar-fixed-N64.csv",)}

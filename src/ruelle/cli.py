@@ -265,9 +265,10 @@ def cmd_homotopy_check(args) -> int:
     b = circle_nodes(1.0, 512)
     pts = np.concatenate([fam.r0 * b, b, fam.R0 * b])
     member0, member_eta = fam.member(0.0), fam.member(min(fam.eta, 1.0))
-    sup_dist = float(np.max(np.abs(member0.eval(pts) - member_eta.eval(pts))))
+    t0 = member0.eval(pts)
+    sup_dist = float(np.max(np.abs(t0 - member_eta.eval(pts))))
     theta = -1j * np.log(pts)
-    dT_dw = np.abs(member0.eval(pts)) * np.abs(
+    dT_dw = np.abs(t0) * np.abs(
         fam.lift1.eval(theta) - fam.lift0.eval(theta)
     )
     bound = min(fam.eta, 1.0) * float(dT_dw.max())

@@ -355,6 +355,9 @@ def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionC
     return InclusionCheck("none", float(max(a1, a2)), ratio)
 
 
+_NO_FIXED_POINT = "no attracting interior fixed point located"
+
+
 def fixed_point_disk(m):
     """The unique attracting fixed point z0 in the unit disk and its
     multiplier mu = tau'(z0).
@@ -362,31 +365,35 @@ def fixed_point_disk(m):
     Plain forward iteration from 0 (globally convergent in practice since
     |mu| < 1 for holomorphically expansive maps) for at most 10000 steps,
     until a step is below 1e-6, then at most 60 Newton steps down to
-    |tau(z0) - z0| <= 1e-13.
+    |tau(z0) - z0| <= 1e-13.  Every failure, an iterate on a pole included,
+    raises RuntimeError.
     """
-    z = 0j
-    for _ in range(10000):
-        zn = m.eval(z)
-        if not (np.isfinite(zn.real) and np.isfinite(zn.imag)):
-            raise RuntimeError("no attracting interior fixed point located")
-        if abs(zn - z) < 1e-6:
+    try:
+        z = 0j
+        for _ in range(10000):
+            zn = m.eval(z)
+            if not (np.isfinite(zn.real) and np.isfinite(zn.imag)):
+                raise RuntimeError(_NO_FIXED_POINT)
+            if abs(zn - z) < 1e-6:
+                z = zn
+                break
             z = zn
-            break
-        z = zn
-    else:
-        raise RuntimeError("no attracting interior fixed point located")
-    for _ in range(60):
-        res = m.eval(z) - z
-        if abs(res) <= 1e-13:
-            break
-        denom = m.deriv(z) - 1
-        if denom == 0:
-            raise RuntimeError("no attracting interior fixed point located")
-        z = z - res / denom
-    else:
-        raise RuntimeError("no attracting interior fixed point located")
+        else:
+            raise RuntimeError(_NO_FIXED_POINT)
+        for _ in range(60):
+            res = m.eval(z) - z
+            if abs(res) <= 1e-13:
+                break
+            denom = m.deriv(z) - 1
+            if denom == 0:
+                raise RuntimeError(_NO_FIXED_POINT)
+            z = z - res / denom
+        else:
+            raise RuntimeError(_NO_FIXED_POINT)
+    except ValueError as exc:  # an iterate hit a pole of an anti-Blaschke map
+        raise RuntimeError(_NO_FIXED_POINT) from exc
     if abs(z) >= 1:
-        raise RuntimeError("no attracting interior fixed point located")
+        raise RuntimeError(_NO_FIXED_POINT)
     return z, m.deriv(z)
 
 

@@ -4,6 +4,7 @@ from scipy import ndimage
 
 from ruelle.julia import (
     BASIN_INFINITY,
+    BLOCK_PIXELS,
     BASIN_UNDECIDED,
     BASIN_ZERO,
     Raster,
@@ -76,6 +77,80 @@ class TestRender:
             render(0.0, VIEW, 64, 64, epsilon=0.5)
         with pytest.raises(ValueError, match="16"):
             render(0.0, VIEW, 8, 64)
+
+
+def _whole_array_render(w, viewport, width, height, max_iter=500, epsilon=1e-3):
+    """The raster from one pass over the whole pixel array per step: a boolean
+    gather of the active pixels, the pole and NaN iterates set to infinity,
+    and a scatter back."""
+    w = complex(w)
+    z = _pixel_grid(viewport, width, height).astype(complex)
+    basin = np.full(z.shape, BASIN_UNDECIDED, dtype=np.uint8)
+    steps = np.full(z.shape, max_iter, dtype=np.int32)
+    active = np.ones(z.shape, dtype=bool)
+    lo, hi = epsilon, 1.0 / epsilon
+    for it in range(max_iter):
+        za = z[active]
+        den = 2 - w * za
+        with np.errstate(divide="ignore", invalid="ignore"):
+            za = za * (2 * za - w) / den
+        za[den == 0] = np.inf
+        za[np.isnan(za)] = np.inf
+        z[active] = za
+        mods = np.abs(za)
+        inner = mods < lo
+        outer = mods > hi
+        if inner.any() or outer.any():
+            idx = np.flatnonzero(active)
+            done_in, done_out = idx[inner], idx[outer]
+            basin.flat[done_in] = BASIN_ZERO
+            basin.flat[done_out] = BASIN_INFINITY
+            steps.flat[done_in] = it + 1
+            steps.flat[done_out] = it + 1
+            active.flat[done_in] = False
+            active.flat[done_out] = False
+        if not active.any():
+            break
+    return basin, steps
+
+
+def _assert_matches_whole_array(w, viewport, width, height, max_iter=500):
+    raster = render(w, viewport, width, height, max_iter=max_iter)
+    basin, steps = _whole_array_render(w, viewport, width, height, max_iter)
+    assert raster.basin.shape == raster.steps.shape == (height, width)
+    assert raster.basin.dtype == np.uint8 and raster.steps.dtype == np.int32
+    assert np.array_equal(raster.basin, basin)
+    assert np.array_equal(raster.steps, steps)
+    return raster
+
+
+class TestBlockedRender:
+    """The block-wise render gives the whole-array raster bit for bit."""
+
+    @pytest.mark.parametrize("w", [0.0, 0.5 + 0.26j, 0.8 + 0.3j, 1 + 1j], ids=str)
+    @pytest.mark.parametrize("width, height", [(300, 200), (257, 129)])
+    def test_partial_last_block(self, w, width, height):
+        # both pixel counts span more than one block and end in a partial one
+        assert width * height > BLOCK_PIXELS and width * height % BLOCK_PIXELS
+        _assert_matches_whole_array(w, VIEW, width, height)
+
+    def test_pole_pixel(self):
+        # z = 4 = 2/w is the middle pixel: its first step divides by zero
+        raster = _assert_matches_whole_array(0.5, (3.9, 4.1, -0.1, 0.1), 17, 17, max_iter=50)
+        assert raster.basin[8, 8] == BASIN_INFINITY and raster.steps[8, 8] == 1
+
+    def test_zero_over_zero_pixel(self):
+        # w = 2 at z = 1: T = 1 (2 - 2)/(2 - 2), a NaN first iterate
+        raster = _assert_matches_whole_array(2.0, (0.0, 2.0, -1.0, 1.0), 17, 17, max_iter=50)
+        assert raster.basin[8, 8] == BASIN_INFINITY and raster.steps[8, 8] == 1
+
+    def test_undecided_at_max_iter(self):
+        # T(w, 1) = 1 for every w, so z = 1 (and z = -1, with T(0.5, -1) = 1)
+        # never decides; pixels near the unit circle need more than 50 steps
+        raster = _assert_matches_whole_array(0.5, (-1.0, 1.0, -1.0, 1.0), 301, 201, max_iter=50)
+        undecided = raster.basin == BASIN_UNDECIDED
+        assert undecided[100, 0] and undecided[100, 300] and undecided.sum() > 2
+        assert np.all(raster.steps[undecided] == 50)
 
 
 class TestPgm:

@@ -231,6 +231,12 @@ class TestFixedPoint:
         assert abs(m.eval(z0) - z0) < 1e-12
         assert abs(z0) < 1 and abs(mu) < 1
 
+    def test_pole_at_start_raises_runtime_error(self, anti_bstar):
+        # anti-B* = 1/(z (2z - 1)/(2 - z)) has its pole at 0, the first iterate
+        with pytest.raises(RuntimeError, match="no attracting interior fixed point") as info:
+            fixed_point_disk(anti_bstar)
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestSecondIterateMultiplier:
     def test_anti_bstar(self, anti_bstar):
