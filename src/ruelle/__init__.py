@@ -24,7 +24,7 @@ from .maps import (
     orientation,
     second_iterate_multiplier,
 )
-from .numerics import FourierData, circle_integral, fourier_coeffs
+from .numerics import FourierData, circle_integral, fourier_coeffs_from_samples
 from .operators import (
     HardyPair,
     TruncatedOperator,

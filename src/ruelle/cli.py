@@ -99,6 +99,16 @@ def _spectrum_rows(spec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spectrum_summary(spec):
+    """(|lambda_2| or 0, decay exponent beta or None if unfit, rho_hat)."""
+    second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
+    try:
+        beta = decay_fit(spec).beta
+    except ValueError:
+        beta = None
+    return second, beta, order_estimate(spec)
+
+
 def cmd_spectrum(args) -> int:
     m, ann, config = _map_and_annulus(args)
     code = 0
@@ -108,12 +118,7 @@ def cmd_spectrum(args) -> int:
         if caught:
             code = 2
     lead = spec.eigenvalues[0]
-    second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
-    try:
-        beta = decay_fit(spec).beta
-    except ValueError:
-        beta = None
-    rho = order_estimate(spec)
+    second, beta, rho = _spectrum_summary(spec)
     if args.format == "json":
         doc = {
             "config": config,
@@ -162,9 +167,7 @@ def cmd_det(args) -> int:
     if args.zeta_scan:
         grid = _parse_grid(args.zeta_scan)
         if info is not None:
-            # one call for the grid: the terms past a point's own cutoff are
-            # log|1 - e^s| with Re s < -45, exactly 0.0
-            vals = np.atleast_1d(log_abs_det_product(info[0], info[1], grid))
+            vals = log_abs_det_product(info[0], info[1], grid)
         else:
             spec = converged_spectrum(m, ann)
             vals = [np.log(abs(det_from_spectrum(spec, complex(zeta)).value)) for zeta in grid]
@@ -192,10 +195,14 @@ def cmd_det(args) -> int:
 
 
 def _scan_members(args):
+    """(w, member, annulus) per grid point; the annulus is --annulus, else the
+    search's for a Mobius member or the homotopy family's certified one."""
     grid = _parse_grid(args.grid)
+    fixed = _parse_annulus(args.annulus) if args.annulus else None
     if args.family == "mobius":
         for w in grid:
-            yield float(w), MobiusFamilyMap(complex(w))
+            m = MobiusFamilyMap(complex(w))
+            yield float(w), m, fixed or find_expansive_annulus(m)
     else:
         if not (args.map0 and args.map1):
             raise ValueError("homotopy scan needs --map0 and --map1")
@@ -206,7 +213,7 @@ def _scan_members(args):
             eta_cap=args.eta,
         )
         for w in grid:
-            yield float(w), fam.member(complex(w))
+            yield float(w), fam.member(complex(w)), fixed or fam.annulus()
 
 
 def cmd_scan(args) -> int:
@@ -215,24 +222,14 @@ def cmd_scan(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         members = sorted(_scan_members(args), key=lambda t: t[0])
-        for w, m in members:
-            ann = (
-                _parse_annulus(args.annulus)
-                if args.annulus
-                else (m.family.annulus() if hasattr(m, "family") else find_expansive_annulus(m))
-            )
+        for w, m, ann in members:
             spec = converged_spectrum(m, ann, tol=args.tol)
-            second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
-            try:
-                beta = decay_fit(spec).beta
-            except ValueError:
-                beta = float("nan")
-            rho = order_estimate(spec)
+            second, beta, rho = _spectrum_summary(spec)
             if 1.8 <= rho <= 2.2:
                 in_band += 1
             rows.append(
-                f"{w:.6g},{second:.12g},{beta:.6g},{rho:.6g},{spec.converged_count},"
-                f"{min_expansion(m):.6g}"
+                f"{w:.6g},{second:.12g},{'nan' if beta is None else f'{beta:.6g}'},"
+                f"{rho:.6g},{spec.converged_count},{min_expansion(m):.6g}"
             )
     config = _config_dict(args)
     body = "# config: " + json.dumps(config) + "\n"

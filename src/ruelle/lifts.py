@@ -282,10 +282,10 @@ def build_homotopy(
     raise RuntimeError("maps too wild for certified homotopy at this resolution")
 
 
-def find_expansive_annulus(m, samples: int = 2048) -> Annulus:
+def find_expansive_annulus(m) -> Annulus:
     """Search symmetric annuli (e^-t, e^t) for 24 widths t geometrically
     spaced in [0.01, 0.5] and return the one with the best contraction
-    ratio.
+    ratio, each checked on 2048 nodes per boundary circle.
 
     The quality of an annulus for the spectral assembly is the relative
     inclusion depth q = ``check_holo_expansive(...).ratio`` (mirrored for
@@ -293,13 +293,11 @@ def find_expansive_annulus(m, samples: int = 2048) -> Annulus:
     search minimises q rather than the absolute margin, which would always
     favour the widest admissible annulus.
     """
-    if samples < 256:
-        raise ValueError("need at least 256 samples")
     best = None
     for t in np.geomspace(0.01, 0.5, 24):
         ann = Annulus(math.exp(-t), math.exp(t))
         try:
-            q = check_holo_expansive(m, ann, samples).ratio
+            q = check_holo_expansive(m, ann, 2048).ratio
         except (ValueError, OverflowError, FloatingPointError):
             continue
         if q < 1 and (best is None or q < best[0]):

@@ -138,10 +138,6 @@ class BlaschkeProduct(_MapBase):
             raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
         return -self._product_deriv(z) / b**2
 
-    def base_product(self) -> "BlaschkeProduct":
-        """The underlying (non-reciprocal) product."""
-        return replace(self, anti=False)
-
 
 @dataclass(frozen=True)
 class TrigLift(_MapBase):
@@ -201,22 +197,14 @@ class MobiusFamilyMap(_MapBase):
 
     w = 0 gives z^2 and w = 1 the Blaschke product z (z - 1/2)/(1 - z/2);
     for real w in [0, 1] the unit circle is invariant (|2z - w| = |2 - wz|
-    on |z| = 1).  When an annulus is supplied the pole 2/w is checked to
-    stay clear of it.
+    on |z| = 1).  The pole 2/w may lie anywhere, even inside an annulus of
+    interest: ``check_holo_expansive`` decides whether an annulus is usable.
     """
 
     w: complex
-    annulus: "Annulus | None" = None
 
     def __post_init__(self):
         object.__setattr__(self, "w", complex(self.w))
-        if self.annulus is not None and self.w != 0:
-            pole = abs(2 / self.w)
-            if self.annulus.r - 1e-9 <= pole <= self.annulus.R + 1e-9:
-                raise ValueError(
-                    f"pole 2/w at modulus {pole:.6g} meets the annulus "
-                    f"({self.annulus.r:g}, {self.annulus.R:g})"
-                )
 
     @property
     def degree(self) -> int:
@@ -296,21 +284,17 @@ def degree(m) -> int:
 
 
 def orientation(m) -> int:
-    """+1 for orientation preserving, -1 for reversing (sign of degree)."""
-    if hasattr(m, "degree"):
-        d = m.degree
-    else:
-        d = degree(m)
+    """+1 for orientation preserving, -1 for reversing: the sign of the map's
+    analytic ``degree`` attribute (``degree(m)`` checks it by winding number)."""
+    d = m.degree
     if abs(d) < 2:
         raise ValueError(f"unsupported map: |degree| must be >= 2, got {d}")
     return 1 if d > 0 else -1
 
 
-def min_expansion(m, samples: int = 4096) -> float:
-    """min |tau'| over equispaced points of the unit circle (expanding iff > 1)."""
-    if samples < 256:
-        raise ValueError("need at least 256 samples")
-    return float(np.min(np.abs(m.deriv(circle_nodes(1.0, samples)))))
+def min_expansion(m) -> float:
+    """min |tau'| over 4096 equispaced points of the unit circle (expanding iff > 1)."""
+    return float(np.min(np.abs(m.deriv(circle_nodes(1.0, 4096)))))
 
 
 @dataclass(frozen=True)
@@ -407,8 +391,8 @@ def second_iterate_multiplier(params: BlaschkeProduct) -> float:
     """
     if not isinstance(params, BlaschkeProduct) or not params.anti:
         raise ValueError("second_iterate_multiplier expects an anti-Blaschke map")
-    base = params.base_product()
-    second = ComposedMap((base, base.conjugate_params().base_product()))
+    base = replace(params, anti=False)
+    second = ComposedMap((base, base.conjugate_params()))
     z0, _ = fixed_point_disk(second)
     return abs(base.deriv(z0))
 

@@ -18,8 +18,6 @@ __all__ = [
     "FourierData",
     "circle_nodes",
     "circle_integral",
-    "default_samples",
-    "fourier_coeffs",
     "fourier_coeffs_from_samples",
 ]
 
@@ -27,13 +25,6 @@ __all__ = [
 def circle_nodes(radius: float, K: int) -> np.ndarray:
     """The K equispaced sample points radius * e^{2 pi i j / K}, j = 0..K-1."""
     return radius * np.exp(2j * np.pi * np.arange(K) / K)
-
-
-def default_samples(n: int) -> int:
-    """Default sample count for a truncation order n: max(256, 8n), rounded
-    up to a power of two."""
-    k = max(256, 8 * n)
-    return 1 << (k - 1).bit_length()
 
 
 def _require_power_of_two(K: int):
@@ -74,11 +65,6 @@ class FourierData:
             raise IndexError(f"index {m} outside folded range [{-K//2}, {K//2})")
         return complex(self.raw[m % K])
 
-    def coeffs(self) -> dict:
-        """Folded index -> coefficient, for inspection."""
-        K = self.samples
-        return {m: complex(self.raw[m % K]) for m in range(-K // 2, K // 2)}
-
     def tail_max(self):
         """Largest |coeff| over the quarter of indices with largest |m|.
 
@@ -93,26 +79,15 @@ class FourierData:
 
 
 def fourier_coeffs_from_samples(values, radius: float) -> FourierData:
-    """FourierData from samples at circle_nodes(radius, K), along the last axis."""
+    """FourierData from samples at circle_nodes(radius, K), along the last axis.
+
+    Satisfies the Parseval identity sum |coeff(m)|^2 = mean |values|^2 to
+    roundoff, and recovers trigonometric polynomials of degree < K/2 exactly.
+    """
     values = np.asarray(values, dtype=complex)
     _require_power_of_two(values.shape[-1])
     _check_finite(values, radius)
     return FourierData(radius, np.fft.fft(values, norm="forward"))
-
-
-def fourier_coeffs(f, radius: float, K: int) -> FourierData:
-    """Fourier coefficients of f sampled at K equispaced points on |z|=radius.
-
-    Satisfies the Parseval identity sum |coeff(m)|^2 = mean |f(z_j)|^2 to
-    roundoff, and recovers trigonometric polynomials of degree < K/2
-    exactly.
-    """
-    _require_power_of_two(K)
-    with np.errstate(all="ignore"):  # non-finite samples rejected below
-        values = np.asarray(f(circle_nodes(radius, K)), dtype=complex)
-    if values.ndim == 0:
-        values = np.full(K, complex(values))
-    return fourier_coeffs_from_samples(values, radius)
 
 
 def circle_integral(f, radius: float, K: int = 256) -> complex:

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, BlaschkeProduct, check_holo_expansive
-from .numerics import (
-    circle_integral,
-    circle_nodes,
-    default_samples,
-    fourier_coeffs_from_samples,
-)
+from .numerics import circle_nodes, fourier_coeffs_from_samples
 
 __all__ = [
     "HardyPair",
@@ -132,12 +127,12 @@ def assemble_dual(
     annulus (the compositions would not be defined on the boundary
     circles).  Each block is built in row chunks of at most 2^17 samples,
     one FFT per chunk, with the bits of a column-by-column build.  With
-    K=None the sample count starts at max(256, 8N) and is doubled (up to
-    65536) until the aliasing tail of every column n is below
-    max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
-    tolerance and that column's roundoff floor; an explicit K with an
-    unresolved tail above TAIL_REJECT raises instead.  Both errors quote
-    the tail and its floor.
+    K=None the sample count starts at max(256, 8N) rounded up to a power of
+    two, and is doubled (up to 65536) until the aliasing tail of every
+    column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
+    of the fixed tolerance and that column's roundoff floor; an explicit K
+    with an unresolved tail above TAIL_REJECT raises instead.  Both errors
+    quote the tail and its floor.
     """
     if nminus is None:
         nminus = nplus
@@ -152,7 +147,7 @@ def assemble_dual(
     rho_plus, rho_minus = (r, R) if omega == 1 else (R, r)
 
     auto = K is None
-    k = default_samples(max(nplus, nminus)) if auto else K
+    k = 1 << (max(256, 8 * max(nplus, nminus)) - 1).bit_length() if auto else K
     if k < 8 * max(nplus, nminus):
         raise ValueError(f"K={k} below 8*max(nplus, nminus)={8*max(nplus, nminus)}")
 
@@ -225,8 +220,9 @@ def singular_values(T) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HardyPair:
-    """Coefficients (h1, h2) on the bases e_m^(r) (m >= 0) and e_{-m}^(R)
-    (m >= 1): a dual vector for the annulus Hardy space."""
+    """Coefficients of h1(z) = sum_m plus[m] (z/r)^m (m >= 0) and
+    h2(z) = sum_m minus[m-1] (R/z)^m (m >= 1): a dual vector for the annulus
+    Hardy space."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -254,20 +250,6 @@ class HardyPair:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.plus, self.minus])
 
-    def h1(self, z, r: float):
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for mm, c in enumerate(self.plus):
-            if c != 0:
-                out = out + c * (np.asarray(z) / r) ** mm
-        return out
-
-    def h2(self, z, R: float):
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for mm, c in enumerate(self.minus, start=1):
-            if c != 0:
-                out = out + c * (R / np.asarray(z)) ** mm
-        return out
-
 
 def _laurent_eval(coeffs: dict, z):
     out = np.zeros_like(np.asarray(z, dtype=complex))
@@ -279,12 +261,12 @@ def _laurent_eval(coeffs: dict, z):
 def pairing(h: HardyPair, f: dict, annulus: Annulus) -> complex:
     """The duality pairing l(f) = (1/2 pi i) [ int_{|z|=r} f h1 dz
     + int_{|z|=R} f h2 dz ] for a finite Laurent series f (index -> coeff),
-    by the trapezoidal rule on 512 nodes per circle, which is exact while
-    the integrands are Laurent polynomials of degree < 512."""
+    read off as the z^-1 coefficients of the Laurent polynomials f h1 and
+    f h2: sum_m plus[m] f_{-m-1} / r^m + sum_{m>=1} minus[m-1] R^m f_{m-1}."""
     r, R = annulus.r, annulus.R
-    inner = circle_integral(lambda z: _laurent_eval(f, z) * h.h1(z, r), r, 512)
-    outer = circle_integral(lambda z: _laurent_eval(f, z) * h.h2(z, R), R, 512)
-    return inner + outer
+    inner = sum(c * f.get(-mm - 1, 0) / r**mm for mm, c in enumerate(h.plus))
+    outer = sum(c * R**mm * f.get(mm - 1, 0) for mm, c in enumerate(h.minus, start=1))
+    return complex(inner + outer)
 
 
 def transfer_apply_rational(m: BlaschkeProduct, f: dict, z: complex) -> complex:

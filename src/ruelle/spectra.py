@@ -128,17 +128,16 @@ def converged_spectrum(
     m,
     annulus: Annulus,
     tol: float = 1e-9,
-    start: int = 32,
     max_order: int = 256,
     want: int = 10,
 ) -> Spectrum:
-    """Assemble at doubling truncation orders until the leading ``want``
-    eigenvalues are stable within tol; returns the finest spectrum with its
-    converged count."""
-    if max_order < 2 * start:
-        raise ValueError(f"max_order {max_order} must be at least 2*start = {2 * start}")
+    """Assemble at doubling truncation orders from 32 until the leading
+    ``want`` eigenvalues are stable within tol; returns the finest spectrum
+    with its converged count."""
+    if max_order < 64:
+        raise ValueError(f"max_order {max_order} must be at least 64")
     best = None
-    n = start
+    n = 32
     # each level's fine truncation is the next level's coarse one
     coarse = eigenvalues(assemble_dual(m, annulus, n, n))
     while 2 * n <= max_order:

@@ -203,7 +203,7 @@ def det_from_traces(
         raise ValueError(f"trace table has {len(traces)} entries, need {nmax}")
     total = sum(z**n / n * traces[n - 1] for n in range(1, nmax + 1))
     value = complex(np.exp(-total))
-    scale = max(abs(t) for t in traces[-3:]) if nmax >= 3 else 1.0
+    scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
     log_tail = scale * abs(z) ** (nmax + 1) / ((nmax + 1) * (1 - abs(z)))
     return DetResult(value, abs(value) * math.expm1(log_tail))
 
@@ -246,8 +246,13 @@ def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:
 def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     """log|det(I - e^zeta L)| for the closed-form determinant, computed in
     log space so that quadratic growth in Re zeta never overflows; a factor
-    (1 - c b^k e^zeta) with sign c = -1 is (1 - e^(zeta + k log b + i pi))."""
+    (1 - c b^k e^zeta) with sign c = -1 is (1 - e^(zeta + k log b + i pi)).
+
+    A scalar zeta gives a scalar, an array one value per entry.  An array runs
+    to the cutoff of its largest Re zeta; the extra terms of other entries are
+    log|1 - e^s| with Re s < -45, exactly 0.0, as if each ran alone."""
     families = _families(mu, anti)
+    scalar = np.ndim(zeta) == 0
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     total = _log_abs_1m_exp(zeta)
     if mu != 0:
@@ -257,7 +262,7 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
             for log_b, signs in logs:
                 for c in signs:
                     total += _log_abs_1m_exp(zeta + k * log_b + 1j * math.pi * (c < 0))
-    return total if total.size > 1 else total[0]
+    return total[0] if scalar else total
 
 
 def _lattice_zeros(mu: complex, center: complex, radius: float, anti: bool) -> list:

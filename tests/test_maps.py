@@ -124,11 +124,8 @@ class TestExpansion:
     def test_triglift_dense_sampling_oracle(self):
         m = TrigLift(2, cos_coeffs=(0.9,))
         # |lift'| = |2 - 0.9 sin(theta)| has minimum 1.1
-        assert min_expansion(m, 8192) == pytest.approx(1.1, abs=1e-6)
-
-    def test_sample_floor(self, bstar):
-        with pytest.raises(ValueError, match="256"):
-            min_expansion(bstar, 100)
+        # theta = pi/2 is one of the 4096 nodes
+        assert min_expansion(m) == pytest.approx(1.1, abs=1e-6)
 
 
 class TestInclusions:
@@ -204,10 +201,6 @@ class TestContractionRatio:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 find_expansive_annulus(m)
-
-    def test_search_sample_floor(self, bstar):
-        with pytest.raises(ValueError, match="256"):
-            find_expansive_annulus(bstar, samples=128)
 
 
 class TestFixedPoint:
@@ -325,10 +318,6 @@ class TestValidation:
             Annulus(1.2, 0.8)
         with pytest.raises(ValueError):
             Annulus(-0.1, 1.5)
-
-    def test_mobius_pole_check(self):
-        with pytest.raises(ValueError, match="pole"):
-            MobiusFamilyMap(1.6, annulus=Annulus(0.8, 1.3))
 
 
 def test_descriptor_round_trip(bstar, anti_bstar):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import blaschke_spectrum, match_multiset
 from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
-from ruelle.numerics import circle_nodes, default_samples, fourier_coeffs_from_samples
+from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
 from ruelle.operators import (
     SNAP_TOL,
     HardyPair,
@@ -105,10 +105,14 @@ class TestAliasingMonitor:
             spec = converged_spectrum(TrigLift(2, (0.1,)), annulus)
         assert spec.truncation[2] <= 16 * spec.truncation[0]
 
+    def test_default_samples(self, squaring, annulus):
+        # max(256, 8N) rounded up to a power of two; z^2 never escalates
+        for N, K in ((4, 256), (32, 256), (48, 512), (100, 1024)):
+            assert assemble_dual(squaring, annulus, N).samples == K
+
     def test_real_aliasing_escalates(self):
         T = assemble_dual(TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32)
-        assert default_samples(32) == 256
-        assert T.samples == 512
+        assert T.samples == 512  # twice the default 256 for N = 32
 
     def test_explicit_K_with_large_tail_raises(self, annulus):
         # the pole of z (z - 0.7)/(1 - 0.7 z) at 1/0.7 sits close to R = 1.25
@@ -171,7 +175,7 @@ class TestBlockAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
-        assert T.samples == default_samples(256)
+        assert T.samples == 2048  # the default max(256, 8 * 256)
 
 
 class TestSingularValues:
@@ -344,6 +348,31 @@ class TestPairing:
     def test_minus_basis_no_residue(self, annulus):
         h = HardyPair.basis("minus", 1, 4, 4)
         assert abs(pairing(h, {1: 1.0}, annulus)) < 1e-13
+
+    def test_matches_trapezoidal_pairing(self, annulus):
+        # the closed form against the trapezoidal rule on both circles, which
+        # is exact for these Laurent polynomials of degree < 512
+        r, R = annulus.r, annulus.R
+        rng = np.random.default_rng(17)
+
+        def cplx(n):
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        for _ in range(50):
+            h = HardyPair(cplx(6), cplx(6))
+            f = dict(zip(range(-8, 9), cplx(17)))
+
+            def f_eval(z):
+                return sum(c * z**k for k, c in f.items())
+
+            def f_h1(z):
+                return f_eval(z) * sum(c * (z / r) ** m for m, c in enumerate(h.plus))
+
+            def f_h2(z):
+                return f_eval(z) * sum(c * (R / z) ** m for m, c in enumerate(h.minus, start=1))
+
+            want = circle_integral(f_h1, r, 512) + circle_integral(f_h2, R, 512)
+            assert pairing(h, f, annulus) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_primal_route_reproduces_adjoint_spectrum(bstar, annulus):

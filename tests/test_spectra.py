@@ -185,6 +185,14 @@ class TestConverged:
         # multiplier of the interior fixed point is -w/2
         assert abs(spec.eigenvalues[1]) == pytest.approx(0.25, abs=1e-9)
 
+    def test_mobius_pole_inside_annulus(self, annulus):
+        # w = 1.7 puts the pole 2/w = 1.176 inside (0.8, 1.25), yet
+        # z (z - 0.85)/(1 - 0.85 z) passes the inclusion check there, and its
+        # spectrum is the closed form for the zeros 0 and 0.85
+        spec = converged_spectrum(MobiusFamilyMap(1.7), annulus)
+        assert spec.converged_count == 64
+        match_multiset(blaschke_spectrum(-0.85, 11), spec.eigenvalues, 1e-9)
+
     def test_fine_level_reused_as_next_coarse(self, monkeypatch):
         # levels 32->64, 64->128, 128->256 need the four orders 32..256 once each
         from ruelle import spectra
@@ -208,7 +216,7 @@ class TestConverged:
         wavy = TrigLift(2, cos_coeffs=(0.4,))
         thin = Annulus(0.97, 1.03)
         with pytest.warns(RuntimeWarning, match="not converged"):
-            converged_spectrum(wavy, thin, tol=1e-15, start=32, max_order=64, want=64)
+            converged_spectrum(wavy, thin, tol=1e-15, max_order=64, want=64)
 
 
 class TestCounting:

@@ -230,6 +230,14 @@ class TestDetRoutes:
             c = det_product_formula(-0.5, False, z).value
             assert abs(a - b) < 1e-7 and abs(a - c) < 1e-7 and abs(b - c) < 1e-7
 
+    def test_tail_ignores_unused_table_entries(self, bstar, annulus):
+        # the tail scale comes from the last three summed traces, not from the
+        # end of a longer table
+        table = power_trace_table(bstar, annulus, 8)
+        short = det_from_traces(bstar, annulus, 0.45, nmax=4, traces=table[:4])
+        assert det_from_traces(bstar, annulus, 0.45, nmax=4, traces=table) == short
+        assert short.tail == pytest.approx(0.00789, abs=1e-5)
+
     def test_validity_window(self, bstar, annulus):
         with pytest.raises(ValueError, match="0.5"):
             det_from_traces(bstar, annulus, 0.6)
@@ -308,6 +316,16 @@ class TestLogAbsDetOnAGrid:
             got = log_abs_det_product(mu, anti, grid)
             want = np.array([log_abs_det_product(mu, anti, zeta) for zeta in grid])
             assert got.tobytes() == want.tobytes()
+
+    def test_shape_follows_zeta(self):
+        # a scalar gives a scalar; an array, a length-1 one included, keeps
+        # its shape
+        scalar = log_abs_det_product(-0.5, False, 1.0)
+        assert np.shape(scalar) == ()
+        for zeta in (np.array([1.0]), np.array([1.0, 2.0, 3.0])):
+            got = log_abs_det_product(-0.5, False, zeta)
+            assert got.shape == zeta.shape
+            assert got[0] == scalar
 
 
 class TestGrowth:
