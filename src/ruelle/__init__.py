@@ -17,7 +17,6 @@ from .maps import (
     MobiusFamilyMap,
     TrigLift,
     check_holo_expansive,
-    degree,
     fixed_point_disk,
     iterate,
     min_expansion,
@@ -25,15 +24,7 @@ from .maps import (
     second_iterate_multiplier,
 )
 from .numerics import FourierData, circle_integral, fourier_coeffs_from_samples
-from .operators import (
-    HardyPair,
-    TruncatedOperator,
-    assemble_dual,
-    duality_residual,
-    pairing,
-    singular_values,
-    transfer_apply_rational,
-)
+from .operators import TruncatedOperator, assemble_dual, singular_values
 from .spectra import (
     DecayFit,
     Spectrum,

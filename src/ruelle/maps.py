@@ -3,9 +3,9 @@
 Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
 analytically known degree.  The module-level helpers implement the checks
-that the spectral machinery relies on: winding-number degree, orientation,
-expansivity on the unit circle, boundary-circle inclusions certifying
-holomorphic expansivity, and interior fixed points with their multipliers.
+that the spectral machinery relies on: orientation, expansivity on the
+unit circle, boundary-circle inclusions certifying holomorphic
+expansivity, and interior fixed points with their multipliers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import circle_integral, circle_nodes
+from .numerics import circle_nodes
 
 __all__ = [
     "Annulus",
@@ -25,7 +25,6 @@ __all__ = [
     "MobiusFamilyMap",
     "TrigLift",
     "check_holo_expansive",
-    "degree",
     "fixed_point_disk",
     "from_descriptor",
     "iterate",
@@ -265,27 +264,9 @@ def iterate(m, n: int):
     return ComposedMap((m,) * n)
 
 
-def degree(m) -> int:
-    """Degree as a winding number: the circle integral of tau'/tau over
-    2048 nodes of the unit circle, rounded to the nearest integer.
-
-    The quadrature residual must be below 1e-6; a larger residual means the
-    map does not preserve the circle (or 2048 nodes are too few, e.g. for a
-    high iterate -- use the map's analytic ``degree`` attribute there).
-    """
-    w = circle_integral(lambda z: m.deriv(z) / m.eval(z), 1.0, 2048)
-    d = round(w.real)
-    if abs(w - d) >= 1e-6:
-        raise ValueError(
-            f"winding residual {abs(w - d):.3g}: map does not preserve the "
-            "circle or quadrature unresolved"
-        )
-    return d
-
-
 def orientation(m) -> int:
     """+1 for orientation preserving, -1 for reversing: the sign of the map's
-    analytic ``degree`` attribute (``degree(m)`` checks it by winding number)."""
+    analytic ``degree`` attribute."""
     d = m.degree
     if abs(d) < 2:
         raise ValueError(f"unsupported map: |degree| must be >= 2, got {d}")

@@ -90,7 +90,7 @@ def fourier_coeffs_from_samples(values, radius: float) -> FourierData:
     return FourierData(radius, np.fft.fft(values, norm="forward"))
 
 
-def circle_integral(f, radius: float, K: int = 256) -> complex:
+def circle_integral(f, radius: float, K: int) -> complex:
     """(1/2 pi i) times the integral of f over the circle |z| = radius
     (positively oriented), by the trapezoidal rule: (1/K) sum f(z_j) z_j.
 

@@ -1,6 +1,20 @@
-"""Oracles and comparison utilities shared across the test modules."""
+"""Oracles and comparison utilities shared across the test modules.
+
+Besides the closed-form spectra and comparison helpers, two independent
+checks of the package live here, since only the tests call them: the
+winding number of a map on the unit circle, and the duality oracle, which
+applies the transfer operator of a Blaschke product through its polynomial
+preimages and compares it with the assembled adjoint under the duality
+pairing of the annulus Hardy space.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from ruelle.maps import Annulus, BlaschkeProduct
+from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
+from ruelle.operators import assemble_dual
 
 
 def blaschke_spectrum(mu, count, anti=False):
@@ -61,3 +75,149 @@ def brute_force_coeff(f, radius, m, K=4096):
 
 def finite_difference(m, z, h=1e-6):
     return (m.eval(z + h) - m.eval(z - h)) / (2 * h)
+
+
+def winding_degree(m) -> int:
+    """Degree as a winding number: the circle integral of tau'/tau over
+    2048 nodes of the unit circle, rounded to the nearest integer.
+
+    The quadrature residual must be below 1e-6; a larger residual means the
+    map does not preserve the circle (or 2048 nodes are too few, e.g. for a
+    high iterate -- use the map's analytic ``degree`` attribute there).
+    """
+    w = circle_integral(lambda z: m.deriv(z) / m.eval(z), 1.0, 2048)
+    d = round(w.real)
+    if abs(w - d) >= 1e-6:
+        raise ValueError(
+            f"winding residual {abs(w - d):.3g}: map does not preserve the "
+            "circle or quadrature unresolved"
+        )
+    return d
+
+
+@dataclass(frozen=True)
+class HardyPair:
+    """Coefficients of h1(z) = sum_m plus[m] (z/r)^m (m >= 0) and
+    h2(z) = sum_m minus[m-1] (R/z)^m (m >= 1): a dual vector for the annulus
+    Hardy space."""
+
+    plus: np.ndarray
+    minus: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "plus", np.asarray(self.plus, dtype=complex))
+        object.__setattr__(self, "minus", np.asarray(self.minus, dtype=complex))
+
+    @classmethod
+    def basis(cls, kind: str, m: int, nplus: int, nminus: int) -> "HardyPair":
+        plus = np.zeros(nplus, dtype=complex)
+        minus = np.zeros(nminus, dtype=complex)
+        if kind == "plus":
+            plus[m] = 1.0
+        elif kind == "minus":
+            minus[m - 1] = 1.0
+        else:
+            raise ValueError(f"kind must be 'plus' or 'minus', got {kind!r}")
+        return cls(plus, minus)
+
+    @classmethod
+    def from_vector(cls, vec: np.ndarray, nplus: int) -> "HardyPair":
+        return cls(vec[:nplus], vec[nplus:])
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([self.plus, self.minus])
+
+
+def _laurent_eval(coeffs: dict, z):
+    out = np.zeros_like(np.asarray(z, dtype=complex))
+    for mm, c in coeffs.items():
+        out = out + c * np.asarray(z, dtype=complex) ** mm
+    return out
+
+
+def pairing(h: HardyPair, f: dict, annulus: Annulus) -> complex:
+    """The duality pairing l(f) = (1/2 pi i) [ int_{|z|=r} f h1 dz
+    + int_{|z|=R} f h2 dz ] for a finite Laurent series f (index -> coeff),
+    read off as the z^-1 coefficients of the Laurent polynomials f h1 and
+    f h2: sum_m plus[m] f_{-m-1} / r^m + sum_{m>=1} minus[m-1] R^m f_{m-1}."""
+    r, R = annulus.r, annulus.R
+    inner = sum(c * f.get(-mm - 1, 0) / r**mm for mm, c in enumerate(h.plus))
+    outer = sum(c * R**mm * f.get(mm - 1, 0) for mm, c in enumerate(h.minus, start=1))
+    return complex(inner + outer)
+
+
+def transfer_apply_rational(m: BlaschkeProduct, f: dict, z: complex) -> complex:
+    """Apply the transfer operator of a (possibly anti-) Blaschke product to
+    a finite Laurent series f at the point z:
+
+        (L f)(z) = omega * sum_k f(phi_k(z)) / tau'(phi_k(z)),
+
+    with the preimages phi_k(z) found as roots of the degree-d polynomial
+    alpha N(phi) - y D(phi) (y = z, or 1/z in the anti case), via the
+    companion matrix.
+    """
+    if not isinstance(m, BlaschkeProduct):
+        raise ValueError("transfer_apply_rational expects a Blaschke-type map")
+    z = complex(z)
+    y = 1 / z if m.anti else z
+
+    num = np.array([1.0 + 0j])
+    den = np.array([1.0 + 0j])
+    for a in m.zeros:
+        num = np.polynomial.polynomial.polymul(num, [-a, 1.0])
+        den = np.polynomial.polynomial.polymul(den, [1.0, -a.conjugate()])
+    d = len(m.zeros)
+    poly = m.alpha * num - y * np.pad(den, (0, d + 1 - len(den)))[: d + 1]
+    if abs(poly[-1]) < 1e-13 * np.abs(poly).max():
+        raise RuntimeError(f"preimage escapes to infinity near z={z:.6g}")
+    phis = np.roots(poly[::-1])
+    if len(phis) != d:
+        raise RuntimeError(f"expected {d} preimages, root finder returned {len(phis)}")
+
+    residual = np.abs(m.eval(phis) - z)
+    if residual.max() >= 1e-10:
+        raise RuntimeError(
+            f"preimage residual {residual.max():.3g} too large at z={z:.6g}"
+        )
+    dtau = m.deriv(phis)
+    if np.min(np.abs(dtau)) < 1e-8:
+        raise ValueError(f"degenerate preimage: z={z:.6g} is near a critical value")
+    omega = 1 if m.degree > 0 else -1
+    return omega * complex(np.sum(_laurent_eval(f, phis) / dtau))
+
+
+def _project_to_laurent(m: BlaschkeProduct, f: dict) -> dict:
+    """Laurent coefficients of L f from 256 nodes of the unit circle (for
+    duality checks), without those below 1e-15 of the largest."""
+    samples = np.array([transfer_apply_rational(m, f, zz) for zz in circle_nodes(1.0, 256)])
+    fd = fourier_coeffs_from_samples(samples, 1.0)
+    top = max(fd.max_abs(), 1.0)
+    return {
+        mm: fd.coeff(mm)
+        for mm in range(-128, 128)
+        if abs(fd.coeff(mm)) > 1e-15 * top
+    }
+
+
+def duality_residual(m: BlaschkeProduct, annulus: Annulus, N: int) -> float:
+    """Consistency of the assembled adjoint with the transfer operator under
+    the duality pairing: max over low-order basis pairs (h, f) of
+    |pairing(L^dagger h, f) - pairing(h, L f)|.
+    """
+    T = assemble_dual(m, annulus, N, N)
+    hs = [
+        HardyPair.basis("plus", 0, N, N),
+        HardyPair.basis("plus", 1, N, N),
+        HardyPair.basis("minus", 1, N, N),
+        HardyPair.basis("minus", 2, N, N),
+    ]
+    fs = [{mm: 1.0} for mm in range(-2, 3)]
+    worst = 0.0
+    for f in fs:
+        lf = _project_to_laurent(m, f)
+        for h in hs:
+            th = HardyPair.from_vector(T.matrix @ h.to_vector(), N)
+            lhs = pairing(th, f, annulus)
+            rhs = pairing(h, lf, annulus)
+            worst = max(worst, abs(lhs - rhs))
+    return worst

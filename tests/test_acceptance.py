@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from helpers import blaschke_spectrum, match_multiset
+from helpers import blaschke_spectrum, duality_residual, match_multiset
 from ruelle.julia import BASIN_UNDECIDED, BASIN_ZERO, render
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
@@ -18,7 +18,7 @@ from ruelle.maps import (
     TrigLift,
     min_expansion,
 )
-from ruelle.operators import assemble_dual, duality_residual, singular_values
+from ruelle.operators import assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, decay_fit, eigenvalues, order_estimate
 from ruelle.traces import (
     blaschke_trace_closed,

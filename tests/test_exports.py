@@ -1,6 +1,7 @@
 """Every public name resolves: each name in a module's ``__all__`` and each
 name that ``ruelle/__init__.py`` imports.  A name removed from a module but
-left in an export list fails here."""
+left in an export list fails here.  No package module imports scipy or the
+test helpers."""
 
 import ast
 import importlib
@@ -29,3 +30,17 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"ruelle.{node.module}.{alias.name}"
             assert hasattr(ruelle, alias.asname or alias.name)
+
+
+@pytest.mark.parametrize("path", sorted(Path(ruelle.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_only_imports(path):
+    # scipy is a test dependency only, and the oracles in tests/helpers.py
+    # must stay independent of the package: neither may be imported from
+    # src, at top level or inside a function
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert roots.isdisjoint({"scipy", "tests", "helpers"})

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference
-from ruelle.lifts import find_expansive_annulus
+from helpers import finite_difference, winding_degree
+from ruelle.lifts import build_homotopy, find_expansive_annulus
 from ruelle.maps import (
     Annulus,
     BlaschkeProduct,
     MobiusFamilyMap,
     TrigLift,
     check_holo_expansive,
-    degree,
     fixed_point_disk,
     from_descriptor,
     iterate,
@@ -79,14 +78,14 @@ class TestDeriv:
 
 class TestDegreeOrientation:
     def test_squaring(self, squaring):
-        assert degree(squaring) == 2
+        assert winding_degree(squaring) == 2
         assert orientation(squaring) == 1
 
     def test_bstar_winding(self, bstar):
-        assert degree(bstar) == 2
+        assert winding_degree(bstar) == 2
 
     def test_anti_negates_winding(self, anti_bstar):
-        assert degree(anti_bstar) == -2
+        assert winding_degree(anti_bstar) == -2
         assert orientation(anti_bstar) == -1
 
     def test_negative_triglift(self):
@@ -103,7 +102,7 @@ class TestDegreeOrientation:
                 return 2 * z
 
         with pytest.raises(ValueError, match="circle|unresolved"):
-            degree(NearCircleZero())
+            winding_degree(NearCircleZero())
 
     def test_orientation_needs_degree_two(self):
         class Identity:
@@ -111,6 +110,27 @@ class TestDegreeOrientation:
 
         with pytest.raises(ValueError, match="degree"):
             orientation(Identity())
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: b,
+            lambda b: BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            lambda b: TrigLift(2, (0.1,)),
+            lambda b: TrigLift(-3),
+            lambda b: MobiusFamilyMap(0.7),
+            lambda b: iterate(b, 2),
+            lambda b: BlaschkeProduct(1.0, (0.2, 0.3j, -0.4)),
+            lambda b: build_homotopy(b, TrigLift(2, (0.1,))).member(0.5),
+        ],
+        ids=["bstar", "anti-bstar", "triglift", "triglift-neg", "mobius", "bstar-iterate",
+             "three-zero", "homotopy-member"],
+    )
+    def test_winding_matches_degree_attribute(self, bstar, make):
+        # the analytic degree that orientation reads, against the winding
+        # number of every map class on the unit circle
+        m = make(bstar)
+        assert winding_degree(m) == m.degree
 
 
 class TestExpansion:
@@ -255,7 +275,7 @@ class TestIterate:
         assert it.eval(z) == pytest.approx(z**8, abs=1e-12)
 
     def test_degree_multiplies(self, bstar):
-        assert degree(iterate(bstar, 2)) == 4
+        assert winding_degree(iterate(bstar, 2)) == 4
         assert iterate(bstar, 5).degree == 32
 
     def test_multiplier_powers(self, bstar):

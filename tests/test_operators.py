@@ -3,19 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import blaschke_spectrum, match_multiset
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
-from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
-from ruelle.operators import (
-    SNAP_TOL,
+from helpers import (
     HardyPair,
-    TruncatedOperator,
-    assemble_dual,
+    blaschke_spectrum,
     duality_residual,
+    match_multiset,
     pairing,
-    singular_values,
     transfer_apply_rational,
 )
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
+from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
+from ruelle.operators import SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, eigenvalues
 from ruelle.traces import trace_contour
 
