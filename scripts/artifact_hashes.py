@@ -8,7 +8,7 @@ artifacts.  No hash is compared here, because the bits of a floating-point
 result may differ across CPUs and numpy builds; compare two runs on one
 machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
 OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
-the same 24 lines: the anti-product spectra, which once went through a
+the same 25 lines: the anti-product spectra, which once went through a
 threaded dense eigensolve, now come from the matrix's zero pattern.  The
 TrigLift and generic-product spectra still take `np.linalg.eigvals`, so
 more threads or another BLAS may change them; that was not measured.
@@ -36,6 +36,7 @@ from ruelle.cli import main
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]]}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
+INV2 = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0,0]],"anti":true}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 FIXED = ["--annulus", "0.8,1.25"]
 
@@ -66,6 +67,8 @@ ARTIFACTS = {
     "trace-mobius.json": ["trace", "--map", MOBIUS],
     "trace-trig.json": ["trace", "--map", TRIG],
     "homotopy-check.json": ["homotopy-check", "--map0", BSTAR, "--map1", TRIG],
+    # a degree -2 family: the member path of orientation-reversing maps
+    "homotopy-check-reversing.json": ["homotopy-check", "--map0", INV2, "--map1", ANTI],
     "julia.pgm": ["julia", "--w", "0.5,0.26"],
     "julia-steps.pgm": ["julia", "--w", "0.5,0.26", "--mode", "steps"],
     # 60000 pixels: one full render block and a partial one

@@ -23,7 +23,7 @@ from .maps import (
     orientation,
     second_iterate_multiplier,
 )
-from .numerics import FourierData, circle_integral, fourier_coeffs_from_samples
+from .numerics import circle_integral, fourier_coeffs_from_samples, laurent
 from .operators import TruncatedOperator, assemble_dual, singular_values
 from .spectra import (
     DecayFit,

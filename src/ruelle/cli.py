@@ -261,14 +261,11 @@ def cmd_homotopy_check(args) -> int:
     # against the first-order bound eta * sup |d T / d w|
     b = circle_nodes(1.0, 512)
     pts = np.concatenate([fam.r0 * b, b, fam.R0 * b])
-    member0, member_eta = fam.member(0.0), fam.member(min(fam.eta, 1.0))
-    t0 = member0.eval(pts)
-    sup_dist = float(np.max(np.abs(t0 - member_eta.eval(pts))))
-    theta = -1j * np.log(pts)
-    dT_dw = np.abs(t0) * np.abs(
-        fam.lift1.eval(theta) - fam.lift0.eval(theta)
-    )
-    bound = min(fam.eta, 1.0) * float(dT_dw.max())
+    t0 = fam.member(0.0).eval(pts)
+    sup_dist = float(np.max(np.abs(t0 - fam.member(fam.eta).eval(pts))))
+    # T(w, z) = z^d exp((1-w) Q_0 + w Q_1), so |dT/dw| = |T| |Q_1 - Q_0|
+    dT_dw = np.abs(t0) * np.abs(fam.lift1.exponent(pts)[0] - fam.lift0.exponent(pts)[0])
+    bound = fam.eta * float(dT_dw.max())
     doc = {
         "config": _config_dict(args, map0=to_descriptor(map0), map1=to_descriptor(map1)),
         "degree": fam.d,

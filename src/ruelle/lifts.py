@@ -5,7 +5,10 @@ tau(e^{i theta}) = e^{i lift(theta)} with lift(theta) = alpha + d theta +
 (periodic part).  The lift is represented spectrally -- Fourier
 coefficients of the logarithmic derivative z tau'(z)/tau(z) on the unit
 circle -- which gives analytic continuation to a strip |Im theta| <= eps
-for free and is spectrally accurate.
+for free and is spectrally accurate.  Integrated term by term they make a
+Laurent polynomial Q with lift(theta) = d theta - i Q(e^{i theta}), so the
+lift and every homotopy member are evaluated in z = e^{i theta}, as
+z^d e^{Q(z)}, by the Horner routine ``numerics.laurent``.
 
 Two equal-degree maps are joined by the convex combination of their lifts,
 T(w, .) = exp(i [(1-w) lift0 + w lift1]), which stays well defined on the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, _MapBase, check_holo_expansive
-from .numerics import circle_nodes, fourier_coeffs_from_samples
+from .numerics import circle_nodes, fourier_coeffs_from_samples, laurent
 
 __all__ = [
     "HomotopyFamily",
@@ -39,7 +42,8 @@ __all__ = [
 @dataclass(frozen=True)
 class LiftSeries:
     """lift(theta) = alpha + d theta + sum_{n != 0} g_n/(i n) (e^{i n theta} - 1),
-    valid on the strip |Im theta| <= strip."""
+    valid on the strip |Im theta| <= strip.  In z = e^{i theta}, lift(theta) =
+    d theta - i Q(z) with Q(z) = i alpha + sum c_n (z^n - 1), c_n = g_n/n."""
 
     d: int
     alpha: float
@@ -47,23 +51,24 @@ class LiftSeries:
     gs: np.ndarray
     strip: float
 
+    def exponent(self, z):
+        """(Q(z), Q'(z)) at the points z."""
+        top = int(np.abs(self.ns).max(initial=0))
+        c = np.zeros(2 * top + 1, dtype=complex)  # c_n at position n + top
+        c[self.ns + top] = self.gs / self.ns
+        P, Pprime = laurent(c[top + 1 :], c[:top][::-1], z)
+        return 1j * self.alpha + P - c.sum(), Pprime
+
     def eval(self, theta):
         th = np.asarray(theta, dtype=complex)
         if th.size and np.max(np.abs(th.imag)) > self.strip + 1e-12:
-            raise ValueError(
-                f"Im theta exceeds certified strip half-width {self.strip:g}"
-            )
-        out = self.alpha + self.d * th
-        if len(self.ns):
-            phases = np.exp(1j * np.multiply.outer(th, self.ns))
-            out = out + (phases - 1) @ (self.gs / (1j * self.ns))
+            raise ValueError(f"Im theta exceeds certified strip half-width {self.strip:g}")
+        out = self.d * th - 1j * self.exponent(np.exp(1j * th))[0]
         return complex(out) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
-        th = np.asarray(theta, dtype=complex)
-        out = np.full(th.shape, complex(self.d))
-        if len(self.ns):
-            out = out + np.exp(1j * np.multiply.outer(th, self.ns)) @ self.gs
+        z = np.exp(1j * np.asarray(theta, dtype=complex))
+        out = self.d + z * self.exponent(z)[1]
         return complex(out) if np.ndim(theta) == 0 else out
 
 
@@ -90,8 +95,8 @@ def lift(m) -> LiftSeries:
     tv = m.eval(z)
     if np.min(np.abs(tv)) < 1e-12:
         raise ValueError("tau vanishes on the unit circle; no lift")
-    fd = fourier_coeffs_from_samples(z * m.deriv(z) / tv, 1.0)
-    c0 = fd.coeff(0)
+    c = fourier_coeffs_from_samples(z * m.deriv(z) / tv, 1.0)
+    c0 = complex(c[0])
     d = round(c0.real)
     if abs(c0 - d) >= 1e-8:
         raise RuntimeError(
@@ -101,9 +106,9 @@ def lift(m) -> LiftSeries:
         raise ValueError(f"|degree| must be >= 2, got {d}")
 
     idx = np.concatenate([np.arange(-K // 2, 0), np.arange(1, K // 2)])
-    raw = fd.raw[idx % K]
-    keep = np.abs(raw) > 1e-16 * max(1.0, fd.max_abs())
-    ns, gs = idx[keep], raw[keep]
+    g = c[idx]
+    keep = np.abs(g) > 1e-16 * max(1.0, np.abs(c).max())
+    ns, gs = idx[keep], g[keep]
     alpha = cmath.phase(m.eval(1.0 + 0j))
 
     if len(ns) == 0:
@@ -162,8 +167,8 @@ class HomotopyFamily:
 
 @dataclass(frozen=True)
 class HomotopyMember(_MapBase):
-    """The map T(w, .) = exp(i [(1-w) lift0 + w lift1]) on the certified
-    annulus, for one parameter value w."""
+    """The map T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}
+    on the certified annulus, for one parameter value w."""
 
     family: HomotopyFamily
     w: complex
@@ -180,26 +185,20 @@ class HomotopyMember(_MapBase):
     def degree(self) -> int:
         return self.family.d
 
-    def _theta(self, z):
-        mods = np.abs(z)
-        if np.any(mods < self.family.r0 * (1 - 1e-10)) or np.any(
-            mods > self.family.R0 * (1 + 1e-10)
-        ):
-            raise ValueError(
-                f"z outside certified annulus ({self.family.r0:g}, {self.family.R0:g})"
-            )
-        return -1j * np.log(z)
-
-    def _combined(self, theta):
-        return (1 - self.w) * self.family.lift0.eval(theta) + self.w * self.family.lift1.eval(theta)
+    def _exponent(self, z):
+        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, on the certified annulus
+        fam, mods = self.family, np.abs(z)
+        if np.any(mods < fam.r0 * (1 - 1e-10)) or np.any(mods > fam.R0 * (1 + 1e-10)):
+            raise ValueError(f"z outside certified annulus ({fam.r0:g}, {fam.R0:g})")
+        (q0, dq0), (q1, dq1) = fam.lift0.exponent(z), fam.lift1.exponent(z)
+        return (1 - self.w) * q0 + self.w * q1, (1 - self.w) * dq0 + self.w * dq1
 
     def _eval(self, z):
-        return np.exp(1j * self._combined(self._theta(z)))
+        return z**self.family.d * np.exp(self._exponent(z)[0])
 
     def _deriv(self, z):
-        theta = self._theta(z)
-        slope = (1 - self.w) * self.family.lift0.deriv(theta) + self.w * self.family.lift1.deriv(theta)
-        return np.exp(1j * self._combined(theta)) * slope / z
+        Q, Qprime = self._exponent(z)
+        return z**self.family.d * np.exp(Q) * (self.family.d / z + Qprime)
 
 
 def build_homotopy(
@@ -219,8 +218,7 @@ def build_homotopy(
     three rows Im theta = 0, +eps, -eps, and the inclusions on 4096 points
     of each boundary circle, where the margins are read.
     """
-    l0 = lift(map0)
-    l1 = lift(map1)
+    l0, l1 = lift(map0), lift(map1)
     if l0.d != l1.d:
         raise ValueError(f"degree mismatch: {l0.d} vs {l1.d}")
     d = l0.d
@@ -263,8 +261,7 @@ def build_homotopy(
         b = 2 * np.pi * np.arange(4096) / 4096
         inner_vals0, inner_vals1 = l0.eval(b + 1j * eps), l1.eval(b + 1j * eps)
         outer_vals0, outer_vals1 = l0.eval(b - 1j * eps), l1.eval(b - 1j * eps)
-        margin_inner = math.inf
-        margin_outer = math.inf
+        margin_inner = margin_outer = math.inf
         for w in ws:
             mod_in = np.exp(-((1 - w) * inner_vals0 + w * inner_vals1).imag)
             mod_out = np.exp(-((1 - w) * outer_vals0 + w * outer_vals1).imag)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import circle_nodes
+from .numerics import circle_nodes, laurent
 
 __all__ = [
     "Annulus",
@@ -156,38 +156,21 @@ class TrigLift(_MapBase):
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         if abs(self.d) < 2:
             raise ValueError(f"need |d| >= 2, got d={self.d}")
+        # i p(theta) = Q(z): z^k has coefficient (i a_k + b_k)/2, z^-k (i a_k - b_k)/2
+        n = max(len(self.cos_coeffs), len(self.sin_coeffs))
+        a, b = (np.pad(c, (0, n - len(c))) for c in (self.cos_coeffs, self.sin_coeffs))
+        object.__setattr__(self, "_laurent_coeffs", ((1j * a + b) / 2, (1j * a - b) / 2))
 
     @property
     def degree(self) -> int:
         return self.d
 
-    def _pairs(self):
-        # i*p(theta) as a Laurent polynomial: coefficients of z^k and z^-k
-        ks = range(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)
-        for k in ks:
-            a = self.cos_coeffs[k - 1] if k <= len(self.cos_coeffs) else 0.0
-            b = self.sin_coeffs[k - 1] if k <= len(self.sin_coeffs) else 0.0
-            yield k, (1j * a + b) / 2, (1j * a - b) / 2
-
-    def _Q(self, z):
-        out = np.zeros_like(z)
-        for k, cp, cm in self._pairs():
-            out = out + cp * z**k + cm * z ** (-k)
-        return out
-
-    def _Qprime(self, z):
-        out = np.zeros_like(z)
-        for k, cp, cm in self._pairs():
-            out = out + k * (cp * z ** (k - 1) - cm * z ** (-k - 1))
-        return out
-
     def _eval(self, z):
-        return z**self.d * np.exp(self._Q(z))
+        return z**self.d * np.exp(laurent(*self._laurent_coeffs, z)[0])
 
     def _deriv(self, z):
-        return np.exp(self._Q(z)) * (
-            self.d * z ** (self.d - 1) + z**self.d * self._Qprime(z)
-        )
+        Q, Qprime = laurent(*self._laurent_coeffs, z)
+        return np.exp(Q) * (self.d * z ** (self.d - 1) + z**self.d * Qprime)
 
 
 @dataclass(frozen=True)
@@ -378,17 +361,30 @@ def second_iterate_multiplier(params: BlaschkeProduct) -> float:
     return abs(base.deriv(z0))
 
 
+def _field(obj: dict, name: str, convert, *default):
+    # a missing or malformed descriptor field raises a ValueError naming it
+    if name not in obj and not default:
+        raise ValueError(f"{obj['type']} map descriptor lacks field {name!r}")
+    try:
+        return convert(obj.get(name, *default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed field {name!r} in {obj['type']} map descriptor: {obj[name]!r}"
+        ) from exc
+
+
 def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "blaschke":
-        alpha = complex(*obj.get("alpha", [1.0, 0.0]))
-        zeros = tuple(complex(re, im) for re, im in obj["zeros"])
+        alpha = _field(obj, "alpha", lambda p: complex(*p), [1.0, 0.0])
+        zeros = _field(obj, "zeros", lambda zs: tuple(complex(*a) for a in zs))
         return BlaschkeProduct(alpha, zeros, bool(obj.get("anti", False)))
     if kind == "triglift":
-        return TrigLift(int(obj["d"]), tuple(obj.get("cos", ())), tuple(obj.get("sin", ())))
+        cos, sin = (_field(obj, k, lambda cs: tuple(map(float, cs)), ()) for k in ("cos", "sin"))
+        return TrigLift(_field(obj, "d", int), cos, sin)
     if kind == "mobius":
-        return MobiusFamilyMap(complex(*obj["w"]))
+        return MobiusFamilyMap(_field(obj, "w", lambda p: complex(*p)))
     raise ValueError(f"unknown map descriptor type: {kind!r}")
 
 

@@ -33,9 +33,11 @@ from .numerics import circle_nodes, fourier_coeffs_from_samples
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
-# Aliasing monitor on the top-|m| quartile of Fourier coefficients, per
-# column, relative to the largest coefficient c.  A column is resolved
-# when its tail is below TAIL_TOL or below its own roundoff floor
+# Aliasing monitor, per column: the tail is the largest |c_m| over the
+# quarter of indices with the largest |m| (array positions 3K/8..5K/8),
+# relative to the largest coefficient max|c|; it decays geometrically in K
+# for an analytic column, and a large one signals aliasing.  A column is
+# resolved when its tail is below TAIL_TOL or below its own roundoff floor
 # (n+1) eps max|g| / max|c|: the samples g = (tau/r)^n or (R/tau)^n are
 # built by n repeated products, each adding about eps max|g| of noise that
 # the FFT spreads evenly over all coefficients, so no K pushes the tail
@@ -96,10 +98,11 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
             if power:
                 g = g * step
             chunk[i] = g
-        fd = fourier_coeffs_from_samples(chunk, rho)
-        out[:, start : start + len(n)] = (fd.raw[:, index] * weight).T
-        scale = fd.max_abs()
-        tail = np.divide(fd.tail_max(), scale, out=np.zeros(len(n)), where=scale > 0)
+        c = fourier_coeffs_from_samples(chunk, rho)
+        out[:, start : start + len(n)] = (c[:, index] * weight).T
+        mag = np.abs(c)
+        scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
+        tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
         bad = np.flatnonzero(tail > TAIL_TOL)
         floor = (n[bad] + 1) * EPS * step_max ** n[bad] / scale[bad]
         unresolved += [(t, f) for t, f in zip(tail[bad], floor) if t > f]

@@ -1,11 +1,12 @@
 """Oracles and comparison utilities shared across the test modules.
 
-Besides the closed-form spectra and comparison helpers, two independent
-checks of the package live here, since only the tests call them: the
-winding number of a map on the unit circle, and the duality oracle, which
-applies the transfer operator of a Blaschke product through its polynomial
-preimages and compares it with the assembled adjoint under the duality
-pairing of the annulus Hardy space.
+Besides the closed-form spectra and comparison helpers, independent checks
+of the package live here, since only the tests call them: the winding
+number of a map on the unit circle; lifts and homotopy members evaluated
+the direct way, in theta = -i log z through a phase matrix e^{i n theta};
+and the duality oracle, which applies the transfer operator of a Blaschke
+product through its polynomial preimages and compares it with the
+assembled adjoint under the duality pairing of the annulus Hardy space.
 """
 
 from dataclasses import dataclass
@@ -93,6 +94,46 @@ def winding_degree(m) -> int:
             "circle or quadrature unresolved"
         )
     return d
+
+
+def lift_eval_phases(L, theta):
+    """Reference lift(theta) = alpha + d theta + sum g_n/(i n) (e^{i n theta} - 1),
+    summed through the (points x terms) phase matrix e^{i n theta}."""
+    th = np.asarray(theta, dtype=complex)
+    out = L.alpha + L.d * th
+    if len(L.ns):
+        phases = np.exp(1j * np.multiply.outer(th, L.ns))
+        out = out + (phases - 1) @ (L.gs / (1j * L.ns))
+    return out
+
+
+def lift_deriv_phases(L, theta):
+    """Reference lift'(theta) = d + sum g_n e^{i n theta}, by the phase matrix."""
+    th = np.asarray(theta, dtype=complex)
+    out = np.full(th.shape, complex(L.d))
+    if len(L.ns):
+        out = out + np.exp(1j * np.multiply.outer(th, L.ns)) @ L.gs
+    return out
+
+
+def member_eval_log(family, w, z):
+    """Reference homotopy member exp(i [(1-w) lift0 + w lift1](theta)) at
+    theta = -i log z, through the phase-matrix lifts."""
+    theta = -1j * np.log(np.asarray(z, dtype=complex))
+    lifted = (1 - w) * lift_eval_phases(family.lift0, theta) + w * lift_eval_phases(
+        family.lift1, theta
+    )
+    return np.exp(1j * lifted)
+
+
+def member_deriv_log(family, w, z):
+    """Reference member derivative: T(w, z) [(1-w) lift0' + w lift1'](theta) / z."""
+    z = np.asarray(z, dtype=complex)
+    theta = -1j * np.log(z)
+    slope = (1 - w) * lift_deriv_phases(family.lift0, theta) + w * lift_deriv_phases(
+        family.lift1, theta
+    )
+    return member_eval_log(family, w, z) * slope / z
 
 
 @dataclass(frozen=True)
@@ -190,13 +231,9 @@ def _project_to_laurent(m: BlaschkeProduct, f: dict) -> dict:
     """Laurent coefficients of L f from 256 nodes of the unit circle (for
     duality checks), without those below 1e-15 of the largest."""
     samples = np.array([transfer_apply_rational(m, f, zz) for zz in circle_nodes(1.0, 256)])
-    fd = fourier_coeffs_from_samples(samples, 1.0)
-    top = max(fd.max_abs(), 1.0)
-    return {
-        mm: fd.coeff(mm)
-        for mm in range(-128, 128)
-        if abs(fd.coeff(mm)) > 1e-15 * top
-    }
+    c = fourier_coeffs_from_samples(samples, 1.0)
+    top = max(np.abs(c).max(), 1.0)
+    return {mm: complex(c[mm]) for mm in range(-128, 128) if abs(c[mm]) > 1e-15 * top}
 
 
 def duality_residual(m: BlaschkeProduct, annulus: Annulus, N: int) -> float:

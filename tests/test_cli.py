@@ -233,3 +233,21 @@ class TestHomotopyCheck:
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "descriptor, field",
+    [
+        ('{"type":"blaschke"}', "zeros"),
+        ('{"type":"mobius"}', "w"),
+        ('{"type":"triglift"}', "d"),
+        ('{"type":"blaschke","zeros":[0.5,0.2]}', "zeros"),
+        ('{"type":"mobius","w":0.5}', "w"),
+    ],
+)
+def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):
+    # a missing or malformed field exits 1 with an error line naming it
+    assert main(["trace", "--map", descriptor]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert "Traceback" not in err

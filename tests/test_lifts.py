@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import lift_deriv_phases, lift_eval_phases, member_deriv_log, member_eval_log
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     BlaschkeProduct,
@@ -88,6 +89,24 @@ class TestLiftEval:
             L.eval(2j * L.strip + 1.0)
 
 
+class TestLiftOracle:
+    """LiftSeries, evaluated in z = e^{i theta}, against the phase-matrix sum."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(0.0, 0.5), (0.2, 0.3j, -0.4)],
+        ids=["bstar", "three-zero"],
+    )
+    def series(self, request):
+        return lift(BlaschkeProduct(1.0, request.param))
+
+    @pytest.mark.parametrize("row", [0.0, 0.9, -0.9])
+    def test_eval_and_deriv(self, series, row):
+        theta = THETA + 1j * row * series.strip
+        assert np.abs(series.eval(theta) - lift_eval_phases(series, theta)).max() < 1e-13
+        assert np.abs(series.deriv(theta) - lift_deriv_phases(series, theta)).max() < 1e-13
+
+
 class TestBuildHomotopy:
     def test_squaring_to_bstar(self, squaring, bstar):
         fam = build_homotopy(squaring, bstar)
@@ -111,6 +130,24 @@ class TestBuildHomotopy:
         fam = build_homotopy(inv2, anti_bstar)
         assert fam.d == -2
         assert fam.margin_inner > 0 and fam.margin_outer > 0
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,))),
+        (BlaschkeProduct(1.0, (0.0, 0.0), anti=True), BlaschkeProduct(1.0, (0.0, 0.5), anti=True)),
+    ],
+    ids=["bstar-to-triglift", "reversing"],
+)
+def test_members_match_log_oracle(pair):
+    # z^d exp((1-w) Q_0 + w Q_1) against exp(i [(1-w) lift0 + w lift1](-i log z))
+    fam = build_homotopy(*pair)
+    zs = np.concatenate([rho * np.exp(1j * THETA) for rho in (fam.r0, 1.0, fam.R0)])
+    for w in (0.0, 0.5, 1.0, 0.3 + 0.5j * fam.eta):
+        member = fam.member(w)
+        np.testing.assert_allclose(member.eval(zs), member_eval_log(fam, w, zs), rtol=1e-13)
+        np.testing.assert_allclose(member.deriv(zs), member_deriv_log(fam, w, zs), rtol=1e-13)
 
 
 @pytest.fixture(scope="module")

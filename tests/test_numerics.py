@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,43 +7,45 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_coeff, residue_sum
 from ruelle.numerics import (
-    FourierData,
     circle_integral,
     circle_nodes,
     fourier_coeffs_from_samples,
+    laurent,
 )
 
 
 def _coeffs(f, radius, K):
-    """Fourier coefficients of f sampled at K nodes of |z| = radius."""
+    """Fourier coefficients of f sampled at K nodes of |z| = radius; c[m]
+    is the coefficient of z^m / radius^m for m in [-K/2, K/2)."""
     return fourier_coeffs_from_samples(f(circle_nodes(radius, K)), radius)
 
 
 def test_monomial_coefficient():
-    fd = _coeffs(lambda z: z, 0.8, 16)
-    assert fd.coeff(1) == pytest.approx(0.8, abs=1e-14)
-    others = [fd.coeff(m) for m in range(-8, 8) if m != 1]
-    assert max(abs(c) for c in others) < 1e-14
+    c = _coeffs(lambda z: z, 0.8, 16)
+    assert c.shape == (16,)
+    assert c[1] == pytest.approx(0.8, abs=1e-14)
+    others = [c[m] for m in range(-8, 8) if m != 1]
+    assert max(abs(x) for x in others) < 1e-14
 
 
 def test_constant_coefficient():
-    fd = _coeffs(lambda z: np.ones_like(z), 1.7, 32)
-    assert fd.coeff(0) == pytest.approx(1.0, abs=1e-15)
-    assert all(abs(fd.coeff(m)) < 1e-15 for m in range(-16, 16) if m != 0)
+    c = _coeffs(lambda z: np.ones_like(z), 1.7, 32)
+    assert c[0] == pytest.approx(1.0, abs=1e-15)
+    assert all(abs(c[m]) < 1e-15 for m in range(-16, 16) if m != 0)
 
 
 def test_square_on_outer_circle():
     # direct evaluation: 1.25^2 = 1.5625
-    fd = _coeffs(lambda z: z**2, 1.25, 32)
-    assert fd.coeff(2) == pytest.approx(1.5625, abs=1e-13)
-    assert max(abs(fd.coeff(m)) for m in range(-16, 16) if m != 2) < 1e-13
+    c = _coeffs(lambda z: z**2, 1.25, 32)
+    assert c[2] == pytest.approx(1.5625, abs=1e-13)
+    assert max(abs(c[m]) for m in range(-16, 16) if m != 2) < 1e-13
 
 
 def test_matches_brute_force_dft():
     f = lambda z: np.exp(z) / (2.5 - z)
-    fd = _coeffs(f, 1.1, 64)
+    c = _coeffs(f, 1.1, 64)
     for m in (-5, -1, 0, 3, 10):
-        assert fd.coeff(m) == pytest.approx(brute_force_coeff(f, 1.1, m, K=64), abs=1e-13)
+        assert c[m] == pytest.approx(brute_force_coeff(f, 1.1, m, K=64), abs=1e-13)
 
 
 def test_doubling_stability_for_trig_polynomials():
@@ -54,7 +58,7 @@ def test_doubling_stability_for_trig_polynomials():
     c1 = _coeffs(f, 0.9, 64)
     c2 = _coeffs(f, 0.9, 128)
     for m in range(-8, 8):
-        assert abs(c1.coeff(m) - c2.coeff(m)) < 1e-13
+        assert abs(c1[m] - c2[m]) < 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,19 +75,11 @@ def test_parseval(coeffs, radius):
         return sum(c * z**k for k, c in enumerate(coeffs))
 
     K = 64
-    fd = _coeffs(f, radius, K)
+    c = _coeffs(f, radius, K)
     samples = f(circle_nodes(radius, K))
-    lhs = sum(abs(fd.coeff(m)) ** 2 for m in range(-K // 2, K // 2))
+    lhs = float(np.sum(np.abs(c) ** 2))
     rhs = float(np.mean(np.abs(samples) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_coeff_index_bounds():
-    fd = _coeffs(lambda z: z, 1.0, 16)
-    with pytest.raises(IndexError):
-        fd.coeff(8)
-    with pytest.raises(IndexError):
-        fd.coeff(-9)
 
 
 def test_rejects_bad_sample_counts():
@@ -136,12 +132,13 @@ def test_laurent_integral_extracts_minus_one_coefficient(coeffs):
     assert val == pytest.approx(coeffs.get(-1, 0.0), abs=1e-12)
 
 
-def test_fourier_data_folded_coefficients():
-    fd = _coeffs(lambda z: z + 2 / z, 2.0, 16)
-    assert isinstance(fd, FourierData)
-    assert fd.coeff(1) == pytest.approx(2.0, abs=1e-14)
-    assert fd.coeff(-1) == pytest.approx(1.0, abs=1e-14)
-    assert max(abs(fd.coeff(m)) for m in range(-8, 8) if m not in (-1, 1)) < 1e-14
+def test_folded_coefficients():
+    # the coefficient of z^-1 / 2^-1 sits at the last array position
+    c = _coeffs(lambda z: z + 2 / z, 2.0, 16)
+    assert isinstance(c, np.ndarray)
+    assert c[1] == pytest.approx(2.0, abs=1e-14)
+    assert c[-1] == c[15] == pytest.approx(1.0, abs=1e-14)
+    assert max(abs(c[m]) for m in range(-8, 8) if m not in (-1, 1)) < 1e-14
 
 
 class TestStackedSamples:
@@ -153,14 +150,10 @@ class TestStackedSamples:
 
     def test_rows_match_one_dimensional_calls(self):
         stack = self._stack()
-        fd = fourier_coeffs_from_samples(stack, 0.9)
-        assert fd.samples == 64
+        c = fourier_coeffs_from_samples(stack, 0.9)
+        assert c.shape == stack.shape
         for i, row in enumerate(stack):
-            one = fourier_coeffs_from_samples(row, 0.9)
-            assert np.array_equal(fd.raw[i], one.raw)
-            assert fd.tail_max()[i] == one.tail_max()
-            assert fd.max_abs()[i] == one.max_abs()
-        assert np.ndim(one.tail_max()) == 0 and np.ndim(one.max_abs()) == 0
+            assert np.array_equal(c[i], fourier_coeffs_from_samples(row, 0.9))
 
     def test_forward_scaling_matches_division_up_to_signed_zeros(self):
         # norm="forward" multiplies each component by the exact 1/K and keeps
@@ -175,7 +168,7 @@ class TestStackedSamples:
             np.cos(2 * np.pi * np.arange(K) / K), np.exp(2j * np.pi * np.arange(K) / K),
             (rng.standard_normal(K) + 1j * rng.standard_normal(K)) * 1e-310,
         ], dtype=complex)
-        got = fourier_coeffs_from_samples(stack, 0.9).raw.view(np.float64)
+        got = fourier_coeffs_from_samples(stack, 0.9).view(np.float64)
         want = (np.fft.fft(stack) / K).view(np.float64)
         differ = got.view(np.uint64) != want.view(np.uint64)
         assert np.all(got[differ] == 0) and np.all(want[differ] == 0)
@@ -187,3 +180,40 @@ class TestStackedSamples:
         angle = 2 * np.pi * 5 / 64
         with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
             fourier_coeffs_from_samples(stack, 0.9)
+
+
+def _power_sum(pos, neg, z):
+    """Direct evaluation of sum_k pos[k-1] z^k + neg[k-1] z^-k and its derivative."""
+    value = sum(c * z**k for k, c in enumerate(pos, 1)) + sum(
+        c * z ** (-k) for k, c in enumerate(neg, 1)
+    )
+    slope = sum(k * c * z ** (k - 1) for k, c in enumerate(pos, 1)) - sum(
+        k * c * z ** (-k - 1) for k, c in enumerate(neg, 1)
+    )
+    return value + 0 * z, slope + 0 * z  # an empty sum is the scalar 0
+
+
+class TestLaurent:
+    """Horner evaluation of Laurent polynomials against a direct power sum."""
+
+    @pytest.mark.parametrize("radius", [0.7, 1.0, 1.4])
+    @pytest.mark.parametrize("npos,nneg", [(6, 4), (0, 5), (7, 0), (1, 1), (0, 0)])
+    def test_matches_power_sum(self, radius, npos, nneg):
+        rng = np.random.default_rng(100 * npos + nneg)
+        pos = rng.standard_normal(npos) + 1j * rng.standard_normal(npos)
+        neg = rng.standard_normal(nneg) + 1j * rng.standard_normal(nneg)
+        z = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+        value, slope = laurent(pos, neg, z)
+        want_value, want_slope = _power_sum(pos, neg, z)
+        assert value.shape == slope.shape == z.shape
+        np.testing.assert_allclose(value, want_value, rtol=1e-13)
+        np.testing.assert_allclose(slope, want_slope, rtol=1e-13)
+
+    def test_origin_without_negative_powers(self):
+        # no 1/z is formed when there are no negative powers, so z = 0 is fine
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, slope = laurent(np.array([2.0, 3.0j]), np.array([]), np.array([0j, 0.5]))
+        assert value[0] == 0 and slope[0] == 2.0
+        assert value[1] == pytest.approx(1.0 + 0.75j, rel=1e-15)
+        assert slope[1] == pytest.approx(2.0 + 3j, rel=1e-15)

@@ -384,8 +384,7 @@ def test_primal_route_reproduces_adjoint_spectrum(bstar, annulus):
     primal = np.empty((len(modes), len(modes)), dtype=complex)
     for j, mm in enumerate(modes):
         samples = np.array([transfer_apply_rational(bstar, {mm: 1.0}, z) for z in nodes])
-        fd = fourier_coeffs_from_samples(samples, 1.0)
-        primal[:, j] = [fd.coeff(i) for i in modes]
+        primal[:, j] = fourier_coeffs_from_samples(samples, 1.0)[modes]
     primal_eigs = np.linalg.eigvals(primal)
     primal_eigs = primal_eigs[np.argsort(-np.abs(primal_eigs))]
 
