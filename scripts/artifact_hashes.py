@@ -8,10 +8,12 @@ artifacts.  No hash is compared here, because the bits of a floating-point
 result may differ across CPUs and numpy builds; compare two runs on one
 machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
 OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
-the same 25 lines: the anti-product spectra, which once went through a
+the same 26 lines: the anti-product spectra, which once went through a
 threaded dense eigensolve, now come from the matrix's zero pattern.  The
-TrigLift and generic-product spectra still take `np.linalg.eigvals`, so
-more threads or another BLAS may change them; that was not measured.
+TrigLift spectra still take `np.linalg.eigvals`: the cos TrigLift on a
+complex matrix, the odd (sin-only) one on a real matrix, the only artifact
+on LAPACK's real dense eigensolver.  More threads or another BLAS may change
+them; that was not measured.
 
 The exit codes, unlike the hashes, are checked: each command must exit
 with its code in EXIT_CODES, 0 everywhere except 2 (numerical warning) for
@@ -36,6 +38,7 @@ from ruelle.cli import main
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]]}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
+ODDTRIG = '{"type":"triglift","d":2,"sin":[0.1]}'
 INV2 = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0,0]],"anti":true}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 FIXED = ["--annulus", "0.8,1.25"]
@@ -47,6 +50,8 @@ ARTIFACTS = {
     "spectrum-anti-auto.csv": ["spectrum", "--map", ANTI],
     "spectrum-trig-fixed.csv": ["spectrum", "--map", TRIG, *FIXED],
     "spectrum-trig-auto.csv": ["spectrum", "--map", TRIG],
+    # an odd lift: a real matrix, so a real dense eigensolve
+    "spectrum-oddtrig-fixed.csv": ["spectrum", "--map", ODDTRIG, *FIXED],
     "spectrum-bstar-fixed-N64.csv": [
         "spectrum", "--map", BSTAR, *FIXED, "--N", "64",
         "--dump-matrix", "matrix-bstar-fixed-N64.csv",

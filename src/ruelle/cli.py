@@ -34,9 +34,11 @@ __all__ = ["main"]
 
 def _parse_map(text: str):
     try:
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-        else:
+        try:
+            obj = json.loads(text)  # any JSON goes to from_descriptor, which judges it
+        except json.JSONDecodeError:
+            if text.lstrip().startswith(("{", "[")):  # malformed inline JSON, not a path
+                raise
             with open(text) as fh:
                 obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:

@@ -11,6 +11,7 @@ expansivity, and interior fixed points with their multipliers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -375,14 +376,16 @@ def _field(obj: dict, name: str, convert, *default):
 
 def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
-    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(obj, dict):
+        raise ValueError(f"map descriptor must be a JSON object, got {obj!r}")
+    kind = obj.get("type")
     if kind == "blaschke":
         alpha = _field(obj, "alpha", lambda p: complex(*p), [1.0, 0.0])
         zeros = _field(obj, "zeros", lambda zs: tuple(complex(*a) for a in zs))
         return BlaschkeProduct(alpha, zeros, bool(obj.get("anti", False)))
     if kind == "triglift":
         cos, sin = (_field(obj, k, lambda cs: tuple(map(float, cs)), ()) for k in ("cos", "sin"))
-        return TrigLift(_field(obj, "d", int), cos, sin)
+        return TrigLift(_field(obj, "d", operator.index), cos, sin)
     if kind == "mobius":
         return MobiusFamilyMap(_field(obj, "w", lambda p: complex(*p)))
     raise ValueError(f"unknown map descriptor type: {kind!r}")

@@ -9,7 +9,7 @@ repeated products on the boundary circle dictated by the orientation
 (preserving: plus inputs on T_r, minus inputs on T_R; reversing: swapped),
 stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
 by one row FFT per chunk and transported back into the two blocks, with the
-bits of a column-by-column build.
+bits of a column-by-column build; a matrix real to roundoff is stored real.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -64,7 +64,9 @@ class TruncatedOperator:
 
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
     followed by the minus block (e_{-m}^(R), m = 1..nminus).  omega records
-    the orientation sign of the underlying map.
+    the orientation sign of the underlying map.  The matrix is float64 when
+    all its imaginary parts are below SNAP_TOL * max|entry|, as for maps with
+    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.
     """
 
     annulus: Annulus
@@ -170,9 +172,12 @@ def assemble_dual(
             )
         k *= 2
 
-    top = np.abs(cols).max()
+    mag = np.abs(cols)
+    top = mag.max()
     if top > 0:
-        cols[np.abs(cols) < SNAP_TOL * top] = 0.0
+        cols[mag < SNAP_TOL * top] = 0.0
+        if np.abs(cols.imag, out=mag).max() < SNAP_TOL * top:  # no new n^2 buffer
+            cols = np.ascontiguousarray(cols.real)
     return TruncatedOperator(annulus, omega, nplus, nminus, cols, k)
 
 

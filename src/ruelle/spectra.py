@@ -64,12 +64,12 @@ def _pattern_eigenvalues(a: np.ndarray, nplus: int) -> np.ndarray | None:
     root = np.sqrt(nu[nu != 0])
     vals = np.zeros(len(a), dtype=complex)
     vals[0] = a[0, 0]
-    vals[1 : 1 + 2 * len(root)] = np.concatenate([root, -root])
+    vals[1 : 1 + 2 * len(root)] = np.concatenate([root, 0 - root])  # -x keeps angle +pi
     return vals
 
 
 def eigenvalues(T: TruncatedOperator) -> Spectrum:
-    """All eigenvalues of the truncated matrix, sorted.
+    """All eigenvalues of the truncated matrix, sorted, complex on every path.
 
     A finite matrix with one of two zero patterns returns its spectrum
     without a dense solve; any other matrix takes ``np.linalg.eigvals``.
@@ -105,7 +105,7 @@ def eigenvalues(T: TruncatedOperator) -> Spectrum:
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(a)) if finite and a.size else float("nan")
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
-    return Spectrum(_sorted_desc(vals), (T.nplus, T.nminus, T.samples))
+    return Spectrum(_sorted_desc(vals.astype(complex)), (T.nplus, T.nminus, T.samples))
 
 
 def _leading_match(primary: np.ndarray, other: np.ndarray, tol: float) -> int:

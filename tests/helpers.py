@@ -17,6 +17,16 @@ from ruelle.maps import Annulus, BlaschkeProduct
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
 from ruelle.operators import assemble_dual
 
+# anti-Blaschke map with second-iterate multiplier mu = 0.0784, so its eighth
+# eigenvalue +-mu^4 = 3.78e-5 lies near the truncation's roundoff floor; its
+# zeros miss 0, so its adjoint has no zero pattern
+FLOOR_STAR = BlaschkeProduct(
+    complex(-0.6931143075585181, 0.7208276886036468),
+    (complex(-0.06947472054505469, -0.23304948848809703),
+     complex(-0.056942402897746186, 0.14855363242454417)),
+    anti=True,
+)
+
 
 def blaschke_spectrum(mu, count, anti=False):
     """Expected leading eigenvalues for a product with interior multiplier mu

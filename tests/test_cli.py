@@ -251,3 +251,17 @@ def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{field}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "descriptor, named",
+    [
+        ("[1]", "JSON object"),  # parses as JSON, so it is no file path
+        ('{"type":"triglift","d":2.7}', "'d'"),  # a degree is not truncated
+    ],
+)
+def test_descriptor_of_wrong_kind_is_an_input_error(descriptor, named, capsys):
+    assert main(["trace", "--map", descriptor]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

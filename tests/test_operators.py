@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FLOOR_STAR,
     HardyPair,
     blaschke_spectrum,
     duality_residual,
@@ -120,9 +121,11 @@ class TestAliasingMonitor:
         assert assemble_dual(near_pole, annulus, 32).samples > 256
 
 
-def _column_by_column(m, annulus, N, K):
+def _column_by_column(m, annulus, N, K, real=True):
     """The truncation built one column at a time: sequential products,
-    one 1-D FFT per column divided by K, the transport weights, then the snap."""
+    one 1-D FFT per column divided by K, the transport weights, the snap,
+    then (if ``real``) the real part if every imaginary part is below the
+    snap level."""
     r, R = annulus.r, annulus.R
     rho_plus, rho_minus = (r, R) if check_holo_expansive(m, annulus).verdict == "A1" else (R, r)
     mrange = np.arange(1, N + 1)
@@ -143,7 +146,10 @@ def _column_by_column(m, annulus, N, K):
         g = g * step
         cols.append(transport(g, rho_minus))
     matrix = np.column_stack(cols)
-    matrix[np.abs(matrix) < SNAP_TOL * np.abs(matrix).max()] = 0.0
+    top = np.abs(matrix).max()
+    matrix[np.abs(matrix) < SNAP_TOL * top] = 0.0
+    if real and np.abs(matrix.imag).max() < SNAP_TOL * top:
+        matrix = matrix.real.copy()
     return matrix
 
 
@@ -165,7 +171,9 @@ class TestBlockAssembly:
     def test_matches_column_by_column(self, m, N, K, annulus):
         T = assemble_dual(m, annulus, N, N, K)
         assert T.samples == K
-        assert np.array_equal(T.matrix, _column_by_column(m, annulus, N, K))
+        expect = _column_by_column(m, annulus, N, K)
+        assert T.matrix.dtype == expect.dtype
+        assert np.array_equal(T.matrix, expect)
 
     def test_underflowed_columns_count_as_resolved(self):
         # |tau / r| = 0.01 on |z| = r, so the samples step^n underflow to
@@ -174,6 +182,48 @@ class TestBlockAssembly:
             warnings.simplefilter("error")
             T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
         assert T.samples == 2048  # the default max(256, 8 * 256)
+
+
+class TestRealMatrices:
+    """A map with tau(conj z) = conj tau(z) has a real adjoint: its assembled
+    imaginary parts are roundoff, and the matrix is stored as float64."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            MobiusFamilyMap(0.7),
+            TrigLift(2, (), (0.1,)),  # sin only: an odd lift
+            BlaschkeProduct(1.0, (0.2, -0.5)),
+        ],
+        ids=["bstar", "anti_bstar", "mobius", "odd_triglift", "real_zeros"],
+    )
+    def test_real_data_assemble_float64(self, m, annulus):
+        T = assemble_dual(m, annulus, 48, 48, 4096)
+        full = _column_by_column(m, annulus, 48, 4096, real=False)
+        assert T.matrix.dtype == np.float64 and T.matrix.flags.c_contiguous
+        # the dropped imaginary parts are roundoff, below the snap level
+        assert np.abs(full.imag).max() < SNAP_TOL * np.abs(full).max()
+        assert np.array_equal(T.matrix, full.real)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            TrigLift(2, (0.1,)),  # an even cos term
+            BlaschkeProduct(1.0, (0.2 + 0.1j, -0.5)),
+            FLOOR_STAR,
+            # imaginary parts near 1e-10 of the largest entry: above the
+            # snap level, so the matrix stays complex
+            BlaschkeProduct(1.0, (0.5 + 1e-10j, 0.0)),
+        ],
+        ids=["triglift", "complex_zero", "floor_star", "nearly_real"],
+    )
+    def test_complex_data_stay_complex(self, m, annulus):
+        T = assemble_dual(m, annulus, 48, 48, 4096)
+        full = _column_by_column(m, annulus, 48, 4096, real=False)
+        assert T.matrix.dtype == np.complex128
+        assert np.array_equal(T.matrix.view(np.float64), full.view(np.float64))
 
 
 class TestSingularValues:

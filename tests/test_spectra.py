@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import blaschke_spectrum, match_multiset
+from helpers import FLOOR_STAR, blaschke_spectrum, match_multiset
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import (
     Annulus,
@@ -18,17 +18,6 @@ from ruelle.spectra import (
     decay_fit,
     eigenvalues,
     order_estimate,
-)
-
-
-# anti-Blaschke map with second-iterate multiplier mu = 0.0784, so its eighth
-# eigenvalue +-mu^4 = 3.78e-5 lies near the truncation's roundoff floor; its
-# zeros miss 0, so its adjoint has no zero pattern
-FLOOR_STAR = BlaschkeProduct(
-    complex(-0.6931143075585181, 0.7208276886036468),
-    (complex(-0.06947472054505469, -0.23304948848809703),
-     complex(-0.056942402897746186, 0.14855363242454417)),
-    anti=True,
 )
 
 
@@ -87,7 +76,8 @@ class TestTriangularShortcut:
         m = TRIANGULAR_MAPS[name]
         T = assemble_dual(m, find_expansive_annulus(m) if auto else Annulus(0.8, 1.25), N)
         assert not np.triu(T.matrix, 1).any()
-        vals = np.linalg.eigvals(T.matrix)
+        # eigvals of a real matrix with a real spectrum is float64; Spectrum is complex
+        vals = np.linalg.eigvals(T.matrix).astype(complex)
         expect = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
 
         def refuse(a):
@@ -166,6 +156,47 @@ class TestAntiProductShortcut:
         a[T.nplus + 3, 3] = np.nan  # a diagonal entry of Y
         with pytest.raises(RuntimeError, match="eigensolver failed"):
             eigenvalues(TruncatedOperator(annulus, -1, T.nplus, T.nminus, a, T.samples))
+
+
+class TestEigenvalueDtype:
+    """Spectrum.eigenvalues is complex128 whatever the matrix dtype and path."""
+
+    @pytest.mark.parametrize(
+        "m, dtype",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), np.float64),  # lower triangular
+            (MobiusFamilyMap(0.6 + 0.2j), np.complex128),  # lower triangular
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), np.float64),  # anti-product
+            (ANTI_MAPS["anti-three-zero"], np.complex128),  # anti-product
+            (TrigLift(2, (), (0.1,)), np.float64),  # dense
+            (TrigLift(2, (0.1,)), np.complex128),  # dense
+        ],
+        ids=["triangular-real", "triangular-complex", "anti-real", "anti-complex",
+             "dense-real", "dense-complex"],
+    )
+    def test_complex_on_every_path(self, m, dtype, annulus):
+        T = assemble_dual(m, annulus, 32)
+        assert T.matrix.dtype == dtype
+        assert eigenvalues(T).eigenvalues.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "m", [TrigLift(2, (), (0.1,)), BlaschkeProduct(1.0, (0.2, -0.5))],
+        ids=["odd-triglift", "real-zeros"],
+    )
+    def test_dense_real_spectrum_in_exact_conjugate_pairs(self, m, annulus):
+        T = assemble_dual(m, annulus, 64)
+        assert T.matrix.dtype == np.float64
+        vals = eigenvalues(T).eigenvalues
+        assert np.count_nonzero(vals.imag) >= 2
+        assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+
+    def test_real_anti_pairs_in_documented_order(self, anti_bstar, annulus):
+        # +-x ties sort +x first (argument 0 before pi), as in the closed form:
+        # no -0.0 imaginary part may turn the argument of -x into -pi
+        vals = eigenvalues(assemble_dual(anti_bstar, annulus, 64)).eigenvalues
+        assert not np.signbit(vals.imag).any()
+        closed = blaschke_spectrum(0.5, 41, anti=True)[:41]
+        assert np.abs(vals[:41] - closed).max() < 1e-15
 
 
 class TestConverged:
