@@ -28,6 +28,13 @@ def _check_finite(values: np.ndarray, radius: float):
         raise ValueError(f"non-finite sample on circle |z|={radius:g} at angle {theta:.8f}")
 
 
+def _check_samples(values: np.ndarray, radius: float):
+    K = values.shape[-1]
+    if K < 8 or (K & (K - 1)) != 0:
+        raise ValueError(f"sample count K={K} must be a power of two >= 8")
+    _check_finite(values, radius)
+
+
 def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
     """Fourier coefficients of samples at circle_nodes(radius, K), along the
     last axis: c[..., m] = (1/K) sum_j f(z_j) e^{-2 pi i j m / K}, the
@@ -38,11 +45,23 @@ def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
     roundoff, and recovers trigonometric polynomials of degree < K/2 exactly.
     """
     values = np.asarray(values, dtype=complex)
-    K = values.shape[-1]
-    if K < 8 or (K & (K - 1)) != 0:
-        raise ValueError(f"sample count K={K} must be a power of two >= 8")
-    _check_finite(values, radius)
+    _check_samples(values, radius)
     return np.fft.fft(values, norm="forward")
+
+
+def real_coeffs_from_samples(folded, radius: float) -> np.ndarray:
+    """fourier_coeffs_from_samples, real, for an f with real coefficients,
+    from its folded samples h = Re f + Im f: as Re f is even and Im f odd in
+    the node index, X = rfft(h) / K gives c[m] = Re X[m] - Im X[m] and
+    c[-m] = Re X[m] + Im X[m].  For any other f this is the Hartley
+    transform of h, not its Fourier coefficients."""
+    folded = np.asarray(folded, dtype=float)
+    _check_samples(folded, radius)
+    x, h = np.fft.rfft(folded, norm="forward"), folded.shape[-1] // 2
+    c = np.empty(folded.shape)
+    np.subtract(x.real, x.imag, out=c[..., : h + 1])
+    np.add(x.real[..., h - 1 : 0 : -1], x.imag[..., h - 1 : 0 : -1], out=c[..., h + 1 :])
+    return c
 
 
 def laurent(pos, neg, z):

@@ -9,7 +9,10 @@ repeated products on the boundary circle dictated by the orientation
 (preserving: plus inputs on T_r, minus inputs on T_R; reversing: swapped),
 stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
 by one row FFT per chunk and transported back into the two blocks, with the
-bits of a column-by-column build; a matrix real to roundoff is stored real.
+bits of a column-by-column build.  A map whose boundary samples are
+conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
+every column: its rows are stored folded, Re g + Im g, in a real chunk of
+half the bytes and expanded by one real FFT, and its matrix is real.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, check_holo_expansive
-from .numerics import circle_nodes, fourier_coeffs_from_samples
+from .numerics import circle_nodes, fourier_coeffs_from_samples, real_coeffs_from_samples
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
@@ -65,7 +68,7 @@ class TruncatedOperator:
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
     followed by the minus block (e_{-m}^(R), m = 1..nminus).  omega records
     the orientation sign of the underlying map.  The matrix is float64 when
-    all its imaginary parts are below SNAP_TOL * max|entry|, as for maps with
+    the map's boundary samples are conjugate-symmetric to SNAP_TOL, as for
     tau(conj z) = conj tau(z), whose adjoint is real; else complex128.
     """
 
@@ -81,28 +84,40 @@ class TruncatedOperator:
         return self.nplus + self.nminus
 
 
+def _conjugate_symmetric(v) -> bool:
+    """Whether max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|: the samples
+    at circle_nodes of a tau with tau(conj z) = conj tau(z), whose adjoint is
+    real.  Samples asymmetric beyond roundoff keep the complex assembly."""
+    return np.abs(v - np.conj(np.roll(v[::-1], 1))).max() <= SNAP_TOL * np.abs(v).max()
+
+
 def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     """Fill the columns of ``out`` from the samples g_n = g_{n-1} step, g_0 = 1,
-    on |z| = rho for n in ``powers``; return the (tail, floor) of each
-    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    on |z| = rho for n in ``powers`` (folded, Re g_n + Im g_n, for a real
+    ``out``); return the (tail, floor) of each unresolved column.  max|g_n|
+    is step_max^n up to roundoff, as |g_n| = |step|^n."""
     K = len(step)
     step_max = float(np.abs(step).max())
     mplus, mminus = np.arange(nplus), np.arange(1, len(out) - nplus + 1)
     index = np.concatenate([mplus % K, -mminus % K])
     weight = np.concatenate([(r / rho) ** mplus, (rho / R) ** mminus])
+    real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
     unresolved = []
     for start in range(0, len(powers), rows):
         n = np.asarray(powers[start : start + rows])
-        chunk = np.empty((len(n), K), dtype=complex)
+        chunk = np.empty((len(n), K), dtype=out.dtype)
         for i, power in enumerate(n):
             if power:
-                g = g * step
-            chunk[i] = g
-        c = fourier_coeffs_from_samples(chunk, rho)
+                np.multiply(g, step, out=g)
+            if real:
+                np.add(g.real, g.imag, out=chunk[i])
+            else:
+                chunk[i] = g
+        c = (real_coeffs_from_samples if real else fourier_coeffs_from_samples)(chunk, rho)
         out[:, start : start + len(n)] = (c[:, index] * weight).T
-        mag = np.abs(c)
+        mag = np.abs(c, out=c if real else None)  # c is spent after the transport
         scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
         tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
         bad = np.flatnonzero(tail > TAIL_TOL)
@@ -129,7 +144,8 @@ def assemble_dual(
     column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
     of the fixed tolerance and that column's roundoff floor; an explicit K
     with an unresolved tail above TAIL_REJECT raises instead.  Both errors
-    quote the tail and its floor.
+    quote the tail and its floor.  The matrix is float64, built by real FFTs
+    of folded columns, iff both sample rows pass ``_conjugate_symmetric``.
     """
     if nminus is None:
         nminus = nplus
@@ -151,7 +167,8 @@ def assemble_dual(
     while True:
         tp = m.eval(circle_nodes(rho_plus, k))
         tm = m.eval(circle_nodes(rho_minus, k))
-        cols = np.empty((nplus + nminus, nplus + nminus), dtype=complex)
+        real = all(_conjugate_symmetric(v) for v in (tp, tm))
+        cols = np.empty((nplus + nminus, nplus + nminus), dtype=float if real else complex)
         unresolved = _assemble_block(cols[:, :nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
         unresolved += _assemble_block(
             cols[:, nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
@@ -173,11 +190,7 @@ def assemble_dual(
         k *= 2
 
     mag = np.abs(cols)
-    top = mag.max()
-    if top > 0:
-        cols[mag < SNAP_TOL * top] = 0.0
-        if np.abs(cols.imag, out=mag).max() < SNAP_TOL * top:  # no new n^2 buffer
-            cols = np.ascontiguousarray(cols.real)
+    cols[mag < SNAP_TOL * mag.max()] = 0.0
     return TruncatedOperator(annulus, omega, nplus, nminus, cols, k)
 
 

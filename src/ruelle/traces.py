@@ -34,7 +34,7 @@ from .maps import (
     second_iterate_multiplier,
 )
 from .numerics import circle_integral
-from .operators import assemble_dual
+from .operators import EPS, assemble_dual
 from .spectra import Spectrum
 
 __all__ = [
@@ -138,7 +138,8 @@ def blaschke_trace_closed(mu: complex, anti: bool, n: int = 1) -> complex:
 
 @dataclass(frozen=True)
 class DetResult:
-    """Determinant value with an attached truncation-tail estimate."""
+    """Determinant value with an attached error estimate: the truncation
+    tail, plus the roundoff on the trace and product routes."""
 
     value: complex
     tail: float
@@ -192,7 +193,11 @@ def det_from_traces(
     """det(I - z L) = exp(-sum_{n<=nmax} z^n Tr(L^n) / n).
 
     The trace series converges only near 0 (the leading eigenvalue is 1);
-    |z| <= 0.5 is enforced to keep the geometric truncation tail tiny.
+    |z| <= 0.5 is enforced to keep the geometric truncation tail tiny.  The
+    tail adds to that truncation the roundoff of the sum, nmax eps
+    sum |z^n Tr(L^n) / n|: it covers the contour traces' own accuracy of
+    about eps |Tr(L^n)|, the rounding of each term and the recursive
+    summation bound (nmax - 1) eps/2 sum |terms|; 2 eps more cover exp.
     """
     z = complex(z)
     if abs(z) > 0.5:
@@ -201,10 +206,12 @@ def det_from_traces(
         traces = power_trace_table(m, annulus, nmax)
     if len(traces) < nmax:
         raise ValueError(f"trace table has {len(traces)} entries, need {nmax}")
-    total = sum(z**n / n * traces[n - 1] for n in range(1, nmax + 1))
+    terms = [z**n / n * traces[n - 1] for n in range(1, nmax + 1)]
+    total = sum(terms)
     value = complex(np.exp(-total))
     scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
     log_tail = scale * abs(z) ** (nmax + 1) / ((nmax + 1) * (1 - abs(z)))
+    log_tail += EPS * (nmax * sum(abs(t) for t in terms) + 2)
     return DetResult(value, abs(value) * math.expm1(log_tail))
 
 
@@ -213,7 +220,12 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     (1-z) prod_k (1 - mu^k z)(1 - conj(mu)^k z), the second factor replaced
     by (1 + mu^k z) in the anti case.  The product runs to the first
     k >= 4 with |mu|^k (1 + |z|) <= 1e-16, capped at 5000 (to k = 1 for
-    mu = 0); the returned tail bounds the factors left out."""
+    mu = 0).  The returned tail bounds the factors left out plus, to first
+    order, the rounding of the product: each step k rounds two complex
+    products (by at most sqrt(5) eps/2 each; Brent, Percival & Zimmermann,
+    Math. Comp. 2007) and two differences, which 4 eps per step covers
+    relative to size = (1 + |z|) prod (1 + |mu^k z|)^2 >= |value|; the
+    powers mu^k, a few eps of |mu^k z| each, add less while that is small."""
     families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
     if mu == 0:
@@ -221,16 +233,17 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     else:
         kmax = max(4, int(math.ceil((16 * math.log(10) + math.log(1 + abs(z))) / -math.log(abs(mu)))))
     kmax = min(kmax, 5000)
-    value = 1 - z
+    value, size = 1 - z, 1 + abs(z)
     for k in range(1, kmax + 1):
         factor = 1
         for b, signs in families:
             for c in signs:
                 factor *= 1 - c * b**k * z
+                size *= 1 + abs(b) ** k * abs(z)
         value *= factor
     head = abs(mu) ** (kmax + 1) * abs(z)
     tail = abs(value) * math.expm1(2 * head / max(1 - abs(mu), 1e-12)) if head < 1 else math.inf
-    return DetResult(complex(value), tail)
+    return DetResult(complex(value), tail + 4 * kmax * EPS * size)
 
 
 def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:

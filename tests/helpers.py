@@ -10,6 +10,7 @@ assembled adjoint under the duality pairing of the annulus Hardy space.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -49,6 +50,30 @@ def blaschke_spectrum(mu, count, anti=False):
     vals = np.array(out)
     vals = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
     return vals[:count]
+
+
+def det_product_distance(value, mu, anti, z) -> float:
+    """|value - det(I - z L)| for the (anti-)Blaschke product with multiplier
+    mu, the determinant taken in 60-digit decimal arithmetic on the binary
+    values of mu and z: (1 - z) prod_k (1 - mu^k z)(1 - conj(mu)^k z), the
+    second factor (1 + mu^k z) in the anti case, until |mu^k z| < 1e-40."""
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    mu, z, value = complex(mu), complex(z), complex(value)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dz, power = (Decimal(z.real), Decimal(z.imag)), (Decimal(1), Decimal(0))
+        det = (1 - dz[0], -dz[1])
+        while abs(power[0]) + abs(power[1]) > Decimal("1e-40"):
+            power = mul(power, (Decimal(mu.real), Decimal(mu.imag)))
+            w = mul(power, dz)
+            w_bar = mul((power[0], -power[1]), dz)
+            det = mul(det, (1 - w[0], -w[1]))
+            det = mul(det, (1 + w[0], w[1]) if anti else (1 - w_bar[0], -w_bar[1]))
+        gap = (Decimal(value.real) - det[0], Decimal(value.imag) - det[1])
+        return float((gap[0] ** 2 + gap[1] ** 2).sqrt())
 
 
 def match_multiset(expected, computed, tol, slack=0):

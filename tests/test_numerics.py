@@ -11,6 +11,7 @@ from ruelle.numerics import (
     circle_nodes,
     fourier_coeffs_from_samples,
     laurent,
+    real_coeffs_from_samples,
 )
 
 
@@ -178,6 +179,47 @@ class TestStackedSamples:
         stack = self._stack()
         stack[3, 5] = np.nan
         angle = 2 * np.pi * 5 / 64
+        with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
+            fourier_coeffs_from_samples(stack, 0.9)
+
+
+class TestRealCoeffs:
+    """The real FFT of folded samples h = Re f + Im f gives the Fourier
+    coefficients of an f with real coefficients, in the same layout."""
+
+    @pytest.mark.parametrize("K", [8, 64, 1024])
+    def test_recovers_real_laurent_polynomial(self, K):
+        rng = np.random.default_rng(K)
+        degrees = np.arange(-(K // 2 - 1), K // 2)  # degree < K/2 either way
+        coeffs = rng.standard_normal(len(degrees))
+        # f = sum c_m (z / radius)^m at the nodes, with exactly reduced phases
+        phase = np.exp(2j * np.pi * (np.outer(np.arange(K), degrees) % K) / K)
+        f = phase @ coeffs
+        radius = 0.8
+        c = real_coeffs_from_samples(f.real + f.imag, radius)
+        assert c.dtype == np.float64 and c.shape == (K,)
+        assert np.abs(c[degrees] - coeffs).max() < 1e-13
+        assert np.abs(c[K // 2]) < 1e-13  # no z^{-K/2} term
+        assert np.abs(c - fourier_coeffs_from_samples(f, radius)).max() < 1e-13
+
+    def test_rows_match_one_dimensional_calls(self):
+        stack = np.random.default_rng(4).standard_normal((5, 64))
+        c = real_coeffs_from_samples(stack, 0.9)
+        assert c.shape == stack.shape
+        for i, row in enumerate(stack):
+            assert np.array_equal(c[i], real_coeffs_from_samples(row, 0.9))
+
+    def test_rejects_bad_sample_counts(self):
+        for K in (4, 12, 100):
+            with pytest.raises(ValueError, match=f"sample count K={K} must be a power of two"):
+                real_coeffs_from_samples(np.ones(K), 1.0)
+
+    def test_non_finite_sample_quotes_its_angle(self):
+        stack = np.random.default_rng(6).standard_normal((5, 64))
+        stack[3, 5] = np.inf
+        angle = 2 * np.pi * 5 / 64
+        with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
+            real_coeffs_from_samples(stack, 0.9)
         with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
             fourier_coeffs_from_samples(stack, 0.9)
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import blaschke_spectrum, residue_sum
-from ruelle.maps import MobiusFamilyMap, TrigLift
+from helpers import blaschke_spectrum, det_product_distance, residue_sum
+from ruelle.lifts import find_expansive_annulus
+from ruelle.maps import BlaschkeProduct, MobiusFamilyMap, TrigLift
 from ruelle.spectra import converged_spectrum
 from ruelle.traces import (
     blaschke_trace_closed,
@@ -237,6 +238,27 @@ class TestDetRoutes:
         short = det_from_traces(bstar, annulus, 0.45, nmax=4, traces=table[:4])
         assert det_from_traces(bstar, annulus, 0.45, nmax=4, traces=table) == short
         assert short.tail == pytest.approx(0.00789, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "m, z",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), 0.25 + 0.1j),
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), 0.3),
+            (MobiusFamilyMap(0.7), 0.2),
+        ],
+        ids=["bstar", "anti_bstar", "mobius"],
+    )
+    def test_tails_cover_roundoff(self, m, z):
+        # the `ruelle det --z` artifacts: each route lies within its own tail
+        # of the determinant in 60-digit arithmetic, so within the sum of the
+        # two tails of each other; at these points roundoff, not truncation,
+        # sets most of each distance
+        mu, anti = closed_form_multiplier(m)
+        traces = det_from_traces(m, find_expansive_annulus(m), z)
+        product = det_product_formula(mu, anti, z)
+        assert abs(traces.value - product.value) <= traces.tail + product.tail
+        assert det_product_distance(traces.value, mu, anti, z) <= traces.tail
+        assert det_product_distance(product.value, mu, anti, z) <= product.tail
 
     def test_validity_window(self, bstar, annulus):
         with pytest.raises(ValueError, match="0.5"):
