@@ -40,8 +40,6 @@ from .traces import (
     det_from_spectrum,
     det_from_traces,
     det_product_formula,
-    det_zero_count_lattice,
-    jensen_count_check,
     trace_contour,
     trace_power,
     trace_report,

@@ -55,13 +55,21 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected 're' or 're,im', got {text!r}")
 
 
+def _split(text: str, sep: str, option: str, form: str) -> list:
+    # as many parts as the form has, else an error naming the option and form
+    parts = text.split(sep)
+    if len(parts) != len(form.split(sep)):
+        raise ValueError(f"{option} expects {form}, got {text!r}")
+    return parts
+
+
 def _parse_annulus(text: str) -> Annulus:
-    r, R = (float(p) for p in text.split(","))
+    r, R = (float(p) for p in _split(text, ",", "--annulus", "r,R"))
     return Annulus(r, R)
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, count = text.split(":")
+def _parse_grid(text: str, option: str) -> np.ndarray:
+    lo, hi, count = _split(text, ":", option, "lo:hi:count")
     grid = np.linspace(float(lo), float(hi), int(count))
     if grid.size == 0:
         raise ValueError("empty grid")
@@ -167,7 +175,7 @@ def cmd_det(args) -> int:
     info = closed_form_multiplier(m)
 
     if args.zeta_scan:
-        grid = _parse_grid(args.zeta_scan)
+        grid = _parse_grid(args.zeta_scan, "--zeta-scan")
         if info is not None:
             vals = log_abs_det_product(info[0], info[1], grid)
         else:
@@ -199,7 +207,7 @@ def cmd_det(args) -> int:
 def _scan_members(args):
     """(w, member, annulus) per grid point; the annulus is --annulus, else the
     search's for a Mobius member or the homotopy family's certified one."""
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, "--grid")
     fixed = _parse_annulus(args.annulus) if args.annulus else None
     if args.family == "mobius":
         for w in grid:
@@ -245,8 +253,8 @@ def cmd_scan(args) -> int:
 
 def cmd_julia(args) -> int:
     w = _parse_complex(args.w)
-    width, height = (int(p) for p in args.size.split("x"))
-    viewport = tuple(float(p) for p in args.viewport.split(","))
+    width, height = (int(p) for p in _split(args.size, "x", "--size", "WxH"))
+    viewport = tuple(map(float, _split(args.viewport, ",", "--viewport", "xmin,xmax,ymin,ymax")))
     raster = julia_mod.render(
         w, viewport, width, height, max_iter=args.max_iter, epsilon=args.epsilon
     )

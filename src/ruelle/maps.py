@@ -374,6 +374,13 @@ def _field(obj: dict, name: str, convert, *default):
         ) from exc
 
 
+def _boolean(value) -> bool:
+    # JSON true or false only: a string, list or number is malformed, not truthy
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
 def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
     if not isinstance(obj, dict):
@@ -382,7 +389,7 @@ def from_descriptor(obj: dict):
     if kind == "blaschke":
         alpha = _field(obj, "alpha", lambda p: complex(*p), [1.0, 0.0])
         zeros = _field(obj, "zeros", lambda zs: tuple(complex(*a) for a in zs))
-        return BlaschkeProduct(alpha, zeros, bool(obj.get("anti", False)))
+        return BlaschkeProduct(alpha, zeros, _field(obj, "anti", _boolean, False))
     if kind == "triglift":
         cos, sin = (_field(obj, k, lambda cs: tuple(map(float, cs)), ()) for k in ("cos", "sin"))
         return TrigLift(_field(obj, "d", operator.index), cos, sin)

@@ -159,6 +159,8 @@ def assemble_dual(
     r, R = annulus.r, annulus.R
     rho_plus, rho_minus = (r, R) if omega == 1 else (R, r)
 
+    if min(nplus, nminus) < 0 or nplus == nminus == 0:
+        raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
     auto = K is None
     k = 1 << (max(256, 8 * max(nplus, nminus)) - 1).bit_length() if auto else K
     if k < 8 * max(nplus, nminus):

@@ -8,11 +8,6 @@ Three independent routes to the same analytic objects:
   spectrum, and the trace series det(I - zL) = exp(-sum z^n Tr(L^n)/n);
 * closed forms for (anti-)Blaschke products, where the whole spectrum is a
   geometric sequence in the interior fixed-point multiplier mu.
-
-The zero set of the Blaschke determinant zeta -> det(I - e^zeta L) is an
-explicit union of vertical lattices; enumerating it gives an exact zero
-counting function, which Jensen's formula ties back to circle averages of
-log|det| -- the quadratic-growth cross-check used by the order estimate.
 """
 
 from __future__ import annotations
@@ -39,15 +34,12 @@ from .spectra import Spectrum
 
 __all__ = [
     "DetResult",
-    "JensenCheck",
     "TraceReport",
     "blaschke_trace_closed",
     "closed_form_multiplier",
     "det_from_spectrum",
     "det_from_traces",
     "det_product_formula",
-    "det_zero_count_lattice",
-    "jensen_count_check",
     "log_abs_det_product",
     "trace_contour",
     "trace_power",
@@ -276,93 +268,6 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
                 for c in signs:
                     total += _log_abs_1m_exp(zeta + k * log_b + 1j * math.pi * (c < 0))
     return total[0] if scalar else total
-
-
-def _lattice_zeros(mu: complex, center: complex, radius: float, anti: bool) -> list:
-    """All zeros of zeta -> det(I - e^zeta L) with |zeta - center| < radius,
-    as a multiset (coinciding lattice families count with multiplicity).
-
-    Families: e^zeta = 1 gives 2 pi i m; e^zeta = c^-1 b^-k (k >= 1) gives
-    -k log(b) + i pi [c < 0] + 2 pi i m for each base b and sign c.  A zero
-    at the center itself is refused (ValueError)."""
-    families = _families(mu, anti)
-    center = complex(center)
-    zeros = []
-    mmax = int((radius + abs(center.imag)) / (2 * math.pi)) + 2
-    for m in range(-mmax, mmax + 1):
-        zc = 2j * math.pi * m
-        if abs(zc - center) < radius:
-            zeros.append(zc)
-    if mu != 0:
-        lead = -np.log(families[0][0])
-        kmax = int((radius + abs(center.real)) / abs(np.real(lead))) + 2
-        mspan = mmax + int(kmax * (abs(np.imag(lead)) / (2 * math.pi) + 1)) + 2
-        for b, signs in families:
-            base = -np.log(b)
-            for c in signs:
-                for k in range(1, kmax + 1):
-                    anchor = k * base + 1j * math.pi * (c < 0)
-                    for m in range(-mspan, mspan + 1):
-                        zc = anchor + 2j * math.pi * m
-                        if abs(zc - center) < radius:
-                            zeros.append(zc)
-    if any(abs(zc - center) < 1e-9 for zc in zeros):
-        raise ValueError("center coincides with a determinant zero; shift it")
-    return zeros
-
-
-def det_zero_count_lattice(
-    mu: complex, center: complex, radius: float, anti: bool = False
-) -> int:
-    """Exact count (with multiplicity) of determinant zeros in the open disk
-    |zeta - center| < radius, by direct lattice enumeration."""
-    return len(_lattice_zeros(mu, center, radius, anti))
-
-
-@dataclass(frozen=True)
-class JensenCheck:
-    """Both sides of Jensen's identity for the determinant zeros:
-    integral of N(t)/t from the enumerated zeros vs. the circle average of
-    log|det| minus its value at the center."""
-
-    counting_side: float
-    boundary_side: float
-
-
-def jensen_count_check(
-    mu: complex, R: float, anti: bool = False, center: complex = -1.0
-) -> JensenCheck:
-    """Check int_0^{2R} N(t)/t dt = avg_theta log|Z(center + 2R e^{i theta})|
-    - log|Z(center)| for the closed-form determinant Z.
-
-    The left side is exact from the lattice enumeration (each zero at
-    distance rho contributes log(2R/rho)); the right side is trapezoidal
-    quadrature of the stable log|Z| evaluation, with the angular offset
-    jittered away from any zero sitting on a quadrature node.  The circle
-    takes 2048 nodes, because log|Z| has logarithmic singularities at the
-    zeros, and those near the circle slow the trapezoidal rule.
-    """
-    K = 2048
-    center = complex(center)
-    zeros = _lattice_zeros(mu, center, 2 * R, anti)
-    counting = float(sum(math.log(2 * R / abs(zc - center)) for zc in zeros))
-
-    zero_arr = np.array(zeros) if zeros else np.empty(0, dtype=complex)
-    offset = 0.5
-    for _ in range(5):
-        theta = 2 * math.pi * (np.arange(K) + offset) / K
-        nodes = center + 2 * R * np.exp(1j * theta)
-        if zero_arr.size and np.min(
-            np.abs(nodes[:, None] - zero_arr[None, :])
-        ) < 1e-6:
-            offset += 1 / math.sqrt(2)
-            offset -= math.floor(offset)
-            continue
-        boundary = float(np.mean(log_abs_det_product(mu, anti, nodes))) - float(
-            log_abs_det_product(mu, anti, center)
-        )
-        return JensenCheck(counting, boundary)
-    raise RuntimeError("could not place quadrature nodes away from determinant zeros")
 
 
 @dataclass(frozen=True)

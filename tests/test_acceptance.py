@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from helpers import blaschke_spectrum, duality_residual, match_multiset
+from helpers import (
+    blaschke_spectrum,
+    det_zero_count_lattice,
+    duality_residual,
+    jensen_count_check,
+    match_multiset,
+)
 from ruelle.julia import BASIN_UNDECIDED, BASIN_ZERO, render
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
@@ -25,8 +31,6 @@ from ruelle.traces import (
     det_from_spectrum,
     det_from_traces,
     det_product_formula,
-    det_zero_count_lattice,
-    jensen_count_check,
     log_abs_det_product,
     power_trace_table,
     trace_power,

@@ -243,6 +243,10 @@ def test_usage_error_exit_code(capsys):
         ('{"type":"triglift"}', "d"),
         ('{"type":"blaschke","zeros":[0.5,0.2]}', "zeros"),
         ('{"type":"mobius","w":0.5}', "w"),
+        # anti is a JSON boolean: bool() would read each of these as true
+        ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":"false"}', "anti"),
+        ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":[0]}', "anti"),
+        ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":1}', "anti"),
     ],
 )
 def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):
@@ -262,6 +266,26 @@ def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):
 )
 def test_descriptor_of_wrong_kind_is_an_input_error(descriptor, named, capsys):
     assert main(["trace", "--map", descriptor]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["trace", "--map", BSTAR, "--annulus", "0.8"], "--annulus expects r,R"),
+        (["det", "--map", BSTAR, "--zeta-scan", "0:1"], "--zeta-scan expects lo:hi:count"),
+        (["scan", "--grid", "0:1"], "--grid expects lo:hi:count"),
+        (["julia", "--w", "0.5", "--size", "512", "--out", "x.pgm"], "--size expects WxH"),
+        (
+            ["julia", "--w", "0.5", "--viewport", "1,2", "--out", "x.pgm"],
+            "--viewport expects xmin,xmax,ymin,ymax",
+        ),
+    ],
+)
+def test_option_of_wrong_shape_is_an_input_error(argv, named, capsys):
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err

@@ -71,6 +71,11 @@ class TestAssembly:
         with pytest.raises(ValueError, match="8"):
             assemble_dual(bstar, annulus, 48, 48, 256)
 
+    @pytest.mark.parametrize("nplus, nminus", [(0, 0), (-1, None), (8, -2), (-1, 8)])
+    def test_rejects_degenerate_orders(self, bstar, annulus, nplus, nminus):
+        with pytest.raises(ValueError, match="nplus, nminus"):
+            assemble_dual(bstar, annulus, nplus, nminus)
+
     def test_truncation_stability(self, bstar, annulus):
         e1 = eigenvalues(assemble_dual(bstar, annulus, 24, 24)).eigenvalues[:10]
         e2 = eigenvalues(assemble_dual(bstar, annulus, 48, 48)).eigenvalues

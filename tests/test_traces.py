@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import blaschke_spectrum, det_product_distance, residue_sum
+from helpers import (
+    blaschke_spectrum,
+    det_product_distance,
+    det_zero_count_lattice,
+    jensen_count_check,
+    residue_sum,
+)
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import BlaschkeProduct, MobiusFamilyMap, TrigLift
 from ruelle.spectra import converged_spectrum
@@ -13,8 +19,6 @@ from ruelle.traces import (
     det_from_spectrum,
     det_from_traces,
     det_product_formula,
-    det_zero_count_lattice,
-    jensen_count_check,
     log_abs_det_product,
     power_trace_table,
     trace_contour,
