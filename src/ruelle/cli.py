@@ -46,33 +46,29 @@ def _parse_map(text: str):
     return from_descriptor(obj)
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
-
-
-def _split(text: str, sep: str, option: str, form: str) -> list:
-    # as many parts as the form has, else an error naming the option and form
+def _split(text: str, sep: str, option: str, form: str, kinds=None) -> list:
+    # as many parts as the form has, as kinds (default float), else an error naming both
     parts = text.split(sep)
-    if len(parts) != len(form.split(sep)):
-        raise ValueError(f"{option} expects {form}, got {text!r}")
-    return parts
+    try:
+        if len(parts) == form.count(sep) + 1:
+            return [kind(p) for kind, p in zip(kinds or [float] * len(parts), parts)]
+    except ValueError:
+        pass
+    raise ValueError(f"{option} expects {form}, got {text!r}")
+
+
+def _parse_complex(text: str, option: str) -> complex:
+    return complex(*_split(text, ",", option, "re,im" if "," in text else "re"))
 
 
 def _parse_annulus(text: str) -> Annulus:
-    r, R = (float(p) for p in _split(text, ",", "--annulus", "r,R"))
-    return Annulus(r, R)
+    return Annulus(*_split(text, ",", "--annulus", "r,R"))
 
 
 def _parse_grid(text: str, option: str) -> np.ndarray:
-    lo, hi, count = _split(text, ":", option, "lo:hi:count")
-    grid = np.linspace(float(lo), float(hi), int(count))
+    grid = np.linspace(*_split(text, ":", option, "lo:hi:count", (float, float, int)))
     if grid.size == 0:
-        raise ValueError("empty grid")
+        raise ValueError(f"{option} gives an empty grid")
     return grid
 
 
@@ -189,7 +185,7 @@ def cmd_det(args) -> int:
 
     if args.z is None:
         raise ValueError("need --z (or --zeta-scan) for the det command")
-    z = _parse_complex(args.z)
+    z = _parse_complex(args.z, "--z")
     spec = converged_spectrum(m, ann)
     zeta = np.log(z) if z != 0 else -745.0  # e^zeta below double tiny at z=0
     routes = {"spectrum": det_from_spectrum(spec, zeta)}
@@ -252,9 +248,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_julia(args) -> int:
-    w = _parse_complex(args.w)
-    width, height = (int(p) for p in _split(args.size, "x", "--size", "WxH"))
-    viewport = tuple(map(float, _split(args.viewport, ",", "--viewport", "xmin,xmax,ymin,ymax")))
+    w = _parse_complex(args.w, "--w")
+    width, height = _split(args.size, "x", "--size", "WxH", (int, int))
+    viewport = tuple(_split(args.viewport, ",", "--viewport", "xmin,xmax,ymin,ymax"))
     raster = julia_mod.render(
         w, viewport, width, height, max_iter=args.max_iter, epsilon=args.epsilon
     )

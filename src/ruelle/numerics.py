@@ -11,6 +11,8 @@ contour traces of the package spectrally accurate.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent"]
@@ -18,21 +20,28 @@ __all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "la
 
 def circle_nodes(radius: float, K: int) -> np.ndarray:
     """The K equispaced sample points radius * e^{2 pi i j / K}, j = 0..K-1."""
-    return radius * np.exp(2j * np.pi * np.arange(K) / K)
+    return radius * _roots_of_unity(K)
+
+
+@lru_cache(maxsize=8)  # the assembly and its expansivity check reuse a few K
+def _roots_of_unity(K: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(K) / K)
 
 
 def _check_finite(values: np.ndarray, radius: float):
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        theta = 2 * np.pi * (bad[0] % values.shape[-1]) / values.shape[-1]
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0] % values.shape[-1]
+        theta = 2 * np.pi * bad / values.shape[-1]
         raise ValueError(f"non-finite sample on circle |z|={radius:g} at angle {theta:.8f}")
 
 
-def _check_samples(values: np.ndarray, radius: float):
+def _checked_samples(values, radius: float, dtype) -> np.ndarray:
+    values = np.asarray(values, dtype=dtype)
     K = values.shape[-1]
     if K < 8 or (K & (K - 1)) != 0:
         raise ValueError(f"sample count K={K} must be a power of two >= 8")
     _check_finite(values, radius)
+    return values
 
 
 def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
@@ -44,24 +53,15 @@ def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
     Satisfies the Parseval identity sum |c[m]|^2 = mean |values|^2 to
     roundoff, and recovers trigonometric polynomials of degree < K/2 exactly.
     """
-    values = np.asarray(values, dtype=complex)
-    _check_samples(values, radius)
-    return np.fft.fft(values, norm="forward")
+    return np.fft.fft(_checked_samples(values, radius, complex), norm="forward")
 
 
-def real_coeffs_from_samples(folded, radius: float) -> np.ndarray:
-    """fourier_coeffs_from_samples, real, for an f with real coefficients,
-    from its folded samples h = Re f + Im f: as Re f is even and Im f odd in
-    the node index, X = rfft(h) / K gives c[m] = Re X[m] - Im X[m] and
-    c[-m] = Re X[m] + Im X[m].  For any other f this is the Hartley
-    transform of h, not its Fourier coefficients."""
-    folded = np.asarray(folded, dtype=float)
-    _check_samples(folded, radius)
-    x, h = np.fft.rfft(folded, norm="forward"), folded.shape[-1] // 2
-    c = np.empty(folded.shape)
-    np.subtract(x.real, x.imag, out=c[..., : h + 1])
-    np.add(x.real[..., h - 1 : 0 : -1], x.imag[..., h - 1 : 0 : -1], out=c[..., h + 1 :])
-    return c
+def half_spectrum_from_samples(folded, radius: float) -> np.ndarray:
+    """X = rfft(h) / K, m = 0..K/2, of folded samples h = Re f + Im f at
+    circle_nodes(radius, K).  For f with real coefficients (Re f even, Im f
+    odd in the node index) fourier_coeffs_from_samples(f) has c[m] =
+    Re X[m] - Im X[m] and c[-m] = Re X[m] + Im X[m]; Im X = 0 at m = 0, K/2."""
+    return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward")
 
 
 def laurent(pos, neg, z):

@@ -11,8 +11,11 @@ stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
 by one row FFT per chunk and transported back into the two blocks, with the
 bits of a column-by-column build.  A map whose boundary samples are
 conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
-every column: its rows are stored folded, Re g + Im g, in a real chunk of
-half the bytes and expanded by one real FFT, and its matrix is real.
+every column and a real matrix: its rows are stored folded, Re g + Im g,
+in a real chunk of half the bytes, and read from the half spectrum
+X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m], 0 <= m <= K/2.  The
+aliasing monitor takes |Re X[m]| + |Im X[m]|, max(|c_m|, |c_{-m}|) bit for
+bit: rounding is sign-symmetric, and rfft has Im X = 0 at m = 0 and K/2.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -32,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, check_holo_expansive
-from .numerics import circle_nodes, fourier_coeffs_from_samples, real_coeffs_from_samples
+from .numerics import circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
 # Aliasing monitor, per column: the tail is the largest |c_m| over the
-# quarter of indices with the largest |m| (array positions 3K/8..5K/8),
-# relative to the largest coefficient max|c|; it decays geometrically in K
+# quarter of indices with the largest |m|, 3K/8 <= |m| <= K/2, relative to
+# the largest coefficient max|c|; it decays geometrically in K
 # for an analytic column, and a large one signals aliasing.  A column is
 # resolved when its tail is below TAIL_TOL or below its own roundoff floor
 # (n+1) eps max|g| / max|c|: the samples g = (tau/r)^n or (R/tau)^n are
@@ -104,10 +107,10 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
-    unresolved = []
+    unresolved, buffer = [], np.empty((min(rows, len(powers)), K), dtype=out.dtype)
     for start in range(0, len(powers), rows):
         n = np.asarray(powers[start : start + rows])
-        chunk = np.empty((len(n), K), dtype=out.dtype)
+        chunk = buffer[: len(n)]
         for i, power in enumerate(n):
             if power:
                 np.multiply(g, step, out=g)
@@ -115,9 +118,17 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
                 np.add(g.real, g.imag, out=chunk[i])
             else:
                 chunk[i] = g
-        c = (real_coeffs_from_samples if real else fourier_coeffs_from_samples)(chunk, rho)
-        out[:, start : start + len(n)] = (c[:, index] * weight).T
-        mag = np.abs(c, out=c if real else None)  # c is spent after the transport
+        if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m], m = 0..K/2
+            x = half_spectrum_from_samples(chunk, rho)
+            re, im, plus, minus = x.real, x.imag, slice(nplus), slice(1, len(mminus) + 1)
+            c = np.concatenate([re[:, plus] - im[:, plus], re[:, minus] + im[:, minus]], axis=1)
+            out[:, start : start + len(n)] = (c * weight).T
+            v = np.abs(x.view(float), out=x.view(float))  # x is spent after the transport
+            mag = np.add(v[:, ::2], v[:, 1::2], out=v[:, ::2])  # max(|c[m]|, |c[-m]|)
+        else:
+            c = fourier_coeffs_from_samples(chunk, rho)
+            out[:, start : start + len(n)] = (c[:, index] * weight).T
+            mag = np.abs(c)
         scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
         tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
         bad = np.flatnonzero(tail > TAIL_TOL)
@@ -144,8 +155,10 @@ def assemble_dual(
     column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
     of the fixed tolerance and that column's roundoff floor; an explicit K
     with an unresolved tail above TAIL_REJECT raises instead.  Both errors
-    quote the tail and its floor.  The matrix is float64, built by real FFTs
-    of folded columns, iff both sample rows pass ``_conjugate_symmetric``.
+    quote the tail and its floor.  The matrix is float64 iff both sample
+    rows pass ``_conjugate_symmetric``; its columns are then read from the
+    half spectrum X = rfft(folded) / K, c_{+-m} = Re X[m] -+ Im X[m], and the
+    monitor from |Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|), bit for bit.
     """
     if nminus is None:
         nminus = nplus

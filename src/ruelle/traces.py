@@ -194,6 +194,8 @@ def det_from_traces(
     z = complex(z)
     if abs(z) > 0.5:
         raise ValueError(f"|z|={abs(z):.3g} outside the validity window |z| <= 0.5")
+    if nmax < 1:
+        raise ValueError(f"nmax={nmax} must be at least 1")
     if traces is None:
         traces = power_trace_table(m, annulus, nmax)
     if len(traces) < nmax:

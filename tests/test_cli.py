@@ -8,6 +8,7 @@ from ruelle.cli import main
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":false}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 SQUARING = '{"type":"triglift","d":2,"cos":[],"sin":[]}'
+MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 
 
 def _rows(path):
@@ -289,3 +290,37 @@ def test_option_of_wrong_shape_is_an_input_error(argv, named, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["trace", "--map", BSTAR, "--annulus", "a,b"], "--annulus expects r,R, got 'a,b'"),
+        (["det", "--map", BSTAR, "--zeta-scan", "0:1:x"], "--zeta-scan expects lo:hi:count"),
+        (["scan", "--grid", "0:1:2.5"], "--grid expects lo:hi:count, got '0:1:2.5'"),
+        (["julia", "--w", "0.5", "--size", "5x1.5", "--out", "x.pgm"], "--size expects WxH"),
+        (
+            ["julia", "--w", "0.5", "--viewport", "1,2,3,y", "--out", "x.pgm"],
+            "--viewport expects xmin,xmax,ymin,ymax",
+        ),
+        (["julia", "--w", "0.5,i", "--out", "x.pgm"], "--w expects re,im, got '0.5,i'"),
+        (["det", "--map", MOBIUS, "--z", "0.3j"], "--z expects re, got '0.3j'"),
+    ],
+    ids=["annulus", "zeta-scan", "grid", "size", "viewport", "w", "z"],
+)
+def test_option_of_wrong_kind_is_an_input_error(argv, named, capsys, tmp_path, monkeypatch):
+    # a part of the right count but the wrong kind names the option and its form
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_det_rejects_nmax_below_one(nmax, capsys):
+    assert main(["det", "--map", MOBIUS, "--z", "0.3", "--nmax", nmax]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"nmax={nmax} must be at least 1" in err

@@ -10,8 +10,8 @@ from ruelle.numerics import (
     circle_integral,
     circle_nodes,
     fourier_coeffs_from_samples,
+    half_spectrum_from_samples,
     laurent,
-    real_coeffs_from_samples,
 )
 
 
@@ -183,9 +183,15 @@ class TestStackedSamples:
             fourier_coeffs_from_samples(stack, 0.9)
 
 
+def _unfold(x):
+    """The full FFT-layout coefficients c[m] = Re X[m] - Im X[m],
+    c[-m] = Re X[m] + Im X[m] of a half spectrum X, m = 0..K/2."""
+    return np.concatenate([x.real - x.imag, (x.real + x.imag)[..., -2:0:-1]], axis=-1)
+
+
 class TestRealCoeffs:
-    """The real FFT of folded samples h = Re f + Im f gives the Fourier
-    coefficients of an f with real coefficients, in the same layout."""
+    """The real FFT of folded samples h = Re f + Im f gives, as a half
+    spectrum, the Fourier coefficients of an f with real coefficients."""
 
     @pytest.mark.parametrize("K", [8, 64, 1024])
     def test_recovers_real_laurent_polynomial(self, K):
@@ -196,32 +202,42 @@ class TestRealCoeffs:
         phase = np.exp(2j * np.pi * (np.outer(np.arange(K), degrees) % K) / K)
         f = phase @ coeffs
         radius = 0.8
-        c = real_coeffs_from_samples(f.real + f.imag, radius)
-        assert c.dtype == np.float64 and c.shape == (K,)
+        x = half_spectrum_from_samples(f.real + f.imag, radius)
+        assert x.dtype == np.complex128 and x.shape == (K // 2 + 1,)
+        assert x.imag[0] == 0 and x.imag[K // 2] == 0
+        c = _unfold(x)
         assert np.abs(c[degrees] - coeffs).max() < 1e-13
         assert np.abs(c[K // 2]) < 1e-13  # no z^{-K/2} term
         assert np.abs(c - fourier_coeffs_from_samples(f, radius)).max() < 1e-13
 
     def test_rows_match_one_dimensional_calls(self):
         stack = np.random.default_rng(4).standard_normal((5, 64))
-        c = real_coeffs_from_samples(stack, 0.9)
-        assert c.shape == stack.shape
+        x = half_spectrum_from_samples(stack, 0.9)
+        assert x.shape == (5, 33)
         for i, row in enumerate(stack):
-            assert np.array_equal(c[i], real_coeffs_from_samples(row, 0.9))
+            assert np.array_equal(x[i], half_spectrum_from_samples(row, 0.9))
 
     def test_rejects_bad_sample_counts(self):
         for K in (4, 12, 100):
             with pytest.raises(ValueError, match=f"sample count K={K} must be a power of two"):
-                real_coeffs_from_samples(np.ones(K), 1.0)
+                half_spectrum_from_samples(np.ones(K), 1.0)
 
     def test_non_finite_sample_quotes_its_angle(self):
         stack = np.random.default_rng(6).standard_normal((5, 64))
         stack[3, 5] = np.inf
         angle = 2 * np.pi * 5 / 64
         with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
-            real_coeffs_from_samples(stack, 0.9)
+            half_spectrum_from_samples(stack, 0.9)
         with pytest.raises(ValueError, match=f"non-finite sample .* at angle {angle:.8f}"):
             fourier_coeffs_from_samples(stack, 0.9)
+
+    def test_monitor_magnitude_is_the_larger_coefficient(self):
+        # |Re X[m]| + |Im X[m]| = max(|c[m]|, |c[-m]|) bit for bit, which
+        # lets the assembly monitor the half spectrum instead of c
+        x = half_spectrum_from_samples(np.random.default_rng(8).standard_normal((5, 64)), 0.9)
+        c, h = np.abs(_unfold(x)), 32
+        larger = np.maximum(c[:, : h + 1], np.concatenate([c[:, :1], c[:, : h - 1 : -1]], axis=1))
+        assert np.array_equal(np.abs(x.real) + np.abs(x.imag), larger)
 
 
 def _power_sum(pos, neg, z):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,22 @@ class TestAliasingMonitor:
         with pytest.raises(RuntimeError, match="roundoff floor .* exceeds .* request a larger K"):
             assemble_dual(near_pole, annulus, 32, K=256)
         assert assemble_dual(near_pole, annulus, 32).samples > 256
+
+    @pytest.mark.parametrize(
+        "m, tail, floor",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), "1.93e-06", "2.58e-14"),
+            (MobiusFamilyMap(0.6), "2.62e-06", "2.71e-14"),
+        ],
+        ids=["bstar", "mobius_0.6"],
+    )
+    def test_real_monitor_quotes_its_numbers(self, m, tail, floor, annulus):
+        # real maps take the half-spectrum monitor; it quotes the tail and
+        # floor of the full coefficient array to the last printed digit
+        assert assemble_dual(m, annulus, 32).matrix.dtype == np.float64
+        message = f"aliasing tail {tail} (roundoff floor {floor}) exceeds 1e-09 at K=256"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            assemble_dual(m, annulus, 32, K=256)
 
 
 def _column_by_column(m, annulus, N, K, real=True):

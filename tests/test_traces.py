@@ -218,6 +218,12 @@ class TestDetRoutes:
     def test_trace_route_at_zero(self, bstar, annulus):
         assert det_from_traces(bstar, annulus, 0.0, nmax=4).value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("nmax", [0, -3])
+    def test_trace_route_needs_a_term(self, bstar, annulus, nmax):
+        # an empty trace series would return det = 1 with a negative tail
+        with pytest.raises(ValueError, match=f"nmax={nmax} must be at least 1"):
+            det_from_traces(bstar, annulus, 0.3, nmax=nmax, traces=[1.0])
+
     def test_trivial_map_det(self, squaring, annulus):
         # spectrum {1}: det = 1 - z
         res = det_from_traces(squaring, annulus, 0.25, nmax=24)
