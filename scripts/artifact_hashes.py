@@ -23,14 +23,9 @@ rather than on last bits, and were the same at 1 and 2 BLAS threads on the
 host above.  Exits 1 if a command writes no artifact or exits with another
 code.
 
-With --compare FILE, a listing saved earlier by this script on the same
-machine, it also exits 1 if any artifact's line differs from the one in FILE
-or is missing from either side, and names each such artifact on stderr.
-
-Usage: PYTHONPATH=src python scripts/artifact_hashes.py [--compare FILE]
+Usage: PYTHONPATH=src python scripts/artifact_hashes.py
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -95,9 +90,8 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run() -> tuple:
-    """(failed, {artifact name: its printed line})."""
-    failed, home, lines = 0, os.getcwd(), {}
+def run() -> int:
+    failed, home = 0, os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, argv in ARTIFACTS.items():
@@ -109,31 +103,13 @@ def run() -> tuple:
                 failed = 1
             for path in (name, *EXTRA_FILES.get(name, ())):
                 if not os.path.exists(path):
-                    lines[path] = f"{path} missing {code}"
+                    print(f"{path} missing {code}")
                     failed = 1
                 else:
-                    lines[path] = f"{path} {sha256(path)} {code}"
-                print(lines[path], flush=True)
+                    print(f"{path} {sha256(path)} {code}", flush=True)
         os.chdir(home)
-    return failed, lines
-
-
-def compare(lines: dict, listing: str) -> int:
-    """1 if any artifact's line differs from, or is absent in, the saved
-    listing (or the listing has an artifact this run lacks), else 0."""
-    with open(listing) as fh:
-        saved = {line.split()[0]: line.strip() for line in fh if line.strip()}
-    differ = [name for name in {**saved, **lines} if saved.get(name) != lines.get(name)]
-    for name in differ:
-        print(f"differs from {listing}: {name}", file=sys.stderr)
-    same = sum(saved.get(name) == line for name, line in lines.items())
-    print(f"{same} of {len(lines)} lines identical to {listing}", file=sys.stderr)
-    return int(bool(differ))
+    return failed
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", metavar="FILE", help="listing saved by an earlier run")
-    args = parser.parse_args()
-    failed, lines = run()
-    sys.exit(max(failed, compare(lines, args.compare)) if args.compare else failed)
+    sys.exit(run())

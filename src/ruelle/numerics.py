@@ -25,7 +25,9 @@ def circle_nodes(radius: float, K: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)  # the assembly and its expansivity check reuse a few K
 def _roots_of_unity(K: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(K) / K)
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    roots.flags.writeable = False  # one array per K for every caller
+    return roots
 
 
 def _check_finite(values: np.ndarray, radius: float):
@@ -58,9 +60,8 @@ def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
 
 def half_spectrum_from_samples(folded, radius: float) -> np.ndarray:
     """X = rfft(h) / K, m = 0..K/2, of folded samples h = Re f + Im f at
-    circle_nodes(radius, K).  For f with real coefficients (Re f even, Im f
-    odd in the node index) fourier_coeffs_from_samples(f) has c[m] =
-    Re X[m] - Im X[m] and c[-m] = Re X[m] + Im X[m]; Im X = 0 at m = 0, K/2."""
+    circle_nodes(radius, K): for f with real coefficients (Re f even, Im f odd
+    in the node index), c[+-m] = Re X[m] -+ Im X[m] in fourier_coeffs_from_samples."""
     return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward")
 
 

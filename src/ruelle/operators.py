@@ -13,9 +13,9 @@ bits of a column-by-column build.  A map whose boundary samples are
 conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
 every column and a real matrix: its rows are stored folded, Re g + Im g,
 in a real chunk of half the bytes, and read from the half spectrum
-X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m], 0 <= m <= K/2.  The
-aliasing monitor takes |Re X[m]| + |Im X[m]|, max(|c_m|, |c_{-m}|) bit for
-bit: rounding is sign-symmetric, and rfft has Im X = 0 at m = 0 and K/2.
+X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m], 0 <= m <= K/2, with
+|Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|) bit for bit as the aliasing
+monitor's magnitude (rounding is sign-symmetric; Im X = 0 at m = 0, K/2).
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -122,13 +122,13 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
             x = half_spectrum_from_samples(chunk, rho)
             re, im, plus, minus = x.real, x.imag, slice(nplus), slice(1, len(mminus) + 1)
             c = np.concatenate([re[:, plus] - im[:, plus], re[:, minus] + im[:, minus]], axis=1)
-            out[:, start : start + len(n)] = (c * weight).T
-            v = np.abs(x.view(float), out=x.view(float))  # x is spent after the transport
-            mag = np.add(v[:, ::2], v[:, 1::2], out=v[:, ::2])  # max(|c[m]|, |c[-m]|)
         else:
-            c = fourier_coeffs_from_samples(chunk, rho)
-            out[:, start : start + len(n)] = (c[:, index] * weight).T
-            mag = np.abs(c)
+            x = fourier_coeffs_from_samples(chunk, rho)
+            c = x[:, index]
+        out[:, start : start + len(n)] = np.multiply(c, weight, out=c).T
+        del c  # freed before the magnitudes are allocated: fewer page faults
+        v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
+        mag = np.add(v[:, ::2], v[:, 1::2], out=v[:, ::2]) if real else v  # max(|c[m]|, |c[-m]|)
         scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
         tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
         bad = np.flatnonzero(tail > TAIL_TOL)
@@ -155,10 +155,9 @@ def assemble_dual(
     column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
     of the fixed tolerance and that column's roundoff floor; an explicit K
     with an unresolved tail above TAIL_REJECT raises instead.  Both errors
-    quote the tail and its floor.  The matrix is float64 iff both sample
-    rows pass ``_conjugate_symmetric``; its columns are then read from the
-    half spectrum X = rfft(folded) / K, c_{+-m} = Re X[m] -+ Im X[m], and the
-    monitor from |Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|), bit for bit.
+    quote the tail and its floor.  The matrix is float64, read from the half
+    spectrum of real FFTs of folded columns, iff both sample rows pass
+    ``_conjugate_symmetric``.
     """
     if nminus is None:
         nminus = nplus

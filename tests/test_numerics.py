@@ -96,6 +96,15 @@ def test_rejects_non_finite_sample():
         circle_integral(lambda z: 1.0 / (z - 1.0), 1.0, 16)
 
 
+def test_nodes_are_a_fresh_array_per_call():
+    # the roots of unity behind circle_nodes are shared per K: a caller's
+    # write into its nodes must not reach the next caller
+    z = circle_nodes(1.0, 64)
+    z[:] = 0.0
+    assert circle_nodes(1.0, 64)[0] == 1.0
+    assert np.array_equal(circle_nodes(0.8, 64), 0.8 * np.exp(2j * np.pi * np.arange(64) / 64))
+
+
 def test_residue_at_origin():
     assert circle_integral(lambda z: 1.0 / z, 1.0, 64) == pytest.approx(1.0, abs=1e-14)
 
