@@ -8,6 +8,8 @@ exit codes: 0 success, 1 usage or input error, 2 numerical warning.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import warnings
@@ -115,14 +117,22 @@ def _spectrum_summary(spec):
     return second, beta, order_estimate(spec)
 
 
-def cmd_spectrum(args) -> int:
-    m, ann, config = _map_and_annulus(args)
-    code = 0
+@contextlib.contextmanager
+def _numerical_warnings():
+    """Record the warnings of the block whatever the filters say, and print
+    each on stderr; the yielded list is non-empty (exit 2) if any came."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        yield caught
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+
+
+def cmd_spectrum(args) -> int:
+    m, ann, config = _map_and_annulus(args)
+    with _numerical_warnings() as caught:
         spec = converged_spectrum(m, ann, tol=args.tol, max_order=args.N)
-        if caught:
-            code = 2
+    code = 2 if caught else 0
     lead = spec.eigenvalues[0]
     second, beta, rho = _spectrum_summary(spec)
     if args.format == "json":
@@ -167,6 +177,13 @@ def cmd_trace(args) -> int:
 
 
 def cmd_det(args) -> int:
+    with _numerical_warnings() as caught:
+        text = _det_artifact(args)
+    _emit(text, args.out)
+    return 2 if caught else 0
+
+
+def _det_artifact(args) -> str:
     m, ann, config = _map_and_annulus(args)
     info = closed_form_multiplier(m)
 
@@ -176,12 +193,12 @@ def cmd_det(args) -> int:
             vals = log_abs_det_product(info[0], info[1], grid)
         else:
             spec = converged_spectrum(m, ann)
-            vals = [np.log(abs(det_from_spectrum(spec, complex(zeta)).value)) for zeta in grid]
+            with np.errstate(divide="ignore"):  # log 0 = -inf at an exact zero
+                vals = [np.log(abs(det_from_spectrum(spec, complex(z)).value)) for z in grid]
         lines = ["# config: " + json.dumps(config), "zeta_re,zeta_im,logabsZ"]
         for zeta, val in zip(grid, vals):
             lines.append(f"{zeta:.16g},0,{float(val):.16g}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return "\n".join(lines) + "\n"
 
     if args.z is None:
         raise ValueError("need --z (or --zeta-scan) for the det command")
@@ -196,8 +213,7 @@ def cmd_det(args) -> int:
     doc = {"config": config}
     for name, res in routes.items():
         doc[name] = {"value": [res.value.real, res.value.imag], "tail": res.tail}
-    _emit(json.dumps(doc, indent=1) + "\n", args.out)
-    return 0
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def _scan_members(args):
@@ -286,7 +302,10 @@ def cmd_homotopy_check(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, an error exit included."""
     top = argparse.ArgumentParser(prog="ruelle", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -241,13 +241,18 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
 
 
 def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:
-    """log|1 - e^s| elementwise, stable for large positive Re s."""
+    """log|1 - e^s| elementwise, stable for large positive Re s; -inf, without
+    a warning, where e^s = 1 exactly (a zero of the determinant)."""
     s = np.asarray(s, dtype=complex)
     out = np.empty(s.shape, dtype=float)
     big = s.real > 1.0
-    out[big] = s.real[big] + np.log(np.abs(1 - np.exp(-s[big])))
-    out[~big] = np.log(np.abs(1 - np.exp(s[~big])))
+    with np.errstate(divide="ignore"):
+        out[big] = s.real[big] + np.log(np.abs(1 - np.exp(-s[big])))
+        out[~big] = np.log(np.abs(1 - np.exp(s[~big])))
     return out
+
+
+BLOCK_VALUES = 1 << 17  # arguments per log|1 - e^s| pass of log_abs_det_product, 2 MB
 
 
 def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
@@ -257,19 +262,30 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
 
     A scalar zeta gives a scalar, an array one value per entry.  An array runs
     to the cutoff of its largest Re zeta; the extra terms of other entries are
-    log|1 - e^s| with Re s < -45, exactly 0.0, as if each ran alone."""
+    log|1 - e^s| with Re s < -45, exactly 0.0, as if each ran alone.  The
+    shifted arguments of the factors, one row per (k, base, sign), are taken
+    through log|1 - e^s| in blocks of about BLOCK_VALUES values, and the rows
+    are added in that order, as a loop over the factors would add them."""
     families = _families(mu, anti)
     scalar = np.ndim(zeta) == 0
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    total = _log_abs_1m_exp(zeta)
+    flat = zeta.reshape(-1)
+    total = _log_abs_1m_exp(flat)
     if mu != 0:
         logs = [(np.log(b), signs) for b, signs in families]
         kcut = int((zeta.real.max() + 45) / -math.log(abs(mu))) + 2
-        for k in range(1, kcut + 1):
-            for log_b, signs in logs:
-                for c in signs:
-                    total += _log_abs_1m_exp(zeta + k * log_b + 1j * math.pi * (c < 0))
-    return total[0] if scalar else total
+        shifts = [
+            (k * log_b, 1j * math.pi * (c < 0))
+            for k in range(1, kcut + 1)
+            for log_b, signs in logs
+            for c in signs
+        ]
+        rows = max(1, BLOCK_VALUES // flat.size)
+        for start in range(0, len(shifts), rows):
+            step, turn = np.array(shifts[start : start + rows]).T
+            for term in _log_abs_1m_exp((flat + step[:, None]) + turn[:, None]):
+                total += term
+    return total[0] if scalar else total.reshape(zeta.shape)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ruelle.cli import main
+import ruelle
+from ruelle.cli import _build_parser, main
 
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":false}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 SQUARING = '{"type":"triglift","d":2,"cos":[],"sin":[]}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
+TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
 
 
 def _rows(path):
@@ -155,6 +161,34 @@ class TestDetZetaScan:
     def test_needs_z_or_scan(self):
         assert main(["det", "--map", BSTAR, "--annulus", "0.8,1.25"]) == 1
 
+    @pytest.mark.parametrize("descriptor", [BSTAR, TRIG], ids=["closed-form", "spectrum"])
+    def test_exact_zero_is_minus_inf_under_warnings_as_errors(self, descriptor):
+        # det(I - L) = 0 (the eigenvalue 1); log 0 must not warn on either route
+        env = dict(os.environ, PYTHONPATH=str(Path(ruelle.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ruelle.cli", "det",
+             "--map", descriptor, "--zeta-scan", "0:1:2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[2] == "0,0,-inf"
+
+
+@pytest.mark.parametrize(
+    "option", [["--zeta-scan", "0.5:1:2"], ["--z", "0.6"]], ids=["zeta-scan", "z"]
+)
+def test_det_numerical_warning_exits_2(option, tmp_path, capsys):
+    # TrigLift on (0.8, 1.25) converges 7 of 10 eigenvalues: the artifact is
+    # still written, the warnings printed and the exit code says so
+    out = tmp_path / "det.out"
+    code = main(["det", "--map", TRIG, "--annulus", "0.8,1.25", *option, "--out", str(out)])
+    assert code == 2
+    assert out.read_text().startswith(("# config:", "{"))
+    err = capsys.readouterr().err
+    assert "warning: spectrum not converged" in err
+    assert "exceeds 1e-6 of |value|" in err
+
 
 class TestScan:
     def test_mobius_grid(self, tmp_path):
@@ -234,6 +268,35 @@ class TestHomotopyCheck:
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_parser_is_reusable_after_an_error_exit(tmp_path, capsys):
+    argv = ["det", "--map", ANTI, "--zeta-scan", "0.25:30.25:16"]
+    assert main(["det", "--map", ANTI, "--zeta-scan"]) == 1  # argparse's own exit
+    assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
+    _build_parser.cache_clear()
+    assert main([*argv, "--out", str(tmp_path / "fresh.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--map", BSTAR, "--annulus", "0.8,1.25", "--tol", "-1"],
+        ["spectrum", "--map", BSTAR, "--annulus", "0.8,1.25", "--tol", "0"],
+        ["scan", "--grid", "0:1:2", "--annulus", "0.8,1.25", "--tol", "nan"],
+    ],
+    ids=["spectrum-negative", "spectrum-zero", "scan-nan"],
+)
+def test_non_positive_tol_is_an_input_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol must be positive" in err
 
 
 @pytest.mark.parametrize(

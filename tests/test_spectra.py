@@ -250,6 +250,12 @@ class TestConverged:
             converged_spectrum(wavy, thin, tol=1e-15, max_order=64, want=64)
 
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tol(self, bstar, annulus, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            converged_spectrum(bstar, annulus, tol=tol)
+
+
 class TestCounting:
     def test_bstar_at_point_two(self, bstar, annulus):
         spec = converged_spectrum(bstar, annulus)

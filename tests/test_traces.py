@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from helpers import (
     jensen_count_check,
     residue_sum,
 )
+from ruelle import traces
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import BlaschkeProduct, MobiusFamilyMap, TrigLift
 from ruelle.spectra import converged_spectrum
@@ -348,6 +351,33 @@ class TestLogAbsDetOnAGrid:
             got = log_abs_det_product(mu, anti, grid)
             want = np.array([log_abs_det_product(mu, anti, zeta) for zeta in grid])
             assert got.tobytes() == want.tobytes()
+
+    def test_blocks_do_not_change_a_bit(self, monkeypatch):
+        # however the factor rows are grouped into blocks, the sum has the
+        # same bits
+        grid = np.linspace(-3, 40, 17).astype(complex)
+        want = log_abs_det_product(-0.5, True, grid)
+        for values in (1, 17, 40):
+            monkeypatch.setattr(traces, "BLOCK_VALUES", values)
+            assert log_abs_det_product(-0.5, True, grid).tobytes() == want.tobytes()
+
+    def test_large_grid_memory_is_bounded_by_the_block(self):
+        # 10^5 points and mu = -0.2 take 2 x 36 factor rows of 1.6 MB each:
+        # forming them all at once would take about 115 MB
+        grid = np.linspace(0, 10, 10**5)
+        tracemalloc.start()
+        try:
+            log_abs_det_product(-0.2, False, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_exact_zero_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_abs_det_product(-0.5, False, 0.0) == -np.inf
+            assert log_abs_det_product(0.5, True, np.array([0.0, 1.0]))[0] == -np.inf
 
     def test_shape_follows_zeta(self):
         # a scalar gives a scalar; an array, a length-1 one included, keeps
