@@ -249,7 +249,6 @@ class TestConverged:
         with pytest.warns(RuntimeWarning, match="not converged"):
             converged_spectrum(wavy, thin, tol=1e-15, max_order=64, want=64)
 
-
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_tol(self, bstar, annulus, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
