@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark a change against its parent and write the result as BENCH_*.json.
 
-For each workload, `perfbench/run.py` runs untraced in the parent tree and
-in the change tree by turns: the parent first in even pairs and the change
+For each workload, BENCHMARK.json's `command` (`python3 perfbench/run.py`,
+found through PATH as the benchmark gate finds it) runs untraced in the
+parent tree and in the change tree by turns: the parent first in even pairs and the change
 first in odd ones, so that drift of the host's speed falls on both sides
 alike.  Then each tree runs the workload once traced.  The last line of a
 run's output is its result line; the file keeps every result line and, for
@@ -39,8 +40,9 @@ SEED = 1
 TRACE_SEED = 7
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def run_bench(command: list, tree: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -94,8 +96,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent, "change": args.change}
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
+    command = benchmark["command"]
     doc = {
-        "seconds": seconds, "seed": SEED, "trace_seed": TRACE_SEED,
+        "command": command, "seconds": seconds, "seed": SEED, "trace_seed": TRACE_SEED,
         "sources": {s: source(t) for s, t in trees.items()},
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
@@ -109,14 +112,14 @@ def main(argv=None) -> int:
         entry = doc["workloads"][workload] = {"runs": [], "summary": {}, "traced": {}}
         for pair in range(PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_bench(trees[side], workload, SEED, seconds, 0)
+                result = run_bench(command, trees[side], workload, SEED, seconds, 0)
                 entry["runs"].append({"pair": pair, "side": side, "result": result})
                 entry["summary"] = summarise(entry["runs"], end_to_end)
                 save()
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} pair {pair} {side}: ops_per_s {ops:.4g}", flush=True)
         for side in SIDES:
-            result = run_bench(trees[side], workload, TRACE_SEED, seconds, 1)
+            result = run_bench(command, trees[side], workload, TRACE_SEED, seconds, 1)
             entry["traced"][side] = {k: v["value"] for k, v in result["metrics"].items()}
             save()
             print(f"{workload} traced {side}", flush=True)

@@ -21,7 +21,7 @@ from .lifts import build_homotopy, find_expansive_annulus
 from .maps import Annulus, MobiusFamilyMap, from_descriptor, min_expansion, to_descriptor
 from .numerics import circle_nodes
 from .operators import assemble_dual
-from .spectra import converged_spectrum, decay_fit, order_estimate
+from .spectra import converged_spectrum, decay_fit
 from .traces import (
     closed_form_multiplier,
     det_from_spectrum,
@@ -112,9 +112,9 @@ def _spectrum_summary(spec):
     second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
     try:
         beta = decay_fit(spec).beta
-    except ValueError:
-        beta = None
-    return second, beta, order_estimate(spec)
+    except ValueError:  # too few usable eigenvalues: order exactly 1 (see order_estimate)
+        return second, None, 1.0
+    return second, beta, 1.0 + 1.0 / beta
 
 
 @contextlib.contextmanager
@@ -241,8 +241,7 @@ def _scan_members(args):
 def cmd_scan(args) -> int:
     rows = []
     in_band = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with _numerical_warnings() as caught:
         members = sorted(_scan_members(args), key=lambda t: t[0])
         for w, m, ann in members:
             spec = converged_spectrum(m, ann, tol=args.tol)
@@ -260,7 +259,7 @@ def cmd_scan(args) -> int:
     frac = in_band / len(rows)
     body += f"# fraction with rho_hat in [1.8, 2.2]: {frac:.3f}\n"
     _emit(body, args.out)
-    return 0
+    return 2 if caught else 0
 
 
 def cmd_julia(args) -> int:
@@ -286,7 +285,8 @@ def cmd_homotopy_check(args) -> int:
     t0 = fam.member(0.0).eval(pts)
     sup_dist = float(np.max(np.abs(t0 - fam.member(fam.eta).eval(pts))))
     # T(w, z) = z^d exp((1-w) Q_0 + w Q_1), so |dT/dw| = |T| |Q_1 - Q_0|
-    dT_dw = np.abs(t0) * np.abs(fam.lift1.exponent(pts)[0] - fam.lift0.exponent(pts)[0])
+    q1, q0 = (lift.exponent(pts, derivative=False) for lift in (fam.lift1, fam.lift0))
+    dT_dw = np.abs(t0) * np.abs(q1 - q0)
     bound = fam.eta * float(dT_dw.max())
     doc = {
         "config": _config_dict(args, map0=to_descriptor(map0), map1=to_descriptor(map1)),

@@ -51,19 +51,21 @@ class LiftSeries:
     gs: np.ndarray
     strip: float
 
-    def exponent(self, z):
-        """(Q(z), Q'(z)) at the points z."""
+    def exponent(self, z, derivative=True):
+        """(Q(z), Q'(z)) at the points z; Q(z) alone with derivative=False."""
         top = int(np.abs(self.ns).max(initial=0))
         c = np.zeros(2 * top + 1, dtype=complex)  # c_n at position n + top
         c[self.ns + top] = self.gs / self.ns
-        P, Pprime = laurent(c[top + 1 :], c[:top][::-1], z)
-        return 1j * self.alpha + P - c.sum(), Pprime
+        P = laurent(c[top + 1 :], c[:top][::-1], z, derivative)
+        if not derivative:
+            return 1j * self.alpha + P - c.sum()
+        return 1j * self.alpha + P[0] - c.sum(), P[1]
 
     def eval(self, theta):
         th = np.asarray(theta, dtype=complex)
         if th.size and np.max(np.abs(th.imag)) > self.strip + 1e-12:
             raise ValueError(f"Im theta exceeds certified strip half-width {self.strip:g}")
-        out = self.d * th - 1j * self.exponent(np.exp(1j * th))[0]
+        out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
         return complex(out) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
@@ -185,16 +187,18 @@ class HomotopyMember(_MapBase):
     def degree(self) -> int:
         return self.family.d
 
-    def _exponent(self, z):
-        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, on the certified annulus
+    def _exponent(self, z, derivative=True):
+        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, or Q_w alone, on the certified annulus
         fam, mods = self.family, np.abs(z)
         if np.any(mods < fam.r0 * (1 - 1e-10)) or np.any(mods > fam.R0 * (1 + 1e-10)):
             raise ValueError(f"z outside certified annulus ({fam.r0:g}, {fam.R0:g})")
-        (q0, dq0), (q1, dq1) = fam.lift0.exponent(z), fam.lift1.exponent(z)
-        return (1 - self.w) * q0 + self.w * q1, (1 - self.w) * dq0 + self.w * dq1
+        q0, q1 = fam.lift0.exponent(z, derivative), fam.lift1.exponent(z, derivative)
+        if derivative:
+            return tuple((1 - self.w) * a + self.w * b for a, b in zip(q0, q1))
+        return (1 - self.w) * q0 + self.w * q1
 
     def _eval(self, z):
-        return z**self.family.d * np.exp(self._exponent(z)[0])
+        return z**self.family.d * np.exp(self._exponent(z, derivative=False))
 
     def _deriv(self, z):
         Q, Qprime = self._exponent(z)

@@ -167,7 +167,7 @@ class TrigLift(_MapBase):
         return self.d
 
     def _eval(self, z):
-        return z**self.d * np.exp(laurent(*self._laurent_coeffs, z)[0])
+        return z**self.d * np.exp(laurent(*self._laurent_coeffs, z, derivative=False))
 
     def _deriv(self, z):
         Q, Qprime = laurent(*self._laurent_coeffs, z)

@@ -65,29 +65,32 @@ def half_spectrum_from_samples(folded, radius: float) -> np.ndarray:
     return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward")
 
 
-def laurent(pos, neg, z):
+def laurent(pos, neg, z, derivative=True):
     """(P(z), P'(z)) for P(z) = sum_k pos[k-1] z^k + neg[k-1] z^-k, k >= 1,
     by Horner's rule in z and in w = 1/z (formed only when neg is nonempty,
-    so that P without negative powers evaluates at z = 0)."""
+    so that P without negative powers evaluates at z = 0).  With
+    derivative=False, P(z) alone, by the same operations."""
     z = np.asarray(z, dtype=complex)
-    value, slope = _horner(pos, z)
+    value, slope = _horner(pos, z, derivative)
     if len(neg):
         w = z**-1
-        nv, ns = _horner(neg, w)
+        nv, ns = _horner(neg, w, derivative)
         value += nv
-        slope -= ns * (w * w)
-    return value, slope
+        if derivative:
+            slope -= ns * (w * w)
+    return (value, slope) if derivative else value
 
 
-def _horner(coeffs, x):
-    # sum_k coeffs[k-1] x^k and its x-derivative, in place from the top coefficient
+def _horner(coeffs, x, derivative):
+    # sum_k coeffs[k-1] x^k and (or None) its x-derivative, in place from the top coefficient
     if not len(coeffs):
-        return np.zeros_like(x), np.zeros_like(x)
-    value, slope = coeffs[-1] * x, np.full_like(x, coeffs[-1])
+        return np.zeros_like(x), np.zeros_like(x) if derivative else None
+    value, slope = coeffs[-1] * x, np.full_like(x, coeffs[-1]) if derivative else None
     for c in coeffs[-2::-1]:
         value += c
-        slope *= x
-        slope += value
+        if derivative:
+            slope *= x
+            slope += value
         value *= x
     return value, slope
 

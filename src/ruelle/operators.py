@@ -155,7 +155,9 @@ def assemble_dual(
     column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
     of the fixed tolerance and that column's roundoff floor; an explicit K
     with an unresolved tail above TAIL_REJECT raises instead.  Both errors
-    quote the tail and its floor.  The matrix is float64, read from the half
+    quote the worst tail of both blocks and its floor.  An automatic pass
+    below the cap whose plus block is unresolved is discarded without
+    building its minus block.  The matrix is float64, read from the half
     spectrum of real FFTs of folded columns, iff both sample rows pass
     ``_conjugate_symmetric``.
     """
@@ -183,25 +185,28 @@ def assemble_dual(
         tm = m.eval(circle_nodes(rho_minus, k))
         real = all(_conjugate_symmetric(v) for v in (tp, tm))
         cols = np.empty((nplus + nminus, nplus + nminus), dtype=float if real else complex)
+        retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped
         unresolved = _assemble_block(cols[:, :nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
-        unresolved += _assemble_block(
-            cols[:, nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
-        )
+        if not (retry and unresolved):
+            unresolved += _assemble_block(
+                cols[:, nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+            )
         if not unresolved:
             break
+        if retry:
+            k *= 2
+            continue
         tail, floor = max(unresolved)
-        if not auto:
-            if tail > TAIL_REJECT:
-                raise RuntimeError(
-                    f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) exceeds "
-                    f"{TAIL_REJECT:g} at K={k}; request a larger K"
-                )
-            break
-        if k >= 1 << 16:
+        if auto:
             raise RuntimeError(
                 f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) unresolved at K={k}"
             )
-        k *= 2
+        if tail > TAIL_REJECT:
+            raise RuntimeError(
+                f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) exceeds "
+                f"{TAIL_REJECT:g} at K={k}; request a larger K"
+            )
+        break
 
     mag = np.abs(cols)
     cols[mag < SNAP_TOL * mag.max()] = 0.0

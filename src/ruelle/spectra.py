@@ -22,6 +22,9 @@ __all__ = [
 ]
 
 
+MATCH_ROWS = 32  # rows of the distance table that _leading_match forms at once
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted by decreasing modulus (ties by increasing argument
@@ -110,18 +113,20 @@ def eigenvalues(T: TruncatedOperator) -> Spectrum:
 
 def _leading_match(primary: np.ndarray, other: np.ndarray, tol: float) -> int:
     """Length of the leading run of ``primary`` matched greedily (by nearest
-    unused value) within tol in ``other``."""
+    unused value) within tol in ``other``.  The distances are formed for
+    MATCH_ROWS values of ``primary`` at a time, with used values masked by inf."""
+    lams = primary[: len(other)]
     used = np.zeros(len(other), dtype=bool)
-    count = 0
-    for lam in primary[: len(other)]:
-        dist = np.abs(other - lam)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > tol:
-            break
-        used[j] = True
-        count += 1
-    return count
+    for start in range(0, len(lams), MATCH_ROWS):
+        dist = np.abs(other - lams[start : start + MATCH_ROWS, None])
+        dist[:, used] = np.inf
+        for i, row in enumerate(dist):
+            j = int(np.argmin(row))
+            if row[j] > tol:
+                return start + i
+            used[j] = True
+            dist[i + 1 :, j] = np.inf
+    return len(lams)
 
 
 def converged_spectrum(

@@ -102,6 +102,22 @@ def match_multiset(expected, computed, tol, slack=0):
     return worst
 
 
+def leading_match_loop(primary, other, tol) -> int:
+    """The greedy leading match of ``spectra._leading_match`` one value at a
+    time, with one distance vector per value of ``primary``: its reference."""
+    used = np.zeros(len(other), dtype=bool)
+    count = 0
+    for lam in primary[: len(other)]:
+        dist = np.abs(other - lam)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] > tol:
+            break
+        used[j] = True
+        count += 1
+    return count
+
+
 def residue_sum(poles_and_residues, radius):
     """Reference oracle: sum of residues strictly inside |z| = radius."""
     return sum(res for pole, res in poles_and_residues if abs(pole) < radius)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ruelle
-from ruelle.cli import _build_parser, main
+from ruelle.cli import _build_parser, _spectrum_summary, main
+from ruelle.spectra import Spectrum, order_estimate
 
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":false}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
@@ -190,6 +191,19 @@ def test_det_numerical_warning_exits_2(option, tmp_path, capsys):
     assert "exceeds 1e-6 of |value|" in err
 
 
+@pytest.mark.parametrize(
+    "moduli",
+    [np.exp(-0.3 * np.arange(1, 40) ** 0.7), 0.5 ** np.arange(1, 20), [0.5, 0.25, 0.125], []],
+    ids=["stretched", "geometric", "three", "none"],
+)
+def test_summary_order_is_order_estimate(moduli):
+    # rho_hat comes from the one decay fit, or is 1 where that fit is refused
+    spec = Spectrum(np.array([1.0, *moduli], dtype=complex), (0, 0, 0), None, 1e-9)
+    second, beta, rho = _spectrum_summary(spec)
+    assert rho == order_estimate(spec)
+    assert (beta is None) == (len(moduli) < 6)
+
+
 class TestScan:
     def test_mobius_grid(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -226,6 +240,20 @@ class TestScan:
         assert float(data[-1][1]) == pytest.approx(0.5, abs=1e-7)  # B* endpoint
         for row in data:
             assert float(row[5]) > 1.0           # expanding on the whole grid
+
+
+    def test_numerical_warning_exits_2(self, tmp_path, capsys):
+        # the TrigLift end of the homotopy from B* converges 7 of 10
+        # eigenvalues on (0.8, 1.25): the scan still writes every row, prints
+        # the warning and exits 2
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--family", "homotopy", "--map0", BSTAR, "--map1", TRIG,
+                     "--grid", "0:1:4", "--annulus", "0.8,1.25", "--out", str(out)])
+        assert code == 2
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 + 4 + 1
+        assert lines[-2].split(",")[4] == "7"
+        assert "warning: spectrum not converged" in capsys.readouterr().err
 
 
 class TestJulia:

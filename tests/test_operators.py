@@ -13,6 +13,8 @@ from helpers import (
     pairing,
     transfer_apply_rational,
 )
+from ruelle import operators
+from ruelle.lifts import build_homotopy
 from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
 from ruelle.operators import SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
@@ -141,6 +143,79 @@ class TestAliasingMonitor:
         message = f"aliasing tail {tail} (roundoff floor {floor}) exceeds 1e-09 at K=256"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             assemble_dual(m, annulus, 32, K=256)
+
+
+# z (z - 0.999)/(1 - 0.999 z) on a thin annulus: its zero and pole sit next
+# to the boundary circles, so its columns stay unresolved up to K = 65536
+NEAR_CIRCLE = BlaschkeProduct(1.0, (0.0, 0.999))
+THIN = Annulus(1 / 1.0005, 1.0005)
+
+
+def _homotopy_member():
+    # plus block resolved and minus block unresolved at its first K (512, N = 64)
+    fam = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
+    return fam.member(0.25), fam.annulus()
+
+
+class TestDiscardedPasses:
+    """An automatic pass below the cap whose plus block is unresolved skips
+    its minus block; every kept matrix and every error text is unchanged."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log, block = [], operators._assemble_block
+
+        def logged(out, step, powers, *args):
+            log.append((len(step), "plus" if powers.start == 0 else "minus"))
+            return block(out, step, powers, *args)
+
+        monkeypatch.setattr(operators, "_assemble_block", logged)
+        return log
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 32),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 64),
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), 32),
+            (MobiusFamilyMap(0.6), Annulus(0.8, 1.25), 32),
+            (FLOOR_STAR, Annulus(0.8, 1.25), 32),
+            (TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32),
+            (NEAR_CIRCLE, THIN, 4),  # resolves in the cap pass
+            _homotopy_member() + (64,),
+        ],
+        ids=["bstar-32", "bstar-64", "anti-32", "mobius_0.6", "floor", "triglift", "cap", "member"],
+    )
+    def test_escalated_matrix_is_the_explicit_K_matrix(self, case):
+        m, annulus, N = case
+        T = assemble_dual(m, annulus, N)
+        assert T.samples > max(256, 8 * N)  # it escalated
+        explicit = assemble_dual(m, annulus, N, K=T.samples)
+        assert T.matrix.dtype == explicit.matrix.dtype
+        assert T.matrix.tobytes() == explicit.matrix.tobytes()
+
+    def test_discarded_pass_builds_its_plus_block_only(self, calls, bstar, annulus):
+        assemble_dual(bstar, annulus, 32)
+        assert calls == [(256, "plus"), (512, "plus"), (512, "minus")]
+
+    def test_unresolved_minus_block_alone_is_found(self, calls):
+        m, annulus = _homotopy_member()
+        assert assemble_dual(m, annulus, 64).samples == 1024
+        assert calls == [(512, "plus"), (512, "minus"), (1024, "plus"), (1024, "minus")]
+
+    def test_cap_quotes_the_worst_tail_of_both_blocks(self, calls):
+        # the plus block's worst tail at the cap is 1.44e-12, the minus block's 7.03e-12
+        message = "aliasing tail 7.03e-12 (roundoff floor 2.01e-15) unresolved at K=65536"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            assemble_dual(NEAR_CIRCLE, THIN, 8)
+        assert calls == [(1 << k, "plus") for k in range(8, 17)] + [(65536, "minus")]
+
+    def test_explicit_K_quotes_the_worst_tail_of_both_blocks(self, calls):
+        # the plus block's worst tail at K = 1024 is 0.00144
+        message = "aliasing tail 0.00154 (roundoff floor 2.02e-15) exceeds 1e-09 at K=1024"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            assemble_dual(NEAR_CIRCLE, THIN, 8, K=1024)
+        assert calls == [(1024, "plus"), (1024, "minus")]
 
 
 def _column_by_column(m, annulus, N, K, real=True):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import FLOOR_STAR, blaschke_spectrum, match_multiset
+from helpers import FLOOR_STAR, blaschke_spectrum, leading_match_loop, match_multiset
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import (
     Annulus,
@@ -12,7 +12,9 @@ from ruelle.maps import (
 )
 from ruelle.operators import TruncatedOperator, assemble_dual
 from ruelle.spectra import (
+    MATCH_ROWS,
     Spectrum,
+    _leading_match,
     converged_spectrum,
     counting_function,
     decay_fit,
@@ -253,6 +255,52 @@ class TestConverged:
     def test_rejects_non_positive_tol(self, bstar, annulus, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             converged_spectrum(bstar, annulus, tol=tol)
+
+
+def _match_cases():
+    """(primary, other, tol) cases for _leading_match: seeded runs across
+    several row blocks, repeated zeros, exact ties, NaN, and every order of
+    lengths."""
+    rng = np.random.default_rng(19)
+    cases = [
+        (np.zeros(0, complex), np.zeros(0, complex), 1e-9),
+        (np.ones(3, complex), np.zeros(0, complex), 1e-9),
+        (np.zeros(5, complex), np.zeros(8, complex), 1e-9),  # repeated zeros
+        (np.array([0, 0, 0, 1], complex), np.array([1, 0, 0], complex), 1e-9),
+        (np.array([0j, 0j]), np.array([1e-10, -1e-10, 1e-10j]), 1e-9),  # ties
+        (np.array([0.5, -0.5, 0.5j]), np.array([0.5, -0.5, -0.5j, 0.5j]), 0.0),
+        (np.array([1, np.nan, 0.5], complex), np.array([0.5, 1, 0.25], complex), 1e-9),
+        (np.array([1, 0.5], complex), np.array([np.nan, 1, 0.5], complex), 1e-9),
+        (np.array([np.nan, 1], complex), np.array([1, np.nan], complex), 1e-9),
+    ]
+    for size in (1, 2, 31, 32, 33, 64, 65, 100, 200):
+        spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        spec[rng.random(size) < 0.2] = 0  # repeated zeros
+        for extra in (-1, 0, 5):
+            n = max(size + extra, 0)
+            other = np.concatenate([spec, rng.standard_normal(5)])[:n]
+            other = other + 1e-10 * rng.standard_normal(n)  # within tol everywhere
+            other = other[rng.permutation(n)]
+            if n > 40:
+                other[rng.integers(n)] = np.nan
+            cases += [(spec, other, 1e-9), (spec, other, 1e-11), (spec, other, 3e-10)]
+    return cases
+
+
+@pytest.mark.parametrize("case", _match_cases())
+def test_leading_match_is_the_one_at_a_time_loop(case):
+    primary, other, tol = case
+    assert _leading_match(primary, other, tol) == leading_match_loop(primary, other, tol)
+
+
+def test_leading_match_crosses_row_blocks():
+    # a full match of 3 blocks and a bit, then a miss in the fourth block
+    rng = np.random.default_rng(7)
+    n = 3 * MATCH_ROWS + 5
+    spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    other = spec[::-1].copy()
+    other[0] += 1  # spec[-1], the last value of primary, loses its partner
+    assert _leading_match(spec, other, 1e-12) == n - 1
 
 
 class TestCounting:
