@@ -2,14 +2,15 @@
 """Benchmark a change against its parent and write the result as BENCH_*.json.
 
 For each workload, BENCHMARK.json's `command` (`python3 perfbench/run.py`,
-found through PATH as the benchmark gate finds it) runs untraced in the
-parent tree and in the change tree by turns: the parent first in even pairs and the change
-first in odd ones, so that drift of the host's speed falls on both sides
-alike.  Then each tree runs the workload once traced.  The last line of a
-run's output is its result line; the file keeps every result line and, for
-each end-to-end metric of BENCHMARK.json, the median and quartiles of each
-side and the number of pairs in which the change was better.  The file is
-rewritten after every run, so an interrupted comparison keeps what it did.
+found through PATH, so in the environment a shell gives it) runs untraced
+in the parent tree and in the change tree by turns: the parent first in
+even pairs and the change first in odd ones, so that drift of the host's
+speed falls on both sides alike.  Then each tree runs the workload once
+traced.  The last line of a run's output is its result line; the file
+keeps every result line and, for each end-to-end metric of BENCHMARK.json,
+the median and quartiles of each side and the number of pairs in which the
+change was better.  The file is rewritten after every run, so an
+interrupted comparison keeps what it did.
 
 Each run lasts BENCHMARK.json's `run_seconds`; the untraced runs use seed
 SEED and the traced ones TRACE_SEED, PAIRS pairs per workload.  Each tree
