@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Fingerprint the operator assembly: for a fixed panel of maps and
+truncations, assemble the adjoint with the automatic sample count and print
+one line per case,
+
+    name N K sha256(matrix) sha256(eigenvalues) sha256(singular values)
+
+where the matrix is hashed as its C-ordered bytes, whatever its memory
+layout, and the eigenvalues and singular values as returned by
+`eigenvalues` and `singular_values`.  A case whose assembly raises prints
+`name N error: <message>` instead.
+
+Two source trees that print the same lines assemble the same matrices, with
+the same K, and return the same spectra bit for bit.  As in
+`artifact_hashes.py`, nothing is compared and the exit code is 0: the last
+bits of a dense eigensolve or SVD may differ across CPUs, BLAS builds and
+thread counts, so compare two runs on one machine instead.  On a 2-core
+x86-64 host with numpy 2.4.6 and its OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1
+and the default (2 threads) print the same K and matrix hashes everywhere,
+but different singular values for the complex, coupled TrigLift and
+FLOOR_STAR matrices at every N, and different eigenvalues for them from
+N = 128 or 256 on; pin one BLAS thread for a bit-for-bit comparison.
+
+Usage: PYTHONPATH=src python scripts/operator_fingerprints.py
+"""
+
+import hashlib
+
+import numpy as np
+
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift
+from ruelle.operators import assemble_dual, singular_values
+from ruelle.spectra import eigenvalues
+
+ANNULUS = Annulus(0.8, 1.25)
+ORDERS = (48, 128, 256, 512)
+MAPS = {
+    "bstar": BlaschkeProduct(1.0, (0.0, 0.5)),
+    "anti-bstar": BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+    "mobius-0.7": MobiusFamilyMap(0.7),
+    "triglift": TrigLift(2, (0.1,)),
+    "odd-triglift": TrigLift(2, (), (0.1,)),  # sin only: a real matrix
+    # an anti-Blaschke product with complex data: a complex dense eigensolve
+    "floor-star": BlaschkeProduct(
+        complex(-0.6931143075585181, 0.7208276886036468),
+        (complex(-0.06947472054505469, -0.23304948848809703),
+         complex(-0.056942402897746186, 0.14855363242454417)),
+        anti=True,
+    ),
+}
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def main():
+    for name, m in MAPS.items():
+        for n in ORDERS:
+            try:
+                T = assemble_dual(m, ANNULUS, n, n)
+            except (ValueError, RuntimeError) as exc:
+                print(f"{name} {n} error: {exc}", flush=True)
+                continue
+            eigs = eigenvalues(T).eigenvalues
+            print(f"{name} {n} {T.samples} {sha256(T.matrix)} {sha256(eigs)} "
+                  f"{sha256(singular_values(T))}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,8 @@ repeated products on the boundary circle dictated by the orientation
 (preserving: plus inputs on T_r, minus inputs on T_R; reversing: swapped),
 stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
 by one row FFT per chunk and transported back into the two blocks, with the
-bits of a column-by-column build.  A map whose boundary samples are
+bits of a column-by-column build; the matrix is column-major, as a column
+is one FFT row and LAPACK reads columns.  A map whose boundary samples are
 conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
 every column and a real matrix: its rows are stored folded, Re g + Im g,
 in a real chunk of half the bytes, and read from the half spectrum
@@ -72,7 +73,8 @@ class TruncatedOperator:
     followed by the minus block (e_{-m}^(R), m = 1..nminus).  omega records
     the orientation sign of the underlying map.  The matrix is float64 when
     the map's boundary samples are conjugate-symmetric to SNAP_TOL, as for
-    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.
+    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.  It is
+    column-major (Fortran order): a column is one FFT row, and LAPACK reads columns.
     """
 
     annulus: Annulus
@@ -91,18 +93,19 @@ def _conjugate_symmetric(v) -> bool:
     """Whether max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|: the samples
     at circle_nodes of a tau with tau(conj z) = conj tau(z), whose adjoint is
     real.  Samples asymmetric beyond roundoff keep the complex assembly."""
-    return np.abs(v - np.conj(np.roll(v[::-1], 1))).max() <= SNAP_TOL * np.abs(v).max()
+    diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
+    return diff <= SNAP_TOL * np.abs(v).max()
 
 
 def _assemble_block(out, step, powers: range, rho, r, R, nplus):
-    """Fill the columns of ``out`` from the samples g_n = g_{n-1} step, g_0 = 1,
-    on |z| = rho for n in ``powers`` (folded, Re g_n + Im g_n, for a real
-    ``out``); return the (tail, floor) of each unresolved column.  max|g_n|
-    is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    """Fill the rows of ``out``, the block's columns as rows of the transpose,
+    from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
+    (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
+    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
     K = len(step)
     step_max = float(np.abs(step).max())
-    mplus, mminus = np.arange(nplus), np.arange(1, len(out) - nplus + 1)
-    index = np.concatenate([mplus % K, -mminus % K])
+    mplus, mminus = np.arange(nplus), np.arange(1, out.shape[1] - nplus + 1)
+    index = np.concatenate([mplus, -mminus])  # taken with mode="wrap": -m reads K - m
     weight = np.concatenate([(r / rho) ** mplus, (rho / R) ** mminus])
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
@@ -110,25 +113,28 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     unresolved, buffer = [], np.empty((min(rows, len(powers)), K), dtype=out.dtype)
     for start in range(0, len(powers), rows):
         n = np.asarray(powers[start : start + rows])
-        chunk = buffer[: len(n)]
+        chunk, dest = buffer[: len(n)], out[start : start + len(n)]
         for i, power in enumerate(n):
-            if power:
-                np.multiply(g, step, out=g)
             if real:
+                if power:
+                    np.multiply(g, step, out=g)
                 np.add(g.real, g.imag, out=chunk[i])
+            elif power:  # into its chunk row, which the next power reads
+                g = np.multiply(g, step, out=chunk[i])
             else:
                 chunk[i] = g
         if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m], m = 0..K/2
             x = half_spectrum_from_samples(chunk, rho)
-            re, im, plus, minus = x.real, x.imag, slice(nplus), slice(1, len(mminus) + 1)
-            c = np.concatenate([re[:, plus] - im[:, plus], re[:, minus] + im[:, minus]], axis=1)
+            re, im, minus = x.real, x.imag, slice(1, len(mminus) + 1)
+            np.subtract(re[:, :nplus], im[:, :nplus], out=dest[:, :nplus])
+            np.add(re[:, minus], im[:, minus], out=dest[:, nplus:])
         else:
             x = fourier_coeffs_from_samples(chunk, rho)
-            c = x[:, index]
-        out[:, start : start + len(n)] = np.multiply(c, weight, out=c).T
-        del c  # freed before the magnitudes are allocated: fewer page faults
+            np.take(x, index, axis=1, out=dest, mode="wrap")
+        dest *= weight
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
-        mag = np.add(v[:, ::2], v[:, 1::2], out=v[:, ::2]) if real else v  # max(|c[m]|, |c[-m]|)
+        # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
+        mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
         scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
         tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
         bad = np.flatnonzero(tail > TAIL_TOL)
@@ -184,12 +190,12 @@ def assemble_dual(
         tp = m.eval(circle_nodes(rho_plus, k))
         tm = m.eval(circle_nodes(rho_minus, k))
         real = all(_conjugate_symmetric(v) for v in (tp, tm))
-        cols = np.empty((nplus + nminus, nplus + nminus), dtype=float if real else complex)
+        cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped
-        unresolved = _assemble_block(cols[:, :nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
+        unresolved = _assemble_block(cols.T[:nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
         if not (retry and unresolved):
             unresolved += _assemble_block(
-                cols[:, nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
             )
         if not unresolved:
             break
@@ -208,8 +214,12 @@ def assemble_dual(
             )
         break
 
-    mag = np.abs(cols)
-    cols[mag < SNAP_TOL * mag.max()] = 0.0
+    if real:  # |x| < t as two comparisons, with no float copy
+        t = SNAP_TOL * max(cols.max(), -cols.min())
+        cols[(cols < t) & (cols > -t)] = 0.0
+    else:
+        mag = np.abs(cols)
+        cols[mag < SNAP_TOL * mag.max()] = 0.0
     return TruncatedOperator(annulus, omega, nplus, nminus, cols, k)
 
 
@@ -235,15 +245,16 @@ def singular_values(T) -> np.ndarray:
     The zeros removed either way return as the padding up to min(shape).
     """
     matrix = np.asarray(getattr(T, "matrix", T))
-    nplus = getattr(T, "nplus", None)
-    blocks = [matrix]
+    nonzero, nplus = matrix != 0, getattr(T, "nplus", None)
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    blocks = [(rows, cols)]
     if nplus is not None:
-        top = matrix[:nplus].any(axis=0)
-        if not (top & matrix[nplus:].any(axis=0)).any():
-            blocks = [matrix[:nplus, top], matrix[nplus:, ~top]]
-    parts = np.concatenate([
-        np.linalg.svd(b[np.ix_(b.any(axis=1), b.any(axis=0))], compute_uv=False)
-        for b in blocks
+        top, bottom = nonzero[:nplus].any(axis=0), nonzero[nplus:].any(axis=0)
+        if not (top & bottom).any():
+            plus = rows < nplus
+            blocks = [(rows[plus], np.flatnonzero(top)), (rows[~plus], np.flatnonzero(bottom))]
+    parts = np.concatenate([  # each block gathered column by column, as LAPACK reads it
+        np.linalg.svd(matrix.T[np.ix_(c, r)].T, compute_uv=False) for r, c in blocks
     ])
     sv = np.zeros(min(matrix.shape))
     sv[: len(parts)] = np.sort(parts)[::-1]

@@ -46,23 +46,34 @@ def _sorted_desc(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
+def _lower_triangular(nz: np.ndarray) -> bool:
+    """Whether no column of the boolean pattern ``nz`` has its first True,
+    found by ``argmax`` along the column (contiguous here), above the diagonal."""
+    if not nz.size:
+        return True
+    j = np.arange(nz.shape[1])
+    first = nz.argmax(axis=0)
+    return not (nz[first, j] & (first < j)).any()
+
+
 def _pattern_eigenvalues(a: np.ndarray, nplus: int) -> np.ndarray | None:
     """The eigenvalues that the zero pattern of a finite ``a`` gives in
     closed form (see ``eigenvalues``), or None when it has neither pattern.
-    Each test costs O(n^2) at most; a generic matrix fails the anti-product
-    one at row 0."""
-    if not np.triu(a, 1).any():
+    Each test costs O(n^2) at most on the pattern ``a != 0``; a generic
+    matrix fails the anti-product one at row 0."""
+    nz = a != 0
+    if _lower_triangular(nz):
         return np.diag(a)
-    X, Y = a[1:nplus, nplus:], a[nplus:, 1:nplus]
     if (
-        a[0, 1:].any()
-        or a[1:, 0].any()
-        or a[1:nplus, 1:nplus].any()
-        or a[nplus:, nplus:].any()
-        or np.triu(X, 1).any()
-        or np.triu(Y, 1).any()
+        nz[0, 1:].any()
+        or nz[1:, 0].any()
+        or nz[1:nplus, 1:nplus].any()
+        or nz[nplus:, nplus:].any()
+        or not _lower_triangular(nz[1:nplus, nplus:])
+        or not _lower_triangular(nz[nplus:, 1:nplus])
     ):
         return None
+    X, Y = a[1:nplus, nplus:], a[nplus:, 1:nplus]
     nu = np.asarray(X.diagonal() * Y.diagonal(), dtype=complex)
     root = np.sqrt(nu[nu != 0])
     vals = np.zeros(len(a), dtype=complex)
@@ -167,7 +178,7 @@ def converged_spectrum(
 
 def counting_function(s: Spectrum, threshold: float) -> int:
     """N(threshold): number of converged eigenvalues with modulus >= threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN included
         raise ValueError("threshold must be positive")
     if s.tol is not None and threshold < 10 * s.tol:
         raise ValueError(

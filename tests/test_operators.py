@@ -314,7 +314,7 @@ class TestRealMatrices:
     def test_real_data_assemble_float64(self, m, annulus):
         T = assemble_dual(m, annulus, 48, 48, 4096)
         full = _column_by_column(m, annulus, 48, 4096, real=False)
-        assert T.matrix.dtype == np.float64 and T.matrix.flags.c_contiguous
+        assert T.matrix.dtype == np.float64 and T.matrix.flags.f_contiguous
         # the dropped imaginary parts are roundoff, below the snap level
         top = np.abs(full).max()
         assert np.abs(full.imag).max() < SNAP_TOL * top
@@ -337,7 +337,87 @@ class TestRealMatrices:
         T = assemble_dual(m, annulus, 48, 48, 4096)
         full = _column_by_column(m, annulus, 48, 4096, real=False)
         assert T.matrix.dtype == np.complex128
-        assert np.array_equal(T.matrix.view(np.float64), full.view(np.float64))
+        assert np.array_equal(np.ascontiguousarray(T.matrix).view(np.float64), full.view(np.float64))
+
+
+def _roll_symmetric(v):
+    """The conjugate-symmetry test written with np.roll: w[j] = v[-j mod K]."""
+    return np.abs(v - np.conj(np.roll(v[::-1], 1))).max() <= SNAP_TOL * np.abs(v).max()
+
+
+def _symmetric_row(rng, K):
+    """v[-j mod K] = conj v[j] exactly: real v[0] and v[K/2], mirrored rest."""
+    v = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    v[0], v[K // 2] = v[0].real, v[K // 2].real
+    v[K // 2 + 1 :] = np.conj(v[1 : K // 2][::-1])
+    return v
+
+
+class TestColumnMajor:
+    """The matrix is stored column-major; the layout changes no bit of the
+    matrix, of the SVD's input blocks or of the real/complex decision."""
+
+    @pytest.mark.parametrize(
+        "m, dtype",
+        [(BlaschkeProduct(1.0, (0.0, 0.5)), np.float64), (TrigLift(2, (0.1,)), np.complex128)],
+        ids=["real", "complex"],
+    )
+    def test_matrix_f_contiguous(self, m, dtype, annulus):
+        T = assemble_dual(m, annulus, 24, 40)
+        assert T.matrix.dtype == dtype and T.matrix.shape == (64, 64)
+        assert T.matrix.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "m, blocks",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), 2),
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), 2),
+            (BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j)), 2),  # complex, fixes 0 and infinity
+            (TrigLift(2, (0.1,)), 1),
+            (FLOOR_STAR, 1),
+            (BlaschkeProduct(1.0, (0.2 + 0.1j, -0.5)), 1),
+        ],
+        ids=["bstar", "anti_bstar", "complex_bstar", "triglift", "floor_star", "complex_zero"],
+    )
+    def test_svd_inputs(self, m, blocks, annulus, monkeypatch):
+        T = assemble_dual(m, annulus, 48, 48)
+        matrix, nplus = T.matrix, T.nplus
+        expect = [matrix]  # the row-major gathers of the previous layout
+        top = matrix[:nplus].any(axis=0)
+        if not (top & matrix[nplus:].any(axis=0)).any():
+            expect = [matrix[:nplus, top], matrix[nplus:, ~top]]
+        expect = [b[np.ix_(b.any(axis=1), b.any(axis=0))] for b in expect]
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+        singular_values(T)
+        assert len(seen) == len(expect) == blocks
+        for got, want in zip(seen, expect):
+            assert got.flags.f_contiguous and got.dtype == want.dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_conjugate_symmetric_matches_roll(self):
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for K in (8, 16, 64, 256):
+            for scale in (0.0, 1e-17, 1e-15, 1e-14, 1e-13, 1e-12, 1.0):
+                for j in (None, 0, K // 2, K - 1):  # noise everywhere, or at one sample
+                    v = _symmetric_row(rng, K)
+                    noise = scale * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
+                    if j is None:
+                        v += noise
+                    else:
+                        v[j] += noise[j]
+                    verdicts.append(_roll_symmetric(v))
+                    assert operators._conjugate_symmetric(v) == verdicts[-1]
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    @pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_conjugate_symmetric_nan(self, j, nan):
+        v = _symmetric_row(np.random.default_rng(6), 64)
+        assert operators._conjugate_symmetric(v)
+        v[j] = nan
+        assert not operators._conjugate_symmetric(v) and not _roll_symmetric(v)
 
 
 class TestSingularValues:

@@ -15,6 +15,7 @@ from ruelle.spectra import (
     MATCH_ROWS,
     Spectrum,
     _leading_match,
+    _lower_triangular,
     converged_spectrum,
     counting_function,
     decay_fit,
@@ -26,6 +27,20 @@ from ruelle.spectra import (
 def _synthetic(moduli, tol=1e-9):
     vals = np.array([1.0] + list(moduli), dtype=complex)
     return Spectrum(vals, (0, 0, 0), converged_count=len(vals), tol=tol)
+
+
+class TestLowerTriangular:
+    """The argmax test of the zero pattern agrees with ``np.triu``."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (6, 3), (3, 6), (0, 4), (4, 0), (0, 0)])
+    def test_matches_triu(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.0, 0.05, 0.3, 1.0):
+            for k in (-1, 0, 1):  # tril(x, -1), tril(x) and dense patterns
+                nz = rng.random(shape) < density
+                nz = np.tril(nz, k) if k < 1 else nz
+                for pattern in (nz, np.asfortranarray(nz)):
+                    assert _lower_triangular(pattern) == (not np.triu(nz, 1).any())
 
 
 class TestEigenvalues:
@@ -323,6 +338,12 @@ class TestCounting:
             counting_function(spec, 1e-9)
         with pytest.raises(ValueError):
             counting_function(spec, 0.0)
+
+    def test_nan_threshold_raises(self, bstar, annulus):
+        # NaN compares False with everything: it once counted 0 eigenvalues
+        spec = converged_spectrum(bstar, annulus)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            counting_function(spec, float("nan"))
 
 
 class TestDecayFit:
