@@ -20,7 +20,6 @@ from .maps import (
     fixed_point_disk,
     iterate,
     min_expansion,
-    orientation,
     second_iterate_multiplier,
 )
 from .numerics import circle_integral, fourier_coeffs_from_samples, laurent

@@ -3,9 +3,9 @@
 Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
 analytically known degree.  The module-level helpers implement the checks
-that the spectral machinery relies on: orientation, expansivity on the
-unit circle, boundary-circle inclusions certifying holomorphic
-expansivity, and interior fixed points with their multipliers.
+that the spectral machinery relies on: expansivity on the unit circle,
+boundary-circle inclusions certifying holomorphic expansivity (and giving
+the orientation), and interior fixed points with their multipliers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "from_descriptor",
     "iterate",
     "min_expansion",
-    "orientation",
     "second_iterate_multiplier",
     "to_descriptor",
 ]
@@ -248,15 +247,6 @@ def iterate(m, n: int):
     return ComposedMap((m,) * n)
 
 
-def orientation(m) -> int:
-    """+1 for orientation preserving, -1 for reversing: the sign of the map's
-    analytic ``degree`` attribute."""
-    d = m.degree
-    if abs(d) < 2:
-        raise ValueError(f"unsupported map: |degree| must be >= 2, got {d}")
-    return 1 if d > 0 else -1
-
-
 def min_expansion(m) -> float:
     """min |tau'| over 4096 equispaced points of the unit circle (expanding iff > 1)."""
     return float(np.min(np.abs(m.deriv(circle_nodes(1.0, 4096)))))
@@ -268,7 +258,9 @@ class InclusionCheck:
 
     verdict 'A1': tau(T_r) inside D_r and tau(T_R) outside D_R (orientation
     preserving); 'A2': the swapped inclusions (reversing); 'none'
-    otherwise.  margin is the distance to violation (negative for 'none').
+    otherwise.  margin is the distance to violation (negative for 'none');
+    under either verdict |tau(z) - z| >= margin at every sampled node, and
+    the contour trace refuses an annulus whose margin is below 1e-8.
     ratio is the contraction ratio q, the smaller of max(sup|tau|_r / r,
     R / inf|tau|_R) and its mirror max(R / inf|tau|_r, sup|tau|_R / r): it is
     below 1 exactly when the verdict is not 'none', and truncation errors
@@ -281,17 +273,23 @@ class InclusionCheck:
 
 
 def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionCheck:
-    """Sample |tau| on both boundary circles and classify the inclusions.
+    """Sample tau on both boundary circles, the inner first, and classify them."""
+    if samples < 256:
+        raise ValueError("need at least 256 samples")
+    with np.errstate(all="ignore"):
+        tr, tR = (m.eval(circle_nodes(rho, samples)) for rho in (annulus.r, annulus.R))
+    return _inclusions(tr, tR, annulus)
+
+
+def _inclusions(tr, tR, annulus: Annulus) -> InclusionCheck:
+    """Classify samples tr, tR of tau on the circles |z| = r and |z| = R.
 
     Overflow to infinity counts as "outside" (high iterates of maps with a
     superattracting pole do this); NaN samples fail the check outright.
     """
-    if samples < 256:
-        raise ValueError("need at least 256 samples")
     r, R = annulus.r, annulus.R
     with np.errstate(all="ignore"):
-        vr = np.abs(m.eval(circle_nodes(r, samples)))
-        vR = np.abs(m.eval(circle_nodes(R, samples)))
+        vr, vR = np.abs(tr), np.abs(tR)
         if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
             return InclusionCheck("none", -math.inf, math.inf)
         ratio = float(min(max(vr.max() / r, R / vR.min()), max(R / vr.min(), vR.max() / r)))

@@ -22,13 +22,12 @@ from .maps import (
     Annulus,
     BlaschkeProduct,
     MobiusFamilyMap,
-    check_holo_expansive,
+    _inclusions,
     fixed_point_disk,
     iterate,
-    orientation,
     second_iterate_multiplier,
 )
-from .numerics import circle_integral
+from .numerics import circle_integral, circle_nodes
 from .operators import EPS, assemble_dual
 from .spectra import Spectrum
 
@@ -56,30 +55,34 @@ def trace_contour(m, annulus: Annulus) -> complex:
     24 iterates of z(z - 1/2)/(1 - z/2) on (0.8, 1.25) match their closed
     forms to 2.3e-16.
 
-    A circle on which |tau(z) - z| drops below 1e-8 at a node is ill-posed
-    (ValueError naming it, the inner circle first).  Each circle is
-    evaluated once: the nodes of the check are the nodes of the rule."""
-
-    def integrand(z):
-        gap = m.eval(z) - z
-        if np.min(np.nan_to_num(np.abs(gap), nan=0.0)) < 1e-8:
-            raise ValueError(
-                f"tau(z) - z vanishes near the contour circle |z|={abs(z[0]):g}: "
-                "ill-posed contour"
-            )
-        # 1/(tau - z) -> 0 where the iterate has overflowed to infinity
-        return np.nan_to_num(1.0 / gap, nan=0.0)
-
-    omega = orientation(m)
-    inner = circle_integral(integrand, annulus.r, 4096)
-    return omega * (circle_integral(integrand, annulus.R, 4096) - inner)
+    Each circle is evaluated once, the inner first, and those samples are
+    classified by the boundary-circle inclusion test: its verdict gives
+    omega (A1 +1, A2 -1), and an inclusion margin below 1e-8 makes the
+    contour ill-posed (ValueError naming the margin).  Above it,
+    |tau(z) - z| >= margin at every node."""
+    with np.errstate(all="ignore"):
+        tr, tR = (m.eval(circle_nodes(rho, 4096)) for rho in (annulus.r, annulus.R))
+    check = _inclusions(tr, tR, annulus)
+    if check.margin < 1e-8:
+        raise ValueError(
+            f"inclusion margin {check.margin:.3g} (verdict {check.verdict}) below 1e-8 "
+            f"on the annulus r={annulus.r:g}, R={annulus.R:g}: ill-posed contour"
+        )
+    omega = 1 if check.verdict == "A1" else -1
+    # 1/(tau - z) -> 0 where the iterate has overflowed to infinity
+    inner, outer = (
+        circle_integral(lambda z, t=t: np.nan_to_num(1.0 / (t - z), nan=0.0), rho, 4096)
+        for t, rho in ((tr, annulus.r), (tR, annulus.R))
+    )
+    return omega * (outer - inner)
 
 
 def trace_power(m, n: int, annulus: Annulus) -> complex:
-    """Tr(L^n) as the contour trace of the n-th iterate.
+    """Tr(L^n) as the contour trace of the n-th iterate (one evaluation per circle).
 
-    Iterates need thinner annuli; on failure the annulus is shrunk toward
-    the unit circle (halving log r and log R) up to three times.
+    Iterates need thinner annuli; where that trace fails (an inclusion margin
+    below 1e-8), the annulus is shrunk toward the unit circle (halving log r
+    and log R) up to three times.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got n={n}")
@@ -88,8 +91,6 @@ def trace_power(m, n: int, annulus: Annulus) -> complex:
     last_err = None
     for _ in range(4):
         try:
-            if check_holo_expansive(it, ann).verdict == "none":
-                raise ValueError("iterate not holomorphically expansive here")
             return trace_contour(it, ann)
         except (ValueError, RuntimeError) as exc:
             last_err = exc

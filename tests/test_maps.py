@@ -17,7 +17,6 @@ from ruelle.maps import (
     from_descriptor,
     iterate,
     min_expansion,
-    orientation,
     second_iterate_multiplier,
     to_descriptor,
 )
@@ -79,17 +78,17 @@ class TestDeriv:
 class TestDegreeOrientation:
     def test_squaring(self, squaring):
         assert winding_degree(squaring) == 2
-        assert orientation(squaring) == 1
 
     def test_bstar_winding(self, bstar):
         assert winding_degree(bstar) == 2
 
     def test_anti_negates_winding(self, anti_bstar):
         assert winding_degree(anti_bstar) == -2
-        assert orientation(anti_bstar) == -1
 
-    def test_negative_triglift(self):
-        assert orientation(TrigLift(-3)) == -1
+    def test_negative_triglift(self, annulus):
+        # the inclusion verdict, which decides the orientation, reads the
+        # swapped inclusions of z^-3
+        assert check_holo_expansive(TrigLift(-3), annulus).verdict == "A2"
 
     def test_unresolved_winding_rejected(self):
         class NearCircleZero:
@@ -103,13 +102,6 @@ class TestDegreeOrientation:
 
         with pytest.raises(ValueError, match="circle|unresolved"):
             winding_degree(NearCircleZero())
-
-    def test_orientation_needs_degree_two(self):
-        class Identity:
-            degree = 1
-
-        with pytest.raises(ValueError, match="degree"):
-            orientation(Identity())
 
     @pytest.mark.parametrize(
         "make",
@@ -127,8 +119,8 @@ class TestDegreeOrientation:
              "three-zero", "homotopy-member"],
     )
     def test_winding_matches_degree_attribute(self, bstar, make):
-        # the analytic degree that orientation reads, against the winding
-        # number of every map class on the unit circle
+        # the analytic degree against the winding number of every map class
+        # on the unit circle
         m = make(bstar)
         assert winding_degree(m) == m.degree
 
@@ -174,7 +166,7 @@ class TestInclusions:
                 chk = check_holo_expansive(m, Annulus(np.exp(-t), np.exp(t)))
                 if chk.verdict == "none":
                     continue
-                assert chk.verdict == ("A1" if orientation(m) == 1 else "A2")
+                assert chk.verdict == ("A1" if m.degree > 0 else "A2")
 
 
 WIDTHS = np.geomspace(0.01, 0.5, 24)

@@ -14,7 +14,7 @@ from helpers import (
 )
 from ruelle import traces
 from ruelle.lifts import find_expansive_annulus
-from ruelle.maps import BlaschkeProduct, MobiusFamilyMap, TrigLift
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _MapBase
 from ruelle.spectra import converged_spectrum
 from ruelle.traces import (
     blaschke_trace_closed,
@@ -28,6 +28,13 @@ from ruelle.traces import (
     trace_power,
     trace_report,
 )
+
+
+class Identity(_MapBase):
+    degree = 1
+
+    def _eval(self, z):
+        return z
 
 
 class TestTraceContour:
@@ -55,6 +62,23 @@ class TestTraceContour:
 
         with pytest.raises(ValueError, match="contour"):
             trace_contour(HasBoundaryFixedPoint(), annulus)
+
+    @pytest.mark.parametrize(
+        "m, r, R",
+        [
+            # |tau| >= 0.136 on |z| = 0.1, so tau(T_r) leaves D_r: the verdict
+            # is 'none' (the trace is 0.9032; the contour gave -0.0484)
+            (BlaschkeProduct(1.0, (0.3, -0.6)), 0.1, 1.2),
+            # B* on an annulus off the unit circle (the contour gave 1e-16, not 1/3)
+            (BlaschkeProduct(1.0, (0.0, 0.5)), 1.1, 1.5),
+            # the identity fixes every node: margin 0
+            (Identity(), 0.8, 1.25),
+        ],
+        ids=["two-zero-wide", "bstar-off-circle", "identity"],
+    )
+    def test_ill_posed_annulus_rejected(self, m, r, R):
+        with pytest.raises(ValueError, match="margin .* below 1e-8 .*ill-posed contour"):
+            trace_contour(m, Annulus(r, R))
 
     def test_each_circle_evaluated_once(self, bstar, annulus):
         class Counting:
@@ -89,6 +113,23 @@ class TestTracePower:
             for n in range(1, 6):
                 want = blaschke_trace_closed(mu, anti, n)
                 assert trace_power(m, n, annulus) == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_iterate_evaluated_once_per_circle(self, bstar, annulus, n):
+        # each of the n composed factors runs once on each boundary circle
+        class Counting(_MapBase):
+            degree = 2
+
+            def __init__(self):
+                self.calls = 0
+
+            def _eval(self, z):
+                self.calls += 1
+                return bstar._eval(z)
+
+        m = Counting()
+        assert trace_power(m, n, annulus) == trace_power(bstar, n, annulus)
+        assert m.calls == 2 * n
 
     def test_matrix_power_cross_check(self, bstar, annulus):
         from ruelle.operators import assemble_dual
