@@ -2,13 +2,14 @@
 
 Subcommands: spectrum, trace, det, scan, julia, homotopy-check.  Outputs
 are deterministic CSV/JSON/PGM files that embed the resolved configuration;
-exit codes: 0 success, 1 usage or input error, 2 numerical warning.
+exit codes: 0 success, 1 usage or input error, 2 numerical warning or
+failure.  Every warning a subcommand raises is printed on stderr as a
+``warning:`` line, before the failure line if the subcommand then fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -117,22 +118,9 @@ def _spectrum_summary(spec):
     return second, beta, 1.0 + 1.0 / beta
 
 
-@contextlib.contextmanager
-def _numerical_warnings():
-    """Record the warnings of the block whatever the filters say, and print
-    each on stderr; the yielded list is non-empty (exit 2) if any came."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield caught
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
-
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     m, ann, config = _map_and_annulus(args)
-    with _numerical_warnings() as caught:
-        spec = converged_spectrum(m, ann, tol=args.tol, max_order=args.N)
-    code = 2 if caught else 0
+    spec = converged_spectrum(m, ann, tol=args.tol, max_order=args.N)
     lead = spec.eigenvalues[0]
     second, beta, rho = _spectrum_summary(spec)
     if args.format == "json":
@@ -158,10 +146,9 @@ def cmd_spectrum(args) -> int:
         f"beta={beta_text} rho_hat={rho:.3f} converged={spec.converged_count}",
         file=sys.stderr,
     )
-    return code
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args):
     m, ann, config = _map_and_annulus(args)
     rep = trace_report(m, ann, nplus=args.N)
     doc = {
@@ -173,17 +160,9 @@ def cmd_trace(args) -> int:
     if rep.closed_form is not None:
         doc["closedForm"] = [rep.closed_form.real, rep.closed_form.imag]
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
-    return 0
 
 
-def cmd_det(args) -> int:
-    with _numerical_warnings() as caught:
-        text = _det_artifact(args)
-    _emit(text, args.out)
-    return 2 if caught else 0
-
-
-def _det_artifact(args) -> str:
+def cmd_det(args):
     m, ann, config = _map_and_annulus(args)
     info = closed_form_multiplier(m)
 
@@ -198,7 +177,8 @@ def _det_artifact(args) -> str:
         lines = ["# config: " + json.dumps(config), "zeta_re,zeta_im,logabsZ"]
         for zeta, val in zip(grid, vals):
             lines.append(f"{zeta:.16g},0,{float(val):.16g}")
-        return "\n".join(lines) + "\n"
+        _emit("\n".join(lines) + "\n", args.out)
+        return
 
     if args.z is None:
         raise ValueError("need --z (or --zeta-scan) for the det command")
@@ -213,7 +193,7 @@ def _det_artifact(args) -> str:
     doc = {"config": config}
     for name, res in routes.items():
         doc[name] = {"value": [res.value.real, res.value.imag], "tail": res.tail}
-    return json.dumps(doc, indent=1) + "\n"
+    _emit(json.dumps(doc, indent=1) + "\n", args.out)
 
 
 def _scan_members(args):
@@ -238,20 +218,18 @@ def _scan_members(args):
             yield float(w), fam.member(complex(w)), fixed or fam.annulus()
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     rows = []
     in_band = 0
-    with _numerical_warnings() as caught:
-        members = sorted(_scan_members(args), key=lambda t: t[0])
-        for w, m, ann in members:
-            spec = converged_spectrum(m, ann, tol=args.tol)
-            second, beta, rho = _spectrum_summary(spec)
-            if 1.8 <= rho <= 2.2:
-                in_band += 1
-            rows.append(
-                f"{w:.6g},{second:.12g},{'nan' if beta is None else f'{beta:.6g}'},"
-                f"{rho:.6g},{spec.converged_count},{min_expansion(m):.6g}"
-            )
+    for w, m, ann in sorted(_scan_members(args), key=lambda t: t[0]):
+        spec = converged_spectrum(m, ann, tol=args.tol)
+        second, beta, rho = _spectrum_summary(spec)
+        if 1.8 <= rho <= 2.2:
+            in_band += 1
+        rows.append(
+            f"{w:.6g},{second:.12g},{'nan' if beta is None else f'{beta:.6g}'},"
+            f"{rho:.6g},{spec.converged_count},{min_expansion(m):.6g}"
+        )
     config = _config_dict(args)
     body = "# config: " + json.dumps(config) + "\n"
     body += "w,lambda2_abs,beta,rho_hat,converged,min_expansion\n"
@@ -259,10 +237,9 @@ def cmd_scan(args) -> int:
     frac = in_band / len(rows)
     body += f"# fraction with rho_hat in [1.8, 2.2]: {frac:.3f}\n"
     _emit(body, args.out)
-    return 2 if caught else 0
 
 
-def cmd_julia(args) -> int:
+def cmd_julia(args):
     w = _parse_complex(args.w, "--w")
     width, height = _split(args.size, "x", "--size", "WxH", (int, int))
     viewport = tuple(_split(args.viewport, ",", "--viewport", "xmin,xmax,ymin,ymax"))
@@ -272,10 +249,9 @@ def cmd_julia(args) -> int:
     julia_mod.write_pgm(raster, args.out, mode=args.mode)
     undecided = float(np.mean(raster.basin == julia_mod.BASIN_UNDECIDED))
     print(f"wrote {args.out} ({width}x{height}, undecided {undecided:.2%})", file=sys.stderr)
-    return 0
 
 
-def cmd_homotopy_check(args) -> int:
+def cmd_homotopy_check(args):
     map0, map1 = _parse_map(args.map0), _parse_map(args.map1)
     fam = build_homotopy(map0, map1, epsilon=args.epsilon, eta_cap=args.eta)
     # sup distance between the endpoint map and the member at real w = eta,
@@ -299,7 +275,6 @@ def cmd_homotopy_check(args) -> int:
         "first_order_bound": bound,
     }
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
-    return 0
 
 
 @functools.cache
@@ -376,14 +351,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    try:  # warnings recorded whatever the filters say, printed before any error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                args.func(args)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    return 2 if caught else 0
 
 
 if __name__ == "__main__":

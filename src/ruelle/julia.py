@@ -33,7 +33,6 @@ _GRAY = np.array([0, 255, 128], dtype=np.uint8)  # PGM gray level by basin code
 class Raster:
     width: int
     height: int
-    viewport: tuple
     basin: np.ndarray  # uint8 codes, shape (height, width), row 0 at ymax
     steps: np.ndarray  # iteration count at decision (max_iter if undecided)
 
@@ -92,7 +91,7 @@ def render(
                 if not z.size:
                     break
     shape = (height, width)
-    return Raster(width, height, tuple(viewport), basin.reshape(shape), steps.reshape(shape))
+    return Raster(width, height, basin.reshape(shape), steps.reshape(shape))
 
 
 def write_pgm(raster: Raster, path, mode: str = "basin"):

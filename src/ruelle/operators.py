@@ -70,15 +70,13 @@ class TruncatedOperator:
     """Dense truncation of the adjoint transfer operator.
 
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
-    followed by the minus block (e_{-m}^(R), m = 1..nminus).  omega records
-    the orientation sign of the underlying map.  The matrix is float64 when
-    the map's boundary samples are conjugate-symmetric to SNAP_TOL, as for
-    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.  It is
-    column-major (Fortran order): a column is one FFT row, and LAPACK reads columns.
+    followed by the minus block (e_{-m}^(R), m = 1..nminus).  The matrix is
+    float64 when the map's boundary samples are conjugate-symmetric to
+    SNAP_TOL, as for tau(conj z) = conj tau(z), whose adjoint is real; else
+    complex128.  It is column-major (Fortran order): a column is one FFT row,
+    and LAPACK reads columns.
     """
 
-    annulus: Annulus
-    omega: int
     nplus: int
     nminus: int
     matrix: np.ndarray
@@ -175,9 +173,8 @@ def assemble_dual(
             "map is not holomorphically expansive on the annulus "
             f"(margin {check.margin:.3g}); refusing assembly"
         )
-    omega = 1 if check.verdict == "A1" else -1
     r, R = annulus.r, annulus.R
-    rho_plus, rho_minus = (r, R) if omega == 1 else (R, r)
+    rho_plus, rho_minus = (r, R) if check.verdict == "A1" else (R, r)
 
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
         raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
@@ -220,7 +217,7 @@ def assemble_dual(
     else:
         mag = np.abs(cols)
         cols[mag < SNAP_TOL * mag.max()] = 0.0
-    return TruncatedOperator(annulus, omega, nplus, nminus, cols, k)
+    return TruncatedOperator(nplus, nminus, cols, k)
 
 
 def singular_values(T) -> np.ndarray:

@@ -195,7 +195,6 @@ class DecayFit:
     beta: float
     c: float
     r2: float
-    used_range: tuple
 
 
 def _usable_indices(s: Spectrum) -> np.ndarray:
@@ -220,7 +219,7 @@ def decay_fit(s: Spectrum) -> DecayFit:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DecayFit(float(slope), float(np.exp(intercept)), r2, (int(idx[0]), int(idx[-1])))
+    return DecayFit(float(slope), float(np.exp(intercept)), r2)
 
 
 def order_estimate(s: Spectrum) -> float:

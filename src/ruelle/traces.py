@@ -137,9 +137,6 @@ class DetResult:
     value: complex
     tail: float
 
-    def __complex__(self):
-        return self.value
-
 
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of

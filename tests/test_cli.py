@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ruelle
+import ruelle.cli
+import ruelle.julia
 from ruelle.cli import _build_parser, _spectrum_summary, main
 from ruelle.spectra import Spectrum, order_estimate
 
@@ -189,6 +192,39 @@ def test_det_numerical_warning_exits_2(option, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: spectrum not converged" in err
     assert "exceeds 1e-6 of |value|" in err
+
+
+def test_warnings_before_failure_are_printed(capsys):
+    # the spectrum and tail warnings come before the trace route fails at
+    # n = 9: they are printed, ahead of the failure line
+    code = main(["det", "--map", TRIG, "--annulus", "0.8,1.25", "--z", "0.3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    warned = err.find("warning: spectrum not converged")
+    assert 0 <= warned < err.find("numerical failure: trace of power n=")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (ruelle.cli, "trace_report", ["trace", "--map", BSTAR, "--annulus", "0.8,1.25"]),
+        (ruelle.julia, "render", ["julia", "--w", "0.5,0.26", "--size", "16x16"]),
+        (ruelle.cli, "build_homotopy", ["homotopy-check", "--map0", SQUARING, "--map1", BSTAR]),
+    ],
+    ids=["trace", "julia", "homotopy-check"],
+)
+def test_every_subcommand_exits_2_on_warning(module, name, argv, monkeypatch, tmp_path, capsys):
+    original = getattr(module, name)
+
+    def warned(*args, **kwargs):
+        warnings.warn("injected", RuntimeWarning)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, warned)
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert out.stat().st_size > 0
+    assert "warning: injected" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

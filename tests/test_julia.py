@@ -171,7 +171,7 @@ class TestPgm:
 
     def test_three_codes_basin_payload(self, tmp_path):
         codes = np.arange(16 * 16, dtype=np.uint8).reshape(16, 16) % 3
-        raster = Raster(16, 16, VIEW, codes, np.zeros((16, 16), dtype=np.int32))
+        raster = Raster(16, 16, codes, np.zeros((16, 16), dtype=np.int32))
         gray = {BASIN_ZERO: 0, BASIN_INFINITY: 255, BASIN_UNDECIDED: 128}
         path = tmp_path / "basin.pgm"
         write_pgm(raster, path)

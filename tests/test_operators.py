@@ -22,9 +22,9 @@ from ruelle.spectra import converged_spectrum, eigenvalues
 from ruelle.traces import trace_contour
 
 
-def _toy_operator(matrix, annulus=Annulus(0.8, 1.25), omega=1):
+def _toy_operator(matrix):
     n = matrix.shape[0] // 2
-    return TruncatedOperator(annulus, omega, n, matrix.shape[0] - n, matrix, 256)
+    return TruncatedOperator(n, matrix.shape[0] - n, matrix, 256)
 
 
 class TestAssembly:
@@ -52,10 +52,6 @@ class TestAssembly:
         col = T.matrix[:, 0]
         assert col[0] == pytest.approx(1.0, abs=1e-13)
         assert np.abs(col[1:]).max() < 1e-13
-
-    def test_orientation_recorded(self, bstar, anti_bstar, annulus):
-        assert assemble_dual(bstar, annulus, 8, 8, 256).omega == 1
-        assert assemble_dual(anti_bstar, annulus, 8, 8, 256).omega == -1
 
     def test_bstar_spectrum_oracle(self, bstar, annulus):
         T = assemble_dual(bstar, annulus, 48, 48, 512)
