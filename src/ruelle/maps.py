@@ -254,17 +254,16 @@ def min_expansion(m) -> float:
 
 @dataclass(frozen=True)
 class InclusionCheck:
-    """Outcome of the boundary-circle inclusion test.
+    """Outcome of the boundary-circle inclusion test on a route's own samples.
 
     verdict 'A1': tau(T_r) inside D_r and tau(T_R) outside D_R (orientation
-    preserving); 'A2': the swapped inclusions (reversing); 'none'
-    otherwise.  margin is the distance to violation (negative for 'none');
-    under either verdict |tau(z) - z| >= margin at every sampled node, and
-    the contour trace refuses an annulus whose margin is below 1e-8.
-    ratio is the contraction ratio q, the smaller of max(sup|tau|_r / r,
-    R / inf|tau|_R) and its mirror max(R / inf|tau|_r, sup|tau|_R / r): it is
-    below 1 exactly when the verdict is not 'none', and truncation errors
-    decay like q^N.
+    preserving); 'A2': the swapped inclusions (reversing); 'none' otherwise,
+    refused by the assembly.  margin is the distance to violation (negative
+    for 'none'); under either verdict |tau(z) - z| >= margin at every sampled
+    node, and the contour trace refuses a margin below 1e-8.  ratio is the
+    contraction ratio q, the smaller of max(sup|tau|_r / r, R / inf|tau|_R)
+    and its mirror max(R / inf|tau|_r, sup|tau|_R / r): it is below 1 exactly
+    when the verdict is not 'none', and truncation errors decay like q^N.
     """
 
     verdict: str
@@ -273,7 +272,8 @@ class InclusionCheck:
 
 
 def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionCheck:
-    """Sample tau on both boundary circles, the inner first, and classify them."""
+    """Sample tau on both boundary circles, the inner first, and classify them:
+    the annulus search's test, and a verdict for callers that want only that."""
     if samples < 256:
         raise ValueError("need at least 256 samples")
     with np.errstate(all="ignore"):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Annulus, check_holo_expansive
+from .maps import Annulus, _inclusions
 from .numerics import circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
@@ -150,32 +150,22 @@ def assemble_dual(
 ) -> TruncatedOperator:
     """Assemble the adjoint transfer operator at truncation (nplus, nminus).
 
-    Refuses to assemble if the map is not holomorphically expansive on the
-    annulus (the compositions would not be defined on the boundary
-    circles).  Each block is built in row chunks of at most 2^17 samples,
-    one FFT per chunk, with the bits of a column-by-column build.  With
-    K=None the sample count starts at max(256, 8N) rounded up to a power of
-    two, and is doubled (up to 65536) until the aliasing tail of every
-    column n is below max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger
-    of the fixed tolerance and that column's roundoff floor; an explicit K
-    with an unresolved tail above TAIL_REJECT raises instead.  Both errors
-    quote the worst tail of both blocks and its floor.  An automatic pass
-    below the cap whose plus block is unresolved is discarded without
-    building its minus block.  The matrix is float64, read from the half
-    spectrum of real FFTs of folded columns, iff both sample rows pass
-    ``_conjugate_symmetric``.
+    Each block is built in row chunks of at most 2^17 samples, one FFT per
+    chunk, with the bits of a column-by-column build.  With K=None the
+    sample count starts at max(256, 8N) rounded up to a power of two, and is
+    doubled (up to 65536) until the aliasing tail of every column n is below
+    max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
+    tolerance and that column's roundoff floor; an explicit K with an
+    unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
+    worst tail of both blocks and its floor.  An automatic pass below the
+    cap whose plus block is unresolved is discarded without building its
+    minus block.  The matrix is float64, read from the half spectrum of real
+    FFTs of folded columns, iff both sample rows pass _conjugate_symmetric.
+    The rows are tau at the pass's K nodes on each boundary circle, judged
+    after the integer checks by the inclusion test: 'none' is refused
+    (ValueError naming the margin), A1 puts plus inputs on T_r, A2 on T_R.
     """
-    if nminus is None:
-        nminus = nplus
-    check = check_holo_expansive(m, annulus)
-    if check.verdict == "none":
-        raise ValueError(
-            "map is not holomorphically expansive on the annulus "
-            f"(margin {check.margin:.3g}); refusing assembly"
-        )
-    r, R = annulus.r, annulus.R
-    rho_plus, rho_minus = (r, R) if check.verdict == "A1" else (R, r)
-
+    nminus = nplus if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
         raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
     auto = K is None
@@ -183,9 +173,18 @@ def assemble_dual(
     if k < 8 * max(nplus, nminus):
         raise ValueError(f"K={k} below 8*max(nplus, nminus)={8*max(nplus, nminus)}")
 
+    r, R = annulus.r, annulus.R
     while True:
-        tp = m.eval(circle_nodes(rho_plus, k))
-        tm = m.eval(circle_nodes(rho_minus, k))
+        with np.errstate(all="ignore"):
+            tr, tR = (m.eval(circle_nodes(rho, k)) for rho in (r, R))
+        check = _inclusions(tr, tR, annulus)
+        if check.verdict == "none":
+            raise ValueError(
+                "map is not holomorphically expansive on the annulus "
+                f"(margin {check.margin:.3g}); refusing assembly"
+            )
+        a1 = check.verdict == "A1"  # plus inputs on T_r; A2 swaps the circles
+        (rho_plus, tp), (rho_minus, tm) = ((r, tr), (R, tR)) if a1 else ((R, tR), (r, tr))
         real = all(_conjugate_symmetric(v) for v in (tp, tm))
         cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped

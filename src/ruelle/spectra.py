@@ -169,7 +169,7 @@ def converged_spectrum(
         coarse, n = fine, 2 * n
     warnings.warn(
         f"spectrum not converged to tol={tol:g} for {want} eigenvalues "
-        f"up to truncation {max_order}",
+        f"up to truncation {n}",
         RuntimeWarning,
         stacklevel=2,
     )

@@ -92,6 +92,17 @@ class TestSpectrum:
                   "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_descriptor_file_to_stdout(self, tmp_path, capsys):
+        # --map may name a descriptor file; without --out the artifact goes to
+        # stdout, the same text that --out writes for the inline descriptor
+        path, out = tmp_path / "bstar.json", tmp_path / "spec.csv"
+        path.write_text(BSTAR)
+        argv = ["spectrum", "--annulus", "0.8,1.25", "--N", "64"]
+        assert main([*argv, "--map", BSTAR, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--map", str(path)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
 
 class TestTrace:
     def test_anti_contour_is_one(self, tmp_path):
@@ -264,6 +275,14 @@ class TestScan:
                      "--map1", '{"type":"triglift","d":3,"cos":[],"sin":[]}',
                      "--grid", "0:1:3"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "given", [[], ["--map0", SQUARING], ["--map1", BSTAR]], ids=["neither", "map0", "map1"]
+    )
+    def test_homotopy_needs_both_maps(self, given, capsys):
+        assert main(["scan", "--family", "homotopy", "--grid", "0:1:3", *given]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "homotopy scan needs --map0 and --map1" in err
 
     def test_homotopy_endpoints_match_standalone(self, tmp_path):
         out = tmp_path / "scan.csv"

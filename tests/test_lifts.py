@@ -118,6 +118,10 @@ class TestBuildHomotopy:
         with pytest.raises(ValueError, match="2 vs 3"):
             build_homotopy(squaring, TrigLift(3))
 
+    def test_rejects_non_positive_epsilon(self, bstar):
+        with pytest.raises(ValueError, match="epsilon override must be positive, got 0.0"):
+            build_homotopy(bstar, TrigLift(2, (0.1,)), epsilon=0.0)
+
     def test_constant_family(self, squaring):
         fam = build_homotopy(squaring, TrigLift(2))
         z = 0.9

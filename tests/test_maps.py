@@ -10,6 +10,7 @@ from ruelle.lifts import build_homotopy, find_expansive_annulus
 from ruelle.maps import (
     Annulus,
     BlaschkeProduct,
+    ComposedMap,
     MobiusFamilyMap,
     TrigLift,
     check_holo_expansive,
@@ -330,6 +331,20 @@ class TestValidation:
             Annulus(1.2, 0.8)
         with pytest.raises(ValueError):
             Annulus(-0.1, 1.5)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda b: BlaschkeProduct(1, (0, 0.5), anti=True).deriv(0), "anti-Blaschke pole"),
+            (lambda b: ComposedMap(()), "empty composition"),
+            (lambda b: check_holo_expansive(b, Annulus(0.8, 1.25), 128), "at least 256 samples"),
+            (lambda b: to_descriptor(iterate(b, 2)), "no descriptor for map of type ComposedMap"),
+        ],
+        ids=["anti-pole-deriv", "empty-composition", "few-samples", "composed-descriptor"],
+    )
+    def test_rejects_invalid_arguments(self, bstar, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(bstar)
 
 
 def test_descriptor_round_trip(bstar, anti_bstar):

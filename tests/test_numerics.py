@@ -87,6 +87,8 @@ def test_rejects_bad_sample_counts():
     for K in (4, 12, 100):
         with pytest.raises(ValueError, match="power of two"):
             _coeffs(lambda z: z, 1.0, K)
+    with pytest.raises(ValueError, match="K=4 too small for circle quadrature"):
+        circle_integral(lambda z: z, 1.0, 4)
 
 
 def test_rejects_non_finite_sample():

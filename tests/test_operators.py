@@ -14,8 +14,16 @@ from helpers import (
     transfer_apply_rational,
 )
 from ruelle import operators
-from ruelle.lifts import build_homotopy
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, check_holo_expansive
+from ruelle.lifts import build_homotopy, find_expansive_annulus
+from ruelle.maps import (
+    Annulus,
+    BlaschkeProduct,
+    MobiusFamilyMap,
+    TrigLift,
+    _inclusions,
+    _MapBase,
+    check_holo_expansive,
+)
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
 from ruelle.operators import SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, eigenvalues
@@ -65,6 +73,69 @@ class TestAssembly:
 
         with pytest.raises(ValueError, match="expansive"):
             assemble_dual(Shifted(), Annulus(0.99, 1.01), 8, 8, 256)
+
+    def test_boundary_evaluated_once_per_circle_per_pass(self, bstar, annulus):
+        # each K pass samples tau once on T_r and once on T_R, at its K nodes,
+        # and classifies those samples: no separate 4096-node check
+        class Counting(_MapBase):
+            degree = 2
+
+            def __init__(self):
+                self.sizes = []
+
+            def _eval(self, z):
+                self.sizes.append(z.size)
+                return bstar._eval(z)
+
+        m = Counting()
+        T = assemble_dual(m, annulus, 32)
+        assert T.matrix.tobytes() == assemble_dual(bstar, annulus, 32).matrix.tobytes()
+        assert m.sizes == [256, 256, 512, 512]  # B* at N = 32 escalates once
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            BlaschkeProduct(1.0, (0.3, -0.4 + 0.2j, 0.5j)),
+            MobiusFamilyMap(0.7),
+            MobiusFamilyMap(0.7 + 0.05j),  # 'none' on (0.97, 1.03)
+            TrigLift(2, (0.1,)),
+            TrigLift(-3),
+            FLOOR_STAR,
+        ],
+        ids=["bstar", "anti", "three-zero", "mobius", "mobius-complex", "triglift", "triglift-3",
+             "floor"],
+    )
+    def test_pass_verdict_is_the_check_verdict(self, m):
+        # the K-node samples nest with the check's 4096 nodes, so every pass
+        # reads the check's verdict, and its margin at K = 4096
+        annuli = [Annulus(0.8, 1.25), Annulus(0.97, 1.03), find_expansive_annulus(m),
+                  Annulus(1.1, 1.5)]
+        for ann in annuli:
+            check = check_holo_expansive(m, ann)
+            for K in (256, 512, 1024, 2048, 4096, 8192):
+                with np.errstate(all="ignore"):
+                    tr, tR = (m.eval(circle_nodes(rho, K)) for rho in (ann.r, ann.R))
+                got = _inclusions(tr, tR, ann)
+                assert got.verdict == check.verdict, (ann, K)
+                if K == 4096:  # the check's own nodes
+                    assert got == check
+                if K == 256 and check.verdict == "none":  # the first pass at N = 32
+                    with pytest.raises(ValueError, match=f"margin {got.margin:.3g}\\)"):
+                        assemble_dual(m, ann, 32)
+
+    def test_refuses_a_nan_sample(self, bstar, annulus):
+        class OneNaN(_MapBase):
+            degree = 2
+
+            def _eval(self, z):
+                out = bstar._eval(z)
+                out[len(out) // 3] = np.nan
+                return out
+
+        with pytest.raises(ValueError, match=r"margin -inf\); refusing assembly"):
+            assemble_dual(OneNaN(), annulus, 32)
 
     def test_rejects_small_K(self, bstar, annulus):
         with pytest.raises(ValueError, match="8"):

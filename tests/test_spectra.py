@@ -266,10 +266,20 @@ class TestConverged:
         with pytest.warns(RuntimeWarning, match="not converged"):
             converged_spectrum(wavy, thin, tol=1e-15, max_order=64, want=64)
 
+    def test_warning_names_the_finest_truncation(self, annulus):
+        # max_order = 100 stops after the level 32 -> 64, whose 64 is the finest order
+        with pytest.warns(RuntimeWarning, match="not converged .* up to truncation 64$"):
+            spec = converged_spectrum(TrigLift(2, (0.1,)), annulus, max_order=100)
+        assert spec.truncation == (64, 64, 512)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_tol(self, bstar, annulus, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             converged_spectrum(bstar, annulus, tol=tol)
+
+    def test_rejects_max_order_below_64(self, bstar, annulus):
+        with pytest.raises(ValueError, match="max_order 32 must be at least 64"):
+            converged_spectrum(bstar, annulus, max_order=32)
 
 
 def _match_cases():

@@ -15,7 +15,7 @@ from helpers import (
 from ruelle import traces
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _MapBase
-from ruelle.spectra import converged_spectrum
+from ruelle.spectra import Spectrum, converged_spectrum
 from ruelle.traces import (
     blaschke_trace_closed,
     closed_form_multiplier,
@@ -267,6 +267,26 @@ class TestDetRoutes:
         # an empty trace series would return det = 1 with a negative tail
         with pytest.raises(ValueError, match=f"nmax={nmax} must be at least 1"):
             det_from_traces(bstar, annulus, 0.3, nmax=nmax, traces=[1.0])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m, ann: trace_power(m, 0, ann), "power must be >= 1, got n=0"),
+            (lambda m, ann: blaschke_trace_closed(0.5, True, 0), "power must be >= 1, got n=0"),
+            (  # a spectrum with no converged eigenvalue
+                lambda m, ann: det_from_spectrum(Spectrum(np.array([0.5j]), (1, 1, 256), 0), 0.3),
+                "empty spectrum",
+            ),
+            (
+                lambda m, ann: det_from_traces(m, ann, 0.3, nmax=5, traces=[1.0, 0.5]),
+                "trace table has 2 entries, need 5",
+            ),
+        ],
+        ids=["trace-power", "closed-form", "unconverged-spectrum", "short-table"],
+    )
+    def test_rejects_out_of_range_arguments(self, bstar, annulus, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(bstar, annulus)
 
     def test_trivial_map_det(self, squaring, annulus):
         # spectrum {1}: det = 1 - z
