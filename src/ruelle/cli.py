@@ -50,14 +50,15 @@ def _parse_map(text: str):
 
 
 def _split(text: str, sep: str, option: str, form: str, kinds=None) -> list:
-    # as many parts as the form has, as kinds (default float), else an error naming both
-    parts = text.split(sep)
+    # as many parts as the form has, as kinds (default float), all finite, else an error
+    kinds = kinds or [float] * (form.count(sep) + 1)
     try:
-        if len(parts) == form.count(sep) + 1:
-            return [kind(p) for kind, p in zip(kinds or [float] * len(parts), parts)]
+        values = [kind(p) for kind, p in zip(kinds, text.split(sep), strict=True)]
     except ValueError:
-        pass
-    raise ValueError(f"{option} expects {form}, got {text!r}")
+        raise ValueError(f"{option} expects {form}, got {text!r}") from None
+    if any(v != v or abs(v) == np.inf for v in values):  # no float() of a huge int
+        raise ValueError(f"{option} expects finite numbers, got {text!r}")
+    return values
 
 
 def _parse_complex(text: str, option: str) -> complex:

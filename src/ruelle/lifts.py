@@ -143,9 +143,9 @@ def lift(m) -> LiftSeries:
 class HomotopyFamily:
     """Certified complex homotopy between two equal-degree expanding maps.
 
-    For every w within distance eta of [0, 1], T(w, .) maps the circle
-    |z| = r0 strictly inside |z| = r1 and |z| = R0 strictly outside
-    |z| = R1 (swapped for negative degree), with the recorded margins.
+    For every w within distance eta of [0, 1], T(w, .) maps its inward circle
+    (|z| = r0, or |z| = R0 for negative degree) strictly inside |z| = r1 and
+    the other strictly outside |z| = R1; margin_inner is read on |z| = r0.
     """
 
     lift0: LiftSeries
@@ -226,7 +226,7 @@ def build_homotopy(
     if l0.d != l1.d:
         raise ValueError(f"degree mismatch: {l0.d} vs {l1.d}")
     d = l0.d
-    sgn = 1.0 if d > 0 else -1.0
+    sgn = 1 if d > 0 else -1
 
     eps = min(l0.strip, l1.strip, 0.35)
     if epsilon is not None:
@@ -263,18 +263,16 @@ def build_homotopy(
             for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False)
         ]
         b = 2 * np.pi * np.arange(4096) / 4096
-        inner_vals0, inner_vals1 = l0.eval(b + 1j * eps), l1.eval(b + 1j * eps)
-        outer_vals0, outer_vals1 = l0.eval(b - 1j * eps), l1.eval(b - 1j * eps)
-        margin_inner = margin_outer = math.inf
+        # the row Im theta = +eps is |z| = r0, mapped inward for d > 0
+        row_in, row_out = (b + 1j * eps, b - 1j * eps)[::sgn]
+        in0, in1, out0, out1 = (lf.eval(row) for row in (row_in, row_out) for lf in (l0, l1))
+        margin_in = margin_out = math.inf
         for w in ws:
-            mod_in = np.exp(-((1 - w) * inner_vals0 + w * inner_vals1).imag)
-            mod_out = np.exp(-((1 - w) * outer_vals0 + w * outer_vals1).imag)
-            if d > 0:
-                margin_inner = min(margin_inner, r1 - float(mod_in.max()))
-                margin_outer = min(margin_outer, float(mod_out.min()) - R1)
-            else:
-                margin_inner = min(margin_inner, float(mod_in.min()) - R1)
-                margin_outer = min(margin_outer, r1 - float(mod_out.max()))
+            mod_in = np.exp(-((1 - w) * in0 + w * in1).imag)
+            mod_out = np.exp(-((1 - w) * out0 + w * out1).imag)
+            margin_in = min(margin_in, r1 - float(mod_in.max()))
+            margin_out = min(margin_out, float(mod_out.min()) - R1)
+        margin_inner, margin_outer = (margin_in, margin_out)[::sgn]
         if margin_inner > 0 and margin_outer > 0:
             return HomotopyFamily(
                 l0, l1, d, eps, eta, r0, R0, r1, R1, margin_inner, margin_outer

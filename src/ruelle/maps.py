@@ -4,8 +4,8 @@ Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
 analytically known degree.  The module-level helpers implement the checks
 that the spectral machinery relies on: expansivity on the unit circle,
-boundary-circle inclusions certifying holomorphic expansivity (and giving
-the orientation), and interior fixed points with their multipliers.
+boundary-circle inclusions certifying holomorphic expansivity (and naming
+the inward circle), and interior fixed points with their multipliers.
 """
 
 from __future__ import annotations
@@ -256,14 +256,15 @@ def min_expansion(m) -> float:
 class InclusionCheck:
     """Outcome of the boundary-circle inclusion test on a route's own samples.
 
-    verdict 'A1': tau(T_r) inside D_r and tau(T_R) outside D_R (orientation
-    preserving); 'A2': the swapped inclusions (reversing); 'none' otherwise,
-    refused by the assembly.  margin is the distance to violation (negative
-    for 'none'); under either verdict |tau(z) - z| >= margin at every sampled
-    node, and the contour trace refuses a margin below 1e-8.  ratio is the
-    contraction ratio q, the smaller of max(sup|tau|_r / r, R / inf|tau|_R)
-    and its mirror max(R / inf|tau|_r, sup|tau|_R / r): it is below 1 exactly
-    when the verdict is not 'none', and truncation errors decay like q^N.
+    verdict 'A1': tau maps T_r inward, into D_r, and T_R outward, outside D_R
+    (orientation preserving); 'A2': T_R inward and T_r outward (reversing);
+    'none' otherwise, refused by the assembly.  margin is the distance to
+    violation (negative for 'none'); under either verdict |tau(z) - z| >=
+    margin at every sampled node, and the contour trace refuses a margin
+    below 1e-8.  ratio is the contraction ratio q, the smaller of
+    max(sup|tau|_r / r, R / inf|tau|_R) and its mirror max(R / inf|tau|_r,
+    sup|tau|_R / r): it is below 1 exactly when the verdict is not 'none',
+    and truncation errors decay like q^N.
     """
 
     verdict: str
@@ -278,28 +279,29 @@ def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionC
         raise ValueError("need at least 256 samples")
     with np.errstate(all="ignore"):
         tr, tR = (m.eval(circle_nodes(rho, samples)) for rho in (annulus.r, annulus.R))
-    return _inclusions(tr, tR, annulus)
+    return _inclusions(tr, tR, annulus)[0]
 
 
-def _inclusions(tr, tR, annulus: Annulus) -> InclusionCheck:
-    """Classify samples tr, tR of tau on the circles |z| = r and |z| = R.
-
-    Overflow to infinity counts as "outside" (high iterates of maps with a
-    superattracting pole do this); NaN samples fail the check outright.
+def _inclusions(tr, tR, annulus: Annulus) -> tuple:
+    """Classify samples tr, tR of tau on the circles |z| = r and |z| = R; return
+    the InclusionCheck, then the (radius, samples) pairs of the circle tau maps
+    inward and of the one it maps outward, (r, tr), (R, tR) or, under A2 only,
+    swapped.  Overflow to infinity counts as "outside" (high iterates of maps
+    with a superattracting pole do this); NaN samples fail the check outright.
     """
     r, R = annulus.r, annulus.R
     with np.errstate(all="ignore"):
         vr, vR = np.abs(tr), np.abs(tR)
         if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
-            return InclusionCheck("none", -math.inf, math.inf)
+            return InclusionCheck("none", -math.inf, math.inf), (r, tr), (R, tR)
         ratio = float(min(max(vr.max() / r, R / vR.min()), max(R / vr.min(), vR.max() / r)))
     a1 = min(r - vr.max(), vR.min() - R)
     a2 = min(vr.min() - R, r - vR.max())
     if a1 > 0:
-        return InclusionCheck("A1", float(a1), ratio)
+        return InclusionCheck("A1", float(a1), ratio), (r, tr), (R, tR)
     if a2 > 0:
-        return InclusionCheck("A2", float(a2), ratio)
-    return InclusionCheck("none", float(max(a1, a2)), ratio)
+        return InclusionCheck("A2", float(a2), ratio), (R, tR), (r, tr)
+    return InclusionCheck("none", float(max(a1, a2)), ratio), (r, tr), (R, tR)
 
 
 _NO_FIXED_POINT = "no attracting interior fixed point located"

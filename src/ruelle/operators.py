@@ -5,12 +5,12 @@ e_m^(rho)(z) = z^m / rho^m: nonnegative powers scaled by r (the "plus"
 block), negative powers scaled by R (the "minus" block).  Its matrix is a
 compression of the composition operator f -> f o tau, built block-wise: a
 block's inputs composed with tau, (tau/r)^n or (R/tau)^n, are sampled by
-repeated products on the boundary circle dictated by the orientation
-(preserving: plus inputs on T_r, minus inputs on T_R; reversing: swapped),
-stacked as rows in chunks of at most CHUNK_SAMPLES = 2^17 samples, expanded
-by one row FFT per chunk and transported back into the two blocks, with the
-bits of a column-by-column build; the matrix is column-major, as a column
-is one FFT row and LAPACK reads columns.  A map whose boundary samples are
+repeated products on a boundary circle (plus inputs on the circle tau maps
+inward, minus inputs on the other), stacked as rows in chunks of at most
+CHUNK_SAMPLES = 2^17 samples, expanded by one row FFT per chunk and
+transported back into the two blocks, with the bits of a column-by-column
+build; the matrix is column-major, as a column is one FFT row and LAPACK
+reads columns.  A map whose boundary samples are
 conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
 every column and a real matrix: its rows are stored folded, Re g + Im g,
 in a real chunk of half the bytes, and read from the half spectrum
@@ -91,7 +91,8 @@ def _conjugate_symmetric(v) -> bool:
     """Whether max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|: the samples
     at circle_nodes of a tau with tau(conj z) = conj tau(z), whose adjoint is
     real.  Samples asymmetric beyond roundoff keep the complex assembly."""
-    diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
+    with np.errstate(invalid="ignore"):  # inf - inf at an overflowed node: NaN, asymmetric
+        diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
     return diff <= SNAP_TOL * np.abs(v).max()
 
 
@@ -163,7 +164,7 @@ def assemble_dual(
     FFTs of folded columns, iff both sample rows pass _conjugate_symmetric.
     The rows are tau at the pass's K nodes on each boundary circle, judged
     after the integer checks by the inclusion test: 'none' is refused
-    (ValueError naming the margin), A1 puts plus inputs on T_r, A2 on T_R.
+    (ValueError naming the margin); plus inputs go on the circle tau maps inward.
     """
     nminus = nplus if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
@@ -177,14 +178,12 @@ def assemble_dual(
     while True:
         with np.errstate(all="ignore"):
             tr, tR = (m.eval(circle_nodes(rho, k)) for rho in (r, R))
-        check = _inclusions(tr, tR, annulus)
+        check, (rho_plus, tp), (rho_minus, tm) = _inclusions(tr, tR, annulus)
         if check.verdict == "none":
             raise ValueError(
                 "map is not holomorphically expansive on the annulus "
                 f"(margin {check.margin:.3g}); refusing assembly"
             )
-        a1 = check.verdict == "A1"  # plus inputs on T_r; A2 swaps the circles
-        (rho_plus, tp), (rho_minus, tm) = ((r, tr), (R, tR)) if a1 else ((R, tR), (r, tr))
         real = all(_conjugate_symmetric(v) for v in (tp, tm))
         cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped

@@ -150,7 +150,7 @@ def converged_spectrum(
     """Assemble at doubling truncation orders from 32 until the leading
     ``want`` eigenvalues are stable within tol; returns the finest spectrum
     with its converged count."""
-    if not tol > 0:  # NaN included
+    if not 0 < tol < np.inf:  # NaN included
         raise ValueError(f"tol must be positive, got tol={tol}")
     if max_order < 64:
         raise ValueError(f"max_order {max_order} must be at least 64")

@@ -2,8 +2,8 @@
 
 Three independent routes to the same analytic objects:
 
-* contour traces  Tr(L^n) = omega/(2 pi i) int_{boundary A} dz/(tau^n(z)-z),
-  evaluated by circle quadrature on the two boundary circles;
+* contour traces  Tr(L^n) = (1/2 pi i)(int_outward - int_inward) dz/(tau^n(z)-z),
+  by quadrature on the boundary circles tau^n maps outward and inward;
 * eigenvalue products  det(I - z L) = prod (1 - z lambda_k) from a converged
   spectrum, and the trace series det(I - zL) = exp(-sum z^n Tr(L^n)/n);
 * closed forms for (anti-)Blaschke products, where the whole spectrum is a
@@ -47,34 +47,33 @@ __all__ = [
 
 
 def trace_contour(m, annulus: Annulus) -> complex:
-    """Trace of the adjoint operator by contour quadrature:
-    omega * [ I_R - I_r ] of 1/(tau(z) - z), where I_rho integrates over the
-    positively oriented circle |z| = rho (the annulus boundary is the outer
-    circle plus the inner circle negatively oriented), with 4096 nodes per
+    """Trace of the adjoint operator by contour quadrature: I_outward - I_inward
+    of 1/(tau(z) - z), where I integrates over the positively oriented
+    boundary circle tau maps outward or inward (I_R - I_r for an orientation
+    preserving tau, I_r - I_R for a reversing one), with 4096 nodes per
     circle.  That many nodes resolve high iterates: the traces of the first
     24 iterates of z(z - 1/2)/(1 - z/2) on (0.8, 1.25) match their closed
     forms to 2.3e-16.
 
     Each circle is evaluated once, the inner first, and those samples are
-    classified by the boundary-circle inclusion test: its verdict gives
-    omega (A1 +1, A2 -1), and an inclusion margin below 1e-8 makes the
+    classified by the boundary-circle inclusion test, which names the
+    inward and outward circles; an inclusion margin below 1e-8 makes the
     contour ill-posed (ValueError naming the margin).  Above it,
     |tau(z) - z| >= margin at every node."""
     with np.errstate(all="ignore"):
         tr, tR = (m.eval(circle_nodes(rho, 4096)) for rho in (annulus.r, annulus.R))
-    check = _inclusions(tr, tR, annulus)
+    check, inward, outward = _inclusions(tr, tR, annulus)
     if check.margin < 1e-8:
         raise ValueError(
             f"inclusion margin {check.margin:.3g} (verdict {check.verdict}) below 1e-8 "
             f"on the annulus r={annulus.r:g}, R={annulus.R:g}: ill-posed contour"
         )
-    omega = 1 if check.verdict == "A1" else -1
     # 1/(tau - z) -> 0 where the iterate has overflowed to infinity
-    inner, outer = (
+    i_in, i_out = (
         circle_integral(lambda z, t=t: np.nan_to_num(1.0 / (t - z), nan=0.0), rho, 4096)
-        for t, rho in ((tr, annulus.r), (tR, annulus.R))
+        for rho, t in (inward, outward)
     )
-    return omega * (outer - inner)
+    return i_out - i_in
 
 
 def trace_power(m, n: int, annulus: Annulus) -> complex:

@@ -465,6 +465,36 @@ def test_option_of_wrong_kind_is_an_input_error(argv, named, capsys, tmp_path, m
     assert not (tmp_path / "x.pgm").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["det", "--map", BSTAR, "--z", "inf"], "--z expects finite numbers, got 'inf'"),
+        (["det", "--map", BSTAR, "--z", "nan,0"], "--z expects finite numbers, got 'nan,0'"),
+        (["det", "--map", BSTAR, "--zeta-scan", "0:inf:3"], "--zeta-scan expects finite numbers"),
+        (["trace", "--map", BSTAR, "--annulus", "0.8,inf"], "--annulus expects finite numbers"),
+        (["scan", "--grid", "nan:1:3"], "--grid expects finite numbers"),
+        (["julia", "--w", "nan", "--size", "16x16", "--out", "x.pgm"], "--w expects finite"),
+        (
+            ["julia", "--w", "0.5", "--viewport", "0,1,0,inf", "--out", "x.pgm"],
+            "--viewport expects finite numbers",
+        ),
+        (["spectrum", "--map", TRIG, "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
+        (["scan", "--grid", "0:1:2", "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
+    ],
+    ids=["z-inf", "z-nan", "zeta-scan", "annulus", "grid", "w", "viewport", "spectrum-tol",
+         "scan-tol"],
+)
+def test_non_finite_number_is_an_input_error(argv, named, capsys, tmp_path, monkeypatch):
+    # inf or nan in a numeric option exits 1 with an error line naming the option,
+    # not with a traceback, a cryptic conversion error or a meaningless result
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
 @pytest.mark.parametrize("nmax", ["0", "-3"])
 def test_det_rejects_nmax_below_one(nmax, capsys):
     assert main(["det", "--map", MOBIUS, "--z", "0.3", "--nmax", nmax]) == 1

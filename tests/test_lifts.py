@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -135,7 +138,7 @@ class TestBuildHomotopy:
         assert fam.margin_inner > 0 and fam.margin_outer > 0
 
 
-@pytest.mark.parametrize(
+PAIRS = pytest.mark.parametrize(
     "pair",
     [
         (BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,))),
@@ -143,6 +146,9 @@ class TestBuildHomotopy:
     ],
     ids=["bstar-to-triglift", "reversing"],
 )
+
+
+@PAIRS
 def test_members_match_log_oracle(pair):
     # z^d exp((1-w) Q_0 + w Q_1) against exp(i [(1-w) lift0 + w lift1](-i log z))
     fam = build_homotopy(*pair)
@@ -151,6 +157,34 @@ def test_members_match_log_oracle(pair):
         member = fam.member(w)
         np.testing.assert_allclose(member.eval(zs), member_eval_log(fam, w, zs), rtol=1e-13)
         np.testing.assert_allclose(member.deriv(zs), member_deriv_log(fam, w, zs), rtol=1e-13)
+
+
+@PAIRS
+def test_margins_match_the_branching_loop(pair):
+    # margin_inner is read on |z| = r0 (the row Im theta = +eps) and
+    # margin_outer on |z| = R0, whichever way the degree's sign maps each:
+    # recomputed with a branch on that sign for every w
+    fam = build_homotopy(*pair)
+    ws = [complex(u) for u in np.linspace(0, 1, 11)]
+    ws += [
+        u + fam.eta * cmath.exp(1j * phi)
+        for u in (0.0, 0.5, 1.0)
+        for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False)
+    ]
+    b = 2 * np.pi * np.arange(4096) / 4096
+    inner = [lf.eval(b + 1j * fam.epsilon) for lf in (fam.lift0, fam.lift1)]
+    outer = [lf.eval(b - 1j * fam.epsilon) for lf in (fam.lift0, fam.lift1)]
+    margin_inner = margin_outer = math.inf
+    for w in ws:
+        mod_in = np.exp(-((1 - w) * inner[0] + w * inner[1]).imag)
+        mod_out = np.exp(-((1 - w) * outer[0] + w * outer[1]).imag)
+        if fam.d > 0:
+            margin_inner = min(margin_inner, fam.r1 - float(mod_in.max()))
+            margin_outer = min(margin_outer, float(mod_out.min()) - fam.R1)
+        else:
+            margin_inner = min(margin_inner, float(mod_in.min()) - fam.R1)
+            margin_outer = min(margin_outer, fam.r1 - float(mod_out.max()))
+    assert (fam.margin_inner, fam.margin_outer) == (margin_inner, margin_outer)
 
 
 @pytest.fixture(scope="module")

@@ -117,8 +117,12 @@ class TestAssembly:
             for K in (256, 512, 1024, 2048, 4096, 8192):
                 with np.errstate(all="ignore"):
                     tr, tR = (m.eval(circle_nodes(rho, K)) for rho in (ann.r, ann.R))
-                got = _inclusions(tr, tR, ann)
+                got, inward, outward = _inclusions(tr, tR, ann)
                 assert got.verdict == check.verdict, (ann, K)
+                # the same arrays, swapped exactly when tau reverses orientation
+                pairs = ((ann.r, tr), (ann.R, tR))[:: -1 if got.verdict == "A2" else 1]
+                for (rho, t), (rho_want, t_want) in zip((inward, outward), pairs):
+                    assert rho == rho_want and t is t_want, (ann, K)
                 if K == 4096:  # the check's own nodes
                     assert got == check
                 if K == 256 and check.verdict == "none":  # the first pass at N = 32
@@ -485,6 +489,25 @@ class TestColumnMajor:
         assert operators._conjugate_symmetric(v)
         v[j] = nan
         assert not operators._conjugate_symmetric(v) and not _roll_symmetric(v)
+
+    def test_overflowed_node_keeps_the_complex_path(self, bstar):
+        # tau = inf at node 0 of |z| = R passes the inclusion test as "outside";
+        # inf - inf there is NaN, so not symmetric, and with no warning the
+        # assembly reports the aliasing that the broken sample causes
+        class OuterInf(_MapBase):
+            degree = 2
+
+            def _eval(self, z):
+                out = bstar._eval(z)
+                if abs(z[0]) > 1:
+                    out[0] = np.inf
+                return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not operators._conjugate_symmetric(OuterInf().eval(circle_nodes(1.25, 256)))
+            with pytest.raises(RuntimeError, match=r"aliasing tail .* exceeds 1e-09 at K=256"):
+                assemble_dual(OuterInf(), Annulus(0.8, 1.25), 16, K=256)
 
 
 class TestSingularValues:

@@ -272,7 +272,7 @@ class TestConverged:
             spec = converged_spectrum(TrigLift(2, (0.1,)), annulus, max_order=100)
         assert spec.truncation == (64, 64, 512)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_tol(self, bstar, annulus, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             converged_spectrum(bstar, annulus, tol=tol)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FLOOR_STAR,
     blaschke_spectrum,
     det_product_distance,
     det_zero_count_lattice,
@@ -14,7 +15,8 @@ from helpers import (
 )
 from ruelle import traces
 from ruelle.lifts import find_expansive_annulus
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _MapBase
+from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _MapBase, iterate
+from ruelle.numerics import circle_integral, circle_nodes
 from ruelle.spectra import Spectrum, converged_spectrum
 from ruelle.traces import (
     blaschke_trace_closed,
@@ -94,6 +96,27 @@ class TestTraceContour:
         m = Counting()
         assert trace_contour(m, annulus) == trace_contour(bstar, annulus)
         assert m.radii == pytest.approx([annulus.r, annulus.R], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            FLOOR_STAR,
+            iterate(BlaschkeProduct(1.0, (0.0, 0.5), anti=True), 3),
+        ],
+        ids=["bstar", "anti", "floor", "anti-third-iterate"],
+    )
+    def test_outward_minus_inward_is_the_oriented_contour(self, m, annulus):
+        # I_outward - I_inward equals omega (I_R - I_r), with the orientation
+        # sign omega = +1 for a preserving map and -1 for a reversing one
+        def integral(rho):  # the quadrature trace_contour takes over |z| = rho
+            with np.errstate(all="ignore"):
+                t = m.eval(circle_nodes(rho, 4096))
+            return circle_integral(lambda z: np.nan_to_num(1.0 / (t - z), nan=0.0), rho, 4096)
+
+        omega = 1 if m.degree > 0 else -1
+        assert trace_contour(m, annulus) == omega * (integral(annulus.R) - integral(annulus.r))
 
 
 class TestTracePower:
