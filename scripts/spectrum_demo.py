@@ -23,7 +23,7 @@ annulus = Annulus(0.8, 1.25)
 mu = -0.5
 
 spec = converged_spectrum(bstar, annulus)
-print(f"converged eigenvalues (N = {spec.truncation[0]}):")
+print(f"converged eigenvalues (N = {spec.operator.nplus}):")
 for n, lam in enumerate(spec.eigenvalues[:9], start=1):
     print(f"  lambda_{n} = {lam.real:+.12f} {lam.imag:+.1e}j")
 

@@ -21,7 +21,6 @@ from . import julia as julia_mod
 from .lifts import build_homotopy, find_expansive_annulus
 from .maps import Annulus, MobiusFamilyMap, from_descriptor, min_expansion, to_descriptor
 from .numerics import circle_nodes
-from .operators import assemble_dual
 from .spectra import converged_spectrum, decay_fit
 from .traces import (
     closed_form_multiplier,
@@ -129,18 +128,16 @@ def cmd_spectrum(args):
             "config": config,
             "eigenvalues": [[l.real, l.imag] for l in spec.eigenvalues],
             "converged_count": spec.converged_count,
-            "truncation": list(spec.truncation),
+            "truncation": [spec.operator.nplus, spec.operator.nminus, spec.operator.samples],
         }
         _emit(json.dumps(doc, indent=1) + "\n", args.out)
     else:
         _emit(f"# config: {json.dumps(config)}\n" + _spectrum_rows(spec), args.out)
-    if args.dump_matrix:
-        T = assemble_dual(m, ann, spec.truncation[0], spec.truncation[1])
+    if args.dump_matrix:  # the operator the spectrum was solved on
         rows = ["row,col,re,im"]
-        for (i, j), v in np.ndenumerate(T.matrix):
+        for (i, j), v in np.ndenumerate(spec.operator.matrix):
             rows.append(f"{i},{j},{v.real:.16g},{v.imag:.16g}")
-        with open(args.dump_matrix, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _emit("\n".join(rows) + "\n", args.dump_matrix)
     beta_text = "n/a" if beta is None else f"{beta:.4f}"
     print(
         f"lambda1={lead.real:+.9f}{lead.imag:+.3e}j |lambda2|={second:.3e} "

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maps import MobiusFamilyMap
+
 __all__ = ["BASIN_ZERO", "BASIN_INFINITY", "BASIN_UNDECIDED", "Raster", "render", "write_pgm"]
 
 BASIN_ZERO = 0
@@ -62,7 +64,7 @@ def render(
         raise ValueError("max_iter must be at least 50")
     if not 0 < epsilon < 0.1:
         raise ValueError("epsilon must lie in (0, 0.1)")
-    w = complex(w)
+    step = MobiusFamilyMap(w)._eval  # T(w, .) itself, with no per-step array checks
     xmin, xmax, ymin, ymax = viewport
     xs = np.linspace(xmin, xmax, width)
     ys = np.linspace(ymax, ymin, height)
@@ -77,8 +79,7 @@ def render(
             z = z0[start:start + BLOCK_PIXELS]
             idx = np.arange(start, start + z.size)
             for it in range(1, max_iter + 1):
-                den = 2 - w * z
-                z = z * (2 * z - w) / den
+                z = step(z)
                 mods = np.abs(z)
                 keep = (mods >= lo) & (mods <= hi)  # false for NaN and infinity
                 if keep.all():

@@ -217,7 +217,8 @@ def build_homotopy(
     annuli r0 = e^-eps, R0 = e^eps, r1/R1 the geometric midpoints toward
     e^{-/+ eps (rho+1)/2}.  eta is sized from sup|lift1 - lift0| so the
     whole neighbourhood keeps |T| within the certified corridor; epsilon
-    and eta_cap override the starting strip width and the eta ceiling.
+    and eta_cap override the starting strip width and the eta ceiling, and
+    must be finite, epsilon positive and eta_cap non-negative (ValueError).
     Derivatives and lift differences are sampled on 512 points of the
     three rows Im theta = 0, +eps, -eps, and the inclusions on 4096 points
     of each boundary circle, where the margins are read.
@@ -228,11 +229,13 @@ def build_homotopy(
     d = l0.d
     sgn = 1 if d > 0 else -1
 
-    eps = min(l0.strip, l1.strip, 0.35)
-    if epsilon is not None:
-        if epsilon <= 0:
-            raise ValueError(f"epsilon override must be positive, got {epsilon}")
-        eps = min(eps, epsilon)
+    if epsilon is not None and not 0 < epsilon < math.inf:  # NaN included
+        need = "finite" if epsilon > 0 else "positive"
+        raise ValueError(f"epsilon override must be {need}, got {epsilon}")
+    if eta_cap is not None and not 0 <= eta_cap < math.inf:
+        need = "finite" if eta_cap > 0 else "non-negative"
+        raise ValueError(f"eta_cap override must be {need}, got {eta_cap}")
+    eps = min(l0.strip, l1.strip, 0.35, math.inf if epsilon is None else epsilon)
     while eps >= 1e-4:
         grid = 2 * np.pi * np.arange(512) / 512
         rows = [grid, grid + 1j * eps, grid - 1j * eps]

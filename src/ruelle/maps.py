@@ -62,9 +62,6 @@ class _MapBase:
         out = self._deriv(np.asarray(z, dtype=complex))
         return complex(out) if np.ndim(z) == 0 else out
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 @dataclass(frozen=True)
 class BlaschkeProduct(_MapBase):

@@ -23,7 +23,7 @@ def circle_nodes(radius: float, K: int) -> np.ndarray:
     return radius * _roots_of_unity(K)
 
 
-@lru_cache(maxsize=8)  # the assembly and its expansivity check reuse a few K
+@lru_cache(maxsize=8)  # assembly passes, annulus search (2048), contour traces (4096) share K
 def _roots_of_unity(K: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(K) / K)
     roots.flags.writeable = False  # one array per K for every caller

@@ -88,11 +88,12 @@ class TruncatedOperator:
 
 
 def _conjugate_symmetric(v) -> bool:
-    """Whether max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|: the samples
-    at circle_nodes of a tau with tau(conj z) = conj tau(z), whose adjoint is
-    real.  Samples asymmetric beyond roundoff keep the complex assembly."""
-    with np.errstate(invalid="ignore"):  # inf - inf at an overflowed node: NaN, asymmetric
-        diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
+    """Whether v is finite and max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|:
+    the samples at circle_nodes of a tau with tau(conj z) = conj tau(z), whose
+    adjoint is real.  Any other samples keep the complex assembly."""
+    if not np.isfinite(v).all():
+        return False
+    diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
     return diff <= SNAP_TOL * np.abs(v).max()
 
 

@@ -27,12 +27,12 @@ MATCH_ROWS = 32  # rows of the distance table that _leading_match forms at once
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by decreasing modulus (ties by increasing argument
-    in (-pi, pi]).  converged_count is the length of the leading run that
-    was stable under truncation doubling (None if never assessed)."""
+    """Eigenvalues, sorted by decreasing modulus (ties by increasing argument in
+    (-pi, pi]), of ``operator`` (None for given eigenvalues).  converged_count
+    counts the leading run stable under truncation doubling (None if unassessed)."""
 
     eigenvalues: np.ndarray
-    truncation: tuple
+    operator: TruncatedOperator | None
     converged_count: int | None = None
     tol: float | None = None
 
@@ -119,7 +119,7 @@ def eigenvalues(T: TruncatedOperator) -> Spectrum:
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(a)) if finite and a.size else float("nan")
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
-    return Spectrum(_sorted_desc(vals.astype(complex)), (T.nplus, T.nminus, T.samples))
+    return Spectrum(_sorted_desc(vals.astype(complex)), T)
 
 
 def _leading_match(primary: np.ndarray, other: np.ndarray, tol: float) -> int:
@@ -148,25 +148,25 @@ def converged_spectrum(
     want: int = 10,
 ) -> Spectrum:
     """Assemble at doubling truncation orders from 32 until the leading
-    ``want`` eigenvalues are stable within tol; returns the finest spectrum
-    with its converged count."""
+    ``want`` eigenvalues are stable within tol; returns the finest spectrum,
+    with its operator and converged count."""
     if not 0 < tol < np.inf:  # NaN included
         raise ValueError(f"tol must be positive, got tol={tol}")
     if max_order < 64:
         raise ValueError(f"max_order {max_order} must be at least 64")
     best = None
     n = 32
-    # each level's fine truncation is the next level's coarse one
-    coarse = eigenvalues(assemble_dual(m, annulus, n, n))
+    # each level's fine eigenvalues, not its operator, are the next level's coarse ones
+    coarse = eigenvalues(assemble_dual(m, annulus, n, n)).eigenvalues
     while 2 * n <= max_order:
         fine = eigenvalues(assemble_dual(m, annulus, 2 * n, 2 * n))
-        count = _leading_match(fine.eigenvalues, coarse.eigenvalues, tol)
-        result = Spectrum(fine.eigenvalues, fine.truncation, count, tol)
+        count = _leading_match(fine.eigenvalues, coarse, tol)
+        fine = Spectrum(fine.eigenvalues, fine.operator, count, tol)
         if best is None or count > (best.converged_count or 0):
-            best = result
+            best = fine
         if count >= want:
-            return result
-        coarse, n = fine, 2 * n
+            return fine
+        coarse, n = fine.eigenvalues, 2 * n
     warnings.warn(
         f"spectrum not converged to tol={tol:g} for {want} eigenvalues "
         f"up to truncation {n}",

@@ -19,6 +19,7 @@ ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 SQUARING = '{"type":"triglift","d":2,"cos":[],"sin":[]}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
+HOMOTOPY = ["homotopy-check", "--map0", BSTAR, "--map1", TRIG]
 
 
 def _rows(path):
@@ -76,6 +77,21 @@ class TestSpectrum:
         row0 = lines[1].split(",")
         assert (int(row0[0]), int(row0[1])) == (0, 0)
         assert float(row0[2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matrix_dump_assembles_nothing_again(self, tmp_path, monkeypatch):
+        # the dump writes the operator the spectrum was solved on: no block is built twice
+        from ruelle import operators
+
+        blocks, real = [], operators._assemble_block
+        monkeypatch.setattr(operators, "_assemble_block", lambda *a: blocks.append(a) or real(*a))
+        argv = ["spectrum", "--map", TRIG, "--annulus", "0.8,1.25", "--N", "64",
+                "--out", str(tmp_path / "s.csv")]
+        counts = []
+        for extra in ([], ["--dump-matrix", str(tmp_path / "m.csv")]):
+            blocks.clear()
+            assert main(argv + extra) == 2  # 64 is too coarse for TrigLift's ten: a warning
+            counts.append(len(blocks))
+        assert counts[1] == counts[0] > 0
 
     def test_convergence_warning_exit_code(self, tmp_path):
         wavy = '{"type":"triglift","d":2,"cos":[0.4],"sin":[]}'
@@ -245,7 +261,7 @@ def test_every_subcommand_exits_2_on_warning(module, name, argv, monkeypatch, tm
 )
 def test_summary_order_is_order_estimate(moduli):
     # rho_hat comes from the one decay fit, or is 1 where that fit is refused
-    spec = Spectrum(np.array([1.0, *moduli], dtype=complex), (0, 0, 0), None, 1e-9)
+    spec = Spectrum(np.array([1.0, *moduli], dtype=complex), None, None, 1e-9)
     second, beta, rho = _spectrum_summary(spec)
     assert rho == order_estimate(spec)
     assert (beta is None) == (len(moduli) < 6)
@@ -480,19 +496,33 @@ def test_option_of_wrong_kind_is_an_input_error(argv, named, capsys, tmp_path, m
         ),
         (["spectrum", "--map", TRIG, "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
         (["scan", "--grid", "0:1:2", "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
+        # the homotopy overrides: each of these certified the default family or,
+        # for --eta -1, failed as "maps too wild"
+        ([*HOMOTOPY, "--eta", "nan"], "eta_cap override must be non-negative, got nan"),
+        ([*HOMOTOPY, "--eta", "inf"], "eta_cap override must be finite, got inf"),
+        ([*HOMOTOPY, "--eta", "-1"], "eta_cap override must be non-negative, got -1.0"),
+        ([*HOMOTOPY, "--epsilon", "nan"], "epsilon override must be positive, got nan"),
+        ([*HOMOTOPY, "--epsilon", "inf"], "epsilon override must be finite, got inf"),
+        (
+            ["scan", "--family", "homotopy", "--map0", BSTAR, "--map1", TRIG, "--grid", "0:1:2",
+             "--eta", "nan"],
+            "eta_cap override must be non-negative, got nan",
+        ),
     ],
     ids=["z-inf", "z-nan", "zeta-scan", "annulus", "grid", "w", "viewport", "spectrum-tol",
-         "scan-tol"],
+         "scan-tol", "eta-nan", "eta-inf", "eta-negative", "epsilon-nan", "epsilon-inf",
+         "scan-eta-nan"],
 )
 def test_non_finite_number_is_an_input_error(argv, named, capsys, tmp_path, monkeypatch):
     # inf or nan in a numeric option exits 1 with an error line naming the option,
     # not with a traceback, a cryptic conversion error or a meaningless result
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.pgm").exists()
+    assert not out  # no artifact, with a NaN or Infinity token or any other
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -59,6 +59,29 @@ class TestLift:
         with pytest.raises(ValueError, match="degree"):
             lift(Rotation())
 
+    def test_strip_halved_until_certified(self):
+        # the decay fit proposes 0.0474 for a zero at 0.9; the roundtrip holds at half that
+        m = BlaschkeProduct(1.0, (0.0, 0.9))
+        L = lift(m)
+        assert L.strip == pytest.approx(0.0237, abs=1e-4)
+        for im in (L.strip, -L.strip):
+            th = THETA + 1j * im
+            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "zero, message",
+        [
+            (0.97, "could not certify an analyticity strip for the lift"),
+            (0.99, "inconsistent lift: mean of log-derivative .* is not an integer"),
+        ],
+        ids=["no-strip", "mean-off-the-degree"],
+    )
+    def test_zero_near_the_circle_is_unresolved(self, zero, message):
+        # 1024 nodes alias the log-derivative's coefficients, which decay like zero^|n|:
+        # the roundtrip fails on every strip, or the mean misses the degree
+        with pytest.raises(RuntimeError, match=f"^{message}"):
+            lift(BlaschkeProduct(1.0, (0.0, zero)))
+
     def test_vanishing_map_rejected(self):
         class Vanishing:
             def eval(self, z):
@@ -122,8 +145,26 @@ class TestBuildHomotopy:
             build_homotopy(squaring, TrigLift(3))
 
     def test_rejects_non_positive_epsilon(self, bstar):
-        with pytest.raises(ValueError, match="epsilon override must be positive, got 0.0"):
-            build_homotopy(bstar, TrigLift(2, (0.1,)), epsilon=0.0)
+        # and every override that is not finite, or a negative eta ceiling
+        for override, message in [
+            ({"epsilon": 0.0}, "epsilon override must be positive, got 0.0"),
+            ({"epsilon": math.nan}, "epsilon override must be positive, got nan"),
+            ({"epsilon": math.inf}, "epsilon override must be finite, got inf"),
+            ({"eta_cap": math.nan}, "eta_cap override must be non-negative, got nan"),
+            ({"eta_cap": math.inf}, "eta_cap override must be finite, got inf"),
+            ({"eta_cap": -1.0}, "eta_cap override must be non-negative, got -1.0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_homotopy(bstar, TrigLift(2, (0.1,)), **override)
+
+    def test_maps_too_wild(self, bstar):
+        # zeros at 0.95 and -0.9: no strip down to 1e-4 certifies the family
+        with pytest.raises(RuntimeError, match="^maps too wild for certified homotopy"):
+            build_homotopy(bstar, BlaschkeProduct(1.0, (0.95, -0.9)))
+
+    def test_zero_eta_ceiling(self, bstar):
+        fam = build_homotopy(bstar, TrigLift(2, (0.1,)), eta_cap=0.0)
+        assert fam.eta == 0.0 and fam.margin_inner > 0 and fam.margin_outer > 0
 
     def test_constant_family(self, squaring):
         fam = build_homotopy(squaring, TrigLift(2))
@@ -247,6 +288,13 @@ def test_mobius_family_preserves_circle_exactly():
     for w in np.linspace(0, 1, 11):
         vals = np.abs(MobiusFamilyMap(w).eval(zs))
         assert np.abs(vals - 1).max() < 1e-12
+
+
+def test_find_expansive_annulus_without_candidate():
+    # T(3, .) has its pole 2/3 inside the unit disk and its zero 3/2 outside, so it
+    # winds the unit circle zero times: no annulus maps one circle in, the other out
+    with pytest.raises(RuntimeError, match="no annulus in the search range certifies"):
+        find_expansive_annulus(MobiusFamilyMap(3.0))
 
 
 def test_find_expansive_annulus(bstar, anti_bstar):

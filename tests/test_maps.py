@@ -13,6 +13,7 @@ from ruelle.maps import (
     ComposedMap,
     MobiusFamilyMap,
     TrigLift,
+    _MapBase,
     check_holo_expansive,
     fixed_point_disk,
     from_descriptor,
@@ -236,6 +237,26 @@ class TestFixedPoint:
         z0, mu = fixed_point_disk(m)
         assert abs(m.eval(z0) - z0) < 1e-12
         assert abs(z0) < 1 and abs(mu) < 1
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(2.0, 0.5), (1.0, 0.5), (1.0, 1e-7), (0.5, 1.0)],
+        # the orbit overflows; it never settles; it settles at once but has no
+        # fixed point (Newton divides by tau' - 1 = 0); it converges to z = 2
+        ids=["escapes", "no-convergence", "newton-denominator-zero", "outside-the-disk"],
+    )
+    def test_failures_raise_runtime_error(self, a, b):
+        class Affine(_MapBase):  # z -> a z + b
+            degree = 1
+
+            def _eval(self, z):
+                return a * z + b
+
+            def _deriv(self, z):
+                return np.full_like(z, a)
+
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="no attracting"):
+            fixed_point_disk(Affine())
 
     def test_pole_at_start_raises_runtime_error(self, anti_bstar):
         # anti-B* = 1/(z (2z - 1)/(2 - z)) has its pole at 0, the first iterate

@@ -181,7 +181,7 @@ class TestAliasingMonitor:
     def test_triglift_converges_without_escalation(self, annulus):
         with pytest.warns(RuntimeWarning, match="not converged"):
             spec = converged_spectrum(TrigLift(2, (0.1,)), annulus)
-        assert spec.truncation[2] <= 16 * spec.truncation[0]
+        assert spec.operator.samples <= 16 * spec.operator.nplus
 
     def test_default_samples(self, squaring, annulus):
         # max(256, 8N) rounded up to a power of two; z^2 never escalates
@@ -490,9 +490,17 @@ class TestColumnMajor:
         v[j] = nan
         assert not operators._conjugate_symmetric(v) and not _roll_symmetric(v)
 
+    @pytest.mark.parametrize("inf", [complex(np.inf, 0.0), complex(0.0, np.inf)])
+    def test_infinite_sample_with_finite_mirror(self, bstar, inf):
+        # |inf - conj v[-5]| = inf passed the bound SNAP_TOL max|v| = inf
+        v = bstar.eval(circle_nodes(1.25, 256))
+        assert operators._conjugate_symmetric(v)
+        v[5] = inf
+        assert not operators._conjugate_symmetric(v)
+
     def test_overflowed_node_keeps_the_complex_path(self, bstar):
         # tau = inf at node 0 of |z| = R passes the inclusion test as "outside";
-        # inf - inf there is NaN, so not symmetric, and with no warning the
+        # a non-finite row is not symmetric, and with no warning the
         # assembly reports the aliasing that the broken sample causes
         class OuterInf(_MapBase):
             degree = 2

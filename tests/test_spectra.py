@@ -26,7 +26,7 @@ from ruelle.spectra import (
 
 def _synthetic(moduli, tol=1e-9):
     vals = np.array([1.0] + list(moduli), dtype=complex)
-    return Spectrum(vals, (0, 0, 0), converged_count=len(vals), tol=tol)
+    return Spectrum(vals, None, converged_count=len(vals), tol=tol)
 
 
 class TestLowerTriangular:
@@ -257,8 +257,9 @@ class TestConverged:
         with pytest.warns(RuntimeWarning, match="not converged"):
             spec = converged_spectrum(m, ann)
         assert orders == [32, 64, 128, 256]
-        n = spec.truncation[0]
-        assert np.array_equal(spec.eigenvalues, eigenvalues(real(m, ann, n, n)).eigenvalues)
+        finest = real(m, ann, spec.operator.nplus, spec.operator.nminus)
+        assert np.array_equal(spec.operator.matrix, finest.matrix)  # the solved matrix, bit for bit
+        assert np.array_equal(spec.eigenvalues, eigenvalues(finest).eigenvalues)
 
     def test_warns_when_unconverged(self):
         wavy = TrigLift(2, cos_coeffs=(0.4,))
@@ -270,7 +271,8 @@ class TestConverged:
         # max_order = 100 stops after the level 32 -> 64, whose 64 is the finest order
         with pytest.warns(RuntimeWarning, match="not converged .* up to truncation 64$"):
             spec = converged_spectrum(TrigLift(2, (0.1,)), annulus, max_order=100)
-        assert spec.truncation == (64, 64, 512)
+        T = spec.operator
+        assert (T.nplus, T.nminus, T.samples) == (64, 64, 512)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_tol(self, bstar, annulus, tol):

@@ -154,6 +154,28 @@ class TestTracePower:
         assert trace_power(m, n, annulus) == trace_power(bstar, n, annulus)
         assert m.calls == 2 * n
 
+    @pytest.mark.parametrize(
+        "m, auto, n",
+        [
+            (TrigLift(2, (0.1,)), False, 8),
+            (TrigLift(2, (0.1,)), True, 7),
+            (TrigLift(2, (), (0.1,)), False, 8),
+            (TrigLift(2, (), (0.1,)), True, 7),
+        ],
+        ids=["cos-fixed", "cos-auto", "sin-fixed", "sin-auto"],
+    )
+    def test_third_shrink_is_refused(self, annulus, m, auto, n):
+        # each needs three shrinks, whose trace was 2.3e-11 (cos-fixed) to
+        # 3.1e-4 (sin-auto) off tr(M^n) at N = 128; n - 1 needs two, within 6e-16
+        from ruelle.operators import assemble_dual
+
+        ann = find_expansive_annulus(m) if auto else annulus
+        with pytest.raises(RuntimeError, match=f"^trace of power n={n} failed on every retry"):
+            trace_power(m, n, ann)
+        T = assemble_dual(m, ann, 128)
+        want = np.trace(np.linalg.matrix_power(T.matrix, n - 1))
+        assert trace_power(m, n - 1, ann) == pytest.approx(want, abs=1e-14)
+
     def test_matrix_power_cross_check(self, bstar, annulus):
         from ruelle.operators import assemble_dual
 
@@ -266,7 +288,7 @@ class TestDetRoutes:
     def test_single_eigenvalue(self):
         from ruelle.spectra import Spectrum
 
-        spec = Spectrum(np.array([1.0 + 0j]), (0, 0, 0), 1, 1e-9)
+        spec = Spectrum(np.array([1.0 + 0j]), None, 1, 1e-9)
         # a one-entry spectrum cannot certify its tail: precision warning
         with pytest.warns(RuntimeWarning, match="tail"):
             res = det_from_spectrum(spec, math.log(0.5))
@@ -297,7 +319,7 @@ class TestDetRoutes:
             (lambda m, ann: trace_power(m, 0, ann), "power must be >= 1, got n=0"),
             (lambda m, ann: blaschke_trace_closed(0.5, True, 0), "power must be >= 1, got n=0"),
             (  # a spectrum with no converged eigenvalue
-                lambda m, ann: det_from_spectrum(Spectrum(np.array([0.5j]), (1, 1, 256), 0), 0.3),
+                lambda m, ann: det_from_spectrum(Spectrum(np.array([0.5j]), None, 0), 0.3),
                 "empty spectrum",
             ),
             (
