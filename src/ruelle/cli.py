@@ -92,12 +92,14 @@ def _config_dict(args, **extra) -> dict:
     return cfg
 
 
-def _map_and_annulus(args):
-    """The --map, its annulus (--annulus, else the automatic search) and the
-    resolved configuration that the artifact embeds."""
-    m = _parse_map(args.map)
-    ann = _parse_annulus(args.annulus) if args.annulus else find_expansive_annulus(m)
-    return m, ann, _config_dict(args, annulus=[ann.r, ann.R], map=to_descriptor(m))
+def _annulus_and_config(args, m, search=True):
+    """The annulus for map ``m`` (--annulus, else the automatic search, else
+    None when not ``search``) and the resolved configuration that the
+    artifact embeds, which records the annulus when there is one."""
+    ann = (_parse_annulus(args.annulus) if args.annulus
+           else find_expansive_annulus(m) if search else None)
+    found = {} if ann is None else {"annulus": [ann.r, ann.R]}
+    return ann, _config_dict(args, **found, map=to_descriptor(m))
 
 
 def _spectrum_rows(spec) -> str:
@@ -119,7 +121,8 @@ def _spectrum_summary(spec):
 
 
 def cmd_spectrum(args):
-    m, ann, config = _map_and_annulus(args)
+    m = _parse_map(args.map)
+    ann, config = _annulus_and_config(args, m)
     spec = converged_spectrum(m, ann, tol=args.tol, max_order=args.N)
     lead = spec.eigenvalues[0]
     second, beta, rho = _spectrum_summary(spec)
@@ -147,7 +150,8 @@ def cmd_spectrum(args):
 
 
 def cmd_trace(args):
-    m, ann, config = _map_and_annulus(args)
+    m = _parse_map(args.map)
+    ann, config = _annulus_and_config(args, m)
     rep = trace_report(m, ann, nplus=args.N)
     doc = {
         "config": config,
@@ -161,8 +165,10 @@ def cmd_trace(args):
 
 
 def cmd_det(args):
-    m, ann, config = _map_and_annulus(args)
+    m = _parse_map(args.map)
     info = closed_form_multiplier(m)
+    # the closed-form scan reads no annulus, so none is searched for it
+    ann, config = _annulus_and_config(args, m, search=not (args.zeta_scan and info is not None))
 
     if args.zeta_scan:
         grid = _parse_grid(args.zeta_scan, "--zeta-scan")

@@ -18,6 +18,17 @@ X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m], 0 <= m <= K/2, with
 |Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|) bit for bit as the aliasing
 monitor's magnitude (rounding is sign-symmetric; Im X = 0 at m = 0, K/2).
 
+Reflection rule: a circle map, tau(1/conj z) = 1/conj tau(z), on an annulus
+with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
+input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the matrix
+satisfies M = P conj(M) P, with P swapping plus row/column m and minus m
+(m >= 1).  When max|tm - 1/conj tp| <= SNAP_TOL max|tm| (_reflects), only
+the plus powers 0..max(nplus - 1, nminus) are sampled and transformed, and
+minus column n is plus power n's transported column with its plus and
+minus rows swapped, conjugated: M[i, j] = conj M[Pi, Pj] entry for entry,
+under either orientation, and with the aliasing tails of the plus columns.
+Other maps and annuli keep the directly built minus block.
+
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
 plus block at row m with weight g_m (r/rho)^m, and in the minus block at
@@ -74,7 +85,10 @@ class TruncatedOperator:
     float64 when the map's boundary samples are conjugate-symmetric to
     SNAP_TOL, as for tau(conj z) = conj tau(z), whose adjoint is real; else
     complex128.  It is column-major (Fortran order): a column is one FFT row,
-    and LAPACK reads columns.
+    and LAPACK reads columns.  For a circle map on an annulus with r R = 1
+    (the reflection rule in the module notes) the minus columns are the plus
+    FFT's, row-swapped and conjugated: M[i, j] = conj M[Pi, Pj] wherever P,
+    which swaps plus m and minus m, stays inside the truncation.
     """
 
     nplus: int
@@ -97,23 +111,46 @@ def _conjugate_symmetric(v) -> bool:
     return diff <= SNAP_TOL * np.abs(v).max()
 
 
-def _assemble_block(out, step, powers: range, rho, r, R, nplus):
+def _reflects(tp, tm) -> bool:
+    """Whether max|tm - 1/conj tp| <= SNAP_TOL max|tm| at the same node angles,
+    with every term finite: the inward and outward samples of a circle map,
+    tau(1/conj z) = 1/conj tau(z), on an annulus with r R = 1, whose minus
+    inputs (R/tau)^n are node by node the conjugates of its plus inputs
+    (tau/r)^n.  Any other samples keep the directly built minus block."""
+    with np.errstate(all="ignore"):
+        diff = np.abs(tm - 1 / np.conj(tp))
+    return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(tm).max()
+
+
+def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
-    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n.
+    With ``mirror``, the minus columns of a reflected matrix, ``out`` holds the
+    powers below nplus and power n >= 1 also fills mirror row n - 1 with its
+    transported column row-swapped and conjugated: M[i, j] = conj M[Pi, Pj]."""
     K = len(step)
     step_max = float(np.abs(step).max())
-    mplus, mminus = np.arange(nplus), np.arange(1, out.shape[1] - nplus + 1)
-    index = np.concatenate([mplus, -mminus])  # taken with mode="wrap": -m reads K - m
-    weight = np.concatenate([(r / rho) ** mplus, (rho / R) ** mminus])
+    nminus = out.shape[1] - nplus
+    m = np.arange(max(nplus, nminus + 1))
+    inward, outward = (r / rho) ** m, (rho / R) ** m  # the weights of plus and minus rows
+
+    def layout(plus, minus):  # plus rows 0..nplus-1, then minus rows 1..nminus
+        return np.concatenate([plus[:nplus], minus[1 : nminus + 1]])
+
+    # (rows, power of row 0, coefficient index taken with mode="wrap", weight)
+    targets = [(out, powers.start, layout(m, -m), layout(inward, outward))]
+    if mirror is not None:  # plus row m from minus m, minus m from plus m
+        targets.append((mirror, 1, layout(-m, m), layout(outward, inward)))
+    top = len(m) - 1  # the largest |index|
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
     unresolved, buffer = [], np.empty((min(rows, len(powers)), K), dtype=out.dtype)
     for start in range(0, len(powers), rows):
         n = np.asarray(powers[start : start + rows])
-        chunk, dest = buffer[: len(n)], out[start : start + len(n)]
+        chunk = buffer[: len(n)]
         for i, power in enumerate(n):
             if real:
                 if power:
@@ -123,15 +160,22 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
                 g = np.multiply(g, step, out=chunk[i])
             else:
                 chunk[i] = g
-        if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m], m = 0..K/2
+        if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m], into the spent chunk
             x = half_spectrum_from_samples(chunk, rho)
-            re, im, minus = x.real, x.imag, slice(1, len(mminus) + 1)
-            np.subtract(re[:, :nplus], im[:, :nplus], out=dest[:, :nplus])
-            np.add(re[:, minus], im[:, minus], out=dest[:, nplus:])
+            re, im = x.real, x.imag
+            np.subtract(re[:, : top + 1], im[:, : top + 1], out=chunk[:, : top + 1])
+            np.add(re[:, top:0:-1], im[:, top:0:-1], out=chunk[:, K - top :])
+            c = chunk
         else:
-            x = fourier_coeffs_from_samples(chunk, rho)
-            np.take(x, index, axis=1, out=dest, mode="wrap")
-        dest *= weight
+            c = x = fourier_coeffs_from_samples(chunk, rho)
+        for dest, first, idx, weight in targets:  # the target rows of this chunk's powers
+            lo, hi = max(n[0], first), min(n[-1] + 1, first + len(dest))
+            if lo < hi:
+                d = dest[lo - first : hi - first]
+                np.take(c[lo - n[0] : hi - n[0]], idx, axis=1, out=d, mode="wrap")
+                d *= weight
+                if dest is mirror and not real:
+                    np.conjugate(d, out=d)
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
         # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
@@ -159,9 +203,13 @@ def assemble_dual(
     max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
     tolerance and that column's roundoff floor; an explicit K with an
     unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
-    worst tail of both blocks and its floor.  An automatic pass below the
-    cap whose plus block is unresolved is discarded without building its
-    minus block.  The matrix is float64, read from the half spectrum of real
+    worst tail of both blocks and its floor.  When the sample rows pass
+    _reflects (a circle map, r R = 1), the pass transforms the plus powers
+    0..max(nplus - 1, nminus) only and fills each minus column n with plus
+    power n's transported column, plus and minus rows swapped, conjugated,
+    and the plus powers' tails are the minus columns'.  Otherwise an
+    automatic pass below the cap whose plus block is unresolved is
+    discarded without building its minus block.  The matrix is float64, read from the half spectrum of real
     FFTs of folded columns, iff both sample rows pass _conjugate_symmetric.
     The rows are tau at the pass's K nodes on each boundary circle, judged
     after the integer checks by the inclusion test: 'none' is refused
@@ -188,8 +236,10 @@ def assemble_dual(
         real = all(_conjugate_symmetric(v) for v in (tp, tm))
         cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped
-        unresolved = _assemble_block(cols.T[:nplus], tp / r, range(nplus), rho_plus, r, R, nplus)
-        if not (retry and unresolved):
+        mirror = cols.T[nplus:] if _reflects(tp, tm) else None
+        powers = range(nplus if mirror is None else max(nplus, nminus + 1))
+        unresolved = _assemble_block(cols.T[:nplus], tp / r, powers, rho_plus, r, R, nplus, mirror)
+        if mirror is None and not (retry and unresolved):
             unresolved += _assemble_block(
                 cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
             )

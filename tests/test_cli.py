@@ -192,6 +192,22 @@ class TestDetZetaScan:
     def test_needs_z_or_scan(self):
         assert main(["det", "--map", BSTAR, "--annulus", "0.8,1.25"]) == 1
 
+    @pytest.mark.parametrize("descriptor", [BSTAR, ANTI, MOBIUS], ids=["bstar", "anti", "mobius"])
+    def test_closed_form_scan_searches_no_annulus(self, descriptor, tmp_path, monkeypatch):
+        # the product formula reads no annulus, and the config records none
+        def refuse(m):
+            raise AssertionError("annulus search for a closed-form scan")
+
+        monkeypatch.setattr(ruelle.cli, "find_expansive_annulus", refuse)
+        out = tmp_path / "zscan.csv"
+        assert main(["det", "--map", descriptor, "--zeta-scan", "1:5:3", "--out", str(out)]) == 0
+        config = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+        assert "annulus" not in config
+        assert main(["det", "--map", descriptor, "--annulus", "0.8,1.25",
+                     "--zeta-scan", "1:5:3", "--out", str(out)]) == 0
+        config = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+        assert config["annulus"] == [0.8, 1.25]
+
     @pytest.mark.parametrize("descriptor", [BSTAR, TRIG], ids=["closed-form", "spectrum"])
     def test_exact_zero_is_minus_inf_under_warnings_as_errors(self, descriptor):
         # det(I - L) = 0 (the eigenvalue 1); log 0 must not warn on either route

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -9,6 +10,7 @@ from helpers import (
     HardyPair,
     blaschke_spectrum,
     duality_residual,
+    jacobi_anger_matrix,
     match_multiset,
     pairing,
     transfer_apply_rational,
@@ -25,7 +27,7 @@ from ruelle.maps import (
     check_holo_expansive,
 )
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
-from ruelle.operators import SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
+from ruelle.operators import EPS, SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, eigenvalues
 from ruelle.traces import trace_contour
 
@@ -222,10 +224,10 @@ NEAR_CIRCLE = BlaschkeProduct(1.0, (0.0, 0.999))
 THIN = Annulus(1 / 1.0005, 1.0005)
 
 
-def _homotopy_member():
-    # plus block resolved and minus block unresolved at its first K (512, N = 64)
+def _homotopy_member(w=0.25):
+    # at w = 0.25: plus block resolved and minus block unresolved at its first K (512, N = 64)
     fam = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
-    return fam.member(0.25), fam.annulus()
+    return fam.member(w), fam.annulus()
 
 
 class TestDiscardedPasses:
@@ -236,9 +238,10 @@ class TestDiscardedPasses:
     def calls(self, monkeypatch):
         log, block = [], operators._assemble_block
 
-        def logged(out, step, powers, *args):
-            log.append((len(step), "plus" if powers.start == 0 else "minus"))
-            return block(out, step, powers, *args)
+        def logged(out, step, powers, rho, r, R, nplus, mirror=None):
+            kind = "minus" if powers.start else "plus" if mirror is None else "reflected"
+            log.append((len(step), kind))
+            return block(out, step, powers, rho, r, R, nplus, mirror)
 
         monkeypatch.setattr(operators, "_assemble_block", logged)
         return log
@@ -265,9 +268,15 @@ class TestDiscardedPasses:
         assert T.matrix.dtype == explicit.matrix.dtype
         assert T.matrix.tobytes() == explicit.matrix.tobytes()
 
-    def test_discarded_pass_builds_its_plus_block_only(self, calls, bstar, annulus):
-        assemble_dual(bstar, annulus, 32)
+    def test_discarded_pass_builds_its_plus_block_only(self, calls, bstar):
+        # r R != 1: the minus block is built directly, once the plus block resolves
+        assemble_dual(bstar, Annulus(0.85, 1.2), 32)
         assert calls == [(256, "plus"), (512, "plus"), (512, "minus")]
+
+    def test_reflected_pass_builds_one_block(self, calls, bstar, annulus):
+        # a circle map on r R = 1: each pass transforms the plus powers only
+        assemble_dual(bstar, annulus, 32)
+        assert calls == [(256, "reflected"), (512, "reflected")]
 
     def test_unresolved_minus_block_alone_is_found(self, calls):
         m, annulus = _homotopy_member()
@@ -289,21 +298,25 @@ class TestDiscardedPasses:
         assert calls == [(1024, "plus"), (1024, "minus")]
 
 
-def _column_by_column(m, annulus, N, K, real=True):
+def _column_by_column(m, annulus, N, K, real=True, reflect=True):
     """The truncation built one column at a time: sequential products, one
     1-D FFT per column divided by K, the transport weights, then the snap.
     With ``real``, a map whose two sample rows are conjugate-symmetric to
     SNAP_TOL folds each column g to h = Re g + Im g and reads its real
     coefficients off X = rfft(h) / K: c[m] = Re X[m] - Im X[m] and
-    c[-m] = Re X[m] + Im X[m]."""
+    c[-m] = Re X[m] + Im X[m].  With ``reflect``, a map whose outward row is
+    1/conj of its inward row to SNAP_TOL takes minus column n from plus
+    power n, its plus and minus rows swapped and conjugated; else, and
+    always without ``reflect``, minus column n is the FFT of (R/tau)^n on
+    the outward circle."""
     r, R = annulus.r, annulus.R
     rho_plus, rho_minus = (r, R) if check_holo_expansive(m, annulus).verdict == "A1" else (R, r)
-    mrange = np.arange(1, N + 1)
     tp, tm = m.eval(circle_nodes(rho_plus, K)), m.eval(circle_nodes(rho_minus, K))
     mirror = -np.arange(K) % K
     fold = real and all(
         np.abs(v - np.conj(v[mirror])).max() <= SNAP_TOL * np.abs(v).max() for v in (tp, tm)
     )
+    swap = reflect and np.abs(tm - 1 / np.conj(tp)).max() <= SNAP_TOL * np.abs(tm).max()
 
     def coeffs(samples):
         if not fold:
@@ -316,21 +329,25 @@ def _column_by_column(m, annulus, N, K, real=True):
         return c
 
     def transport(samples, rho):
-        c = coeffs(samples)
-        plus = c[np.arange(N) % K] * (r / rho) ** np.arange(N)
-        minus = c[(-mrange) % K] * (rho / R) ** mrange
-        return np.concatenate([plus, minus])
+        """The plus rows 0..N and the minus rows 0..N (row 0 is c[0])."""
+        c, mrange = coeffs(samples), np.arange(N + 1)
+        return c[mrange % K] * (r / rho) ** mrange, c[-mrange % K] * (rho / R) ** mrange
 
-    cols = []
+    plus_cols, minus_cols = [], []
     g, step = np.ones(K, dtype=complex), tp / r
-    for _ in range(N):
-        cols.append(transport(g, rho_plus))
+    for n in range(N + 1):
+        plus, minus = transport(g, rho_plus)
+        if n < N:
+            plus_cols.append(np.concatenate([plus[:N], minus[1:]]))
+        if swap and n:
+            minus_cols.append(np.conj(np.concatenate([minus[:N], plus[1:]])))
         g = g * step
     g, step = np.ones(K, dtype=complex), R / tm
-    for _ in range(N):
+    for _ in range(0 if swap else N):
         g = g * step
-        cols.append(transport(g, rho_minus))
-    matrix = np.column_stack(cols)
+        plus, minus = transport(g, rho_minus)
+        minus_cols.append(np.concatenate([plus[:N], minus[1:]]))
+    matrix = np.column_stack(plus_cols + minus_cols)
     matrix[np.abs(matrix) < SNAP_TOL * np.abs(matrix).max()] = 0.0
     return matrix
 
@@ -409,6 +426,128 @@ class TestRealMatrices:
         full = _column_by_column(m, annulus, 48, 4096, real=False)
         assert T.matrix.dtype == np.complex128
         assert np.array_equal(np.ascontiguousarray(T.matrix).view(np.float64), full.view(np.float64))
+
+
+def _swap(nplus, nminus):
+    """P as an index map on the truncation: plus m <-> minus m (m >= 1), plus
+    0 fixed; -1 where the partner lies outside the truncation."""
+    plus, minus = np.arange(nplus), np.arange(1, nminus + 1)
+    to_minus = np.where(plus == 0, 0, np.where(plus <= nminus, nplus + plus - 1, -1))
+    return np.concatenate([to_minus, np.where(minus < nplus, minus, -1)])
+
+
+def _column_floors(m, annulus, T):
+    """Each column's roundoff floor, absolute: (n+1) eps max|g_n|, with g_n
+    the column's samples (tau/r)^n on the inward or (R/tau)^n on the
+    outward circle (the floor relative to max|c| times max|c|)."""
+    _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, T.samples))
+                                        for rho in (annulus.r, annulus.R)), annulus)
+    n_plus, n_minus = np.arange(T.nplus), np.arange(1, T.nminus + 1)
+    plus = (n_plus + 1) * EPS * np.abs(tp / annulus.r).max() ** n_plus
+    minus = (n_minus + 1) * EPS * np.abs(annulus.R / tm).max() ** n_minus
+    return np.concatenate([plus, minus])
+
+
+# circle maps, with the dtype of their matrix and their orientation
+REFLECTING = [
+    pytest.param(BlaschkeProduct(1.0, (0.0, 0.5)), np.float64, "A1", id="bstar"),
+    pytest.param(BlaschkeProduct(1.0, (0.0, 0.5), anti=True), np.float64, "A2", id="anti_bstar"),
+    pytest.param(MobiusFamilyMap(0.7), np.float64, "A1", id="mobius"),
+    pytest.param(TrigLift(2, (0.1,)), np.complex128, "A1", id="triglift"),
+    pytest.param(TrigLift(2, (), (0.1,)), np.float64, "A1", id="odd_triglift"),
+    pytest.param(FLOOR_STAR, np.complex128, "A2", id="floor_star"),
+]
+
+
+class TestReflection:
+    """A circle map on an annulus with r R = 1 takes its minus block from the
+    plus FFT: M[i, j] = conj M[Pi, Pj], with P swapping plus m and minus m."""
+
+    @pytest.mark.parametrize("m, dtype, orientation", REFLECTING)
+    @pytest.mark.parametrize("which", ["fixed", "auto"])
+    def test_matrix_is_its_swapped_conjugate(self, m, dtype, orientation, which, annulus):
+        ann = annulus if which == "fixed" else find_expansive_annulus(m)
+        assert check_holo_expansive(m, ann).verdict == orientation
+        for nplus, nminus in ((48, 48), (17, 30), (30, 17), (1, 8), (8, 0)):
+            T = assemble_dual(m, ann, nplus, nminus)
+            assert T.matrix.dtype == dtype
+            P = _swap(nplus, nminus)
+            both = np.flatnonzero(P >= 0)
+            got = T.matrix[np.ix_(both, both)]
+            assert np.array_equal(got, np.conj(T.matrix[np.ix_(P[both], P[both])]))
+
+    @pytest.mark.parametrize("m, dtype, orientation", REFLECTING)
+    @pytest.mark.parametrize("which", ["fixed", "auto"])
+    def test_minus_block_matches_direct_fft(self, m, dtype, orientation, which, annulus):
+        ann = annulus if which == "fixed" else find_expansive_annulus(m)
+        T = assemble_dual(m, ann, 48)
+        direct = _column_by_column(m, ann, 48, T.samples, reflect=False)
+        floors = _column_floors(m, ann, T)
+        diff = np.abs(T.matrix - direct)
+        # an entry within roundoff of the snap level may be snapped on one side only
+        snapped = (T.matrix == 0) != (direct == 0)
+        top = np.abs(T.matrix).max()
+        assert np.abs(np.where(snapped, T.matrix + direct, 0)).max() <= SNAP_TOL * top
+        excess = np.where(snapped, 0, diff) / floors
+        assert excess[:, T.nplus :].max() <= 1, excess.max()
+        # the plus block is the same FFT either way
+        assert np.array_equal(T.matrix[:, : T.nplus], direct[:, : T.nplus])
+
+    @pytest.mark.parametrize(
+        "m, ann",
+        [
+            (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25)),  # not a circle map
+            (_homotopy_member(0.5)[0], Annulus(0.8, 1.25)),  # 137 eps
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.93, 1.1)),  # r R != 1
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2)),
+        ],
+        ids=["mobius-complex", "member-0.5", "bstar-0.93", "bstar-0.85"],
+    )
+    def test_other_maps_keep_the_direct_minus_block(self, m, ann):
+        T = assemble_dual(m, ann, 32, K=1024)
+        with np.errstate(all="ignore"):
+            _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, 1024))
+                                                for rho in (ann.r, ann.R)), ann)
+        assert not operators._reflects(tp, tm)
+        direct = _column_by_column(m, ann, 32, 1024, reflect=False)
+        assert T.matrix.dtype == direct.dtype
+        assert np.array_equal(T.matrix, direct)
+
+    def test_reflection_rule(self, bstar):
+        tp = bstar.eval(circle_nodes(0.8, 256))
+        tm = 1 / np.conj(tp)
+        assert operators._reflects(tp, tm)
+        noisy = tm * (1 + 40 * EPS)
+        assert operators._reflects(tp, noisy)
+        assert not operators._reflects(tp, tm * (1 + 100 * EPS))
+        for bad in (np.inf, np.nan):
+            broken = tm.copy()
+            broken[3] = bad
+            assert not operators._reflects(tp, broken)
+
+
+class TestJacobiAnger:
+    """The assembled entries of one-harmonic lifts against their closed form
+    (helpers.jacobi_anger_matrix), on an annulus with r R = 1, where the minus
+    block is the reflected plus FFT."""
+
+    @pytest.mark.parametrize(
+        "m", [TrigLift(2, (0.1,)), TrigLift(2, (), (0.1,))], ids=["cos", "sin"]
+    )
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_entries_within_column_floors(self, m, N):
+        ann = Annulus(math.exp(-0.5), math.exp(0.5))
+        T = assemble_dual(m, ann, N)
+        _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, T.samples))
+                                            for rho in (ann.r, ann.R)), ann)
+        assert operators._reflects(tp, tm)
+        exact, floors = jacobi_anger_matrix(m, ann, N), _column_floors(m, ann, T)
+        snapped = (T.matrix == 0) & (exact != 0)
+        assert snapped.any()  # the snap zeroes entries the closed form keeps
+        top = np.abs(T.matrix).max()
+        assert (np.abs(np.where(snapped, exact, 0)) <= SNAP_TOL * top + floors).all()
+        err = np.where(snapped, 0, np.abs(T.matrix - exact))
+        assert (err <= floors).all(), (err / floors).max()
 
 
 def _roll_symmetric(v):

@@ -1,7 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import FLOOR_STAR, blaschke_spectrum, leading_match_loop, match_multiset
+from helpers import (
+    FLOOR_STAR,
+    TRIG_STAR_EIGENVALUES,
+    blaschke_spectrum,
+    jacobi_anger_matrix,
+    leading_match_loop,
+    match_multiset,
+)
 from ruelle.lifts import find_expansive_annulus
 from ruelle.maps import (
     Annulus,
@@ -421,3 +431,43 @@ def test_floor_eigenvalue_matches_closed_form():
     err = min(abs(lam8 - mu**4), abs(lam8 + mu**4))
     # fixed either by resolving lambda_8 or by no longer reporting it converged
     assert err <= 1e-8 or spec.converged_count < 8, f"lambda_8 = {lam8:.3g}, error {err:.3g}"
+
+
+TRIG_COS, TRIG_SIN = TrigLift(2, (0.1,)), TrigLift(2, (), (0.1,))
+
+
+def _oracle_eigenvalues(m):
+    """Eigenvalues of the closed-form truncation at N = 64 on (e^-0.5, e^0.5)."""
+    ann = Annulus(math.exp(-0.5), math.exp(0.5))
+    return np.linalg.eigvals(jacobi_anger_matrix(m, ann, 64))
+
+
+def test_jacobi_anger_oracle_reproduces_the_reference():
+    # relative error of each conjugate pair, growing as the eigenvalues near
+    # eps times the largest entry of the double-precision oracle
+    got = _oracle_eigenvalues(TRIG_COS)
+    rel = (1e-14, 1e-14, 1e-14, 4e-13, 1e-11, 2e-9, 3e-7)
+    for lam, tol in zip(TRIG_STAR_EIGENVALUES, rel, strict=True):
+        for value in (lam, np.conj(lam)):
+            assert np.abs(got - value).min() <= tol * abs(value), value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: each FFT entry carries an absolute error near "
+    "eps max|g| and the snap zeroes true entries, so lambda_6 on is off by 7.6e-8 or more",
+)
+@pytest.mark.parametrize("m", [TRIG_COS, TRIG_SIN], ids=["cos", "sin"])
+@pytest.mark.parametrize("which", ["fixed", "auto"])
+def test_converged_triglift_eigenvalues_match_the_oracle(m, which):
+    ann = Annulus(0.8, 1.25) if which == "fixed" else find_expansive_annulus(m)
+    if m is TRIG_COS:  # the 40-digit reference; the eigenvalues after it are below 1e-10
+        reference = np.array([0.0, *TRIG_STAR_EIGENVALUES, *np.conj(TRIG_STAR_EIGENVALUES[1:])])
+    else:
+        reference = _oracle_eigenvalues(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # fewer than 10 converge on (0.8, 1.25)
+        spec = converged_spectrum(m, ann)
+    worst = max(np.abs(reference - lam).min() for lam in spec.converged())
+    assert worst <= 10 * spec.tol, f"{spec.converged_count} converged, worst error {worst:.3g}"
