@@ -10,10 +10,11 @@ machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
 OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
 the same 26 lines: the anti-product spectra, which once went through a
 threaded dense eigensolve, now come from the matrix's zero pattern.  The
-TrigLift spectra still take `np.linalg.eigvals`: the cos TrigLift on a
-complex matrix, the odd (sin-only) one on a real matrix, the only artifact
-on LAPACK's real dense eigensolver.  More threads or another BLAS may change
-them; that was not measured.
+TrigLift spectra still take `np.linalg.eigvals`, but only on the 26 x 26
+core that permutations leave of each matrix (`spectra.eigenvalues`): the
+cos TrigLift on a complex core, the odd (sin-only) one on a real core, the
+only artifact on LAPACK's real dense eigensolver.  More threads or another
+BLAS may change them; that was not measured.
 
 The exit codes, unlike the hashes, are checked: each command must exit
 with its code in EXIT_CODES, 0 everywhere except 2 (numerical warning) for

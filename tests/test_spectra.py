@@ -12,7 +12,7 @@ from helpers import (
     leading_match_loop,
     match_multiset,
 )
-from ruelle.lifts import find_expansive_annulus
+from ruelle.lifts import build_homotopy, find_expansive_annulus
 from ruelle.maps import (
     Annulus,
     BlaschkeProduct,
@@ -26,12 +26,16 @@ from ruelle.spectra import (
     Spectrum,
     _leading_match,
     _lower_triangular,
+    _unisolated,
     converged_spectrum,
     counting_function,
     decay_fit,
     eigenvalues,
     order_estimate,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def _synthetic(moduli, tol=1e-9):
@@ -117,7 +121,8 @@ class TestTriangularShortcut:
         assert np.array_equal(got.view(np.float64), expect.view(np.float64))
 
     def test_non_triangular_maps_reach_eigvals(self, annulus, monkeypatch):
-        # neither pattern: an anti-product whose zeros miss 0, FLOOR_STAR, a TrigLift
+        # neither pattern: an anti-product whose zeros miss 0, FLOOR_STAR, a
+        # TrigLift; eigvals sees the core that permutations leave of each
         shapes, real = [], np.linalg.eigvals
 
         def recording(a):
@@ -128,7 +133,7 @@ class TestTriangularShortcut:
         for m in (BlaschkeProduct(1.0, (0.1, 0.5), anti=True), FLOOR_STAR, TrigLift(2, (0.1,))):
             eigenvalues(assemble_dual(m, find_expansive_annulus(m), 16))
         eigenvalues(assemble_dual(TrigLift(2, (0.1,)), annulus, 16))
-        assert shapes == [(32, 32)] * 4
+        assert shapes == [(31, 31), (31, 31), (26, 26), (26, 26)]
 
     def test_non_finite_triangular_matrix_fails_loudly(self):
         # the shortcut must not hand back a NaN diagonal as a spectrum
@@ -136,6 +141,144 @@ class TestTriangularShortcut:
         T = TruncatedOperator(2, 2, a, 256)
         with pytest.raises(RuntimeError, match="eigensolver failed"):
             eigenvalues(T)
+
+
+def _unisolated_loop(nz):
+    """Reference for _unisolated: isolate one index at a time, the first
+    whose row or column has no off-diagonal True among the remaining ones."""
+    keep = list(range(len(nz)))
+    while True:
+        for i in keep:
+            others = [j for j in keep if j != i]
+            if not nz[i, others].any() or not nz[others, i].any():
+                keep.remove(i)
+                break
+        else:
+            mask = np.zeros(len(nz), dtype=bool)
+            mask[keep] = True
+            return mask
+
+
+def _recording_eigvals(monkeypatch):
+    calls, real = [], np.linalg.eigvals
+
+    def recording(a):
+        calls.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return calls
+
+
+def _dense_blaschke():
+    rng = np.random.default_rng(3)
+    zeros = rng.uniform(0, 0.6, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+    return BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+
+
+class TestIsolatedEigenvalues:
+    """Neither pattern: the diagonal entries that permutations isolate are
+    eigenvalues, and eigvals solves the rest."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
+    def test_matches_one_at_a_time_loop(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.02, 0.1, 0.3, 1.0):
+            for _ in range(4):
+                nz = rng.random((n, n)) < density
+                for pattern in (nz, np.asfortranarray(nz)):
+                    assert np.array_equal(_unisolated(pattern), _unisolated_loop(nz))
+
+    def test_permuted_block_triangular(self, monkeypatch):
+        # upper triangular but for a dense 7 x 7 block with known eigenvalues,
+        # then permuted symmetrically at random
+        rng = np.random.default_rng(27)
+        n, lo, k = 40, 12, 7
+        a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mu = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        v = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        a[lo : lo + k, lo : lo + k] = v @ np.diag(mu) @ np.linalg.inv(v)
+        p = rng.permutation(n)
+        a = a[np.ix_(p, p)]
+        core = np.flatnonzero((p >= lo) & (p < lo + k))  # in index order
+        calls = _recording_eigvals(monkeypatch)
+        got = eigenvalues(TruncatedOperator(20, 20, a, 256)).eigenvalues
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], a[np.ix_(core, core)])
+        isolated = np.delete(a.diagonal(), core)
+        found = np.isin(got, isolated)
+        # the isolated eigenvalues are their diagonal entries, bit for bit
+        assert np.array_equal(np.sort_complex(got[found]), np.sort_complex(isolated))
+        match_multiset(mu, got[~found], 1e-12)
+
+    @pytest.mark.parametrize(
+        "name", ["cos", "sin", "floor-star", "homotopy-half", "dense-blaschke3"]
+    )
+    @pytest.mark.parametrize("N", [32, 128])
+    def test_agrees_with_full_eigvals(self, name, N, monkeypatch):
+        if name == "homotopy-half":
+            fam = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
+            m, ann = fam.member(0.5), fam.annulus()
+        else:
+            m = {"cos": TrigLift(2, (0.1,)), "sin": TrigLift(2, (), (0.1,)),
+                 "floor-star": FLOOR_STAR, "dense-blaschke3": _dense_blaschke()}[name]
+            ann = Annulus(0.8, 1.25) if name in ("cos", "sin") else find_expansive_annulus(m)
+        T = assemble_dual(m, ann, N)
+        full = np.linalg.eigvals(T.matrix)
+        calls = _recording_eigvals(monkeypatch)
+        got = eigenvalues(T).eigenvalues
+        assert [c.shape[0] < T.size for c in calls] == [True]
+        assert len(got) == T.size
+        # measured worst moves 3.2e-14 (FLOOR_STAR and the homotopy member)
+        big = full[np.abs(full) > 1e-6]
+        match_multiset(big, got, 1e-12, slack=1)
+
+    def test_no_zeros_take_one_full_size_solve(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = np.asfortranarray(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+        full = np.linalg.eigvals(a)
+        calls = _recording_eigvals(monkeypatch)
+        got = eigenvalues(TruncatedOperator(12, 12, a, 256)).eigenvalues
+        assert [c.shape for c in calls] == [(24, 24)]
+        assert np.array_equal(calls[0], a)
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(full))
+
+    def test_nan_on_an_isolated_diagonal_fails_loudly(self, annulus):
+        T = assemble_dual(TrigLift(2, (0.1,)), annulus, 16)
+        a = T.matrix.copy()
+        i = np.flatnonzero(~_unisolated(a != 0))[0]
+        a[i, i] = np.nan
+        with pytest.raises(RuntimeError, match="eigensolver failed"):
+            eigenvalues(TruncatedOperator(T.nplus, T.nminus, a, T.samples))
+
+    def test_core_solve_failure_fails_loudly(self, annulus, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(RuntimeError, match="eigensolver failed"):
+            eigenvalues(assemble_dual(TrigLift(2, (0.1,)), annulus, 16))
+
+
+class TestTieOrder:
+    """Moduli within TIE_RTOL tie and are ordered by argument, so a
+    conjugate pair keeps its order whichever member's modulus rounds up."""
+
+    @pytest.mark.parametrize("bump", [1 + 4 * EPS, 1 - 4 * EPS])
+    @pytest.mark.parametrize("lam", [0.3 + 0.4j, -0.0033 + 0.0498j])
+    def test_pair_ordered_by_argument(self, lam, bump):
+        vals = np.array([0.01, lam * bump, np.conj(lam), 1.0])
+        assert abs(vals[1]) != abs(vals[2])
+        got = eigenvalues(TruncatedOperator(2, 2, np.diag(vals), 256)).eigenvalues
+        assert np.array_equal(got, vals[[3, 2, 1, 0]])
+
+    def test_one_value_computed_twice_keeps_the_exact_order(self):
+        # the larger modulus has the larger argument: the exact order
+        lam = 0.3 + 0.4j
+        twice = lam * (1 + 4 * EPS) * np.exp(4j * EPS)
+        vals = np.array([lam, 1.0, twice])
+        got = eigenvalues(TruncatedOperator(2, 1, np.diag(vals), 256)).eigenvalues
+        assert np.array_equal(got, vals[[1, 2, 0]])
 
 
 # anti-Blaschke products with a zero at 0 swap 0 and infinity: their adjoint
