@@ -18,9 +18,9 @@ thread counts, so compare two runs on one machine instead.  On a 2-core
 x86-64 host with numpy 2.4.6 and its OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1
 and the default (2 threads) print the same K, matrix and eigenvalue hashes
 everywhere (the TrigLift and FLOOR_STAR eigenvalues come from dense solves
-of 26 x 26 and 88 x 88 cores at every N), but different singular values for
-the complex, coupled TrigLift and FLOOR_STAR matrices at every N; pin one
-BLAS thread for a bit-for-bit comparison.
+of 26 x 26 and 88 x 88 cores at each N of the panel), but different
+singular values for the complex, coupled TrigLift and FLOOR_STAR matrices
+at every N; pin one BLAS thread for a bit-for-bit comparison.
 
 Usage: PYTHONPATH=src python scripts/operator_fingerprints.py
 """

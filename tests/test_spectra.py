@@ -99,6 +99,17 @@ TRIANGULAR_MAPS = {
 }
 
 
+def _recording_eigvals(monkeypatch):
+    calls, real = [], np.linalg.eigvals
+
+    def recording(a):
+        calls.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return calls
+
+
 class TestTriangularShortcut:
     @pytest.mark.parametrize("auto", [False, True], ids=["fixed", "auto"])
     @pytest.mark.parametrize("N", [16, 64, 256])
@@ -123,17 +134,11 @@ class TestTriangularShortcut:
     def test_non_triangular_maps_reach_eigvals(self, annulus, monkeypatch):
         # neither pattern: an anti-product whose zeros miss 0, FLOOR_STAR, a
         # TrigLift; eigvals sees the core that permutations leave of each
-        shapes, real = [], np.linalg.eigvals
-
-        def recording(a):
-            shapes.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        calls = _recording_eigvals(monkeypatch)
         for m in (BlaschkeProduct(1.0, (0.1, 0.5), anti=True), FLOOR_STAR, TrigLift(2, (0.1,))):
             eigenvalues(assemble_dual(m, find_expansive_annulus(m), 16))
         eigenvalues(assemble_dual(TrigLift(2, (0.1,)), annulus, 16))
-        assert shapes == [(31, 31), (31, 31), (26, 26), (26, 26)]
+        assert [c.shape for c in calls] == [(31, 31), (31, 31), (26, 26), (26, 26)]
 
     def test_non_finite_triangular_matrix_fails_loudly(self):
         # the shortcut must not hand back a NaN diagonal as a spectrum
@@ -157,17 +162,6 @@ def _unisolated_loop(nz):
             mask = np.zeros(len(nz), dtype=bool)
             mask[keep] = True
             return mask
-
-
-def _recording_eigvals(monkeypatch):
-    calls, real = [], np.linalg.eigvals
-
-    def recording(a):
-        calls.append(np.array(a))
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
-    return calls
 
 
 def _dense_blaschke():
