@@ -299,7 +299,7 @@ def find_expansive_annulus(m) -> Annulus:
     for t in np.geomspace(0.01, 0.5, 24):
         ann = Annulus(math.exp(-t), math.exp(t))
         try:
-            q = check_holo_expansive(m, ann, 2048).ratio
+            q = check_holo_expansive(m, ann).ratio
         except (ValueError, OverflowError, FloatingPointError):
             continue
         if q < 1 and (best is None or q < best[0]):

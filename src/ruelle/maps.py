@@ -269,18 +269,16 @@ class InclusionCheck:
     ratio: float
 
 
-def check_holo_expansive(m, annulus: Annulus, samples: int = 4096) -> InclusionCheck:
-    """Sample tau on both boundary circles, the inner first, and classify them:
-    the annulus search's test, and a verdict for callers that want only that."""
-    if samples < 256:
-        raise ValueError("need at least 256 samples")
-    with np.errstate(all="ignore"):
-        tr, tR = (m.eval(circle_nodes(rho, samples)) for rho in (annulus.r, annulus.R))
-    return _inclusions(tr, tR, annulus)[0]
+def check_holo_expansive(m, annulus: Annulus) -> InclusionCheck:
+    """The inclusion verdict of tau on 2048 nodes of each boundary circle, the
+    annulus search's test, for callers that want only the verdict."""
+    nodes = (circle_nodes(rho, 2048) for rho in (annulus.r, annulus.R))
+    return _inclusions(m, annulus, *nodes)[0]
 
 
-def _inclusions(tr, tR, annulus: Annulus) -> tuple:
-    """Classify samples tr, tR of tau on the circles |z| = r and |z| = R; return
+def _inclusions(m, annulus: Annulus, zr, zR) -> tuple:
+    """Evaluate tau at the nodes zr on |z| = r, then zR on |z| = R, and classify
+    those samples tr, tR: the one place a route judges the boundary.  Returns
     the InclusionCheck, then the (radius, samples) pairs of the circle tau maps
     inward and of the one it maps outward, (r, tr), (R, tR) or, under A2 only,
     swapped.  Overflow to infinity counts as "outside" (high iterates of maps
@@ -288,6 +286,7 @@ def _inclusions(tr, tR, annulus: Annulus) -> tuple:
     """
     r, R = annulus.r, annulus.R
     with np.errstate(all="ignore"):
+        tr, tR = m.eval(zr), m.eval(zR)
         vr, vR = np.abs(tr), np.abs(tR)
         if np.any(np.isnan(vr)) or np.any(np.isnan(vR)):
             return InclusionCheck("none", -math.inf, math.inf), (r, tr), (R, tR)

@@ -10,24 +10,27 @@ inward, minus inputs on the other), stacked as rows in chunks of at most
 CHUNK_SAMPLES = 2^17 samples, expanded by one row FFT per chunk and
 transported back into the two blocks, with the bits of a column-by-column
 build; the matrix is column-major, as a column is one FFT row and LAPACK
-reads columns.  A map whose boundary samples are
-conjugate-symmetric, tau(conj z) = conj tau(z), has real coefficients in
-every column and a real matrix: its rows are stored folded, Re g + Im g,
-in a real chunk of half the bytes, and read from the half spectrum
-X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m], 0 <= m <= K/2, with
-|Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|) bit for bit as the aliasing
-monitor's magnitude (rounding is sign-symmetric; Im X = 0 at m = 0, K/2).
+reads columns.  Both sample symmetries below are judged by one agreement
+rule (_agrees): samples x agree with y when every difference x - y is
+finite and max|x - y| <= SNAP_TOL max|x|.  A map whose boundary samples v
+agree with their mirror conj v[-j mod K], as for tau(conj z) = conj tau(z),
+has real coefficients in every column and a real matrix: its rows are
+stored folded, Re g + Im g, in a real chunk of half the bytes, and read
+from the half spectrum X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m],
+0 <= m <= K/2, with |Re X[m]| + |Im X[m]| = max(|c_m|, |c_{-m}|) bit for bit
+as the aliasing monitor's magnitude (rounding is sign-symmetric; Im X = 0
+at m = 0, K/2).
 
 Reflection rule: a circle map, tau(1/conj z) = 1/conj tau(z), on an annulus
 with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
 input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the matrix
 satisfies M = P conj(M) P, with P swapping plus row/column m and minus m
-(m >= 1).  When max|tm - 1/conj tp| <= SNAP_TOL max|tm| (_reflects), only
-the plus powers 0..max(nplus - 1, nminus) are sampled and transformed, and
-minus column n is plus power n's transported column with its plus and
-minus rows swapped, conjugated: M[i, j] = conj M[Pi, Pj] entry for entry,
-under either orientation, and with the aliasing tails of the plus columns.
-Other maps and annuli keep the directly built minus block.
+(m >= 1).  When tm agrees with 1/conj tp, only the plus powers
+0..max(nplus - 1, nminus) are sampled and transformed, and minus column n
+is plus power n's transported column with its plus and minus rows swapped,
+conjugated: M[i, j] = conj M[Pi, Pj] entry for entry, under either
+orientation, and with the aliasing tails of the plus columns.  Other maps
+and annuli keep the directly built minus block.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -82,13 +85,14 @@ class TruncatedOperator:
 
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
     followed by the minus block (e_{-m}^(R), m = 1..nminus).  The matrix is
-    float64 when the map's boundary samples are conjugate-symmetric to
-    SNAP_TOL, as for tau(conj z) = conj tau(z), whose adjoint is real; else
-    complex128.  It is column-major (Fortran order): a column is one FFT row,
-    and LAPACK reads columns.  For a circle map on an annulus with r R = 1
-    (the reflection rule in the module notes) the minus columns are the plus
-    FFT's, row-swapped and conjugated: M[i, j] = conj M[Pi, Pj] wherever P,
-    which swaps plus m and minus m, stays inside the truncation.
+    float64 when each boundary sample row agrees with its conjugate mirror
+    (the agreement rule in the module notes), as for tau(conj z) = conj
+    tau(z), whose adjoint is real; else complex128.  It is column-major
+    (Fortran order): a column is one FFT row, and LAPACK reads columns.  For
+    a circle map on an annulus with r R = 1 (the reflection rule in the
+    module notes) the minus columns are the plus FFT's, row-swapped and
+    conjugated: M[i, j] = conj M[Pi, Pj] wherever P, which swaps plus m and
+    minus m, stays inside the truncation.
     """
 
     nplus: int
@@ -101,25 +105,13 @@ class TruncatedOperator:
         return self.nplus + self.nminus
 
 
-def _conjugate_symmetric(v) -> bool:
-    """Whether v is finite and max|v[j] - conj v[-j mod K]| <= SNAP_TOL max|v|:
-    the samples at circle_nodes of a tau with tau(conj z) = conj tau(z), whose
-    adjoint is real.  Any other samples keep the complex assembly."""
-    if not np.isfinite(v).all():
-        return False
-    diff = np.abs(v[1:] - np.conj(v[:0:-1])).max(initial=np.abs(v[0] - np.conj(v[0])))
-    return diff <= SNAP_TOL * np.abs(v).max()
-
-
-def _reflects(tp, tm) -> bool:
-    """Whether max|tm - 1/conj tp| <= SNAP_TOL max|tm| at the same node angles,
-    with every term finite: the inward and outward samples of a circle map,
-    tau(1/conj z) = 1/conj tau(z), on an annulus with r R = 1, whose minus
-    inputs (R/tau)^n are node by node the conjugates of its plus inputs
-    (tau/r)^n.  Any other samples keep the directly built minus block."""
+def _agrees(x, y) -> bool:
+    """The agreement rule for sample symmetries: every difference x - y is
+    finite and max|x - y| <= SNAP_TOL max|x|.  A non-finite sample makes its
+    difference non-finite, so it never agrees."""
     with np.errstate(all="ignore"):
-        diff = np.abs(tm - 1 / np.conj(tp))
-    return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(tm).max()
+        diff = np.abs(x - y)
+    return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(x).max()
 
 
 def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
@@ -203,14 +195,15 @@ def assemble_dual(
     max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
     tolerance and that column's roundoff floor; an explicit K with an
     unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
-    worst tail of both blocks and its floor.  When the sample rows pass
-    _reflects (a circle map, r R = 1), the pass transforms the plus powers
+    worst tail of both blocks and its floor.  When tm agrees with
+    1/conj tp (a circle map, r R = 1), the pass transforms the plus powers
     0..max(nplus - 1, nminus) only and fills each minus column n with plus
     power n's transported column, plus and minus rows swapped, conjugated,
     and the plus powers' tails are the minus columns'.  Otherwise an
     automatic pass below the cap whose plus block is unresolved is
-    discarded without building its minus block.  The matrix is float64, read from the half spectrum of real
-    FFTs of folded columns, iff both sample rows pass _conjugate_symmetric.
+    discarded without building its minus block.  The matrix is float64,
+    read from the half spectrum of real FFTs of folded columns, iff each
+    sample row v agrees with conj v[-j mod K].
     The rows are tau at the pass's K nodes on each boundary circle, judged
     after the integer checks by the inclusion test: 'none' is refused
     (ValueError naming the margin); plus inputs go on the circle tau maps inward.
@@ -225,18 +218,20 @@ def assemble_dual(
 
     r, R = annulus.r, annulus.R
     while True:
-        with np.errstate(all="ignore"):
-            tr, tR = (m.eval(circle_nodes(rho, k)) for rho in (r, R))
-        check, (rho_plus, tp), (rho_minus, tm) = _inclusions(tr, tR, annulus)
+        check, (rho_plus, tp), (rho_minus, tm) = _inclusions(
+            m, annulus, circle_nodes(r, k), circle_nodes(R, k)
+        )
         if check.verdict == "none":
             raise ValueError(
                 "map is not holomorphically expansive on the annulus "
                 f"(margin {check.margin:.3g}); refusing assembly"
             )
-        real = all(_conjugate_symmetric(v) for v in (tp, tm))
+        real = all(_agrees(v, np.conj(v[-np.arange(k)])) for v in (tp, tm))
         cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped
-        mirror = cols.T[nplus:] if _reflects(tp, tm) else None
+        with np.errstate(all="ignore"):  # tp may vanish at a node
+            reflected = 1 / np.conj(tp)
+        mirror = cols.T[nplus:] if _agrees(tm, reflected) else None
         powers = range(nplus if mirror is None else max(nplus, nminus + 1))
         unresolved = _assemble_block(cols.T[:nplus], tp / r, powers, rho_plus, r, R, nplus, mirror)
         if mirror is None and not (retry and unresolved):

@@ -60,9 +60,8 @@ def trace_contour(m, annulus: Annulus) -> complex:
     inward and outward circles; an inclusion margin below 1e-8 makes the
     contour ill-posed (ValueError naming the margin).  Above it,
     |tau(z) - z| >= margin at every node."""
-    with np.errstate(all="ignore"):
-        tr, tR = (m.eval(circle_nodes(rho, 4096)) for rho in (annulus.r, annulus.R))
-    check, inward, outward = _inclusions(tr, tR, annulus)
+    nodes = (circle_nodes(rho, 4096) for rho in (annulus.r, annulus.R))
+    check, inward, outward = _inclusions(m, annulus, *nodes)
     if check.margin < 1e-8:
         raise ValueError(
             f"inclusion margin {check.margin:.3g} (verdict {check.verdict}) below 1e-8 "

@@ -262,7 +262,7 @@ class TestHomotopyMembers:
         for _ in range(20):
             w = rng.uniform(0, 1) + 1j * rng.uniform(0.2, 1.0) * family.eta
             member = family.member(w)
-            chk = check_holo_expansive(member, ann, 512)
+            chk = check_holo_expansive(member, ann)
             assert chk.verdict == ("A1" if family.d > 0 else "A2")
 
     def test_membership_guard(self, family):

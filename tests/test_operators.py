@@ -77,22 +77,30 @@ class TestAssembly:
             assemble_dual(Shifted(), Annulus(0.99, 1.01), 8, 8, 256)
 
     def test_boundary_evaluated_once_per_circle_per_pass(self, bstar, annulus):
-        # each K pass samples tau once on T_r and once on T_R, at its K nodes,
-        # and classifies those samples: no separate 4096-node check
+        # each K pass samples tau once on T_r and once on T_R, the inner first,
+        # at its K nodes, and classifies those samples: no separate check; the
+        # contour trace and the inclusion check sample each circle once too
         class Counting(_MapBase):
             degree = 2
 
             def __init__(self):
-                self.sizes = []
+                self.calls = []
 
             def _eval(self, z):
-                self.sizes.append(z.size)
+                self.calls.append((z.size, float(np.abs(z[0]))))
                 return bstar._eval(z)
+
+        def circles(*sizes):
+            return [(K, rho) for K in sizes for rho in (annulus.r, annulus.R)]
 
         m = Counting()
         T = assemble_dual(m, annulus, 32)
         assert T.matrix.tobytes() == assemble_dual(bstar, annulus, 32).matrix.tobytes()
-        assert m.sizes == [256, 256, 512, 512]  # B* at N = 32 escalates once
+        assert m.calls == circles(256, 512)  # B* at N = 32 escalates once
+        for route, K in ((trace_contour, 4096), (check_holo_expansive, 2048)):
+            m.calls.clear()
+            assert route(m, annulus) == route(bstar, annulus)
+            assert m.calls == circles(K)
 
     @pytest.mark.parametrize(
         "m",
@@ -110,22 +118,23 @@ class TestAssembly:
              "floor"],
     )
     def test_pass_verdict_is_the_check_verdict(self, m):
-        # the K-node samples nest with the check's 4096 nodes, so every pass
-        # reads the check's verdict, and its margin at K = 4096
+        # the K-node samples nest with the check's 2048 nodes, so every pass
+        # reads the check's verdict, and its margin at K = 2048
         annuli = [Annulus(0.8, 1.25), Annulus(0.97, 1.03), find_expansive_annulus(m),
                   Annulus(1.1, 1.5)]
         for ann in annuli:
             check = check_holo_expansive(m, ann)
             for K in (256, 512, 1024, 2048, 4096, 8192):
-                with np.errstate(all="ignore"):
-                    tr, tR = (m.eval(circle_nodes(rho, K)) for rho in (ann.r, ann.R))
-                got, inward, outward = _inclusions(tr, tR, ann)
+                got, inward, outward = _sampled(m, ann, K)
                 assert got.verdict == check.verdict, (ann, K)
-                # the same arrays, swapped exactly when tau reverses orientation
-                pairs = ((ann.r, tr), (ann.R, tR))[:: -1 if got.verdict == "A2" else 1]
-                for (rho, t), (rho_want, t_want) in zip((inward, outward), pairs):
-                    assert rho == rho_want and t is t_want, (ann, K)
-                if K == 4096:  # the check's own nodes
+                # tau's samples, swapped exactly when tau reverses orientation
+                with np.errstate(all="ignore"):
+                    pairs = [(rho, m.eval(circle_nodes(rho, K))) for rho in (ann.r, ann.R)]
+                for (rho, t), (rho_want, t_want) in zip(
+                    (inward, outward), pairs[:: -1 if got.verdict == "A2" else 1]
+                ):
+                    assert rho == rho_want and t.tobytes() == t_want.tobytes(), (ann, K)
+                if K == 2048:  # the check's own nodes
                     assert got == check
                 if K == 256 and check.verdict == "none":  # the first pass at N = 32
                     with pytest.raises(ValueError, match=f"margin {got.margin:.3g}\\)"):
@@ -440,8 +449,7 @@ def _column_floors(m, annulus, T):
     """Each column's roundoff floor, absolute: (n+1) eps max|g_n|, with g_n
     the column's samples (tau/r)^n on the inward or (R/tau)^n on the
     outward circle (the floor relative to max|c| times max|c|)."""
-    _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, T.samples))
-                                        for rho in (annulus.r, annulus.R)), annulus)
+    _, (_, tp), (_, tm) = _sampled(m, annulus, T.samples)
     n_plus, n_minus = np.arange(T.nplus), np.arange(1, T.nminus + 1)
     plus = (n_plus + 1) * EPS * np.abs(tp / annulus.r).max() ** n_plus
     minus = (n_minus + 1) * EPS * np.abs(annulus.R / tm).max() ** n_minus
@@ -505,10 +513,8 @@ class TestReflection:
     )
     def test_other_maps_keep_the_direct_minus_block(self, m, ann):
         T = assemble_dual(m, ann, 32, K=1024)
-        with np.errstate(all="ignore"):
-            _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, 1024))
-                                                for rho in (ann.r, ann.R)), ann)
-        assert not operators._reflects(tp, tm)
+        _, (_, tp), (_, tm) = _sampled(m, ann, 1024)
+        assert not _reflects(tp, tm)
         direct = _column_by_column(m, ann, 32, 1024, reflect=False)
         assert T.matrix.dtype == direct.dtype
         assert np.array_equal(T.matrix, direct)
@@ -516,14 +522,14 @@ class TestReflection:
     def test_reflection_rule(self, bstar):
         tp = bstar.eval(circle_nodes(0.8, 256))
         tm = 1 / np.conj(tp)
-        assert operators._reflects(tp, tm)
+        assert _reflects(tp, tm)
         noisy = tm * (1 + 40 * EPS)
-        assert operators._reflects(tp, noisy)
-        assert not operators._reflects(tp, tm * (1 + 100 * EPS))
+        assert _reflects(tp, noisy)
+        assert not _reflects(tp, tm * (1 + 100 * EPS))
         for bad in (np.inf, np.nan):
             broken = tm.copy()
             broken[3] = bad
-            assert not operators._reflects(tp, broken)
+            assert not _reflects(tp, broken)
 
 
 class TestJacobiAnger:
@@ -538,9 +544,8 @@ class TestJacobiAnger:
     def test_entries_within_column_floors(self, m, N):
         ann = Annulus(math.exp(-0.5), math.exp(0.5))
         T = assemble_dual(m, ann, N)
-        _, (_, tp), (_, tm) = _inclusions(*(m.eval(circle_nodes(rho, T.samples))
-                                            for rho in (ann.r, ann.R)), ann)
-        assert operators._reflects(tp, tm)
+        _, (_, tp), (_, tm) = _sampled(m, ann, T.samples)
+        assert _reflects(tp, tm)
         exact, floors = jacobi_anger_matrix(m, ann, N), _column_floors(m, ann, T)
         snapped = (T.matrix == 0) & (exact != 0)
         assert snapped.any()  # the snap zeroes entries the closed form keeps
@@ -548,6 +553,22 @@ class TestJacobiAnger:
         assert (np.abs(np.where(snapped, exact, 0)) <= SNAP_TOL * top + floors).all()
         err = np.where(snapped, 0, np.abs(T.matrix - exact))
         assert (err <= floors).all(), (err / floors).max()
+
+
+def _sampled(m, ann, K):
+    """The boundary judgement of a K-node pass: _inclusions on both circles."""
+    return _inclusions(m, ann, *(circle_nodes(rho, K) for rho in (ann.r, ann.R)))
+
+
+def _conjugate_symmetric(v):
+    """The agreement rule on a sample row and its mirror conj v[-j mod K]."""
+    return operators._agrees(v, np.conj(v[-np.arange(len(v))]))
+
+
+def _reflects(tp, tm):
+    """The agreement rule on the outward row and 1/conj of the inward row."""
+    with np.errstate(all="ignore"):
+        return operators._agrees(tm, 1 / np.conj(tp))
 
 
 def _roll_symmetric(v):
@@ -618,24 +639,24 @@ class TestColumnMajor:
                     else:
                         v[j] += noise[j]
                     verdicts.append(_roll_symmetric(v))
-                    assert operators._conjugate_symmetric(v) == verdicts[-1]
+                    assert _conjugate_symmetric(v) == verdicts[-1]
         assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("j", [0, -1])
     @pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)])
     def test_conjugate_symmetric_nan(self, j, nan):
         v = _symmetric_row(np.random.default_rng(6), 64)
-        assert operators._conjugate_symmetric(v)
+        assert _conjugate_symmetric(v)
         v[j] = nan
-        assert not operators._conjugate_symmetric(v) and not _roll_symmetric(v)
+        assert not _conjugate_symmetric(v) and not _roll_symmetric(v)
 
     @pytest.mark.parametrize("inf", [complex(np.inf, 0.0), complex(0.0, np.inf)])
     def test_infinite_sample_with_finite_mirror(self, bstar, inf):
         # |inf - conj v[-5]| = inf passed the bound SNAP_TOL max|v| = inf
         v = bstar.eval(circle_nodes(1.25, 256))
-        assert operators._conjugate_symmetric(v)
+        assert _conjugate_symmetric(v)
         v[5] = inf
-        assert not operators._conjugate_symmetric(v)
+        assert not _conjugate_symmetric(v)
 
     def test_overflowed_node_keeps_the_complex_path(self, bstar):
         # tau = inf at node 0 of |z| = R passes the inclusion test as "outside";
@@ -652,7 +673,7 @@ class TestColumnMajor:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert not operators._conjugate_symmetric(OuterInf().eval(circle_nodes(1.25, 256)))
+            assert not _conjugate_symmetric(OuterInf().eval(circle_nodes(1.25, 256)))
             with pytest.raises(RuntimeError, match=r"aliasing tail .* exceeds 1e-09 at K=256"):
                 assemble_dual(OuterInf(), Annulus(0.8, 1.25), 16, K=256)
 
