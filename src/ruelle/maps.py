@@ -97,18 +97,24 @@ class BlaschkeProduct(_MapBase):
             self.alpha.conjugate(), tuple(a.conjugate() for a in self.zeros), self.anti
         )
 
-    def _factors(self, z):
-        return [(z - a) / (1 - a.conjugate() * z) for a in self.zeros]
-
     def _product(self, z):
-        out = np.full_like(z, self.alpha)
-        for u in self._factors(z):
-            out = out * u
-        return out
+        """(B, factors): the factors u_j = (z - a_j)/(1 - conj(a_j) z) at z and
+        B = alpha prod u_j; for an anti map, a zero of B is a pole (ValueError)."""
+        us = [(z - a) / (1 - a.conjugate() * z) for a in self.zeros]
+        b = np.full_like(z, self.alpha)
+        for u in us:
+            b = b * u
+        if self.anti and np.any(b == 0):
+            raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
+        return b, us
 
-    def _product_deriv(self, z):
+    def _eval(self, z):
+        b = self._product(z)[0]
+        return 1.0 / b if self.anti else b
+
+    def _deriv(self, z):
         # product rule; each factor has derivative (1-|a|^2)/(1-conj(a) z)^2
-        us = self._factors(z)
+        b, us = self._product(z)
         total = np.zeros_like(z)
         for k, a in enumerate(self.zeros):
             term = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
@@ -116,23 +122,7 @@ class BlaschkeProduct(_MapBase):
                 if j != k:
                     term = term * u
             total = total + term
-        return self.alpha * total
-
-    def _eval(self, z):
-        b = self._product(z)
-        if not self.anti:
-            return b
-        if np.any(b == 0):
-            raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
-        return 1.0 / b
-
-    def _deriv(self, z):
-        if not self.anti:
-            return self._product_deriv(z)
-        b = self._product(z)
-        if np.any(b == 0):
-            raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
-        return -self._product_deriv(z) / b**2
+        return -(self.alpha * total) / b**2 if self.anti else self.alpha * total
 
 
 @dataclass(frozen=True)

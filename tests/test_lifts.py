@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import lift_deriv_phases, lift_eval_phases, member_deriv_log, member_eval_log
+from ruelle import lifts
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     BlaschkeProduct,
@@ -15,6 +16,26 @@ from ruelle.maps import (
 )
 
 THETA = 2 * np.pi * np.arange(512) / 512
+
+
+class NonAnalytic:
+    """z^2 on the unit circle, 2 z^2 off it: no strip's roundtrip holds."""
+
+    def eval(self, z):
+        return np.where(np.abs(np.abs(z) - 1) < 1e-9, z**2, 2 * z**2)
+
+    def deriv(self, z):
+        return 2 * z
+
+
+class Fractional:
+    """z^2.5 on the principal branch: the log-derivative is 2.5, no degree."""
+
+    def eval(self, z):
+        return z**2.5
+
+    def deriv(self, z):
+        return 2.5 * z**1.5
 
 
 class TestLift:
@@ -68,19 +89,38 @@ class TestLift:
             th = THETA + 1j * im
             assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() < 1e-8
 
+    @pytest.mark.parametrize("zero", [0.97, 0.99])
+    def test_zero_near_the_circle_lifts(self, zero):
+        # the log-derivative's coefficients decay like zero^|n|, which 1024
+        # nodes alias; the nodes double until the tail resolves (4096, 8192)
+        m = BlaschkeProduct(1.0, (0.0, zero))
+        L = lift(m)
+        assert L.d == 2
+        for im in (L.strip, -L.strip):
+            th = THETA + 1j * im
+            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() <= 1e-8
+
+    def test_bstar_lifts_at_1024_nodes(self, bstar, monkeypatch):
+        sizes, fft = [], lifts.fourier_coeffs_from_samples
+        monkeypatch.setattr(
+            lifts, "fourier_coeffs_from_samples", lambda v, r: sizes.append(v.size) or fft(v, r)
+        )
+        lift(bstar)
+        assert sizes == [1024]
+
     @pytest.mark.parametrize(
-        "zero, message",
+        "m, message",
         [
-            (0.97, "could not certify an analyticity strip for the lift"),
-            (0.99, "inconsistent lift: mean of log-derivative .* is not an integer"),
+            (NonAnalytic(), "could not certify an analyticity strip for the lift"),
+            (Fractional(), "inconsistent lift: mean of log-derivative .* is not an integer"),
+            (BlaschkeProduct(1.0, (0.0, 0.9999)),
+             r"log-derivative tail 0\.0511 unresolved at 65536 nodes"),
         ],
-        ids=["no-strip", "mean-off-the-degree"],
+        ids=["no-strip", "mean-off-the-degree", "tail-unresolved"],
     )
-    def test_zero_near_the_circle_is_unresolved(self, zero, message):
-        # 1024 nodes alias the log-derivative's coefficients, which decay like zero^|n|:
-        # the roundtrip fails on every strip, or the mean misses the degree
+    def test_failure_exits(self, m, message):
         with pytest.raises(RuntimeError, match=f"^{message}"):
-            lift(BlaschkeProduct(1.0, (0.0, zero)))
+            lift(m)
 
     def test_vanishing_map_rejected(self):
         class Vanishing:

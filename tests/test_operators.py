@@ -531,6 +531,22 @@ class TestReflection:
             broken[3] = bad
             assert not _reflects(tp, broken)
 
+    def test_vanishing_inward_sample(self):
+        # tau = z^2 (z - 0.7) vanishes at node 0 of |z| = 0.7, where 1/conj tp
+        # is infinite: the samples do not reflect, and no RuntimeWarning is raised
+        class Cubic(_MapBase):
+            degree = 3
+
+            def _eval(self, z):
+                return z**2 * (z - 0.7)
+
+        ann = Annulus(0.7, 1 / 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            T = assemble_dual(Cubic(), ann, 16, K=512)
+        assert T.matrix.dtype == np.float64
+        assert np.array_equal(T.matrix, _column_by_column(Cubic(), ann, 16, 512, reflect=False))
+
 
 class TestJacobiAnger:
     """The assembled entries of one-harmonic lifts against their closed form
