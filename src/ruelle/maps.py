@@ -97,24 +97,25 @@ class BlaschkeProduct(_MapBase):
             self.alpha.conjugate(), tuple(a.conjugate() for a in self.zeros), self.anti
         )
 
-    def _product(self, z):
-        """(B, factors): the factors u_j = (z - a_j)/(1 - conj(a_j) z) at z and
-        B = alpha prod u_j; for an anti map, a zero of B is a pole (ValueError)."""
-        us = [(z - a) / (1 - a.conjugate() * z) for a in self.zeros]
+    def _factors(self, z):
+        return [(z - a) / (1 - a.conjugate() * z) for a in self.zeros]
+
+    def _product(self, z, us):
+        # alpha prod u_j over the factors us at z; its zeros are the anti map's poles
         b = np.full_like(z, self.alpha)
         for u in us:
             b = b * u
         if self.anti and np.any(b == 0):
             raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
-        return b, us
+        return b
 
     def _eval(self, z):
-        b = self._product(z)[0]
+        b = self._product(z, self._factors(z))
         return 1.0 / b if self.anti else b
 
     def _deriv(self, z):
         # product rule; each factor has derivative (1-|a|^2)/(1-conj(a) z)^2
-        b, us = self._product(z)
+        us = self._factors(z)
         total = np.zeros_like(z)
         for k, a in enumerate(self.zeros):
             term = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
@@ -122,7 +123,7 @@ class BlaschkeProduct(_MapBase):
                 if j != k:
                     term = term * u
             total = total + term
-        return -(self.alpha * total) / b**2 if self.anti else self.alpha * total
+        return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
 
 
 @dataclass(frozen=True)
