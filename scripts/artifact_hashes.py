@@ -8,8 +8,9 @@ artifacts.  No hash is compared here, because the bits of a floating-point
 result may differ across CPUs and numpy builds; compare two runs on one
 machine instead.  On a 2-core x86-64 host with numpy 2.4.6 and its
 OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1 and the default (2 threads) print
-the same 26 lines: the anti-product spectra, which once went through a
-threaded dense eigensolve, now come from the matrix's zero pattern.  The
+the same 26 lines, measured again on the symmetric truncation (2N - 1
+rows): the anti-product spectra, which once went through a threaded
+dense eigensolve, now come from the matrix's zero pattern.  The
 TrigLift spectra still take `np.linalg.eigvals`, but only on the 26 x 26
 core that permutations leave of each matrix (`spectra.eigenvalues`): the
 cos TrigLift on a complex core, the odd (sin-only) one on a real core, the

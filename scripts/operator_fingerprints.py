@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Fingerprint the operator assembly: for a fixed panel of maps and
-truncations, assemble the adjoint with the automatic sample count and print
-one line per case,
+truncation orders N, assemble the adjoint at the library's own truncation
+(`assemble_dual(m, annulus, N)`, plus 0..N-1 and minus 1..nminus = N-1)
+with the automatic sample count and print one line per case,
 
-    name N K sha256(matrix) sha256(eigenvalues) sha256(singular values)
+    name N nminus K sha256(matrix) sha256(eigenvalues) sha256(singular values)
 
 where the matrix is hashed as its C-ordered bytes, whatever its memory
 layout, and the eigenvalues and singular values as returned by
@@ -18,9 +19,11 @@ thread counts, so compare two runs on one machine instead.  On a 2-core
 x86-64 host with numpy 2.4.6 and its OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1
 and the default (2 threads) print the same K, matrix and eigenvalue hashes
 everywhere (the TrigLift and FLOOR_STAR eigenvalues come from dense solves
-of 26 x 26 and 88 x 88 cores at each N of the panel), but different
-singular values for the complex, coupled TrigLift and FLOOR_STAR matrices
-at every N; pin one BLAS thread for a bit-for-bit comparison.
+of 26 x 26 and 88 x 88 cores at each N of the panel), and the same
+singular values for B*, anti-B* and Mobius 0.7 (one shared SVD of the plus
+block, `singular_values`) and for the odd TrigLift, but different singular
+values for the complex, coupled TrigLift and FLOOR_STAR matrices at every
+N; pin one BLAS thread for a bit-for-bit comparison.
 
 Usage: PYTHONPATH=src python scripts/operator_fingerprints.py
 """
@@ -59,12 +62,12 @@ def main():
     for name, m in MAPS.items():
         for n in ORDERS:
             try:
-                T = assemble_dual(m, ANNULUS, n, n)
+                T = assemble_dual(m, ANNULUS, n)
             except (ValueError, RuntimeError) as exc:
                 print(f"{name} {n} error: {exc}", flush=True)
                 continue
             eigs = eigenvalues(T).eigenvalues
-            print(f"{name} {n} {T.samples} {sha256(T.matrix)} {sha256(eigs)} "
+            print(f"{name} {n} {T.nminus} {T.samples} {sha256(T.matrix)} {sha256(eigs)} "
                   f"{sha256(singular_values(T))}", flush=True)
 
 

@@ -75,8 +75,8 @@ class LiftSeries:
         return complex(out) if np.ndim(theta) == 0 else out
 
 
-def _roundtrip_error(m, L: LiftSeries, im_offset: float) -> float:
-    theta = 2 * np.pi * np.arange(256) / 256 + 1j * im_offset
+def _roundtrip_error(m, L: LiftSeries, im_offset: float, K: int) -> float:
+    theta = 2 * np.pi * np.arange(K) / K + 1j * im_offset
     return float(np.max(np.abs(np.exp(1j * L.eval(theta)) - m.eval(np.exp(1j * theta)))))
 
 
@@ -93,8 +93,8 @@ def lift(m) -> LiftSeries:
     remaining coefficients integrate term by term into the periodic part.
     alpha is the principal argument of tau(1).  The strip half-width is
     certified by halving a decay-based candidate until the roundtrip
-    e^{i lift(theta)} = tau(e^{i theta}) holds to 1e-8 on 256 points of
-    each strip boundary.
+    e^{i lift(theta)} = tau(e^{i theta}) holds to 1e-8 on K points of each
+    strip boundary, the K at which the coefficients resolved.
     """
     K = 1024
     while True:
@@ -142,7 +142,7 @@ def lift(m) -> LiftSeries:
     eps = candidate
     for _ in range(8):
         try:
-            err = max(_roundtrip_error(m, probe, eps), _roundtrip_error(m, probe, -eps))
+            err = max(_roundtrip_error(m, probe, eps, K), _roundtrip_error(m, probe, -eps, K))
         except (ValueError, FloatingPointError, OverflowError):
             err = math.inf
         if err < 1e-8:

@@ -84,7 +84,9 @@ class TruncatedOperator:
     """Dense truncation of the adjoint transfer operator.
 
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
-    followed by the minus block (e_{-m}^(R), m = 1..nminus).  The matrix is
+    followed by the minus block (e_{-m}^(R), m = 1..nminus); ``assemble_dual``
+    defaults to the symmetric truncation nminus = nplus - 1, 2 nplus - 1 rows
+    in all, on which P below is an exact involution.  The matrix is
     float64 when each boundary sample row agrees with its conjugate mirror
     (the agreement rule in the module notes), as for tau(conj z) = conj
     tau(z), whose adjoint is real; else complex128.  It is column-major
@@ -92,7 +94,8 @@ class TruncatedOperator:
     a circle map on an annulus with r R = 1 (the reflection rule in the
     module notes) the minus columns are the plus FFT's, row-swapped and
     conjugated: M[i, j] = conj M[Pi, Pj] wherever P, which swaps plus m and
-    minus m, stays inside the truncation.
+    minus m, stays inside the truncation, which is everywhere on the
+    symmetric one.
     """
 
     nplus: int
@@ -186,7 +189,9 @@ def assemble_dual(
     nminus: int | None = None,
     K: int | None = None,
 ) -> TruncatedOperator:
-    """Assemble the adjoint transfer operator at truncation (nplus, nminus).
+    """Assemble the adjoint transfer operator at truncation (nplus, nminus),
+    by default the symmetric one, nminus = nplus - 1: plus 0..nplus-1 and
+    minus 1..nplus-1, the index sets that the reflection P swaps.
 
     Each block is built in row chunks of at most 2^17 samples, one FFT per
     chunk, with the bits of a column-by-column build.  With K=None the
@@ -197,7 +202,8 @@ def assemble_dual(
     unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
     worst tail of both blocks and its floor.  When tm agrees with
     1/conj tp (a circle map, r R = 1), the pass transforms the plus powers
-    0..max(nplus - 1, nminus) only and fills each minus column n with plus
+    0..max(nplus - 1, nminus) only (0..nplus - 1, the plus block's own, on
+    the symmetric truncation) and fills each minus column n with plus
     power n's transported column, plus and minus rows swapped, conjugated,
     and the plus powers' tails are the minus columns'.  Otherwise an
     automatic pass below the cap whose plus block is unresolved is
@@ -208,7 +214,7 @@ def assemble_dual(
     after the integer checks by the inclusion test: 'none' is refused
     (ValueError naming the margin); plus inputs go on the circle tau maps inward.
     """
-    nminus = nplus if nminus is None else nminus
+    nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
         raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
     auto = K is None
@@ -264,10 +270,31 @@ def assemble_dual(
     return TruncatedOperator(nplus, nminus, cols, k)
 
 
+def _gather(matrix, r, c):
+    """matrix[r][:, c], gathered column by column, as LAPACK reads it."""
+    return matrix.T[np.ix_(c, r)].T
+
+
+def _reflected_plus(matrix, nonzero, nplus, blocks):
+    """The plus block of a decoupled symmetric truncation without index 0,
+    gathered, when row 0 and column 0 hold a00 alone and the gathered minus
+    block is, entry for entry, its conjugate in P order; else None."""
+    (rp, cp), (rm, cm) = blocks
+    if nonzero[0, 1:].any() or nonzero[1:, 0].any():
+        return None
+    rp, cp = rp[rp > 0], cp[cp > 0]
+    shift = nplus - 1  # P: plus m at m <-> minus m at m + shift
+    pr, pc = rp + shift, np.where(cp < nplus, cp + shift, cp - shift)
+    if not (np.array_equal(pr, rm) and np.array_equal(np.sort(pc), cm)):
+        return None
+    plus = _gather(matrix, rp, cp)
+    return plus if np.array_equal(_gather(matrix, pr, pc), plus.conj()) else None
+
+
 def singular_values(T) -> np.ndarray:
     """Singular values of the truncated operator, decreasing, min(shape) of them.
 
-    Two exact reductions keep zeros away from LAPACK:
+    Three exact reductions keep zeros and repeats away from LAPACK:
 
     - When no column of a ``TruncatedOperator`` has entries in both the plus
       and the minus rows, a column permutation makes the matrix block
@@ -278,10 +305,20 @@ def singular_values(T) -> np.ndarray:
       decouple this way, and so do their anti-products, whose plus rows
       take column 0 and the minus columns.  A raw array has no block
       structure and takes one SVD.
+    - On the symmetric truncation (nminus = nplus - 1) of such a map, when
+      row 0 and column 0 hold a00 alone and the gathered minus block
+      equals, entry for entry, the conjugate of the plus block without
+      index 0 in P order (P swaps plus m and minus m, as in the reflection
+      rule), the two blocks share their singular values: one SVD s of that
+      plus block gives {|a00|} and s twice.  A decoupled circle map on an
+      annulus with r R = 1 assembles exactly this, since its minus columns
+      are its plus columns row-swapped and conjugated; B* at N = 512 takes
+      one 511 x 388 SVD in place of two 512 x 389 ones.  Any other matrix
+      keeps the two SVDs, and an explicit (N, N) truncation too.
     - Each SVD drops the all-zero rows and columns of its block: up to a
       permutation the block is [[A, 0], [0, 0]], which has the singular
       values of A plus zeros.  B* at N = 512 has 246 such columns among
-      the 635 of its minus block.
+      the 634 of its minus block.
 
     The zeros removed either way return as the padding up to min(shape).
     """
@@ -289,14 +326,21 @@ def singular_values(T) -> np.ndarray:
     nonzero, nplus = matrix != 0, getattr(T, "nplus", None)
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
     blocks = [(rows, cols)]
+    shared = None
     if nplus is not None:
         top, bottom = nonzero[:nplus].any(axis=0), nonzero[nplus:].any(axis=0)
         if not (top & bottom).any():
             plus = rows < nplus
             blocks = [(rows[plus], np.flatnonzero(top)), (rows[~plus], np.flatnonzero(bottom))]
-    parts = np.concatenate([  # each block gathered column by column, as LAPACK reads it
-        np.linalg.svd(matrix.T[np.ix_(c, r)].T, compute_uv=False) for r, c in blocks
-    ])
+            if T.nminus == nplus - 1:
+                shared = _reflected_plus(matrix, nonzero, nplus, blocks)
+    if shared is None:
+        parts = np.concatenate(
+            [np.linalg.svd(_gather(matrix, r, c), compute_uv=False) for r, c in blocks]
+        )
+    else:
+        s = np.linalg.svd(shared, compute_uv=False)
+        parts = np.concatenate([[abs(matrix[0, 0])], s, s])
     sv = np.zeros(min(matrix.shape))
     sv[: len(parts)] = np.sort(parts)[::-1]
     return sv

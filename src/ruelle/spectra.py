@@ -201,9 +201,10 @@ def converged_spectrum(
     max_order: int = 256,
     want: int = 10,
 ) -> Spectrum:
-    """Assemble at doubling truncation orders from 32 until the leading
-    ``want`` eigenvalues are stable within tol; returns the finest spectrum,
-    with its operator and converged count."""
+    """Assemble the symmetric truncation (n, n - 1) at doubling orders n
+    from 32 until the leading ``want`` eigenvalues are stable within tol;
+    returns the finest spectrum, with its operator and converged count (at
+    most n - 1 at order n: every eigenvalue of the level below)."""
     if not 0 < tol < np.inf:  # NaN included
         raise ValueError(f"tol must be positive, got tol={tol}")
     if max_order < 64:
@@ -211,9 +212,9 @@ def converged_spectrum(
     best = None
     n = 32
     # each level's fine eigenvalues, not its operator, are the next level's coarse ones
-    coarse = eigenvalues(assemble_dual(m, annulus, n, n)).eigenvalues
+    coarse = eigenvalues(assemble_dual(m, annulus, n)).eigenvalues
     while 2 * n <= max_order:
-        fine = eigenvalues(assemble_dual(m, annulus, 2 * n, 2 * n))
+        fine = eigenvalues(assemble_dual(m, annulus, 2 * n))
         count = _leading_match(fine.eigenvalues, coarse, tol)
         fine = Spectrum(fine.eigenvalues, fine.operator, count, tol)
         if best is None or count > (best.converged_count or 0):

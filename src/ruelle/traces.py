@@ -310,9 +310,10 @@ def closed_form_multiplier(m):
 
 def trace_report(m, annulus: Annulus, nplus: int = 48) -> TraceReport:
     """Contour trace vs. matrix trace vs. closed form (where one exists);
-    the matrix is assembled with the automatic sample count."""
+    the matrix is the symmetric truncation (nplus, nplus - 1), assembled
+    with the automatic sample count."""
     contour = trace_contour(m, annulus)
-    T = assemble_dual(m, annulus, nplus, nplus)
+    T = assemble_dual(m, annulus, nplus)
     eigensum = complex(np.trace(T.matrix))
     closed = None
     info = closed_form_multiplier(m)

@@ -100,6 +100,32 @@ class TestLift:
             th = THETA + 1j * im
             assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() <= 1e-8
 
+    @pytest.mark.parametrize(
+        "m, nodes, strip",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), 1024, 0.3119),
+            (TrigLift(2, (0.1,)), 1024, 0.3),
+            (BlaschkeProduct(1.0, (0.0, 0.97)), 4096, 0.0069),
+            # 256 check points missed a roundtrip of 1.48e-8 between them at 0.0045
+            (BlaschkeProduct(1.0, (0.0, 0.99)), 8192, 0.0023),
+        ],
+        ids=["bstar", "triglift", "zero-0.97", "zero-0.99"],
+    )
+    def test_roundtrip_holds_between_the_nodes(self, m, nodes, strip, monkeypatch):
+        # the strip is certified on the nodes the coefficients resolved at;
+        # the roundtrip must hold on a grid 4 times finer on both strip edges
+        sizes, fft = [], lifts.fourier_coeffs_from_samples
+        monkeypatch.setattr(
+            lifts, "fourier_coeffs_from_samples", lambda v, r: sizes.append(v.size) or fft(v, r)
+        )
+        L = lift(m)
+        assert sizes[-1] == nodes
+        assert L.strip == pytest.approx(strip, abs=1e-4)
+        theta = 2 * np.pi * np.arange(4 * nodes) / (4 * nodes)
+        for im in (L.strip, -L.strip):
+            th = theta + 1j * im
+            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() <= 1e-8
+
     def test_bstar_lifts_at_1024_nodes(self, bstar, monkeypatch):
         sizes, fft = [], lifts.fourier_coeffs_from_samples
         monkeypatch.setattr(

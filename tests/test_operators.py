@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -213,14 +214,15 @@ class TestAliasingMonitor:
     @pytest.mark.parametrize(
         "m, tail, floor",
         [
-            (BlaschkeProduct(1.0, (0.0, 0.5)), "1.93e-06", "2.58e-14"),
-            (MobiusFamilyMap(0.6), "2.62e-06", "2.71e-14"),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), "1.02e-06", "2.38e-14"),
+            (MobiusFamilyMap(0.6), "5.4e-07", "2.68e-14"),
         ],
         ids=["bstar", "mobius_0.6"],
     )
     def test_real_monitor_quotes_its_numbers(self, m, tail, floor, annulus):
         # real maps take the half-spectrum monitor; it quotes the tail and
-        # floor of the full coefficient array to the last printed digit
+        # floor of the full coefficient array to the last printed digit (the
+        # worst of plus powers 0..31, the ones the symmetric truncation samples)
         assert assemble_dual(m, annulus, 32).matrix.dtype == np.float64
         message = f"aliasing tail {tail} (roundoff floor {floor}) exceeds 1e-09 at K=256"
         with pytest.raises(RuntimeError, match=re.escape(message)):
@@ -234,7 +236,8 @@ THIN = Annulus(1 / 1.0005, 1.0005)
 
 
 def _homotopy_member(w=0.25):
-    # at w = 0.25: plus block resolved and minus block unresolved at its first K (512, N = 64)
+    # at w = 0.25 and truncation (64, 64): plus block resolved and minus block
+    # unresolved at its first K (512), through minus column 64 alone
     fam = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
     return fam.member(w), fam.annulus()
 
@@ -265,15 +268,15 @@ class TestDiscardedPasses:
             (FLOOR_STAR, Annulus(0.8, 1.25), 32),
             (TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32),
             (NEAR_CIRCLE, THIN, 4),  # resolves in the cap pass
-            _homotopy_member() + (64,),
+            _homotopy_member() + (64, 64),
         ],
         ids=["bstar-32", "bstar-64", "anti-32", "mobius_0.6", "floor", "triglift", "cap", "member"],
     )
     def test_escalated_matrix_is_the_explicit_K_matrix(self, case):
-        m, annulus, N = case
-        T = assemble_dual(m, annulus, N)
+        m, annulus, N, *nminus = case
+        T = assemble_dual(m, annulus, N, *nminus)
         assert T.samples > max(256, 8 * N)  # it escalated
-        explicit = assemble_dual(m, annulus, N, K=T.samples)
+        explicit = assemble_dual(m, annulus, N, *nminus, K=T.samples)
         assert T.matrix.dtype == explicit.matrix.dtype
         assert T.matrix.tobytes() == explicit.matrix.tobytes()
 
@@ -289,26 +292,28 @@ class TestDiscardedPasses:
 
     def test_unresolved_minus_block_alone_is_found(self, calls):
         m, annulus = _homotopy_member()
-        assert assemble_dual(m, annulus, 64).samples == 1024
+        assert assemble_dual(m, annulus, 64, 64).samples == 1024
         assert calls == [(512, "plus"), (512, "minus"), (1024, "plus"), (1024, "minus")]
 
     def test_cap_quotes_the_worst_tail_of_both_blocks(self, calls):
-        # the plus block's worst tail at the cap is 1.44e-12, the minus block's 7.03e-12
+        # the plus block's worst tail at the cap is 1.44e-12, the minus block's
+        # 7.03e-12, in minus column 8, which the symmetric truncation (8, 7) drops
         message = "aliasing tail 7.03e-12 (roundoff floor 2.01e-15) unresolved at K=65536"
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            assemble_dual(NEAR_CIRCLE, THIN, 8)
+            assemble_dual(NEAR_CIRCLE, THIN, 8, 8)
         assert calls == [(1 << k, "plus") for k in range(8, 17)] + [(65536, "minus")]
 
     def test_explicit_K_quotes_the_worst_tail_of_both_blocks(self, calls):
-        # the plus block's worst tail at K = 1024 is 0.00144
+        # the plus block's worst tail at K = 1024 is 0.00144, minus column 8's 0.00154
         message = "aliasing tail 0.00154 (roundoff floor 2.02e-15) exceeds 1e-09 at K=1024"
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            assemble_dual(NEAR_CIRCLE, THIN, 8, K=1024)
+            assemble_dual(NEAR_CIRCLE, THIN, 8, 8, K=1024)
         assert calls == [(1024, "plus"), (1024, "minus")]
 
 
-def _column_by_column(m, annulus, N, K, real=True, reflect=True):
-    """The truncation built one column at a time: sequential products, one
+def _column_by_column(m, annulus, N, K, real=True, reflect=True, nminus=None):
+    """The truncation (N, nminus), by default the symmetric (N, N - 1), built
+    one column at a time: sequential products, one
     1-D FFT per column divided by K, the transport weights, then the snap.
     With ``real``, a map whose two sample rows are conjugate-symmetric to
     SNAP_TOL folds each column g to h = Re g + Im g and reads its real
@@ -337,33 +342,41 @@ def _column_by_column(m, annulus, N, K, real=True, reflect=True):
         c[pos] = x.real - x.imag
         return c
 
+    nminus = N - 1 if nminus is None else nminus
+    top = max(N, nminus)
+
     def transport(samples, rho):
-        """The plus rows 0..N and the minus rows 0..N (row 0 is c[0])."""
-        c, mrange = coeffs(samples), np.arange(N + 1)
+        """The plus rows 0..top and the minus rows 0..top (row 0 is c[0])."""
+        c, mrange = coeffs(samples), np.arange(top + 1)
         return c[mrange % K] * (r / rho) ** mrange, c[-mrange % K] * (rho / R) ** mrange
+
+    def layout(plus, minus):
+        return np.concatenate([plus[:N], minus[1 : nminus + 1]])
 
     plus_cols, minus_cols = [], []
     g, step = np.ones(K, dtype=complex), tp / r
-    for n in range(N + 1):
+    for n in range(max(N, nminus + 1)):
         plus, minus = transport(g, rho_plus)
         if n < N:
-            plus_cols.append(np.concatenate([plus[:N], minus[1:]]))
-        if swap and n:
-            minus_cols.append(np.conj(np.concatenate([minus[:N], plus[1:]])))
+            plus_cols.append(layout(plus, minus))
+        if swap and 1 <= n <= nminus:
+            minus_cols.append(np.conj(layout(minus, plus)))
         g = g * step
     g, step = np.ones(K, dtype=complex), R / tm
-    for _ in range(0 if swap else N):
+    for _ in range(0 if swap else nminus):
         g = g * step
         plus, minus = transport(g, rho_minus)
-        minus_cols.append(np.concatenate([plus[:N], minus[1:]]))
+        minus_cols.append(layout(plus, minus))
     matrix = np.column_stack(plus_cols + minus_cols)
     matrix[np.abs(matrix) < SNAP_TOL * np.abs(matrix).max()] = 0.0
     return matrix
 
 
 class TestBlockAssembly:
-    """Row-chunked assembly gives the column-by-column matrix bit for bit;
-    N=48 at K=4096 splits each block into chunks of 32 and 16 rows."""
+    """Row-chunked assembly gives the column-by-column matrix bit for bit, on
+    the symmetric truncation and on the square one; N=48 at K=4096 splits
+    the plus powers into chunks of 32 and 16 rows (32 and 17 when a square
+    reflected truncation also samples power 48)."""
 
     @pytest.mark.parametrize(
         "m",
@@ -377,11 +390,12 @@ class TestBlockAssembly:
     )
     @pytest.mark.parametrize("N, K", [(16, 256), (48, 4096)])
     def test_matches_column_by_column(self, m, N, K, annulus):
-        T = assemble_dual(m, annulus, N, N, K)
-        assert T.samples == K
-        expect = _column_by_column(m, annulus, N, K)
-        assert T.matrix.dtype == expect.dtype
-        assert np.array_equal(T.matrix, expect)
+        for nminus in (None, N):
+            T = assemble_dual(m, annulus, N, nminus, K)
+            assert T.samples == K
+            expect = _column_by_column(m, annulus, N, K, nminus=nminus)
+            assert T.matrix.dtype == expect.dtype
+            assert np.array_equal(T.matrix, expect)
 
     def test_underflowed_columns_count_as_resolved(self):
         # |tau / r| = 0.01 on |z| = r, so the samples step^n underflow to
@@ -409,7 +423,7 @@ class TestRealMatrices:
         ids=["bstar", "anti_bstar", "mobius", "odd_triglift", "real_zeros"],
     )
     def test_real_data_assemble_float64(self, m, annulus):
-        T = assemble_dual(m, annulus, 48, 48, 4096)
+        T = assemble_dual(m, annulus, 48, K=4096)
         full = _column_by_column(m, annulus, 48, 4096, real=False)
         assert T.matrix.dtype == np.float64 and T.matrix.flags.f_contiguous
         # the dropped imaginary parts are roundoff, below the snap level
@@ -431,7 +445,7 @@ class TestRealMatrices:
         ids=["triglift", "complex_zero", "floor_star", "nearly_real"],
     )
     def test_complex_data_stay_complex(self, m, annulus):
-        T = assemble_dual(m, annulus, 48, 48, 4096)
+        T = assemble_dual(m, annulus, 48, K=4096)
         full = _column_by_column(m, annulus, 48, 4096, real=False)
         assert T.matrix.dtype == np.complex128
         assert np.array_equal(np.ascontiguousarray(T.matrix).view(np.float64), full.view(np.float64))
@@ -476,13 +490,42 @@ class TestReflection:
     def test_matrix_is_its_swapped_conjugate(self, m, dtype, orientation, which, annulus):
         ann = annulus if which == "fixed" else find_expansive_annulus(m)
         assert check_holo_expansive(m, ann).verdict == orientation
-        for nplus, nminus in ((48, 48), (17, 30), (30, 17), (1, 8), (8, 0)):
+        for nplus, nminus in ((48, 47), (48, 48), (17, 30), (30, 17), (1, 8), (8, 0)):
             T = assemble_dual(m, ann, nplus, nminus)
             assert T.matrix.dtype == dtype
             P = _swap(nplus, nminus)
             both = np.flatnonzero(P >= 0)
             got = T.matrix[np.ix_(both, both)]
             assert np.array_equal(got, np.conj(T.matrix[np.ix_(P[both], P[both])]))
+
+    @pytest.mark.parametrize("m, dtype, orientation", REFLECTING)
+    @pytest.mark.parametrize("which", ["fixed", "auto"])
+    def test_symmetric_truncation_is_its_swapped_conjugate(self, m, dtype, orientation, which, annulus):
+        # on the default (N, N - 1) truncation P is an involution of every
+        # index, so M == P conj(M) P holds for the whole matrix, exactly
+        ann = annulus if which == "fixed" else find_expansive_annulus(m)
+        T = assemble_dual(m, ann, 48)
+        assert (T.nplus, T.nminus) == (48, 47)
+        P = _swap(T.nplus, T.nminus)
+        assert (P >= 0).all() and (P[P] == np.arange(T.size)).all()
+        assert np.array_equal(T.matrix, np.conj(T.matrix[np.ix_(P, P)]))
+
+    @pytest.mark.parametrize(
+        "m, ann",
+        [*[(p.values[0], Annulus(0.8, 1.25)) for p in REFLECTING],
+         (MobiusFamilyMap(0.3), Annulus(0.8, 1.25)),
+         (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25)),
+         (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2))],
+        ids=[*[p.id for p in REFLECTING], "mobius-0.3", "mobius-complex", "bstar-0.85"],
+    )
+    @pytest.mark.parametrize("N", [32, 128])
+    def test_symmetric_truncation_is_the_leading_block_of_the_square_one(self, m, ann, N):
+        # at equal K, dropping minus row and column N changes no other bit
+        square = assemble_dual(m, ann, N, N)
+        T = assemble_dual(m, ann, N, K=square.samples)
+        lead = square.matrix[: T.size, : T.size]
+        assert T.matrix.dtype == lead.dtype
+        assert np.ascontiguousarray(T.matrix).tobytes() == np.ascontiguousarray(lead).tobytes()
 
     @pytest.mark.parametrize("m, dtype, orientation", REFLECTING)
     @pytest.mark.parametrize("which", ["fixed", "auto"])
@@ -562,7 +605,7 @@ class TestJacobiAnger:
         T = assemble_dual(m, ann, N)
         _, (_, tp), (_, tm) = _sampled(m, ann, T.samples)
         assert _reflects(tp, tm)
-        exact, floors = jacobi_anger_matrix(m, ann, N), _column_floors(m, ann, T)
+        exact, floors = jacobi_anger_matrix(m, ann, N, T.nminus), _column_floors(m, ann, T)
         snapped = (T.matrix == 0) & (exact != 0)
         assert snapped.any()  # the snap zeroes entries the closed form keeps
         top = np.abs(T.matrix).max()
@@ -773,6 +816,52 @@ class TestSingularValues:
         np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
         fro = np.sum(np.abs(T.matrix) ** 2)
         assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, ann, nminus, svds",
+        [
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), None, 1),
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), None, 1),
+            (MobiusFamilyMap(0.7), Annulus(0.8, 1.25), None, 1),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2), None, 2),  # r R != 1
+            (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25), None, 2),  # not a circle map
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 64, 2),  # square truncation
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), 64, 2),
+        ],
+        ids=["B*", "anti-B*", "mobius", "B*-0.85", "mobius-complex", "B*-square", "anti-B*-square"],
+    )
+    def test_reflected_blocks_share_one_svd(self, m, ann, nminus, svds, monkeypatch):
+        T = assemble_dual(m, ann, 64, nminus)
+        full = np.linalg.svd(T.matrix, compute_uv=False)
+        calls = self._record_svd(monkeypatch)
+        sv = singular_values(T)
+        assert len(calls) == svds
+        if svds == 1:  # the plus block without index 0, on its nonzero columns
+            assert calls[0].shape[0] == T.nplus - 1
+        assert len(sv) == T.size
+        assert np.all(np.diff(sv) <= 0)
+        np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
+        fro = np.sum(np.abs(T.matrix) ** 2)
+        assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12)
+
+    @pytest.mark.parametrize("where", ["minus-entry", "row-0", "column-0"])
+    def test_broken_reflection_takes_two_svds(self, bstar, anti_bstar, annulus, where, monkeypatch):
+        # one ulp off in the minus block, or a second entry in row 0 or
+        # column 0, and the blocks no longer share their singular values
+        for m in (bstar, anti_bstar):
+            T = assemble_dual(m, annulus, 32)
+            a = T.matrix.copy(order="F")
+            i, j = {"minus-entry": np.argwhere(a[T.nplus :, 1:] != 0)[0] + (T.nplus, 1),
+                    "row-0": (0, np.flatnonzero(a[1 : T.nplus].any(axis=0))[1]),
+                    "column-0": (1, 0)}[where]
+            a[i, j] = np.nextafter(a[i, j], 2.0) if a[i, j] else 1e-3
+            broken = dataclasses.replace(T, matrix=a)
+            full = np.linalg.svd(a, compute_uv=False)
+            calls = self._record_svd(monkeypatch)
+            sv = singular_values(broken)
+            monkeypatch.undo()
+            assert len(calls) == 2
+            np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
 
     def test_coupled_blocks_take_one_full_svd(self, bstar, annulus, monkeypatch):
         ops = [
