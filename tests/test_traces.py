@@ -526,3 +526,16 @@ class TestTraceReport:
         rep = trace_report(m, annulus, nplus=24)
         assert rep.closed_form is None
         assert rep.contour == pytest.approx(rep.eigensum, abs=1e-8)
+
+    def test_matrix_trace_on_the_symmetric_truncation(self, bstar, annulus, monkeypatch):
+        # the eigensum route traces the library's own truncation (nplus, nplus - 1)
+        seen, real = [], traces.assemble_dual
+
+        def recording(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(traces, "assemble_dual", recording)
+        rep = trace_report(bstar, annulus)
+        assert [(T.nplus, T.nminus) for T in seen] == [(48, 47)]
+        assert rep.eigensum == complex(np.trace(seen[0].matrix))
