@@ -363,7 +363,7 @@ def main(argv=None) -> int:
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

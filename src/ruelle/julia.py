@@ -5,11 +5,13 @@ Both 0 and infinity are attracting for the parameters of interest, so
 almost every pixel decides quickly; undecided pixels concentrate on the
 Julia set (a quasi-circle for small complex perturbations of w in [0, 1]).
 
-`render` walks the flattened raster in blocks of BLOCK_PIXELS pixels, so
-that each temporary of a step stays cache-sized, and drops every pixel as
-soon as it is decided; the pole and 0/0 iterates count as basin infinity.
-The raster is bit for bit that of one whole-array pass: each pixel goes
-through the same operations in the same order.
+`render` walks the raster in blocks of whole pixel rows, at most
+BLOCK_PIXELS pixels each (one row where a row is longer), so that each
+temporary of a step stays cache-sized, and drops every pixel as soon as
+it is decided; the pole and 0/0 iterates count as basin infinity.  Each
+block builds its own start points, so no complex array of the whole
+raster is ever formed.  The raster is bit for bit that of one whole-array
+pass: each pixel goes through the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ BASIN_ZERO = 0
 BASIN_INFINITY = 1
 BASIN_UNDECIDED = 2
 
-BLOCK_PIXELS = 1 << 15  # pixels iterated together, about 512 KB of complex iterates
+BLOCK_PIXELS = 1 << 15  # pixels per block of whole rows, about 512 KB of complex iterates
 
 _GRAY = np.array([0, 255, 128], dtype=np.uint8)  # PGM gray level by basin code
 
@@ -50,34 +52,46 @@ def render(
     """Iterate T(w, .) from every pixel until |z| < epsilon (basin of zero),
     |z| > 1/epsilon (basin of infinity), or max_iter is reached.
 
-    The flattened pixel grid is iterated in blocks of BLOCK_PIXELS.  Each
-    block keeps only its undecided pixels, as a compact iterate array and
-    an index array; the pixels a step decides get their basin and step
+    The raster is iterated in blocks of max(1, BLOCK_PIXELS // width)
+    whole pixel rows; each block's start points are formed from the row
+    and column coordinates when the block starts, by the same elementwise
+    add as a whole grid would be, so no full-raster complex array exists.
+    Each block keeps only its undecided pixels, as a compact iterate array
+    and an index array; the pixels a step decides get their basin and step
     count and are dropped.  A pixel that lands on the pole 2/w, or whose
     iterate turns NaN (0/0), fails |z| <= 1/epsilon and is counted as
     basin infinity at that step.  Every pixel sees the same operations as
     on a whole-raster pass, so the raster does not depend on the block
-    size, bit for bit."""
+    size, bit for bit.
+
+    Raises ValueError for a w or viewport that is not finite, and for a
+    viewport that does not increase (xmin < xmax and ymin < ymax)."""
     if width < 16 or height < 16:
         raise ValueError("raster dimensions must be at least 16x16")
     if max_iter < 50:
         raise ValueError("max_iter must be at least 50")
     if not 0 < epsilon < 0.1:
         raise ValueError("epsilon must lie in (0, 0.1)")
-    step = MobiusFamilyMap(w)._eval  # T(w, .) itself, with no per-step array checks
+    if not np.isfinite(w):
+        raise ValueError(f"w must be finite, got {w}")
     xmin, xmax, ymin, ymax = viewport
+    if not np.isfinite(viewport).all():
+        raise ValueError(f"viewport must be finite, got {viewport}")
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError(f"viewport must have xmin < xmax and ymin < ymax, got {viewport}")
+    step = MobiusFamilyMap(w)._eval  # T(w, .) itself, with no per-step array checks
     xs = np.linspace(xmin, xmax, width)
     ys = np.linspace(ymax, ymin, height)
-    z0 = (xs[None, :] + 1j * ys[:, None]).astype(complex).ravel()
 
-    basin = np.full(z0.size, BASIN_UNDECIDED, dtype=np.uint8)
-    steps = np.full(z0.size, max_iter, dtype=np.int32)
+    basin = np.full(width * height, BASIN_UNDECIDED, dtype=np.uint8)
+    steps = np.full(width * height, max_iter, dtype=np.int32)
     lo, hi = epsilon, 1.0 / epsilon
+    rows = max(1, BLOCK_PIXELS // width)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, z0.size, BLOCK_PIXELS):
-            z = z0[start:start + BLOCK_PIXELS]
-            idx = np.arange(start, start + z.size)
+        for row in range(0, height, rows):
+            z = (xs + 1j * ys[row:row + rows, None]).ravel()
+            idx = np.arange(row * width, row * width + z.size)
             for it in range(1, max_iter + 1):
                 z = step(z)
                 mods = np.abs(z)
@@ -109,6 +123,6 @@ def write_pgm(raster: Raster, path, mode: str = "basin"):
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload.tobytes())
+            fh.write(np.ascontiguousarray(payload))  # no copy of a C-ordered payload
     except OSError as exc:
         raise OSError(f"could not write PGM to {path}: {exc}") from exc

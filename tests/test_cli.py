@@ -355,6 +355,40 @@ class TestJulia:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "viewport, named",
+        [
+            ("1,-1,-1,1", "xmin < xmax"),  # a mirror image, exit 0 before
+            ("-1,1,1,-1", "ymin < ymax"),
+            ("0,0,0,0", "xmin < xmax"),  # a one-colour image, exit 0 before
+        ],
+        ids=["x-mirror", "y-mirror", "empty"],
+    )
+    def test_viewport_that_does_not_increase_is_an_input_error(
+        self, viewport, named, capsys, tmp_path
+    ):
+        out = tmp_path / "x.pgm"
+        code = main(["julia", "--w", "0.5,0.26", f"--viewport={viewport}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_error_is_an_error_line(self, monkeypatch, capsys, tmp_path):
+        # what a raster too large for the host raises, without allocating one
+        def oversized(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+        monkeypatch.setattr(ruelle.julia, "render", oversized)
+        out = tmp_path / "x.pgm"
+        code = main(["julia", "--w", "0.5,0.26", "--size", "100000x100000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 9.31 GiB for an array\n"
+        assert not out.exists()
+
+
 class TestHomotopyCheck:
     def test_report(self, tmp_path):
         out = tmp_path / "hc.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -78,6 +80,38 @@ class TestRender:
         with pytest.raises(ValueError, match="16"):
             render(0.0, VIEW, 8, 64)
 
+    @pytest.mark.parametrize(
+        "w, viewport, named",
+        [
+            (float("nan"), VIEW, "w must be finite"),
+            (complex(0.5, float("inf")), VIEW, "w must be finite"),
+            (0.5, (-1.6, float("inf"), -1.6, 1.6), "viewport must be finite"),
+            (0.5, (-1.6, 1.6, float("nan"), 1.6), "viewport must be finite"),
+            (0.5, (1.0, -1.0, -1.0, 1.0), "xmin < xmax"),  # a mirror image
+            (0.5, (-1.0, 1.0, 1.0, -1.0), "ymin < ymax"),  # upside down
+            (0.5, (0.0, 0.0, 0.0, 0.0), "xmin < xmax"),  # one colour
+            (0.5, (-1.0, 1.0, 0.5, 0.5), "ymin < ymax"),
+        ],
+        ids=["w-nan", "w-inf", "x-inf", "y-nan", "x-mirror", "y-mirror", "empty", "flat"],
+    )
+    def test_input_it_cannot_render_is_refused(self, w, viewport, named):
+        # each of these gave a wrong raster without a word: NaN put every
+        # pixel in the basin of infinity at step 1
+        with pytest.raises(ValueError, match=named):
+            render(w, viewport, 16, 16, max_iter=50)
+
+    def test_peak_memory_stays_below_a_raster_grid(self):
+        # the two complex128 start grids of 512^2 (4 MiB each) peaked at
+        # 8.0 MiB; start points built per row block peak at 3.8 MiB
+        render(0.5 + 0.26j, VIEW, 16, 16, max_iter=50)  # first-call imports
+        tracemalloc.start()
+        try:
+            render(0.5 + 0.26j, VIEW, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
 
 def _whole_array_render(w, viewport, width, height, max_iter=500, epsilon=1e-3):
     """The raster from one pass over the whole pixel array per step: a boolean
@@ -130,9 +164,25 @@ class TestBlockedRender:
     @pytest.mark.parametrize("w", [0.0, 0.5 + 0.26j, 0.8 + 0.3j, 1 + 1j], ids=str)
     @pytest.mark.parametrize("width, height", [(300, 200), (257, 129)])
     def test_partial_last_block(self, w, width, height):
-        # both pixel counts span more than one block and end in a partial one
+        # both rasters span more than one block of whole rows and end in a
+        # partial one, whose pixels a flat block of BLOCK_PIXELS would split
+        rows = BLOCK_PIXELS // width
+        assert height > rows and height % rows
         assert width * height > BLOCK_PIXELS and width * height % BLOCK_PIXELS
         _assert_matches_whole_array(w, VIEW, width, height)
+
+    @pytest.mark.parametrize("width, height", [(512, 130), (1000, 33)])
+    def test_height_not_a_multiple_of_block_rows(self, width, height):
+        # 64 rows per block with 2 rows left over, and 32 rows with 1 left
+        rows = BLOCK_PIXELS // width
+        assert height > rows and height % rows
+        _assert_matches_whole_array(0.5 + 0.26j, VIEW, width, height, max_iter=50)
+
+    def test_raster_wider_than_a_block(self):
+        # one row per block, each longer than BLOCK_PIXELS
+        width = BLOCK_PIXELS + 5
+        assert BLOCK_PIXELS // width == 0
+        _assert_matches_whole_array(0.5 + 0.26j, VIEW, width, 16, max_iter=50)
 
     def test_pole_pixel(self):
         # z = 4 = 2/w is the middle pixel: its first step divides by zero
