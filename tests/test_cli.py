@@ -358,9 +358,9 @@ class TestJulia:
     @pytest.mark.parametrize(
         "viewport, named",
         [
-            ("1,-1,-1,1", "xmin < xmax"),  # a mirror image, exit 0 before
+            ("1,-1,-1,1", "xmin < xmax"),  # would be a mirror image
             ("-1,1,1,-1", "ymin < ymax"),
-            ("0,0,0,0", "xmin < xmax"),  # a one-colour image, exit 0 before
+            ("0,0,0,0", "xmin < xmax"),  # would be a one-colour image
         ],
         ids=["x-mirror", "y-mirror", "empty"],
     )
