@@ -354,7 +354,6 @@ class TestJulia:
         code = main(["julia", "--w", "0", "--size", "8x8", "--out", str(tmp_path / "x.pgm")])
         assert code == 1
 
-
     @pytest.mark.parametrize(
         "viewport, named",
         [

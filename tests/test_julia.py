@@ -94,7 +94,7 @@ class TestRender:
                 render(w, viewport, 16, 16, max_iter=50)
 
     def test_peak_memory_stays_below_a_raster_grid(self):
-        # start points built per row block peak at 3.8 MiB; a whole-raster
+        # row blocks and the step buffers peak at 4.1 MiB; a whole-raster
         # complex128 start grid is 4 MiB by itself, and a copy of it 4 more
         render(0.5 + 0.26j, VIEW, 16, 16, max_iter=50)  # first-call imports
         tracemalloc.start()
