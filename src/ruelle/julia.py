@@ -5,14 +5,13 @@ Both 0 and infinity are attracting for the parameters of interest, so
 almost every pixel decides quickly; undecided pixels concentrate on the
 Julia set (a quasi-circle for small complex perturbations of w in [0, 1]).
 
-`render` walks the raster in blocks of whole pixel rows, at most
-BLOCK_PIXELS pixels each (one row where a row is longer), so that each
-temporary of a step stays cache-sized, and drops every pixel as soon as
-it is decided; the pole and 0/0 iterates count as basin infinity.  Each
-block builds its own start points, so no complex array of the whole
-raster is ever formed, and each step computes into buffers made once per
-render.  The raster is bit for bit that of one whole-array pass: each
-pixel goes through the same operations in the same order.
+`render` walks the raster in blocks of max(1, BLOCK_PIXELS // width) whole
+pixel rows, so that each temporary of a step stays cache-sized.  A block
+keeps only its undecided pixels, as a compact iterate array and an index
+array, and a step writes T(w, z) over its iterates by
+``MobiusFamilyMap.step``, into buffers made once per render.  That step's
+bits depend only on the point, so the raster is bit for bit that of
+iterating ``MobiusFamilyMap(w).eval`` on the whole pixel array.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .maps import MobiusFamilyMap
 
 __all__ = ["BASIN_ZERO", "BASIN_INFINITY", "BASIN_UNDECIDED", "Raster", "render", "write_pgm"]
 
@@ -51,18 +52,9 @@ def render(
     """Iterate T(w, .) from every pixel until |z| < epsilon (basin of zero),
     |z| > 1/epsilon (basin of infinity), or max_iter is reached.
 
-    The raster is iterated in blocks of max(1, BLOCK_PIXELS // width)
-    whole pixel rows; each block's start points are formed from the row
-    and column coordinates when the block starts, by the same elementwise
-    add as a whole grid would be, so no full-raster complex array exists.
-    A step computes T into two buffers made once per render.  Each block
-    keeps only its undecided pixels, as a compact iterate array and an
-    index array; the pixels a step decides get their basin and step count
-    and are dropped.  A pixel that lands on the pole 2/w, or whose
-    iterate turns NaN (0/0), fails |z| <= 1/epsilon and is counted as
-    basin infinity at that step.  Every pixel sees the same operations as
-    on a whole-raster pass, so the raster does not depend on the block
-    size, bit for bit.
+    A pixel is dropped from its block (module notes) as soon as it is
+    decided; the pole 2/w and NaN (0/0) iterates fail |z| <= 1/epsilon and
+    count as basin infinity.
 
     Raises ValueError for a w or viewport that is not finite, and for a
     viewport that does not increase (xmin < xmax and ymin < ymax)."""
@@ -79,7 +71,7 @@ def render(
         raise ValueError(f"viewport must be finite, got {viewport}")
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"viewport must have xmin < xmax and ymin < ymax, got {viewport}")
-    w = complex(w)
+    T = MobiusFamilyMap(w)
     xs = np.linspace(xmin, xmax, width)
     ys = np.linspace(ymax, ymin, height)
 
@@ -87,29 +79,20 @@ def render(
     steps = np.full(width * height, max_iter, dtype=np.int32)
     lo, hi = epsilon, 1.0 / epsilon
     rows = max(1, BLOCK_PIXELS // width)
-    # The step's temporaries live in buffers made once per render: new
-    # block-sized temporaries at every step would be new pages under glibc's
-    # default thresholds (mapped afresh above 128 KB, or a heap top handed
-    # back and faulted in again).
+    # step buffers made once per render: new block-sized temporaries at every
+    # step would be new pages under glibc's default thresholds (mapped afresh
+    # above 128 KB, or a heap top handed back and faulted in again)
     num, den = np.empty((2, rows * width), dtype=complex)
     mods = np.empty(rows * width)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for row in range(0, height, rows):
-            z = (xs + 1j * ys[row:row + rows, None]).ravel()
+            z = np.empty((min(rows, height - row), width), dtype=complex)
+            z.real, z.imag = xs, ys[row:row + rows, None]
+            z = z.ravel()
             idx = np.arange(row * width, row * width + z.size)
             for it in range(1, max_iter + 1):
-                a, b = num[:z.size], den[:z.size]
-                # T(w, z) = z (2z - w)/(2 - wz) in the operations that
-                # MobiusFamilyMap._eval performs on a full block, where numpy
-                # reuses the temporary 2z - w and multiplies it by z, in that
-                # order (complex products are not commutative bit for bit)
-                np.multiply(2, z, out=a)
-                np.subtract(a, w, out=a)
-                np.multiply(a, z, out=a)
-                np.multiply(w, z, out=b)
-                np.subtract(2, b, out=b)
-                np.divide(a, b, out=z)
+                T.step(z, num[:z.size], den[:z.size], out=z)
                 m = np.abs(z, out=mods[:z.size])
                 keep = (m >= lo) & (m <= hi)  # false for NaN and infinity
                 if keep.all():

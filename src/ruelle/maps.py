@@ -6,6 +6,12 @@ analytically known degree.  The module-level helpers implement the checks
 that the spectral machinery relies on: expansivity on the unit circle,
 boundary-circle inclusions certifying holomorphic expansivity (and naming
 the inward circle), and interior fixed points with their multipliers.
+
+One evaluation order: a sample's bits depend only on its point.  A product
+whose right operand is a temporary goes through ``out=`` in its written
+order (``numerics.times``, ``MobiusFamilyMap.step``), since numpy's
+temporary elision swaps the operands of such a product on arrays of 256 KB
+and more, and complex products differ by operand order in their last bits.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import circle_nodes, laurent
+from .numerics import circle_nodes, laurent, times
 
 __all__ = [
     "Annulus",
@@ -180,12 +186,22 @@ class MobiusFamilyMap(_MapBase):
     def degree(self) -> int:
         return 2
 
+    def step(self, z, num, den, out=None):
+        """T(w, z) computed in ``num`` and ``den``, arrays of z's shape, into
+        ``out`` (z allowed; None: a new array), in the one order of the notes."""
+        np.multiply(2, z, out=num)
+        np.subtract(num, self.w, out=num)
+        np.multiply(z, num, out=num)
+        np.multiply(self.w, z, out=den)
+        np.subtract(2, den, out=den)
+        return np.divide(num, den, out=out)
+
     def _eval(self, z):
-        return z * (2 * z - self.w) / (2 - self.w * z)
+        return self.step(z, np.empty_like(z), np.empty_like(z))
 
     def _deriv(self, z):
         den = 2 - self.w * z
-        return ((4 * z - self.w) * den + self.w * (2 * z**2 - self.w * z)) / den**2
+        return ((4 * z - self.w) * den + times(self.w, 2 * z**2 - self.w * z)) / den**2
 
 
 @dataclass(frozen=True)
@@ -223,7 +239,7 @@ class ComposedMap(_MapBase):
         with np.errstate(all="ignore"):
             p = np.ones_like(z)
             for m in self.maps:
-                p = self._clean_escape(p * m._deriv(z))
+                p = self._clean_escape(times(p, m._deriv(z)))
                 z = self._clean_escape(m._eval(z))
         return p
 

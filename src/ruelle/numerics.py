@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent"]
+__all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent", "times"]
 
 
 def circle_nodes(radius: float, K: int) -> np.ndarray:
@@ -77,8 +77,15 @@ def laurent(pos, neg, z, derivative=True):
         nv, ns = _horner(neg, w, derivative)
         value += nv
         if derivative:
-            slope -= ns * (w * w)
+            slope -= times(ns, w * w)
     return (value, slope) if derivative else value
+
+
+def times(a, t):
+    """a * t in that operand order at every length, into the temporary t when
+    it is an array (see the module notes of maps); a numpy scalar t keeps
+    numpy's scalar product."""
+    return np.multiply(a, t, out=t) if isinstance(t, np.ndarray) else a * t
 
 
 def _horner(coeffs, x, derivative):

@@ -13,6 +13,7 @@ from ruelle.julia import (
     render,
     write_pgm,
 )
+from ruelle.maps import MobiusFamilyMap
 
 
 def _pixel_grid(viewport, width, height):
@@ -109,9 +110,9 @@ class TestRender:
 def _whole_array_render(w, viewport, width, height, max_iter=500, epsilon=1e-3):
     """The raster from one pass over the whole pixel array per step: a boolean
     gather of the active pixels, the pole and NaN iterates set to infinity,
-    and a scatter back.  The product (2z - w) z keeps render's operand order
-    at every array size (complex products are not commutative bit for bit)."""
-    w = complex(w)
+    and a scatter back.  Each step is ``MobiusFamilyMap(w).eval``, whose bits
+    do not depend on the length of the array."""
+    T = MobiusFamilyMap(w)
     z = _pixel_grid(viewport, width, height).astype(complex)
     basin = np.full(z.shape, BASIN_UNDECIDED, dtype=np.uint8)
     steps = np.full(z.shape, max_iter, dtype=np.int32)
@@ -119,10 +120,10 @@ def _whole_array_render(w, viewport, width, height, max_iter=500, epsilon=1e-3):
     lo, hi = epsilon, 1.0 / epsilon
     for it in range(max_iter):
         za = z[active]
-        den = 2 - w * za
+        at_pole = 2 - T.w * za == 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            za = (2 * za - w) * za / den
-        za[den == 0] = np.inf
+            za = T.eval(za)
+        za[at_pole] = np.inf
         za[np.isnan(za)] = np.inf
         z[active] = za
         mods = np.abs(za)

@@ -301,6 +301,55 @@ class TestIterate:
             iterate(bstar, 0)
 
 
+def _annulus_points(r, R, n, seed):
+    # n points spread over r < |z| < R, off every lattice of roots of unity
+    rng = np.random.default_rng(seed)
+    return np.sqrt(rng.uniform(r * r, R * R, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+@pytest.fixture(scope="module")
+def bstar_to_trig():
+    return build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
+
+
+class TestLengthIndependence:
+    """A sample's bits depend only on its point: one call on 2^17 points, where
+    numpy elides temporaries, gives the bits of 1024-value pieces."""
+
+    MAPS = {
+        "bstar": BlaschkeProduct(1.0, (0.0, 0.5)),
+        "anti-bstar": BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+        "complex-blaschke": BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.3j, 0.4)),
+        "trig-cos-sin": TrigLift(2, (0.1,), (0.07,)),
+        "trig-two-harmonics": TrigLift(3, (0.1, 0.05), (0.02, -0.03)),
+        "mobius": MobiusFamilyMap(0.5 + 0.26j),
+        "iterate-bstar-3": iterate(BlaschkeProduct(1.0, (0.0, 0.5)), 3),
+    }
+
+    @staticmethod
+    def _assert_pieces_match(m, z):
+        for f in (m.eval, m.deriv):
+            pieces = np.concatenate([f(z[i : i + 1024]) for i in range(0, z.size, 1024)])
+            assert f(z).tobytes() == pieces.tobytes()
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_map(self, name):
+        self._assert_pieces_match(self.MAPS[name], _annulus_points(0.8, 1.25, 1 << 17, 3))
+
+    def test_homotopy_member(self, bstar_to_trig):
+        fam = bstar_to_trig
+        z = _annulus_points(fam.r0, fam.R0, 1 << 17, 4)
+        self._assert_pieces_match(fam.member(0.5 + 0.5j * fam.eta), z)
+
+    def test_mobius_step_in_place(self):
+        # the step of julia.render: T(w, z) over z itself, from caller buffers
+        m, z = MobiusFamilyMap(0.5 + 0.26j), _annulus_points(0.5, 2.0, 1 << 15, 5)
+        num, den = np.empty((2, z.size), dtype=complex)
+        expected = m.eval(z)
+        assert m.step(z, num, den, out=z) is z
+        assert z.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.complex_numbers(max_magnitude=0.7, allow_nan=False), min_size=2, max_size=4),
