@@ -418,6 +418,31 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["julia", "--w", "0.5,0.26", "--size", "64x64"], "--viewport", "-1.6,1.6,-1.6,1.6"),
+        (["det", "--map", BSTAR], "--z", "-0.3,0.1"),
+        (["scan", "--family", "mobius", "--annulus", "0.8,1.25"], "--grid", "-1:1:3"),
+        (["julia", "--size", "64x64"], "--w", "-.5,0.26"),
+    ],
+    ids=["viewport", "z", "grid", "w"],
+)
+def test_negative_value_after_its_option(argv, option, value, tmp_path, capsys):
+    # a value that starts with '-' and a digit or '.' may follow its option
+    # as the next token: the same exit code and artifact as --option=value
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main([*argv, option, value, "--out", str(spaced)]) == 0
+    assert main([*argv, f"{option}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    capsys.readouterr()
+
+
+def test_unknown_option_is_still_a_usage_error(capsys):
+    assert main(["det", "--map", BSTAR, "--z", "-0.3,0.1", "--bogus", "-1"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
