@@ -86,16 +86,13 @@ class TruncatedOperator:
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
     followed by the minus block (e_{-m}^(R), m = 1..nminus); ``assemble_dual``
     defaults to the symmetric truncation nminus = nplus - 1, 2 nplus - 1 rows
-    in all, on which P below is an exact involution.  The matrix is
-    float64 when each boundary sample row agrees with its conjugate mirror
-    (the agreement rule in the module notes), as for tau(conj z) = conj
-    tau(z), whose adjoint is real; else complex128.  It is column-major
+    in all, on which the reflection rule's P is an exact involution.  The
+    matrix is float64 when each boundary sample row agrees with its
+    conjugate mirror (the agreement rule in the module notes), as for
+    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.  It is column-major
     (Fortran order): a column is one FFT row, and LAPACK reads columns.  For
-    a circle map on an annulus with r R = 1 (the reflection rule in the
-    module notes) the minus columns are the plus FFT's, row-swapped and
-    conjugated: M[i, j] = conj M[Pi, Pj] wherever P, which swaps plus m and
-    minus m, stays inside the truncation, which is everywhere on the
-    symmetric one.
+    a circle map on an annulus with r R = 1 the minus columns come from the
+    plus FFT by the reflection rule in the module notes.
     """
 
     nplus: int
@@ -109,9 +106,7 @@ class TruncatedOperator:
 
 
 def _agrees(x, y) -> bool:
-    """The agreement rule for sample symmetries: every difference x - y is
-    finite and max|x - y| <= SNAP_TOL max|x|.  A non-finite sample makes its
-    difference non-finite, so it never agrees."""
+    """The agreement rule of the module notes; a non-finite sample never agrees."""
     with np.errstate(all="ignore"):
         diff = np.abs(x - y)
     return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(x).max()
@@ -122,9 +117,9 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
     unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n.
-    With ``mirror``, the minus columns of a reflected matrix, ``out`` holds the
-    powers below nplus and power n >= 1 also fills mirror row n - 1 with its
-    transported column row-swapped and conjugated: M[i, j] = conj M[Pi, Pj]."""
+    With ``mirror``, the minus columns of a reflected matrix (the reflection
+    rule in the module notes), ``out`` holds the powers below nplus and power
+    n >= 1 also fills mirror row n - 1."""
     K = len(step)
     step_max = float(np.abs(step).max())
     nminus = out.shape[1] - nplus
@@ -201,11 +196,8 @@ def assemble_dual(
     tolerance and that column's roundoff floor; an explicit K with an
     unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
     worst tail of both blocks and its floor.  When tm agrees with
-    1/conj tp (a circle map, r R = 1), the pass transforms the plus powers
-    0..max(nplus - 1, nminus) only (0..nplus - 1, the plus block's own, on
-    the symmetric truncation) and fills each minus column n with plus
-    power n's transported column, plus and minus rows swapped, conjugated,
-    and the plus powers' tails are the minus columns'.  Otherwise an
+    1/conj tp, the minus block comes from the plus powers by the reflection
+    rule in the module notes, and their tails are its tails.  Otherwise an
     automatic pass below the cap whose plus block is unresolved is
     discarded without building its minus block.  The matrix is float64,
     read from the half spectrum of real FFTs of folded columns, iff each
@@ -308,13 +300,12 @@ def singular_values(T) -> np.ndarray:
     - On the symmetric truncation (nminus = nplus - 1) of such a map, when
       row 0 and column 0 hold a00 alone and the gathered minus block
       equals, entry for entry, the conjugate of the plus block without
-      index 0 in P order (P swaps plus m and minus m, as in the reflection
-      rule), the two blocks share their singular values: one SVD s of that
-      plus block gives {|a00|} and s twice.  A decoupled circle map on an
-      annulus with r R = 1 assembles exactly this, since its minus columns
-      are its plus columns row-swapped and conjugated; B* at N = 512 takes
-      one 511 x 388 SVD in place of two 512 x 389 ones.  Any other matrix
-      keeps the two SVDs, and an explicit (N, N) truncation too.
+      index 0 in P order (the reflection rule in the module notes), the two
+      blocks share their singular values: one SVD s of that plus block gives
+      {|a00|} and s twice.  A decoupled circle map on an annulus with r R = 1
+      assembles exactly this; B* at N = 512 takes one 511 x 388 SVD in
+      place of two 512 x 389 ones.  Any other matrix keeps the two SVDs,
+      and an explicit (N, N) truncation too.
     - Each SVD drops the all-zero rows and columns of its block: up to a
       permutation the block is [[A, 0], [0, 0]], which has the singular
       values of A plus zeros.  B* at N = 512 has 246 such columns among
