@@ -186,15 +186,15 @@ class MobiusFamilyMap(_MapBase):
     def degree(self) -> int:
         return 2
 
-    def step(self, z, num, den, out=None):
-        """T(w, z) computed in ``num`` and ``den``, arrays of z's shape, into
+    def step(self, z, a, b, out=None):
+        """T(w, z) computed in ``a`` and ``b``, arrays of z's shape, into
         ``out`` (z allowed; None: a new array), in the one order of the notes."""
-        np.multiply(2, z, out=num)
-        np.subtract(num, self.w, out=num)
-        np.multiply(z, num, out=num)
-        np.multiply(self.w, z, out=den)
-        np.subtract(2, den, out=den)
-        return np.divide(num, den, out=out)
+        np.multiply(2, z, out=a)
+        np.subtract(a, self.w, out=a)
+        np.multiply(z, a, out=b)
+        np.multiply(self.w, z, out=a)
+        np.subtract(2, a, out=a)
+        return np.divide(b, a, out=out)
 
     def _eval(self, z):
         return self.step(z, np.empty_like(z), np.empty_like(z))

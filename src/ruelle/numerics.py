@@ -82,10 +82,9 @@ def laurent(pos, neg, z, derivative=True):
 
 
 def times(a, t):
-    """a * t in that operand order at every length, into the temporary t when
-    it is an array (see the module notes of maps); a numpy scalar t keeps
-    numpy's scalar product."""
-    return np.multiply(a, t, out=t) if isinstance(t, np.ndarray) else a * t
+    """a * t in that operand order at every length (see the module notes of
+    maps); a numpy scalar t keeps numpy's scalar product."""
+    return np.multiply(a, t) if isinstance(t, np.ndarray) else a * t
 
 
 def _horner(coeffs, x, derivative):

@@ -341,13 +341,18 @@ class TestLengthIndependence:
         z = _annulus_points(fam.r0, fam.R0, 1 << 17, 4)
         self._assert_pieces_match(fam.member(0.5 + 0.5j * fam.eta), z)
 
-    def test_mobius_step_in_place(self):
-        # the step of julia.render: T(w, z) over z itself, from caller buffers
-        m, z = MobiusFamilyMap(0.5 + 0.26j), _annulus_points(0.5, 2.0, 1 << 15, 5)
-        num, den = np.empty((2, z.size), dtype=complex)
-        expected = m.eval(z)
-        assert m.step(z, num, den, out=z) is z
-        assert z.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("n", [1 << 15, 1], ids=["block", "one-value"])
+    def test_mobius_step_in_place(self, n):
+        # the step of julia.render, T(w, z) over z itself from caller buffers,
+        # down to a block's last pixel: numpy takes its scalar loop for a
+        # product written over one of its own operands of length 1
+        m, points = MobiusFamilyMap(0.5 + 0.26j), _annulus_points(0.5, 2.0, 1 << 15, 5)
+        expected = m.eval(points)
+        for i in range(0, min(points.size, 64 * n), n):
+            z = points[i : i + n].copy()
+            a, b = np.empty((2, n), dtype=complex)
+            assert m.step(z, a, b, out=z) is z
+            assert z.tobytes() == expected[i : i + n].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
