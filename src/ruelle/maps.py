@@ -8,10 +8,11 @@ boundary-circle inclusions certifying holomorphic expansivity (and naming
 the inward circle), and interior fixed points with their multipliers.
 
 One evaluation order: a sample's bits depend only on its point.  A product
-whose right operand is a temporary goes through ``out=`` in its written
-order (``numerics.times``, ``MobiusFamilyMap.step``), since numpy's
-temporary elision swaps the operands of such a product on arrays of 256 KB
-and more, and complex products differ by operand order in their last bits.
+whose right operand is a temporary is an explicit ufunc call in its written
+order (``numerics.times``, ``MobiusFamilyMap.step``), as numpy's temporary
+elision swaps the operands of ``a * temp`` from 256 KB, and complex products
+differ by operand order in their last bits; ``step`` writes none over its
+own operand, which numpy's one-value loop rounds differently.
 """
 
 from __future__ import annotations
