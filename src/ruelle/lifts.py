@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, _MapBase, check_holo_expansive
-from .numerics import circle_nodes, fourier_coeffs_from_samples, laurent
-from .operators import EPS, TAIL_TOL
+from .numerics import EPS, TAIL_TOL, circle_nodes, fourier_coeffs_from_samples, laurent
 
 __all__ = [
     "HomotopyFamily",
@@ -63,16 +62,16 @@ class LiftSeries:
         return 1j * self.alpha + P[0] - c.sum(), P[1]
 
     def eval(self, theta):
-        th = np.asarray(theta, dtype=complex)
+        th = np.atleast_1d(np.asarray(theta, dtype=complex))
         if th.size and np.max(np.abs(th.imag)) > self.strip + 1e-12:
             raise ValueError(f"Im theta exceeds certified strip half-width {self.strip:g}")
         out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
-        return complex(out) if np.ndim(theta) == 0 else out
+        return complex(out[0]) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
-        z = np.exp(1j * np.asarray(theta, dtype=complex))
-        out = self.d + z * self.exponent(z)[1]
-        return complex(out) if np.ndim(theta) == 0 else out
+        z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=complex)))
+        out = self.d + np.multiply(z, self.exponent(z)[1])  # in this order (module notes of maps)
+        return complex(out[0]) if np.ndim(theta) == 0 else out
 
 
 def _roundtrip_error(m, L: LiftSeries, im_offset: float, K: int) -> float:
@@ -91,7 +90,7 @@ def lift(m) -> LiftSeries:
 
     The mean of h is the degree (checked to 1e-8 before rounding); the
     remaining coefficients integrate term by term into the periodic part.
-    alpha is the principal argument of tau(1).  The strip half-width is
+    alpha is the principal argument of tau(1), read off node 0.  The strip half-width is
     certified by halving a decay-based candidate until the roundtrip
     e^{i lift(theta)} = tau(e^{i theta}) holds to 1e-8 on K points of each
     strip boundary, the K at which the coefficients resolved.
@@ -125,7 +124,7 @@ def lift(m) -> LiftSeries:
     g = c[idx]
     keep = np.abs(g) > 1e-16 * max(1.0, np.abs(c).max())
     ns, gs = idx[keep], g[keep]
-    alpha = cmath.phase(m.eval(1.0 + 0j))
+    alpha = cmath.phase(tv[0])  # node 0 is exactly 1 + 0j
 
     if len(ns) == 0:
         candidate = 4.0

@@ -7,12 +7,12 @@ that the spectral machinery relies on: expansivity on the unit circle,
 boundary-circle inclusions certifying holomorphic expansivity (and naming
 the inward circle), and interior fixed points with their multipliers.
 
-One evaluation order: a sample's bits depend only on its point.  A product
-whose right operand is a temporary is an explicit ufunc call in its written
-order (``numerics.times``, ``MobiusFamilyMap.step``), as numpy's temporary
+One evaluation order: a value's bits depend only on its point, whatever the
+shape of the input.  A 0-d point is evaluated as a one-element array, and a
+product whose right operand is a temporary is an explicit ``np.multiply`` in
+its written order (``MobiusFamilyMap.step`` included), as numpy's temporary
 elision swaps the operands of ``a * temp`` from 256 KB, and complex products
-differ by operand order in their last bits; ``step`` writes none over its
-own operand, which numpy's one-value loop rounds differently.
+differ by operand order in their last bits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import circle_nodes, laurent, times
+from .numerics import circle_nodes, laurent
 
 __all__ = [
     "Annulus",
@@ -59,15 +59,15 @@ class Annulus:
 
 
 class _MapBase:
-    """Scalar/array evaluation plumbing shared by all map types."""
+    """Scalar/array evaluation plumbing shared by all map types (module notes)."""
 
     def eval(self, z):
-        out = self._eval(np.asarray(z, dtype=complex))
-        return complex(out) if np.ndim(z) == 0 else out
+        out = self._eval(np.atleast_1d(np.asarray(z, dtype=complex)))
+        return complex(out[0]) if np.ndim(z) == 0 else out
 
     def deriv(self, z):
-        out = self._deriv(np.asarray(z, dtype=complex))
-        return complex(out) if np.ndim(z) == 0 else out
+        out = self._deriv(np.atleast_1d(np.asarray(z, dtype=complex)))
+        return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ class MobiusFamilyMap(_MapBase):
 
     def _deriv(self, z):
         den = 2 - self.w * z
-        return ((4 * z - self.w) * den + times(self.w, 2 * z**2 - self.w * z)) / den**2
+        return ((4 * z - self.w) * den + np.multiply(self.w, 2 * z**2 - self.w * z)) / den**2
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ class ComposedMap(_MapBase):
         with np.errstate(all="ignore"):
             p = np.ones_like(z)
             for m in self.maps:
-                p = self._clean_escape(times(p, m._deriv(z)))
+                p = self._clean_escape(np.multiply(p, m._deriv(z)))
                 z = self._clean_escape(m._eval(z))
         return p
 
@@ -324,26 +324,21 @@ def fixed_point_disk(m):
     try:
         z = 0j
         for _ in range(10000):
-            zn = m.eval(z)
-            if not (np.isfinite(zn.real) and np.isfinite(zn.imag)):
+            z, previous = m.eval(z), z
+            if not np.isfinite(z):
                 raise RuntimeError(_NO_FIXED_POINT)
-            if abs(zn - z) < 1e-6:
-                z = zn
+            if abs(z - previous) < 1e-6:
                 break
-            z = zn
         else:
             raise RuntimeError(_NO_FIXED_POINT)
         for _ in range(60):
             res = m.eval(z) - z
             if abs(res) <= 1e-13:
                 break
-            denom = m.deriv(z) - 1
-            if denom == 0:
-                raise RuntimeError(_NO_FIXED_POINT)
-            z = z - res / denom
+            z = z - res / (m.deriv(z) - 1)
         else:
             raise RuntimeError(_NO_FIXED_POINT)
-    except ValueError as exc:  # an iterate hit a pole of an anti-Blaschke map
+    except (ValueError, ZeroDivisionError) as exc:  # an iterate on a pole, or Newton's tau' = 1
         raise RuntimeError(_NO_FIXED_POINT) from exc
     if abs(z) >= 1:
         raise RuntimeError(_NO_FIXED_POINT)

@@ -7,6 +7,8 @@ along the last axis (one row per function).  For functions analytic near
 the circle both the coefficient recovery and the quadrature converge
 geometrically in K, which is what makes the operator assembly and the
 contour traces of the package spectrally accurate.
+
+A value's bits depend only on its point, whatever the shape of the input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent", "times"]
+__all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent"]
+
+EPS = np.finfo(float).eps  # behind every roundoff floor
+TAIL_TOL = 1e-14  # a coefficient tail below it is resolved (see the notes of operators)
 
 
 def circle_nodes(radius: float, K: int) -> np.ndarray:
@@ -69,35 +74,32 @@ def laurent(pos, neg, z, derivative=True):
     """(P(z), P'(z)) for P(z) = sum_k pos[k-1] z^k + neg[k-1] z^-k, k >= 1,
     by Horner's rule in z and in w = 1/z (formed only when neg is nonempty,
     so that P without negative powers evaluates at z = 0).  With
-    derivative=False, P(z) alone, by the same operations."""
-    z = np.asarray(z, dtype=complex)
-    value, slope = _horner(pos, z, derivative)
+    derivative=False, P(z) alone, by the same operations; a 0-d z gives numpy scalars."""
+    x = np.atleast_1d(np.asarray(z, dtype=complex))
+    value, slope = _horner(pos, x, derivative)
     if len(neg):
-        w = z**-1
+        w = x**-1
         nv, ns = _horner(neg, w, derivative)
         value += nv
         if derivative:
-            slope -= times(ns, w * w)
+            slope -= np.multiply(ns, w * w)
+    if np.ndim(z) == 0:
+        return (value[0], slope[0]) if derivative else value[0]
     return (value, slope) if derivative else value
 
 
-def times(a, t):
-    """a * t in that operand order at every length (see the module notes of
-    maps); a numpy scalar t keeps numpy's scalar product."""
-    return np.multiply(a, t) if isinstance(t, np.ndarray) else a * t
-
-
 def _horner(coeffs, x, derivative):
-    # sum_k coeffs[k-1] x^k and (or None) its x-derivative, in place from the top coefficient
+    # sum_k coeffs[k-1] x^k and (or None) its x-derivative, from the top coefficient; no
+    # product is written over its operand, which numpy's one-value loop rounds differently
     if not len(coeffs):
         return np.zeros_like(x), np.zeros_like(x) if derivative else None
     value, slope = coeffs[-1] * x, np.full_like(x, coeffs[-1]) if derivative else None
     for c in coeffs[-2::-1]:
         value += c
         if derivative:
-            slope *= x
+            slope = slope * x
             slope += value
-        value *= x
+        value = value * x
     return value, slope
 
 
@@ -113,8 +115,6 @@ def circle_integral(f, radius: float, K: int) -> complex:
         raise ValueError(f"K={K} too small for circle quadrature (need >= 8)")
     z = circle_nodes(radius, K)
     with np.errstate(all="ignore"):  # non-finite samples rejected below
-        values = np.asarray(f(z), dtype=complex)
-    if values.ndim == 0:
-        values = np.full(K, complex(values))
+        values = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)  # f may be constant
     _check_finite(values, radius)
     return complex(np.mean(values * z))

@@ -50,7 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, _inclusions
-from .numerics import circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples
+from .numerics import (
+    EPS, TAIL_TOL, circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples
+)
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
@@ -65,10 +67,8 @@ __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 # under that floor.  Automatic sample counts are doubled until every column
 # is resolved; an explicitly requested K is honoured as long as no
 # unresolved tail exceeds TAIL_REJECT (comfortably under every spectral
-# tolerance used downstream).
-TAIL_TOL = 1e-14
+# tolerance used downstream).  TAIL_TOL and EPS live in numerics.
 TAIL_REJECT = 1e-9
-EPS = np.finfo(float).eps
 
 # Entries below this fraction of the largest matrix entry are roundoff from
 # the FFT of analytically sparse columns (e.g. tau = z^d produces exactly

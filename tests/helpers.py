@@ -37,6 +37,19 @@ FLOOR_STAR = BlaschkeProduct(
 )
 
 
+def seeded_products(count=40):
+    """The seed-7 panel of random degree-2 products, in draw order: zeros of
+    modulus below 0.6, a unimodular alpha, plain or anti by a coin.  12 of
+    the 40 have min_expansion <= 1."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(count):
+        zeros = rng.uniform(0, 0.6, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        alpha = np.exp(2j * np.pi * rng.uniform())
+        out.append(BlaschkeProduct(alpha, tuple(zeros), bool(rng.integers(2))))
+    return out
+
+
 def blaschke_spectrum(mu, count, anti=False):
     """Expected leading eigenvalues for a product with interior multiplier mu
     (anti: mu is the square root of the second-iterate multiplier):

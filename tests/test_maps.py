@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference, winding_degree
-from ruelle.lifts import build_homotopy, find_expansive_annulus
+from helpers import FLOOR_STAR, finite_difference, seeded_products, winding_degree
+from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     Annulus,
     BlaschkeProduct,
@@ -22,6 +22,7 @@ from ruelle.maps import (
     second_iterate_multiplier,
     to_descriptor,
 )
+from ruelle.numerics import laurent
 
 
 class TestEval:
@@ -282,6 +283,41 @@ class TestSecondIterateMultiplier:
             second_iterate_multiplier(bstar)
 
 
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+# two expanding products of the seeded panel, a plain one with its fixed point
+# off 0 and an anti one, whose multipliers missed the array value by an ulp
+# while 0-d calls took numpy's scalar products
+_PANEL = seeded_products(13)
+SEEDED_PLAIN, SEEDED_ANTI = _PANEL[12], _PANEL[2]
+
+
+class TestMultiplierIsTheArrayValue:
+    """The closed forms' multiplier is tau' at the fixed point as an array
+    route evaluates it there, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [BlaschkeProduct(1.0, (0.0, 0.5)), MobiusFamilyMap(0.7), SEEDED_PLAIN],
+        ids=["bstar", "mobius-0.7", "seeded-product"],
+    )
+    def test_fixed_point_multiplier(self, m):
+        z0, mu = fixed_point_disk(m)
+        assert np.array_equal(_bits(mu), _bits(m.deriv(np.array([z0]))[0]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [BlaschkeProduct(1.0, (0.0, 0.5), anti=True), FLOOR_STAR, SEEDED_ANTI],
+        ids=["anti-bstar", "floor-star", "seeded-anti"],
+    )
+    def test_second_iterate_multiplier(self, m):
+        base = BlaschkeProduct(m.alpha, m.zeros)
+        z0, _ = fixed_point_disk(ComposedMap((base, base.conjugate_params())))
+        assert second_iterate_multiplier(m) == abs(base.deriv(np.array([z0]))[0])
+
+
 class TestIterate:
     def test_power_map_composition(self, squaring):
         it = iterate(squaring, 3)
@@ -313,8 +349,10 @@ def bstar_to_trig():
 
 
 class TestLengthIndependence:
-    """A sample's bits depend only on its point: one call on 2^17 points, where
-    numpy elides temporaries, gives the bits of 1024-value pieces."""
+    """A value's bits depend only on its point: one call on 2^17 points, where
+    numpy elides temporaries, gives the bits of 1024-value pieces, and one call
+    on 2^15 points gives each point the bits of a 0-d call and of a one-value
+    array."""
 
     MAPS = {
         "bstar": BlaschkeProduct(1.0, (0.0, 0.5)),
@@ -340,6 +378,45 @@ class TestLengthIndependence:
         fam = bstar_to_trig
         z = _annulus_points(fam.r0, fam.R0, 1 << 17, 4)
         self._assert_pieces_match(fam.member(0.5 + 0.5j * fam.eta), z)
+
+    @staticmethod
+    def _assert_points_match(f, z, points=400):
+        # the first points of z, each alone, against one call on all of z
+        whole = f(z)
+        zero_d = [f(complex(p)) for p in z[:points]]
+        one_value = np.concatenate([f(z[i : i + 1]) for i in range(points)])
+        assert np.array_equal(_bits(zero_d), _bits(whole[:points]))
+        assert np.array_equal(_bits(one_value), _bits(whole[:points]))
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("method", ["eval", "deriv"])
+    def test_point_gets_the_array_bits(self, name, method):
+        z = _annulus_points(0.8, 1.25, 1 << 15, 6)
+        self._assert_points_match(getattr(self.MAPS[name], method), z)
+
+    @pytest.mark.parametrize("method", ["eval", "deriv"])
+    def test_member_point_gets_the_array_bits(self, bstar_to_trig, method):
+        fam = bstar_to_trig
+        member = fam.member(0.5 + 0.5j * fam.eta)
+        z = _annulus_points(fam.r0, fam.R0, 1 << 15, 7)
+        self._assert_points_match(getattr(member, method), z)
+
+    @pytest.mark.parametrize("method", ["eval", "deriv"])
+    def test_lift_series_point_gets_the_array_bits(self, method):
+        series = lift(TrigLift(2, (0.1,)))
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(0, 2 * np.pi, 1 << 15) + 1j * rng.uniform(-1, 1, 1 << 15) * series.strip
+        self._assert_points_match(getattr(series, method), theta)
+
+    @pytest.mark.parametrize("part", ["value", "slope", "value-alone"])
+    def test_laurent_point_gets_the_array_bits(self, part):
+        pos, neg = np.array([0.3 + 0.1j, -0.2j, 0.05, 0.01 - 0.02j]), np.array([0.1, 0.02 - 0.01j])
+        f = {
+            "value": lambda z: laurent(pos, neg, z)[0],
+            "slope": lambda z: laurent(pos, neg, z)[1],
+            "value-alone": lambda z: laurent(pos, neg, z, derivative=False),
+        }[part]
+        self._assert_points_match(f, _annulus_points(0.8, 1.25, 1 << 15, 9))
 
     @pytest.mark.parametrize("n", [1 << 15, 1], ids=["block", "one-value"])
     def test_mobius_step_in_place(self, n):
