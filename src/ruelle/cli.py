@@ -347,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, help="parameter-neighbourhood ceiling")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_homotopy_check)
-    for p in sub.choices.values():  # a value such as -0.3,0.1 or -1:1:3, not an option
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+    for p in sub.choices.values():  # a value such as -0.3,0.1, -1:1:3 or -inf, not an option
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return top
 
 

@@ -25,10 +25,11 @@ from .maps import (
     _inclusions,
     fixed_point_disk,
     iterate,
+    min_expansion,
     second_iterate_multiplier,
 )
-from .numerics import circle_integral, circle_nodes
-from .operators import EPS, assemble_dual
+from .numerics import EPS, circle_integral, circle_nodes
+from .operators import assemble_dual
 from .spectra import Spectrum
 
 __all__ = [
@@ -298,12 +299,15 @@ def closed_form_multiplier(m):
     """(mu, anti) for the closed forms of a map that has them, else None:
     the interior fixed-point multiplier of a Blaschke product or of a Mobius
     family member with real w in [0, 1] (which is one; mu = -w/2), and for an
-    anti-product the square root of its second-iterate multiplier."""
+    anti-product the square root of its second-iterate multiplier.  A map
+    with min_expansion <= 1 is not expanding, and has no closed forms."""
+    if not isinstance(m, (BlaschkeProduct, MobiusFamilyMap)) or min_expansion(m) <= 1:
+        return None
     if isinstance(m, BlaschkeProduct):
         if m.anti:
             return second_iterate_multiplier(m), True
         return fixed_point_disk(m)[1], False
-    if isinstance(m, MobiusFamilyMap) and abs(m.w.imag) < 1e-14 and 0 <= m.w.real <= 1:
+    if abs(m.w.imag) < 1e-14 and 0 <= m.w.real <= 1:
         return fixed_point_disk(m)[1], False
     return None
 

@@ -20,6 +20,12 @@ SQUARING = '{"type":"triglift","d":2,"cos":[],"sin":[]}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
 HOMOTOPY = ["homotopy-check", "--map0", BSTAR, "--map1", TRIG]
+# an anti-product with min_expansion 0.902, so neither closed forms nor an annulus
+NON_EXPANDING = (
+    '{"type":"blaschke","alpha":[0.5347014655892233,0.8450410301853613],'
+    '"zeros":[[0.47445342717074807,-0.03296355544716902],[0.0807277311565206,0.364474349028296]],'
+    '"anti":true}'
+)
 
 
 def _rows(path):
@@ -188,6 +194,12 @@ class TestDetZetaScan:
         assert code == 0
         _, rows = _rows(out)
         assert rows == [f"2.5,0,{float(log_abs_det_product(-0.5, False, 2.5)):.16g}"]
+
+    def test_non_expanding_map_is_refused(self, capsys):
+        # no closed forms without expansion: the scan takes the annulus route,
+        # and fails as det --z does
+        assert main(["det", "--map", NON_EXPANDING, "--zeta-scan", "0:3:4"]) == 2
+        assert "no annulus in the search range certifies expansivity" in capsys.readouterr().err
 
     def test_needs_z_or_scan(self):
         assert main(["det", "--map", BSTAR, "--annulus", "0.8,1.25"]) == 1
@@ -438,9 +450,35 @@ def test_negative_value_after_its_option(argv, option, value, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["det", "--map", BSTAR], "--z", "-inf"),
+        (["det", "--map", BSTAR], "--z", "-nan,0"),
+        (["det", "--map", BSTAR], "--z", "-Infinity"),
+        (["det", "--map", BSTAR], "--zeta-scan", "-inf:1:3"),
+        (["det", "--map", BSTAR], "--zeta-scan", "-NaN:1:3"),
+        (["julia", "--out", "x.pgm"], "--w", "-nan"),
+        (["julia", "--w", "0.5", "--out", "x.pgm"], "--viewport", "-INF,1,0,1"),
+    ],
+    ids=["z-inf", "z-nan", "z-infinity", "zeta-scan-inf", "zeta-scan-nan", "w-nan", "viewport-inf"],
+)
+def test_non_finite_value_after_its_option(argv, option, value, capsys, tmp_path, monkeypatch):
+    # -inf, -nan and -infinity, in any case, are values too: the same error
+    # line, naming the option, and exit code as --option=value
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, option, value]) == 1
+    spaced = capsys.readouterr().err
+    assert main([*argv, f"{option}={value}"]) == 1
+    assert spaced == capsys.readouterr().err
+    assert spaced.startswith(f"error: {option} expects finite numbers")
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_unknown_option_is_still_a_usage_error(capsys):
-    assert main(["det", "--map", BSTAR, "--z", "-0.3,0.1", "--bogus", "-1"]) == 1
-    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    for value in ("-1", "-inf"):
+        assert main(["det", "--map", BSTAR, "--z", "-0.3,0.1", "--bogus", value]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_parser_is_built_once():

@@ -12,10 +12,19 @@ from helpers import (
     det_zero_count_lattice,
     jensen_count_check,
     residue_sum,
+    seeded_products,
 )
 from ruelle import traces
 from ruelle.lifts import find_expansive_annulus
-from ruelle.maps import Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _MapBase, iterate
+from ruelle.maps import (
+    Annulus,
+    BlaschkeProduct,
+    MobiusFamilyMap,
+    TrigLift,
+    _MapBase,
+    iterate,
+    min_expansion,
+)
 from ruelle.numerics import circle_integral, circle_nodes
 from ruelle.spectra import Spectrum, converged_spectrum
 from ruelle.traces import (
@@ -282,6 +291,24 @@ class TestClosedFormMultiplier:
 
     def test_triglift_has_none(self):
         assert closed_form_multiplier(TrigLift(2, (0.1,))) is None
+
+    def test_non_expanding_product_has_none(self):
+        # min_expansion 0.902, and the orbit of 0 ends within an ulp of |z| = 1
+        m = BlaschkeProduct(
+            complex(0.5347014655892233, 0.8450410301853613),
+            (complex(0.47445342717074807, -0.03296355544716902),
+             complex(0.0807277311565206, 0.364474349028296)),
+            anti=True,
+        )
+        assert min_expansion(m) < 1
+        assert closed_form_multiplier(m) is None
+
+    def test_seeded_panel_has_closed_forms_only_where_expanding(self):
+        panel = seeded_products()
+        refused = [m for m in panel if min_expansion(m) <= 1]
+        assert len(refused) == 12
+        assert all(closed_form_multiplier(m) is None for m in refused)
+        assert all(closed_form_multiplier(m) is not None for m in panel if m not in refused)
 
 
 class TestDetRoutes:
