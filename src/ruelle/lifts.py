@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Annulus, _MapBase, check_holo_expansive
+from .maps import Annulus, _PowerExpMap, check_holo_expansive
 from .numerics import EPS, TAIL_TOL, circle_nodes, fourier_coeffs_from_samples, laurent
 
 __all__ = [
@@ -181,7 +181,7 @@ class HomotopyFamily:
 
 
 @dataclass(frozen=True)
-class HomotopyMember(_MapBase):
+class HomotopyMember(_PowerExpMap):
     """The map T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}
     on the certified annulus, for one parameter value w."""
 
@@ -209,13 +209,6 @@ class HomotopyMember(_MapBase):
         if derivative:
             return tuple((1 - self.w) * a + self.w * b for a, b in zip(q0, q1))
         return (1 - self.w) * q0 + self.w * q1
-
-    def _eval(self, z):
-        return z**self.family.d * np.exp(self._exponent(z, derivative=False))
-
-    def _deriv(self, z):
-        Q, Qprime = self._exponent(z)
-        return z**self.family.d * np.exp(Q) * (self.family.d / z + Qprime)
 
 
 def build_homotopy(

@@ -70,6 +70,17 @@ class _MapBase:
         return complex(out[0]) if np.ndim(z) == 0 else out
 
 
+class _PowerExpMap(_MapBase):
+    """z^d e^{Q(z)}, for the degree d and the exponent (Q, Q') of ``_exponent``."""
+
+    def _eval(self, z):
+        return z**self.degree * np.exp(self._exponent(z, derivative=False))
+
+    def _deriv(self, z):
+        Q, Qprime = self._exponent(z)
+        return np.exp(Q) * (self.degree * z ** (self.degree - 1) + z**self.degree * Qprime)
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct(_MapBase):
     """B(z) = alpha * prod (z - a_j)/(1 - conj(a_j) z), |alpha| = 1, |a_j| < 1.
@@ -134,7 +145,7 @@ class BlaschkeProduct(_MapBase):
 
 
 @dataclass(frozen=True)
-class TrigLift(_MapBase):
+class TrigLift(_PowerExpMap):
     """Map defined through its lift: tau(e^{i theta}) = e^{i (d theta + p(theta))}
     with p(theta) = sum_k a_k cos(k theta) + b_k sin(k theta).
 
@@ -160,12 +171,8 @@ class TrigLift(_MapBase):
     def degree(self) -> int:
         return self.d
 
-    def _eval(self, z):
-        return z**self.d * np.exp(laurent(*self._laurent_coeffs, z, derivative=False))
-
-    def _deriv(self, z):
-        Q, Qprime = laurent(*self._laurent_coeffs, z)
-        return np.exp(Q) * (self.d * z ** (self.d - 1) + z**self.d * Qprime)
+    def _exponent(self, z, derivative=True):
+        return laurent(*self._laurent_coeffs, z, derivative)
 
 
 @dataclass(frozen=True)
@@ -319,7 +326,9 @@ def fixed_point_disk(m):
     |mu| < 1 for holomorphically expansive maps) for at most 10000 steps,
     until a step is below 1e-6, then at most 60 Newton steps down to
     |tau(z0) - z0| <= 1e-13.  Every failure, an iterate on a pole included,
-    raises RuntimeError.
+    raises RuntimeError, and so does a limit with 1 - |z0| below 1e-6: an
+    orbit that tends to the unit circle is refused whichever side of it
+    the limit's last bits fall.
     """
     try:
         z = 0j
@@ -340,8 +349,8 @@ def fixed_point_disk(m):
             raise RuntimeError(_NO_FIXED_POINT)
     except (ValueError, ZeroDivisionError) as exc:  # an iterate on a pole, or Newton's tau' = 1
         raise RuntimeError(_NO_FIXED_POINT) from exc
-    if abs(z) >= 1:
-        raise RuntimeError(_NO_FIXED_POINT)
+    if 1 - abs(z) < 1e-6:
+        raise RuntimeError(f"{_NO_FIXED_POINT}: limit {z:.6g} within 1e-6 of the unit circle")
     return z, m.deriv(z)
 
 

@@ -11,7 +11,9 @@ the zeros of the Blaschke determinant zeta -> det(I - e^zeta L), an
 explicit union of vertical lattices, whose enumeration gives an exact zero
 count that Jensen's formula ties back to circle averages of log|det|; and
 the truncated adjoint of a one-harmonic lift in closed form, entry by entry,
-from the Jacobi-Anger expansion and scipy's Bessel functions.
+from the Jacobi-Anger expansion and scipy's Bessel functions; and the
+mean-value test of a spectrum that is holomorphic in a parameter, with a
+cosine lift of complex amplitude to run it on.
 """
 
 import math
@@ -21,8 +23,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ruelle.maps import Annulus, BlaschkeProduct
-from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
+from ruelle.maps import Annulus, BlaschkeProduct, _PowerExpMap
+from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples, laurent
 from ruelle.operators import assemble_dual
 from ruelle.traces import log_abs_det_product
 
@@ -186,8 +188,11 @@ def jacobi_anger_matrix(m, annulus: Annulus, nplus: int, nminus: int | None = No
     if len(harmonics) > 1:
         raise ValueError("one harmonic only: more need a convolution of Bessel sequences")
     k, a, b = harmonics[0] if harmonics else (1, 0.0, 0.0)
-    amp = math.hypot(a, b)
-    u = complex(b, a) / amp if amp else 1.0  # exactly i for a cosine, 1 for a sine
+    if b == 0:  # a cosine, of real or complex amplitude a: A = a and u = i
+        amp, u = a, 1j
+    else:
+        amp = math.hypot(a, b)
+        u = complex(b, a) / amp  # exactly 1 for a sine
     nminus = nplus if nminus is None else nminus
     # the exponent p of each row, and the power s of each column, in one list
     p = np.concatenate([np.arange(nplus), -np.arange(1, nminus + 1)])
@@ -198,6 +203,47 @@ def jacobi_anger_matrix(m, annulus: Annulus, nplus: int, nminus: int | None = No
     entries = np.vectorize(phase.get, otypes=[complex])(j) * jv(j, p[None, :] * amp)
     entries *= weight[:, None] / weight[None, :]
     return np.where(jk % k == 0, entries, 0.0)
+
+
+@dataclass(frozen=True)
+class CosineLift(_PowerExpMap):
+    """tau(z) = z^2 e^{i a (z + 1/z)/2}, whose lift is 2 theta + a cos theta:
+    ``TrigLift(2, (a,))`` with the amplitude a allowed complex, so holomorphic
+    in a, and evaluated by the library's z^d e^Q routine.  For complex a it is
+    no circle map."""
+
+    a: complex
+    d = degree = 2
+    sin_coeffs = ()
+
+    @property
+    def cos_coeffs(self) -> tuple:
+        return (self.a,)
+
+    def _exponent(self, z, derivative=True):
+        c = np.array([1j * complex(self.a) / 2])  # TrigLift's z and 1/z coefficient
+        return laurent(c, c, z, derivative)
+
+
+def holomorphy_gap(spectrum_of, w0, rho, J, cut):
+    """The mean-value test of a spectrum holomorphic in a parameter w.
+
+    S(w), the sum of the eigenvalues ``spectrum_of(w)`` of modulus above
+    cut, is holomorphic on the disc |w - w0| <= rho when no eigenvalue
+    crosses the cut there, so S(w0) is the mean of S over the circle, which
+    the J-point trapezoid rule gives to geometric accuracy in J.  Returns
+    |S(w0) - mean| and the count of eigenvalues above the cut, which must
+    be the same at w0 and at each of the J points (RuntimeError otherwise).
+    """
+    sums, counts = [], set()
+    for w in [w0, *(w0 + rho * np.exp(2j * np.pi * np.arange(J) / J))]:
+        vals = np.asarray(spectrum_of(complex(w)))
+        group = vals[np.abs(vals) > cut]
+        sums.append(group.sum())
+        counts.add(len(group))
+    if len(counts) > 1:
+        raise RuntimeError(f"eigenvalues cross |lambda| = {cut:g} on the disc: {sorted(counts)}")
+    return float(abs(sums[0] - np.mean(sums[1:]))), counts.pop()
 
 
 def winding_degree(m) -> int:

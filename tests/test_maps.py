@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FLOOR_STAR, finite_difference, seeded_products, winding_degree
+from helpers import (
+    FLOOR_STAR,
+    CosineLift,
+    finite_difference,
+    seeded_products,
+    winding_degree,
+)
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     Annulus,
@@ -259,6 +265,29 @@ class TestFixedPoint:
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="no attracting"):
             fixed_point_disk(Affine())
 
+    def test_limit_near_the_circle_is_refused(self):
+        z0 = (1 - 1e-12) * np.exp(0.3j)
+
+        class Contraction(_MapBase):  # z -> z0 + (z - z0)/2, onto z0 just inside the circle
+            degree = 1
+
+            def _eval(self, z):
+                return z0 + (z - z0) / 2
+
+            def _deriv(self, z):
+                return np.full_like(z, 0.5)
+
+        with pytest.raises(RuntimeError, match="within 1e-6 of the unit circle"):
+            fixed_point_disk(Contraction())
+
+    @pytest.mark.parametrize("index", [3, 25])
+    def test_panel_orbit_to_the_circle_is_refused(self, index):
+        # second iterates of two non-expanding anti maps of the seeded panel,
+        # whose orbits from 0 tend to the unit circle: an earlier Newton limit
+        # fell 1.6e-15 and 1.1e-16 inside it and was accepted
+        with pytest.raises(RuntimeError, match="within 1e-6 of the unit circle"):
+            second_iterate_multiplier(seeded_products(40)[index])
+
     def test_pole_at_start_raises_runtime_error(self, anti_bstar):
         # anti-B* = 1/(z (2z - 1)/(2 - z)) has its pole at 0, the first iterate
         with pytest.raises(RuntimeError, match="no attracting interior fixed point") as info:
@@ -378,6 +407,14 @@ class TestLengthIndependence:
         fam = bstar_to_trig
         z = _annulus_points(fam.r0, fam.R0, 1 << 17, 4)
         self._assert_pieces_match(fam.member(0.5 + 0.5j * fam.eta), z)
+
+    def test_cosine_lift_is_the_trig_lift(self):
+        # the test-only complex-amplitude lift, at a real amplitude, takes the
+        # library's evaluation and derivative bit for bit
+        z = _annulus_points(0.8, 1.25, 1 << 15, 10)
+        cosine, trig = CosineLift(0.1), TrigLift(2, (0.1,))
+        for method in ("eval", "deriv"):
+            assert getattr(cosine, method)(z).tobytes() == getattr(trig, method)(z).tobytes()
 
     @staticmethod
     def _assert_points_match(f, z, points=400):

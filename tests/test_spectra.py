@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,7 +8,9 @@ import pytest
 from helpers import (
     FLOOR_STAR,
     TRIG_STAR_EIGENVALUES,
+    CosineLift,
     blaschke_spectrum,
+    holomorphy_gap,
     jacobi_anger_matrix,
     leading_match_loop,
     match_multiset,
@@ -146,6 +149,24 @@ class TestTriangularShortcut:
         T = TruncatedOperator(2, 2, a, 256)
         with pytest.raises(RuntimeError, match="eigensolver failed"):
             eigenvalues(T)
+
+    @pytest.mark.parametrize(
+        "entries", [(np.inf, 0.0), (np.inf, -np.inf)], ids=["inf", "inf-minus-inf"]
+    )
+    def test_infinite_entries_fail_loudly(self, entries):
+        # one entry makes the entry sum inf, two of opposite sign make it NaN
+        a = np.diag([1.0, 0.5, 0.25, 0.125]).astype(complex)
+        a[1, 0], a[2, 0] = entries
+        with pytest.raises(RuntimeError, match="eigensolver failed"):
+            eigenvalues(TruncatedOperator(2, 2, a, 256))
+
+    def test_finite_entries_whose_sum_overflows_are_solved(self):
+        # the entry sum overflows, so the entries themselves are tested, quietly
+        vals = np.array([1e308, 1e308, 0.5, 0.25], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigenvalues(TruncatedOperator(2, 2, np.diag(vals), 256)).eigenvalues
+        assert np.array_equal(got, vals)
 
 
 def _unisolated_loop(nz):
@@ -608,3 +629,53 @@ def test_converged_triglift_eigenvalues_match_the_oracle(m, which):
         spec = converged_spectrum(m, ann)
     worst = max(np.abs(reference - lam).min() for lam in spec.converged())
     assert worst <= 10 * spec.tol, f"{spec.converged_count} converged, worst error {worst:.3g}"
+
+
+# The mean-value test in the amplitude a of CosineLift (z^2 e^{i a (z + 1/z)/2}):
+# 32 points on the circle |a - 0.1| = 0.01, truncation N = 64
+HOLO_A0, HOLO_RHO, HOLO_J = 0.1, 0.01, 32
+HOLO_ANNULI = {"0.8-1.25": Annulus(0.8, 1.25), "e^0.5": Annulus(math.exp(-0.5), math.exp(0.5))}
+
+
+@functools.cache
+def _exact_cosine_spectrum(annulus, a):
+    return np.linalg.eigvals(jacobi_anger_matrix(CosineLift(a), annulus, 64))
+
+
+@functools.cache
+def _library_cosine_spectrum(a):
+    return eigenvalues(assemble_dual(CosineLift(a), HOLO_ANNULI["0.8-1.25"], 64)).eigenvalues
+
+
+@pytest.mark.parametrize("name", HOLO_ANNULI)
+@pytest.mark.parametrize("cut, count", [(1e-2, 3), (1e-3, 5), (1e-5, 7), (1e-6, 9), (1e-8, 11)])
+def test_exact_oracle_is_holomorphic_in_the_amplitude(name, cut, count):
+    # the exact entries are holomorphic in a, so only roundoff is left
+    spectrum_of = functools.partial(_exact_cosine_spectrum, HOLO_ANNULI[name])
+    gap, found = holomorphy_gap(spectrum_of, HOLO_A0, HOLO_RHO, HOLO_J, cut)
+    assert found == count and gap <= 1e-15, (found, gap)
+
+
+def test_holomorphy_gap_refuses_a_crossed_cut():
+    # eigenvalues 9 to 11 cross |lambda| = 1e-7 as a goes round the circle
+    spectrum_of = functools.partial(_exact_cosine_spectrum, HOLO_ANNULI["0.8-1.25"])
+    with pytest.raises(RuntimeError, match="cross"):
+        holomorphy_gap(spectrum_of, HOLO_A0, HOLO_RHO, HOLO_J, 1e-7)
+
+
+def test_library_leading_group_is_holomorphic_in_the_amplitude():
+    gap, count = holomorphy_gap(_library_cosine_spectrum, HOLO_A0, HOLO_RHO, HOLO_J, 1e-2)
+    assert count == 3 and gap <= 1e-13, (count, gap)
+    # the lambda_6,7 group is whole on the disc; its gap is the xfail below
+    assert holomorphy_gap(_library_cosine_spectrum, HOLO_A0, HOLO_RHO, HOLO_J, 1e-5)[1] == 7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: FFT roundoff and the snap are not holomorphic in a, "
+    "and the lambda_6,7 group's gap is 3.0e-8",
+)
+def test_library_lambda_6_7_group_is_holomorphic_in_the_amplitude():
+    gap, _ = holomorphy_gap(_library_cosine_spectrum, HOLO_A0, HOLO_RHO, HOLO_J, 1e-5)
+    assert gap <= 1e-13, gap
