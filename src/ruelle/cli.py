@@ -70,10 +70,10 @@ def _parse_annulus(text: str) -> Annulus:
 
 
 def _parse_grid(text: str, option: str) -> np.ndarray:
-    grid = np.linspace(*_split(text, ":", option, "lo:hi:count", (float, float, int)))
-    if grid.size == 0:
+    lo, hi, count = _split(text, ":", option, "lo:hi:count", (float, float, int))
+    if count < 1:
         raise ValueError(f"{option} gives an empty grid")
-    return grid
+    return np.linspace(lo, hi, count)
 
 
 def _emit(text: str, path):

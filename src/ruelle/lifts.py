@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, _PowerExpMap, check_holo_expansive
-from .numerics import EPS, TAIL_TOL, circle_nodes, fourier_coeffs_from_samples, laurent
+from .numerics import (
+    EPS, MAX_SAMPLES, circle_nodes, fourier_coeffs_from_samples, laurent, unresolved_tails
+)
 
 __all__ = [
     "HomotopyFamily",
@@ -82,11 +84,9 @@ def _roundtrip_error(m, L: LiftSeries, im_offset: float, K: int) -> float:
 def lift(m) -> LiftSeries:
     """Lift of a circle-preserving map from the Fourier data of its
     logarithmic derivative h(z) = z tau'(z)/tau(z) on K nodes of the unit
-    circle.  K starts at 1024 and doubles until the coefficients c resolve,
-    judged as the assembly judges a column: the tail, the largest |c_m| over
-    |m| >= 3K/8 relative to max|c|, is at most TAIL_TOL or its roundoff floor
-    eps max|h| / max|c|.  A tail unresolved at 2^16 nodes raises
-    RuntimeError quoting it.
+    circle.  K starts at 1024 and doubles until numerics.unresolved_tails,
+    with the noise eps max|h| of the samples, resolves the coefficients c; a
+    tail unresolved at MAX_SAMPLES nodes raises RuntimeError quoting it.
 
     The mean of h is the degree (checked to 1e-8 before rounding); the
     remaining coefficients integrate term by term into the periodic part.
@@ -103,13 +103,11 @@ def lift(m) -> LiftSeries:
             raise ValueError("tau vanishes on the unit circle; no lift")
         h = z * m.deriv(z) / tv
         c = fourier_coeffs_from_samples(h, 1.0)
-        mag = np.abs(c)
-        scale = mag.max()
-        tail = mag[3 * K // 8 : 5 * K // 8 + 1].max() / scale if scale else 0.0
-        if tail <= TAIL_TOL or tail <= EPS * np.abs(h).max() / scale:
+        tail, _ = unresolved_tails(np.abs(c), K, EPS * np.abs(h).max())
+        if not len(tail):
             break
-        if K == 1 << 16:
-            raise RuntimeError(f"log-derivative tail {tail:.3g} unresolved at {K} nodes")
+        if K == MAX_SAMPLES:
+            raise RuntimeError(f"log-derivative tail {tail[0]:.3g} unresolved at {K} nodes")
         K *= 2
     c0 = complex(c[0])
     d = round(c0.real)

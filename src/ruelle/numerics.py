@@ -20,7 +20,8 @@ import numpy as np
 __all__ = ["circle_nodes", "circle_integral", "fourier_coeffs_from_samples", "laurent"]
 
 EPS = np.finfo(float).eps  # behind every roundoff floor
-TAIL_TOL = 1e-14  # a coefficient tail below it is resolved (see the notes of operators)
+TAIL_TOL = 1e-14  # a coefficient tail below it is resolved (unresolved_tails)
+MAX_SAMPLES = 1 << 16  # the sample count at which doubling stops
 
 
 def circle_nodes(radius: float, K: int) -> np.ndarray:
@@ -68,6 +69,18 @@ def half_spectrum_from_samples(folded, radius: float) -> np.ndarray:
     circle_nodes(radius, K): for f with real coefficients (Re f even, Im f odd
     in the node index), c[+-m] = Re X[m] -+ Im X[m] in fourier_coeffs_from_samples."""
     return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward")
+
+
+def unresolved_tails(mag, K: int, noise):
+    """(tail, floor) of the unresolved rows of magnitudes ``mag``: |c_m| (K of them) or
+    max(|c_m|, |c_-m|), m = 0..K/2.  The tail, max over 3K/8 <= |m| <= K/2 per max|c| (0 for a
+    zero row), decays geometrically in K to the floor noise / max|c|: the sample roundoff,
+    which the FFT spreads evenly, so no K passes it.  Unresolved: above it and TAIL_TOL."""
+    scale, tail = mag.max(axis=-1), mag[..., 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
+    tail = np.divide(tail, scale, out=np.zeros(np.shape(scale)), where=scale > 0)
+    bad = tail > TAIL_TOL
+    tail, floor = tail[bad], np.broadcast_to(noise, bad.shape)[bad] / scale[bad]
+    return tail[tail > floor], floor[tail > floor]
 
 
 def laurent(pos, neg, z, derivative=True):

@@ -51,23 +51,17 @@ import numpy as np
 
 from .maps import Annulus, _inclusions
 from .numerics import (
-    EPS, TAIL_TOL, circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples
+    EPS, MAX_SAMPLES, circle_nodes, fourier_coeffs_from_samples, half_spectrum_from_samples,
+    unresolved_tails,
 )
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
-# Aliasing monitor, per column: the tail is the largest |c_m| over the
-# quarter of indices with the largest |m|, 3K/8 <= |m| <= K/2, relative to
-# the largest coefficient max|c|; it decays geometrically in K
-# for an analytic column, and a large one signals aliasing.  A column is
-# resolved when its tail is below TAIL_TOL or below its own roundoff floor
-# (n+1) eps max|g| / max|c|: the samples g = (tau/r)^n or (R/tau)^n are
-# built by n repeated products, each adding about eps max|g| of noise that
-# the FFT spreads evenly over all coefficients, so no K pushes the tail
-# under that floor.  Automatic sample counts are doubled until every column
-# is resolved; an explicitly requested K is honoured as long as no
-# unresolved tail exceeds TAIL_REJECT (comfortably under every spectral
-# tolerance used downstream).  TAIL_TOL and EPS live in numerics.
+# Aliasing monitor: numerics.unresolved_tails judges each column, with the noise
+# (n+1) eps max|g| of its samples g = (tau/r)^n or (R/tau)^n, n repeated products.
+# Automatic sample counts double until every column resolves; an explicit K is
+# honoured while no unresolved tail exceeds TAIL_REJECT (comfortably under every
+# spectral tolerance used downstream).
 TAIL_REJECT = 1e-9
 
 # Entries below this fraction of the largest matrix entry are roundoff from
@@ -169,11 +163,7 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
         # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
-        scale, tail = mag.max(axis=-1), mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
-        tail = np.divide(tail, scale, out=np.zeros(len(n)), where=scale > 0)
-        bad = np.flatnonzero(tail > TAIL_TOL)
-        floor = (n[bad] + 1) * EPS * step_max ** n[bad] / scale[bad]
-        unresolved += [(t, f) for t, f in zip(tail[bad], floor) if t > f]
+        unresolved += zip(*unresolved_tails(mag, K, (n + 1) * EPS * step_max**n))
     return unresolved
 
 
@@ -191,20 +181,19 @@ def assemble_dual(
     Each block is built in row chunks of at most 2^17 samples, one FFT per
     chunk, with the bits of a column-by-column build.  With K=None the
     sample count starts at max(256, 8N) rounded up to a power of two, and is
-    doubled (up to 65536) until the aliasing tail of every column n is below
-    max(TAIL_TOL, (n+1) eps max|g| / max|c|), the larger of the fixed
-    tolerance and that column's roundoff floor; an explicit K with an
-    unresolved tail above TAIL_REJECT raises instead.  Both errors quote the
-    worst tail of both blocks and its floor.  When tm agrees with
-    1/conj tp, the minus block comes from the plus powers by the reflection
-    rule in the module notes, and their tails are its tails.  Otherwise an
-    automatic pass below the cap whose plus block is unresolved is
-    discarded without building its minus block.  The matrix is float64,
-    read from the half spectrum of real FFTs of folded columns, iff each
-    sample row v agrees with conj v[-j mod K].
-    The rows are tau at the pass's K nodes on each boundary circle, judged
-    after the integer checks by the inclusion test: 'none' is refused
-    (ValueError naming the margin); plus inputs go on the circle tau maps inward.
+    doubled (up to numerics.MAX_SAMPLES) until the aliasing monitor (notes
+    of TAIL_REJECT) resolves every column; an explicit K with an unresolved tail above
+    TAIL_REJECT raises instead.  Both errors quote the worst tail of both
+    blocks and its floor.  When tm agrees with 1/conj tp, the minus block
+    comes from the plus powers by the reflection rule in the module notes,
+    and their tails are its tails.  Otherwise an automatic pass below the
+    cap whose plus block is unresolved is discarded without building its
+    minus block.  The matrix is float64, read from the half spectrum of
+    real FFTs of folded columns, iff each sample row v agrees with
+    conj v[-j mod K].  The rows are tau at the pass's K nodes on each
+    boundary circle, judged after the integer checks by the inclusion test:
+    'none' is refused (ValueError naming the margin); plus inputs go on the
+    circle tau maps inward.
     """
     nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
@@ -226,7 +215,7 @@ def assemble_dual(
             )
         real = all(_agrees(v, np.conj(v[-np.arange(k)])) for v in (tp, tm))
         cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
-        retry = auto and k < 1 << 16  # an unresolved pass is redone at 2K, its matrix dropped
+        retry = auto and k < MAX_SAMPLES  # an unresolved pass is redone at 2K, its matrix dropped
         with np.errstate(all="ignore"):  # tp may vanish at a node
             reflected = 1 / np.conj(tp)
         mirror = cols.T[nplus:] if _agrees(tm, reflected) else None

@@ -311,8 +311,17 @@ class TestScan:
             assert float(row[1]) > 0.01
         assert lines[-1].startswith("# fraction")
 
-    def test_empty_grid(self):
-        assert main(["scan", "--family", "mobius", "--grid", "0:1:0"]) == 1
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["scan", "--family", "mobius", "--annulus", "0.8,1.25"], "--grid"),
+         (["det", "--map", BSTAR], "--zeta-scan")],
+        ids=["grid", "zeta-scan"],
+    )
+    def test_empty_grid(self, argv, option, count, capsys):
+        # a count below 1 names its option, not numpy's sample-count message
+        assert main([*argv, option, f"0:1:{count}"]) == 1
+        assert capsys.readouterr().err == f"error: {option} gives an empty grid\n"
 
     def test_homotopy_degree_mismatch(self):
         code = main(["scan", "--family", "homotopy", "--map0", SQUARING,

@@ -8,6 +8,7 @@ from helpers import lift_deriv_phases, lift_eval_phases, member_deriv_log, membe
 from ruelle import lifts
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
+    Annulus,
     BlaschkeProduct,
     MobiusFamilyMap,
     TrigLift,
@@ -369,3 +370,40 @@ def test_find_expansive_annulus(bstar, anti_bstar):
         chk = check_holo_expansive(m, ann)
         assert chk.verdict == ("A1" if m.degree > 0 else "A2")
         assert chk.margin > 0
+
+
+@pytest.fixture(scope="module")
+def mid_member(bstar):
+    # member 0.5 of the B* -> TrigLift(2, (0.1,)) family: it refuses points off its
+    # certified annulus, which the wider annuli and strips below reach
+    fam = build_homotopy(bstar, TrigLift(2, (0.1,)))
+    return fam, fam.member(0.5)
+
+
+def test_find_expansive_annulus_skips_refused_annuli(mid_member):
+    fam, member = mid_member
+    with pytest.raises(ValueError, match="outside certified annulus"):
+        check_holo_expansive(member, Annulus(math.exp(-0.5), math.exp(0.5)))
+    ann = find_expansive_annulus(member)
+    assert fam.r0 < ann.r and ann.R < fam.R0
+    assert check_holo_expansive(member, ann).verdict == "A1"
+
+
+def test_lift_halves_past_a_refused_strip(mid_member, monkeypatch):
+    fam, member = mid_member
+    refused, real = [], lifts._roundtrip_error
+
+    def recording(m, L, im_offset, K):
+        try:
+            return real(m, L, im_offset, K)
+        except ValueError:
+            refused.append(im_offset)
+            raise
+
+    monkeypatch.setattr(lifts, "_roundtrip_error", recording)
+    L = lift(member)
+    monkeypatch.undo()
+    # the strips refused lie off the certified annulus; the one returned lies on it
+    assert refused and min(map(abs, refused)) > fam.epsilon >= L.strip
+    for edge in (L.strip, -L.strip):
+        assert lifts._roundtrip_error(member, L, edge, 4096) <= 1e-13

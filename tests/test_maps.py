@@ -265,6 +265,21 @@ class TestFixedPoint:
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="no attracting"):
             fixed_point_disk(Affine())
 
+    def test_newton_exhaustion_raises_runtime_error(self):
+        # z -> z + 1e-11 with tau' = 1.001: the orbit settles at once, and each
+        # of the 60 Newton steps leaves the residual at 1e-11, above 1e-13
+        class Drift(_MapBase):
+            degree = 1
+
+            def _eval(self, z):
+                return z + 1e-11
+
+            def _deriv(self, z):
+                return np.full_like(z, 1.001)
+
+        with pytest.raises(RuntimeError, match="no attracting interior fixed point located"):
+            fixed_point_disk(Drift())
+
     def test_limit_near_the_circle_is_refused(self):
         z0 = (1 - 1e-12) * np.exp(0.3j)
 

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_coeff, residue_sum
 from ruelle.numerics import (
+    TAIL_TOL,
     circle_integral,
     circle_nodes,
     fourier_coeffs_from_samples,
     half_spectrum_from_samples,
     laurent,
+    unresolved_tails,
 )
 
 
@@ -304,3 +306,40 @@ class TestLaurent:
         value = laurent(pos, neg, z, derivative=False)
         assert value.shape == z.shape
         assert np.array_equal(value, laurent(pos, neg, z)[0])
+
+
+class TestUnresolvedTails:
+    K = 64
+
+    def _rows(self):
+        # real coefficients a^m (m >= 0) and b^|m| (m < 0), in numpy's FFT order
+        m = np.fft.fftfreq(self.K, 1 / self.K)
+        ab = [(0.9, 0.5), (0.1, 0.2), (0.5, 0.95), (0.2, 0.25)]
+        return np.array([np.where(m >= 0, a ** np.abs(m), b ** np.abs(m)) for a, b in ab])
+
+    def test_folded_magnitudes_give_the_full_verdict(self):
+        c = self._rows()
+        full = np.abs(c)
+        half = self.K // 2 + 1
+        folded = np.maximum(full[:, :half], full[:, -np.arange(half) % self.K])
+        noise = np.array([1e-16, 2e-16, 3e-16, 4e-16])
+        tail, floor = unresolved_tails(full, self.K, noise)
+        assert len(tail) == 2  # rows 0 and 2; rows 1 and 3 decay below TAIL_TOL
+        assert tail == pytest.approx([0.9**24, 0.95**24], rel=1e-12)
+        np.testing.assert_array_equal(floor, noise[[0, 2]])  # max|c| = c_0 = 1
+        for got, want in zip(unresolved_tails(folded, self.K, noise), (tail, floor)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_row_is_resolved(self):
+        with np.errstate(all="raise"):
+            tail, floor = unresolved_tails(np.zeros((2, self.K)), self.K, 0.0)
+            assert unresolved_tails(np.zeros(self.K), self.K, 1e-16)[0].size == 0
+        assert tail.size == floor.size == 0
+
+    def test_tail_under_its_floor_is_resolved(self):
+        mag = np.zeros(self.K)
+        mag[0], mag[self.K // 2] = 2.0, 2e-12  # tail 1e-12, above TAIL_TOL
+        assert 1e-12 > TAIL_TOL
+        assert unresolved_tails(mag, self.K, 2e-10)[0].size == 0  # floor 1e-10
+        tail, floor = unresolved_tails(mag, self.K, 2e-13)  # floor 1e-13
+        assert (tail.tolist(), floor.tolist()) == ([1e-12], [1e-13])

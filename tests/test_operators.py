@@ -824,11 +824,13 @@ class TestSingularValues:
             (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), None, 1),
             (MobiusFamilyMap(0.7), Annulus(0.8, 1.25), None, 1),
             (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2), None, 2),  # r R != 1
+            (MobiusFamilyMap(0.7), Annulus(0.7, 1.3), None, 2),  # r R != 1: unlike patterns
             (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25), None, 2),  # not a circle map
             (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 64, 2),  # square truncation
             (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), 64, 2),
         ],
-        ids=["B*", "anti-B*", "mobius", "B*-0.85", "mobius-complex", "B*-square", "anti-B*-square"],
+        ids=["B*", "anti-B*", "mobius", "B*-0.85", "mobius-0.7-1.3", "mobius-complex", "B*-square",
+             "anti-B*-square"],
     )
     def test_reflected_blocks_share_one_svd(self, m, ann, nminus, svds, monkeypatch):
         T = assemble_dual(m, ann, 64, nminus)
