@@ -382,10 +382,11 @@ def _field(obj: dict, name: str, convert, *default):
         ) from exc
 
 
-def _boolean(value) -> bool:
-    # JSON true or false only: a string, list or number is malformed, not truthy
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a JSON boolean, got {value!r}")
+def _json(kind, value):
+    # JSON values of one kind only: a string is no array, and a string, list or
+    # number is no boolean, however Python would read them
+    if not isinstance(value, kind):
+        raise TypeError(f"expected JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -393,16 +394,18 @@ def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
     if not isinstance(obj, dict):
         raise ValueError(f"map descriptor must be a JSON object, got {obj!r}")
-    kind = obj.get("type")
+    kind, pair = obj.get("type"), lambda p: complex(*_json(list, p))
     if kind == "blaschke":
-        alpha = _field(obj, "alpha", lambda p: complex(*p), [1.0, 0.0])
-        zeros = _field(obj, "zeros", lambda zs: tuple(complex(*a) for a in zs))
-        return BlaschkeProduct(alpha, zeros, _field(obj, "anti", _boolean, False))
+        alpha = _field(obj, "alpha", pair, [1.0, 0.0])
+        zeros = _field(obj, "zeros", lambda zs: tuple(map(pair, _json(list, zs))))
+        return BlaschkeProduct(alpha, zeros, _field(obj, "anti", lambda b: _json(bool, b), False))
     if kind == "triglift":
-        cos, sin = (_field(obj, k, lambda cs: tuple(map(float, cs)), ()) for k in ("cos", "sin"))
+        cos, sin = (
+            _field(obj, k, lambda cs: tuple(map(float, _json(list, cs))), []) for k in ("cos", "sin")
+        )
         return TrigLift(_field(obj, "d", operator.index), cos, sin)
     if kind == "mobius":
-        return MobiusFamilyMap(_field(obj, "w", lambda p: complex(*p)))
+        return MobiusFamilyMap(_field(obj, "w", pair))
     raise ValueError(f"unknown map descriptor type: {kind!r}")
 
 

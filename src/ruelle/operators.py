@@ -23,14 +23,12 @@ at m = 0, K/2).
 
 Reflection rule: a circle map, tau(1/conj z) = 1/conj tau(z), on an annulus
 with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
-input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the matrix
-satisfies M = P conj(M) P, with P swapping plus row/column m and minus m
-(m >= 1).  When tm agrees with 1/conj tp, only the plus powers
-0..max(nplus - 1, nminus) are sampled and transformed, and minus column n
-is plus power n's transported column with its plus and minus rows swapped,
-conjugated: M[i, j] = conj M[Pi, Pj] entry for entry, under either
-orientation, and with the aliasing tails of the plus columns.  Other maps
-and annuli keep the directly built minus block.
+input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the
+symmetric truncation satisfies M = P conj(M) P, P (_swap) swapping plus
+row/column m and minus m (m >= 1).  When tm agrees with 1/conj tp, only the
+plus block of the symmetric truncation (p, p - 1), p = max(nplus, nminus + 1),
+is sampled and transformed; its minus block is copied as P conj(M) P, with
+the plus columns' tails, and any other truncation gathered from it.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -80,13 +78,11 @@ class TruncatedOperator:
     Rows/columns 0..nplus-1 are the plus block (e_m^(r), m = 0..nplus-1),
     followed by the minus block (e_{-m}^(R), m = 1..nminus); ``assemble_dual``
     defaults to the symmetric truncation nminus = nplus - 1, 2 nplus - 1 rows
-    in all, on which the reflection rule's P is an exact involution.  The
-    matrix is float64 when each boundary sample row agrees with its
-    conjugate mirror (the agreement rule in the module notes), as for
-    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.  It is column-major
-    (Fortran order): a column is one FFT row, and LAPACK reads columns.  For
-    a circle map on an annulus with r R = 1 the minus columns come from the
-    plus FFT by the reflection rule in the module notes.
+    in all, on which the module notes state the reflection rule.  The matrix
+    is column-major (a column is one FFT row, and LAPACK reads columns), and
+    float64 when each boundary sample row agrees with its conjugate mirror
+    (the agreement rule in the module notes), as for
+    tau(conj z) = conj tau(z), whose adjoint is real; else complex128.
     """
 
     nplus: int
@@ -106,28 +102,18 @@ def _agrees(x, y) -> bool:
     return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(x).max()
 
 
-def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
+def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
-    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n.
-    With ``mirror``, the minus columns of a reflected matrix (the reflection
-    rule in the module notes), ``out`` holds the powers below nplus and power
-    n >= 1 also fills mirror row n - 1."""
+    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
     K = len(step)
     step_max = float(np.abs(step).max())
     nminus = out.shape[1] - nplus
-    m = np.arange(max(nplus, nminus + 1))
-    inward, outward = (r / rho) ** m, (rho / R) ** m  # the weights of plus and minus rows
-
-    def layout(plus, minus):  # plus rows 0..nplus-1, then minus rows 1..nminus
-        return np.concatenate([plus[:nplus], minus[1 : nminus + 1]])
-
-    # (rows, power of row 0, coefficient index taken with mode="wrap", weight)
-    targets = [(out, powers.start, layout(m, -m), layout(inward, outward))]
-    if mirror is not None:  # plus row m from minus m, minus m from plus m
-        targets.append((mirror, 1, layout(-m, m), layout(outward, inward)))
-    top = len(m) - 1  # the largest |index|
+    plus, minus = np.arange(nplus), np.arange(1, nminus + 1)  # the rows of ``out``'s columns
+    idx = np.r_[plus, -minus]  # each row's coefficient index, taken with mode="wrap"
+    weight = np.r_[(r / rho) ** plus, (rho / R) ** minus]
+    top = max(nplus - 1, nminus)  # the largest |index|
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
@@ -152,19 +138,19 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus, mirror=None):
             c = chunk
         else:
             c = x = fourier_coeffs_from_samples(chunk, rho)
-        for dest, first, idx, weight in targets:  # the target rows of this chunk's powers
-            lo, hi = max(n[0], first), min(n[-1] + 1, first + len(dest))
-            if lo < hi:
-                d = dest[lo - first : hi - first]
-                np.take(c[lo - n[0] : hi - n[0]], idx, axis=1, out=d, mode="wrap")
-                d *= weight
-                if dest is mirror and not real:
-                    np.conjugate(d, out=d)
+        d = out[start : start + len(n)]
+        np.take(c, idx, axis=1, out=d, mode="wrap")
+        d *= weight
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
         # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
         unresolved += zip(*unresolved_tails(mag, K, (n + 1) * EPS * step_max**n))
     return unresolved
+
+
+def _swap(nplus):
+    """The reflection rule's P on the truncation (nplus, nplus - 1), as a row order."""
+    return np.r_[0, nplus : 2 * nplus - 1, 1:nplus]
 
 
 def assemble_dual(
@@ -181,19 +167,17 @@ def assemble_dual(
     Each block is built in row chunks of at most 2^17 samples, one FFT per
     chunk, with the bits of a column-by-column build.  With K=None the
     sample count starts at max(256, 8N) rounded up to a power of two, and is
-    doubled (up to numerics.MAX_SAMPLES) until the aliasing monitor (notes
-    of TAIL_REJECT) resolves every column; an explicit K with an unresolved tail above
-    TAIL_REJECT raises instead.  Both errors quote the worst tail of both
-    blocks and its floor.  When tm agrees with 1/conj tp, the minus block
-    comes from the plus powers by the reflection rule in the module notes,
-    and their tails are its tails.  Otherwise an automatic pass below the
-    cap whose plus block is unresolved is discarded without building its
-    minus block.  The matrix is float64, read from the half spectrum of
-    real FFTs of folded columns, iff each sample row v agrees with
-    conj v[-j mod K].  The rows are tau at the pass's K nodes on each
-    boundary circle, judged after the integer checks by the inclusion test:
-    'none' is refused (ValueError naming the margin); plus inputs go on the
-    circle tau maps inward.
+    doubled (up to numerics.MAX_SAMPLES) until the aliasing monitor (notes of
+    TAIL_REJECT) resolves every column; an explicit K with an unresolved tail
+    above TAIL_REJECT raises instead.  Both errors quote the worst tail of
+    both blocks and its floor.  An automatic pass below the cap whose plus
+    block is unresolved is discarded without building its minus block,
+    directly or by the reflection rule in the module notes.  The matrix is
+    float64, read from the half spectrum of real FFTs of folded columns, iff
+    each sample row v agrees with conj v[-j mod K].  The rows are tau at the
+    pass's K nodes on each boundary circle, judged after the integer checks
+    by the inclusion test: 'none' is refused (ValueError naming the margin);
+    plus inputs go on the circle tau maps inward.
     """
     nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
@@ -204,6 +188,7 @@ def assemble_dual(
         raise ValueError(f"K={k} below 8*max(nplus, nminus)={8*max(nplus, nminus)}")
 
     r, R = annulus.r, annulus.R
+    p = max(nplus, nminus + 1)  # the symmetric truncation (p, p - 1) holds (nplus, nminus)
     while True:
         check, (rho_plus, tp), (rho_minus, tm) = _inclusions(
             m, annulus, circle_nodes(r, k), circle_nodes(R, k)
@@ -214,17 +199,22 @@ def assemble_dual(
                 f"(margin {check.margin:.3g}); refusing assembly"
             )
         real = all(_agrees(v, np.conj(v[-np.arange(k)])) for v in (tp, tm))
-        cols = np.empty((nplus + nminus,) * 2, dtype=float if real else complex, order="F")
         retry = auto and k < MAX_SAMPLES  # an unresolved pass is redone at 2K, its matrix dropped
         with np.errstate(all="ignore"):  # tp may vanish at a node
-            reflected = 1 / np.conj(tp)
-        mirror = cols.T[nplus:] if _agrees(tm, reflected) else None
-        powers = range(nplus if mirror is None else max(nplus, nminus + 1))
-        unresolved = _assemble_block(cols.T[:nplus], tp / r, powers, rho_plus, r, R, nplus, mirror)
-        if mirror is None and not (retry and unresolved):
-            unresolved += _assemble_block(
-                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
-            )
+            reflected = _agrees(tm, 1 / np.conj(tp))
+        size, plus = (2 * p - 1, p) if reflected else (nplus + nminus, nplus)
+        cols = np.empty((size, size), dtype=float if real else complex, order="F")
+        unresolved = _assemble_block(cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus)
+        if not (retry and unresolved):
+            if reflected:  # the reflection rule of the module notes, on (p, p - 1)
+                minus = cols.T[p:]  # indices in range: "clip" only skips a buffered copy
+                np.take(cols.T[1:p], _swap(p), axis=1, out=minus, mode="clip")
+                if not real:
+                    np.conjugate(minus, out=minus)
+            else:
+                unresolved += _assemble_block(
+                    cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+                )
         if not unresolved:
             break
         if retry:
@@ -242,6 +232,9 @@ def assemble_dual(
             )
         break
 
+    if reflected and nminus != nplus - 1:  # entry (m, n) depends on K alone
+        keep = np.r_[:nplus, p : p + nminus]
+        cols = _gather(cols, keep, keep)
     if real:  # |x| < t as two comparisons, with no float copy
         t = SNAP_TOL * max(cols.max(), -cols.min())
         cols[(cols < t) & (cols > -t)] = 0.0
@@ -264,8 +257,8 @@ def _reflected_plus(matrix, nonzero, nplus, blocks):
     if nonzero[0, 1:].any() or nonzero[1:, 0].any():
         return None
     rp, cp = rp[rp > 0], cp[cp > 0]
-    shift = nplus - 1  # P: plus m at m <-> minus m at m + shift
-    pr, pc = rp + shift, np.where(cp < nplus, cp + shift, cp - shift)
+    swap = _swap(nplus)
+    pr, pc = swap[rp], swap[cp]
     if not (np.array_equal(pr, rm) and np.array_equal(np.sort(pc), cm)):
         return None
     plus = _gather(matrix, rp, cp)

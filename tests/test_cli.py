@@ -531,6 +531,13 @@ def test_non_positive_tol_is_an_input_error(argv, capsys):
         ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":"false"}', "anti"),
         ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":[0]}', "anti"),
         ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"anti":1}', "anti"),
+        # arrays are JSON arrays: iterating a string would read its characters
+        ('{"type":"blaschke","zeros":"00"}', "zeros"),
+        ('{"type":"blaschke","zeros":[[0,0],"5"]}', "zeros"),
+        ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"alpha":"1"}', "alpha"),
+        ('{"type":"triglift","d":2,"cos":"01"}', "cos"),
+        ('{"type":"triglift","d":2,"sin":"01"}', "sin"),
+        ('{"type":"mobius","w":"7"}', "w"),
     ],
 )
 def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):

@@ -250,10 +250,9 @@ class TestDiscardedPasses:
     def calls(self, monkeypatch):
         log, block = [], operators._assemble_block
 
-        def logged(out, step, powers, rho, r, R, nplus, mirror=None):
-            kind = "minus" if powers.start else "plus" if mirror is None else "reflected"
-            log.append((len(step), kind))
-            return block(out, step, powers, rho, r, R, nplus, mirror)
+        def logged(out, step, powers, rho, r, R, nplus):
+            log.append((len(step), "minus" if powers.start else "plus"))
+            return block(out, step, powers, rho, r, R, nplus)
 
         monkeypatch.setattr(operators, "_assemble_block", logged)
         return log
@@ -288,7 +287,7 @@ class TestDiscardedPasses:
     def test_reflected_pass_builds_one_block(self, calls, bstar, annulus):
         # a circle map on r R = 1: each pass transforms the plus powers only
         assemble_dual(bstar, annulus, 32)
-        assert calls == [(256, "reflected"), (512, "reflected")]
+        assert calls == [(256, "plus"), (512, "plus")]
 
     def test_unresolved_minus_block_alone_is_found(self, calls):
         m, annulus = _homotopy_member()
@@ -390,7 +389,10 @@ class TestBlockAssembly:
     )
     @pytest.mark.parametrize("N, K", [(16, 256), (48, 4096)])
     def test_matches_column_by_column(self, m, N, K, annulus):
-        for nminus in (None, N):
+        # N//2 and 0 are gathered from the symmetric truncation (N, N - 1) of a
+        # reflected map, N and 2N from (N + 1, N) and (2N + 1, 2N); 2N only at
+        # K = 4096, as (16, 32) leaves an aliasing tail above TAIL_REJECT at 256
+        for nminus in (None, N, N // 2, 0) + ((2 * N,) if K == 4096 else ()):
             T = assemble_dual(m, annulus, N, nminus, K)
             assert T.samples == K
             expect = _column_by_column(m, annulus, N, K, nminus=nminus)
