@@ -12,6 +12,12 @@ the median and quartiles of each side and the number of pairs in which the
 change was better.  The file is rewritten after every run, so an
 interrupted comparison keeps what it did.
 
+Before the first run, every `__pycache__` directory under each tree's src/
+and perfbench/ is removed.  Bytecode stamped with another tree's source
+times is stale in a copied tree, and with PYTHONDONTWRITEBYTECODE=1 a stale
+cache is recompiled on every import, which biases the setup time of that
+side alone.
+
 Each run lasts BENCHMARK.json's `run_seconds`; the untraced runs use seed
 SEED and the traced ones TRACE_SEED, PAIRS pairs per workload.  Each tree
 is recorded by its git commit (if any), whether it has uncommitted edits,
@@ -29,6 +35,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +59,13 @@ def run_bench(command: list, tree: Path, workload: str, seed: int, seconds: floa
 def git(tree: Path, *args):
     res = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
     return res.stdout if res.returncode == 0 else None
+
+
+def clear_bytecode(tree: Path):
+    """Remove every __pycache__ directory under the tree's src/ and perfbench/."""
+    for d in ("src", "perfbench"):
+        for cache in sorted((tree / d).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def source(tree: Path) -> dict:
@@ -95,6 +109,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent, "change": args.change}
+    for tree in trees.values():
+        clear_bytecode(tree)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
     command = benchmark["command"]

@@ -46,7 +46,6 @@ from .traces import (
 from .lifts import (
     HomotopyFamily,
     HomotopyMember,
-    LiftSeries,
     build_homotopy,
     find_expansive_annulus,
     lift,

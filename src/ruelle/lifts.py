@@ -1,21 +1,29 @@
 """Lifts of circle maps and complexified homotopies between them.
 
-A circle map tau of degree d factors through the exponential:
-tau(e^{i theta}) = e^{i lift(theta)} with lift(theta) = alpha + d theta +
-(periodic part).  The lift is represented spectrally -- Fourier
-coefficients of the logarithmic derivative z tau'(z)/tau(z) on the unit
-circle -- which gives analytic continuation to a strip |Im theta| <= eps
-for free and is spectrally accurate.  Integrated term by term they make a
-Laurent polynomial Q with lift(theta) = d theta - i Q(e^{i theta}), so the
-lift and every homotopy member are evaluated in z = e^{i theta}, as
-z^d e^{Q(z)}, by the Horner routine ``numerics.laurent``.
+A circle map tau of degree d is z^d e^{Q(z)}, and its lift is lift(theta) =
+d theta - i Q(e^{i theta}).  Every map class of the library has its exponent
+Q = log(tau(z)/z^d) and Q' in closed form (the classes' ``_exponent``),
+analytic on an annulus e^-s < |z| < e^s, the strip |Im theta| < s:
+
+- a Blaschke product: log alpha + sum log1p(-a_j/z) - log1p(-conj(a_j) z),
+  s = -log max|a_j|; an anti-product takes the negative;
+- a Mobius map: log1p(-w/(2z)) - log1p(-wz/2), s = -log(|w|/2);
+- a TrigLift: its Laurent polynomial, s = inf;
+- a homotopy member: (1-w) Q_0 + w Q_1, s its family's certified epsilon.
+
+A composition or any other class has no closed form, and ``lift`` refuses it.
+The branch is fixed by Q(1) = i arg tau(1) (principal argument): an offset
+2 pi i k would change the members at every w that is not an integer.
 
 Two equal-degree maps are joined by the convex combination of their lifts,
-T(w, .) = exp(i [(1-w) lift0 + w lift1]), which stays well defined on the
-annulus image of the strip and remains holomorphically expansive for w in a
-complex neighbourhood of [0, 1].  The neighbourhood half-width eta and the
-strip half-width eps are certified by dense sampling with explicit margins
-(the existence argument is a compactness one and yields no constants).
+T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}, which
+stays well defined on the annulus image of the strip and remains
+holomorphically expansive for w in a complex neighbourhood of [0, 1].  The
+strip half-width eps starts strictly inside both endpoints' analytic annuli,
+at half the narrower strip (and at most 0.35), and is halved until the
+neighbourhood half-width eta and eps are certified by dense sampling with
+explicit margins (the existence argument is a compactness one and yields no
+constants).
 """
 
 from __future__ import annotations
@@ -26,15 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Annulus, _PowerExpMap, check_holo_expansive
-from .numerics import (
-    EPS, MAX_SAMPLES, circle_nodes, fourier_coeffs_from_samples, laurent, unresolved_tails
+from .maps import (
+    Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _PowerExpMap, check_holo_expansive
 )
 
 __all__ = [
     "HomotopyFamily",
     "HomotopyMember",
-    "LiftSeries",
     "build_homotopy",
     "find_expansive_annulus",
     "lift",
@@ -42,31 +48,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LiftSeries:
-    """lift(theta) = alpha + d theta + sum_{n != 0} g_n/(i n) (e^{i n theta} - 1),
-    valid on the strip |Im theta| <= strip.  In z = e^{i theta}, lift(theta) =
-    d theta - i Q(z) with Q(z) = i alpha + sum c_n (z^n - 1), c_n = g_n/n."""
+class Lift:
+    """lift(theta) = d theta - i Q(e^{i theta}) for the closed-form exponent Q of
+    the map tau, plus ``shift`` = -2 pi i k so that Q(1) = i arg tau(1), on the
+    strip |Im theta| < strip: the annulus e^-strip < |z| < e^strip."""
 
-    d: int
-    alpha: float
-    ns: np.ndarray
-    gs: np.ndarray
+    tau: object
     strip: float
+    shift: complex
+
+    @property
+    def d(self) -> int:
+        return self.tau.degree
 
     def exponent(self, z, derivative=True):
-        """(Q(z), Q'(z)) at the points z; Q(z) alone with derivative=False."""
-        top = int(np.abs(self.ns).max(initial=0))
-        c = np.zeros(2 * top + 1, dtype=complex)  # c_n at position n + top
-        c[self.ns + top] = self.gs / self.ns
-        P = laurent(c[top + 1 :], c[:top][::-1], z, derivative)
-        if not derivative:
-            return 1j * self.alpha + P - c.sum()
-        return 1j * self.alpha + P[0] - c.sum(), P[1]
+        """(Q(z), Q'(z)) at the points z, an array; Q(z) alone with
+        derivative=False.  A point off the annulus raises ValueError."""
+        mods = np.abs(z)
+        if np.any(mods <= math.exp(-self.strip)) or np.any(mods >= math.exp(self.strip)):
+            raise ValueError(f"z outside the lift's analytic annulus, |Im theta| < {self.strip:g}")
+        out = self.tau._exponent(z, derivative)
+        if not self.shift:
+            return out
+        return (out[0] + self.shift, out[1]) if derivative else out + self.shift
 
     def eval(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=complex))
-        if th.size and np.max(np.abs(th.imag)) > self.strip + 1e-12:
-            raise ValueError(f"Im theta exceeds certified strip half-width {self.strip:g}")
         out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
@@ -76,78 +83,26 @@ class LiftSeries:
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
 
-def _roundtrip_error(m, L: LiftSeries, im_offset: float, K: int) -> float:
-    theta = 2 * np.pi * np.arange(K) / K + 1j * im_offset
-    return float(np.max(np.abs(np.exp(1j * L.eval(theta)) - m.eval(np.exp(1j * theta)))))
-
-
-def lift(m) -> LiftSeries:
-    """Lift of a circle-preserving map from the Fourier data of its
-    logarithmic derivative h(z) = z tau'(z)/tau(z) on K nodes of the unit
-    circle.  K starts at 1024 and doubles until numerics.unresolved_tails,
-    with the noise eps max|h| of the samples, resolves the coefficients c; a
-    tail unresolved at MAX_SAMPLES nodes raises RuntimeError quoting it.
-
-    The mean of h is the degree (checked to 1e-8 before rounding); the
-    remaining coefficients integrate term by term into the periodic part.
-    alpha is the principal argument of tau(1), read off node 0.  The strip half-width is
-    certified by halving a decay-based candidate until the roundtrip
-    e^{i lift(theta)} = tau(e^{i theta}) holds to 1e-8 on K points of each
-    strip boundary, the K at which the coefficients resolved.
-    """
-    K = 1024
-    while True:
-        z = circle_nodes(1.0, K)
-        tv = m.eval(z)
-        if np.min(np.abs(tv)) < 1e-12:
-            raise ValueError("tau vanishes on the unit circle; no lift")
-        h = z * m.deriv(z) / tv
-        c = fourier_coeffs_from_samples(h, 1.0)
-        tail, _ = unresolved_tails(np.abs(c), K, EPS * np.abs(h).max())
-        if not len(tail):
-            break
-        if K == MAX_SAMPLES:
-            raise RuntimeError(f"log-derivative tail {tail[0]:.3g} unresolved at {K} nodes")
-        K *= 2
-    c0 = complex(c[0])
-    d = round(c0.real)
-    if abs(c0 - d) >= 1e-8:
-        raise RuntimeError(
-            f"inconsistent lift: mean of log-derivative {c0:.3g} is not an integer"
-        )
-    if abs(d) < 2:
-        raise ValueError(f"|degree| must be >= 2, got {d}")
-
-    idx = np.concatenate([np.arange(-K // 2, 0), np.arange(1, K // 2)])
-    g = c[idx]
-    keep = np.abs(g) > 1e-16 * max(1.0, np.abs(c).max())
-    ns, gs = idx[keep], g[keep]
-    alpha = cmath.phase(tv[0])  # node 0 is exactly 1 + 0j
-
-    if len(ns) == 0:
-        candidate = 4.0
+def lift(m) -> Lift:
+    """The closed-form lift of a Blaschke product, Mobius map, TrigLift or
+    homotopy member, on its analytic strip (module notes).  Any other map,
+    a ComposedMap included, raises ValueError naming its class, and so does
+    a map whose exponent is analytic on no annulus about the unit circle
+    (a Mobius map with |w| >= 2)."""
+    if isinstance(m, HomotopyMember):
+        strip = m.family.epsilon
+    elif isinstance(m, TrigLift):
+        strip = math.inf
+    elif isinstance(m, (BlaschkeProduct, MobiusFamilyMap)):
+        rho = max(map(abs, m.zeros)) if isinstance(m, BlaschkeProduct) else abs(m.w) / 2
+        strip = -math.log(rho) if rho else math.inf
     else:
-        sig = np.abs(gs) > 1e-13 * max(1.0, float(np.max(np.abs(gs))))
-        if sig.sum() >= 4:
-            slope = np.polyfit(np.abs(ns[sig]), np.log(np.abs(gs[sig])), 1)[0]
-            candidate = 0.45 * -slope if slope < 0 else 0.05
-        else:
-            candidate = 0.3
-        candidate = min(max(candidate, 1e-3), 0.6)
-
-    probe = LiftSeries(d, alpha, ns, gs, math.inf)
-    eps = candidate
-    for _ in range(8):
-        try:
-            err = max(_roundtrip_error(m, probe, eps, K), _roundtrip_error(m, probe, -eps, K))
-        except (ValueError, FloatingPointError, OverflowError):
-            err = math.inf
-        if err < 1e-8:
-            return LiftSeries(d, alpha, ns, gs, eps)
-        eps /= 2
-    raise RuntimeError(
-        f"could not certify an analyticity strip for the lift (last eps={eps:g})"
-    )
+        raise ValueError(f"no closed-form lift for a map of class {type(m).__name__}")
+    if strip <= 0:
+        raise ValueError(f"{type(m).__name__}: exponent analytic on no annulus about |z| = 1")
+    q1 = m._exponent(np.ones(1, dtype=complex), derivative=False)[0]
+    turns = round((q1.imag - cmath.phase(m.eval(1.0))) / (2 * math.pi))
+    return Lift(m, strip, -2j * math.pi * turns)
 
 
 @dataclass(frozen=True)
@@ -159,8 +114,8 @@ class HomotopyFamily:
     the other strictly outside |z| = R1; margin_inner is read on |z| = r0.
     """
 
-    lift0: LiftSeries
-    lift1: LiftSeries
+    lift0: Lift
+    lift1: Lift
     d: int
     epsilon: float
     eta: float
@@ -214,15 +169,18 @@ def build_homotopy(
 ) -> HomotopyFamily:
     """Certify a homotopy family between map0 and map1 (equal degrees).
 
-    The strip half-width eps is bisected until (a) the real part of the
+    The strip half-width eps starts at the smallest of 0.35, the override
+    epsilon and half of each lift's analytic strip, so that the rows
+    Im theta = +-eps lie strictly inside both endpoints' analytic annuli,
+    and is bisected until (a) the real part of the
     combined lift derivative stays above 1 in modulus throughout the strip
     and the w-neighbourhood (giving the expansion factor rho), and (b) the
     boundary-circle inclusions hold with positive sampled margin for the
     annuli r0 = e^-eps, R0 = e^eps, r1/R1 the geometric midpoints toward
     e^{-/+ eps (rho+1)/2}.  eta is sized from sup|lift1 - lift0| so the
-    whole neighbourhood keeps |T| within the certified corridor; epsilon
-    and eta_cap override the starting strip width and the eta ceiling, and
-    must be finite, epsilon positive and eta_cap non-negative (ValueError).
+    whole neighbourhood keeps |T| within the certified corridor, at most
+    eta_cap (default 1); the overrides must be finite, epsilon positive and
+    eta_cap non-negative (ValueError).
     Derivatives and lift differences are sampled on 512 points of the
     three rows Im theta = 0, +eps, -eps, and the inclusions on 4096 points
     of each boundary circle, where the margins are read.
@@ -239,7 +197,7 @@ def build_homotopy(
     if eta_cap is not None and not 0 <= eta_cap < math.inf:
         need = "finite" if eta_cap > 0 else "non-negative"
         raise ValueError(f"eta_cap override must be {need}, got {eta_cap}")
-    eps = min(l0.strip, l1.strip, 0.35, math.inf if epsilon is None else epsilon)
+    eps = min(l0.strip / 2, l1.strip / 2, 0.35, math.inf if epsilon is None else epsilon)
     while eps >= 1e-4:
         grid = 2 * np.pi * np.arange(512) / 512
         rows = [grid, grid + 1j * eps, grid - 1j * eps]

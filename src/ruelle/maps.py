@@ -2,10 +2,13 @@
 
 Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
-analytically known degree.  The module-level helpers implement the checks
-that the spectral machinery relies on: expansivity on the unit circle,
-boundary-circle inclusions certifying holomorphic expansivity (and naming
-the inward circle), and interior fixed points with their multipliers.
+analytically known degree.  Every type but the composition also gives its
+exponent Q = log(tau(z)/z^d) and Q' in closed form (``_exponent``, on the
+annulus stated in the notes of ``lifts``).  The module-level helpers
+implement the checks that the spectral machinery relies on: expansivity on
+the unit circle, boundary-circle inclusions certifying holomorphic
+expansivity (and naming the inward circle), and interior fixed points with
+their multipliers.
 
 One evaluation order: a value's bits depend only on its point, whatever the
 shape of the input.  A 0-d point is evaluated as a one-element array, and a
@@ -143,6 +146,18 @@ class BlaschkeProduct(_MapBase):
             total = total + term
         return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
 
+    def _exponent(self, z, derivative=True):
+        # Q = log(B/z^d) = log alpha + sum log1p(-a/z) - log1p(-conj(a) z) and Q', analytic on
+        # max|a| < |z| < 1/max|a|; the anti map's exponent is -Q
+        Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
+        for a in self.zeros:
+            Q = Q + np.log1p(-a / z) - np.log1p(-a.conjugate() * z)
+            if derivative:
+                slope = slope + a / np.multiply(z, z - a) + a.conjugate() / (1 - a.conjugate() * z)
+        if self.anti:
+            Q, slope = -Q, -slope
+        return (Q, slope) if derivative else Q
+
 
 @dataclass(frozen=True)
 class TrigLift(_PowerExpMap):
@@ -206,6 +221,13 @@ class MobiusFamilyMap(_MapBase):
 
     def _eval(self, z):
         return self.step(z, np.empty_like(z), np.empty_like(z))
+
+    def _exponent(self, z, derivative=True):
+        # Q = log(T/z^2) = log1p(-w/(2z)) - log1p(-wz/2) and Q', analytic on |w|/2 < |z| < 2/|w|
+        Q = np.log1p(-self.w / (2 * z)) - np.log1p(-self.w * z / 2)
+        if not derivative:
+            return Q
+        return Q, self.w / np.multiply(z, 2 * z - self.w) + self.w / (2 - self.w * z)
 
     def _deriv(self, z):
         den = 2 - self.w * z
@@ -390,18 +412,26 @@ def _json(kind, value):
     return value
 
 
+def _number(value):
+    # a JSON number: int or float; a string is none, and neither is a boolean,
+    # although Python counts it an int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected JSON number, got {value!r}")
+    return value
+
+
 def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
     if not isinstance(obj, dict):
         raise ValueError(f"map descriptor must be a JSON object, got {obj!r}")
-    kind, pair = obj.get("type"), lambda p: complex(*_json(list, p))
+    kind, pair = obj.get("type"), lambda p: complex(*map(_number, _json(list, p)))
     if kind == "blaschke":
         alpha = _field(obj, "alpha", pair, [1.0, 0.0])
         zeros = _field(obj, "zeros", lambda zs: tuple(map(pair, _json(list, zs))))
         return BlaschkeProduct(alpha, zeros, _field(obj, "anti", lambda b: _json(bool, b), False))
     if kind == "triglift":
         cos, sin = (
-            _field(obj, k, lambda cs: tuple(map(float, _json(list, cs))), []) for k in ("cos", "sin")
+            _field(obj, k, lambda cs: tuple(map(_number, _json(list, cs))), []) for k in ("cos", "sin")
         )
         return TrigLift(_field(obj, "d", operator.index), cos, sin)
     if kind == "mobius":

@@ -3,7 +3,8 @@
 Besides the closed-form spectra and comparison helpers, independent checks
 of the package live here, since only the tests call them: the winding
 number of a map on the unit circle; lifts and homotopy members evaluated
-the direct way, in theta = -i log z through a phase matrix e^{i n theta};
+from the endpoint maps' own eval and deriv, the logarithm continued by
+unwrapping its argument;
 the duality oracle, which applies the transfer operator of a Blaschke
 product through its polynomial preimages and compares it with the
 assembled adjoint under the duality pairing of the annulus Hardy space;
@@ -264,44 +265,41 @@ def winding_degree(m) -> int:
     return d
 
 
-def lift_eval_phases(L, theta):
-    """Reference lift(theta) = alpha + d theta + sum g_n/(i n) (e^{i n theta} - 1),
-    summed through the (points x terms) phase matrix e^{i n theta}."""
-    th = np.asarray(theta, dtype=complex)
-    out = L.alpha + L.d * th
-    if len(L.ns):
-        phases = np.exp(1j * np.multiply.outer(th, L.ns))
-        out = out + (phases - 1) @ (L.gs / (1j * L.ns))
-    return out
+def exponent_by_continuation(m, rho, K):
+    """Reference Q = log(tau(z)/z^d) on circle_nodes(rho, K), from the map's own
+    eval alone: the principal logarithm at z = 1, continued by unwrapping its
+    argument along 256 steps of the real segment to rho, then round the circle."""
+    path = np.concatenate([np.linspace(1.0, rho, 256), circle_nodes(rho, K)])
+    ratio = m.eval(path) / path**m.degree
+    q = np.log(np.abs(ratio)) + 1j * np.unwrap(np.angle(ratio))
+    return q[256:]
 
 
-def lift_deriv_phases(L, theta):
-    """Reference lift'(theta) = d + sum g_n e^{i n theta}, by the phase matrix."""
-    th = np.asarray(theta, dtype=complex)
-    out = np.full(th.shape, complex(L.d))
-    if len(L.ns):
-        out = out + np.exp(1j * np.multiply.outer(th, L.ns)) @ L.gs
-    return out
+def lift_eval_ref(m, row, K):
+    """Reference lift(theta) = d theta - i Q(e^{i theta}) at theta = 2 pi j / K + i row,
+    on the circle |z| = e^-row, through exponent_by_continuation."""
+    theta = 2 * np.pi * np.arange(K) / K + 1j * row
+    return m.degree * theta - 1j * exponent_by_continuation(m, math.exp(-row), K)
 
 
-def member_eval_log(family, w, z):
-    """Reference homotopy member exp(i [(1-w) lift0 + w lift1](theta)) at
-    theta = -i log z, through the phase-matrix lifts."""
-    theta = -1j * np.log(np.asarray(z, dtype=complex))
-    lifted = (1 - w) * lift_eval_phases(family.lift0, theta) + w * lift_eval_phases(
-        family.lift1, theta
-    )
-    return np.exp(1j * lifted)
+def lift_deriv_ref(m, row, K):
+    """Reference lift'(theta) = z tau'(z) / tau(z) at the points of lift_eval_ref."""
+    z = circle_nodes(math.exp(-row), K)
+    return z * m.deriv(z) / m.eval(z)
 
 
-def member_deriv_log(family, w, z):
-    """Reference member derivative: T(w, z) [(1-w) lift0' + w lift1'](theta) / z."""
-    z = np.asarray(z, dtype=complex)
-    theta = -1j * np.log(z)
-    slope = (1 - w) * lift_deriv_phases(family.lift0, theta) + w * lift_deriv_phases(
-        family.lift1, theta
-    )
-    return member_eval_log(family, w, z) * slope / z
+def member_eval_ref(pair, w, rho, K):
+    """Reference homotopy member z^d e^{(1-w) Q_0 + w Q_1} on circle_nodes(rho, K),
+    with the endpoints' exponents from exponent_by_continuation."""
+    q0, q1 = (exponent_by_continuation(m, rho, K) for m in pair)
+    return circle_nodes(rho, K) ** pair[0].degree * np.exp((1 - w) * q0 + w * q1)
+
+
+def member_deriv_ref(pair, w, rho, K):
+    """Reference member derivative: T(w, z) [(1-w) tau_0'/tau_0 + w tau_1'/tau_1](z)."""
+    z = circle_nodes(rho, K)
+    h0, h1 = (m.deriv(z) / m.eval(z) for m in pair)
+    return member_eval_ref(pair, w, rho, K) * ((1 - w) * h0 + w * h1)
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,13 @@ def test_non_positive_tol_is_an_input_error(argv, capsys):
         ('{"type":"triglift","d":2,"cos":"01"}', "cos"),
         ('{"type":"triglift","d":2,"sin":"01"}', "sin"),
         ('{"type":"mobius","w":"7"}', "w"),
+        # the numbers in an array are JSON numbers: complex() and float() would
+        # parse a string, and a boolean would count as 1
+        ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"alpha":["1"]}', "alpha"),
+        ('{"type":"blaschke","zeros":[[0,0],["0.5j"]]}', "zeros"),
+        ('{"type":"triglift","d":2,"cos":["0.1"]}', "cos"),
+        ('{"type":"triglift","d":2,"sin":[true]}', "sin"),
+        ('{"type":"mobius","w":[true]}', "w"),
     ],
 )
 def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):

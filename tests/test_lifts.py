@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import lift_deriv_phases, lift_eval_phases, member_deriv_log, member_eval_log
-from ruelle import lifts
+from helpers import lift_deriv_ref, lift_eval_ref, member_deriv_ref, member_eval_ref
 from ruelle.lifts import build_homotopy, find_expansive_annulus, lift
 from ruelle.maps import (
     Annulus,
@@ -13,38 +12,19 @@ from ruelle.maps import (
     MobiusFamilyMap,
     TrigLift,
     check_holo_expansive,
+    iterate,
     min_expansion,
 )
 
 THETA = 2 * np.pi * np.arange(512) / 512
 
 
-class NonAnalytic:
-    """z^2 on the unit circle, 2 z^2 off it: no strip's roundtrip holds."""
-
-    def eval(self, z):
-        return np.where(np.abs(np.abs(z) - 1) < 1e-9, z**2, 2 * z**2)
-
-    def deriv(self, z):
-        return 2 * z
-
-
-class Fractional:
-    """z^2.5 on the principal branch: the log-derivative is 2.5, no degree."""
-
-    def eval(self, z):
-        return z**2.5
-
-    def deriv(self, z):
-        return 2.5 * z**1.5
-
-
 class TestLift:
     def test_power_map_is_linear(self):
         L = lift(TrigLift(3))
         assert L.d == 3
-        assert L.alpha == 0.0
-        assert len(L.ns) == 0
+        assert L.shift == 0
+        assert np.array_equal(L.eval(THETA), 3 * THETA.astype(complex))
 
     def test_bstar_degree_increment(self, bstar):
         L = lift(bstar)
@@ -53,112 +33,65 @@ class TestLift:
         assert inc == pytest.approx(4 * np.pi, abs=1e-12)
 
     def test_roundtrip_on_circle(self, bstar, anti_bstar):
-        for m in (bstar, anti_bstar, TrigLift(2, (0.1,), (0.05,))):
+        for m in (bstar, anti_bstar, TrigLift(2, (0.1,), (0.05,)), MobiusFamilyMap(0.7)):
             L = lift(m)
             err = np.abs(np.exp(1j * L.eval(THETA)) - m.eval(np.exp(1j * THETA))).max()
-            assert err < 1e-10
+            assert err < 1e-14
 
     def test_triglift_recovery(self):
-        # p(theta) = 0.1 sin(theta): derivative 0.1 cos(theta) has
-        # coefficients 0.05 at n = +-1
-        m = TrigLift(2, sin_coeffs=(0.1,))
-        L = lift(m)
-        got = dict(zip(L.ns.tolist(), L.gs.tolist()))
-        assert got[1] == pytest.approx(0.05, abs=1e-12)
-        assert got[-1] == pytest.approx(0.05, abs=1e-12)
-        vals = L.eval(THETA)
-        want = 2 * THETA + 0.1 * np.sin(THETA)
-        assert np.abs(vals - want).max() < 1e-10
-
-    def test_degenerate_degree_rejected(self):
-        class Rotation:
-            def eval(self, z):
-                return 1j * z
-
-            def deriv(self, z):
-                return np.full_like(z, 1j)
-
-        with pytest.raises(ValueError, match="degree"):
-            lift(Rotation())
-
-    def test_strip_halved_until_certified(self):
-        # the decay fit proposes 0.0474 for a zero at 0.9; the roundtrip holds at half that
-        m = BlaschkeProduct(1.0, (0.0, 0.9))
-        L = lift(m)
-        assert L.strip == pytest.approx(0.0237, abs=1e-4)
-        for im in (L.strip, -L.strip):
-            th = THETA + 1j * im
-            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() < 1e-8
-
-    @pytest.mark.parametrize("zero", [0.97, 0.99])
-    def test_zero_near_the_circle_lifts(self, zero):
-        # the log-derivative's coefficients decay like zero^|n|, which 1024
-        # nodes alias; the nodes double until the tail resolves (4096, 8192)
-        m = BlaschkeProduct(1.0, (0.0, zero))
-        L = lift(m)
-        assert L.d == 2
-        for im in (L.strip, -L.strip):
-            th = THETA + 1j * im
-            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() <= 1e-8
+        # p(theta) = 0.1 sin(theta): lift 2 theta + p, lift' 2 + 0.1 cos(theta)
+        L = lift(TrigLift(2, sin_coeffs=(0.1,)))
+        assert np.abs(L.eval(THETA) - (2 * THETA + 0.1 * np.sin(THETA))).max() < 1e-15
+        assert np.abs(L.deriv(THETA) - (2 + 0.1 * np.cos(THETA))).max() < 1e-15
 
     @pytest.mark.parametrize(
-        "m, nodes, strip",
+        "m, strip",
         [
-            (BlaschkeProduct(1.0, (0.0, 0.5)), 1024, 0.3119),
-            (TrigLift(2, (0.1,)), 1024, 0.3),
-            (BlaschkeProduct(1.0, (0.0, 0.97)), 4096, 0.0069),
-            # 256 check points missed a roundtrip of 1.48e-8 between them at 0.0045
-            (BlaschkeProduct(1.0, (0.0, 0.99)), 8192, 0.0023),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), math.log(2)),
+            (BlaschkeProduct(1.0, (0.0, 0.9), anti=True), -math.log(0.9)),
+            (BlaschkeProduct(1.0, (0.0, 0.0)), math.inf),
+            (MobiusFamilyMap(0.7), -math.log(0.35)),
+            (MobiusFamilyMap(0.0), math.inf),
+            (TrigLift(2, (0.4,)), math.inf),
         ],
-        ids=["bstar", "triglift", "zero-0.97", "zero-0.99"],
+        ids=["bstar", "anti-zero-0.9", "squaring", "mobius-0.7", "mobius-0", "triglift"],
     )
-    def test_roundtrip_holds_between_the_nodes(self, m, nodes, strip, monkeypatch):
-        # the strip is certified on the nodes the coefficients resolved at;
-        # the roundtrip must hold on a grid 4 times finer on both strip edges
-        sizes, fft = [], lifts.fourier_coeffs_from_samples
-        monkeypatch.setattr(
-            lifts, "fourier_coeffs_from_samples", lambda v, r: sizes.append(v.size) or fft(v, r)
-        )
-        L = lift(m)
-        assert sizes[-1] == nodes
-        assert L.strip == pytest.approx(strip, abs=1e-4)
-        theta = 2 * np.pi * np.arange(4 * nodes) / (4 * nodes)
-        for im in (L.strip, -L.strip):
-            th = theta + 1j * im
-            assert np.abs(np.exp(1j * L.eval(th)) - m.eval(np.exp(1j * th))).max() <= 1e-8
+    def test_analytic_strip(self, m, strip):
+        # the exponent is analytic on max|a| < |z| < 1/max|a| (|w|/2 for Mobius)
+        assert lift(m).strip == strip
 
-    def test_bstar_lifts_at_1024_nodes(self, bstar, monkeypatch):
-        sizes, fft = [], lifts.fourier_coeffs_from_samples
-        monkeypatch.setattr(
-            lifts, "fourier_coeffs_from_samples", lambda v, r: sizes.append(v.size) or fft(v, r)
-        )
-        lift(bstar)
-        assert sizes == [1024]
+    def test_branch_is_the_principal_argument_at_one(self):
+        # Q(1) = i arg tau(1): the products' log1p sums and a TrigLift with
+        # p(0) = 3.5 > pi start off it by one turn
+        rng = np.random.default_rng(36)
+        turns = set()
+        for _ in range(20):
+            zeros = 0.6 * np.sqrt(rng.uniform(size=3)) * np.exp(2j * np.pi * rng.uniform(size=3))
+            m = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+            L = lift(m)
+            turns.add(round(L.shift.imag / (2 * math.pi)))
+            assert L.exponent(np.ones(1, complex), derivative=False)[0] == pytest.approx(
+                1j * cmath.phase(m.eval(1.0)), abs=1e-15
+            )
+        assert turns == {-1, 0, 1}
+        L = lift(TrigLift(2, (3.5,)))
+        assert L.shift == -2j * math.pi
+        assert L.eval(0.0) == pytest.approx(3.5 - 2 * math.pi, abs=1e-15)
 
     @pytest.mark.parametrize(
         "m, message",
         [
-            (NonAnalytic(), "could not certify an analyticity strip for the lift"),
-            (Fractional(), "inconsistent lift: mean of log-derivative .* is not an integer"),
-            (BlaschkeProduct(1.0, (0.0, 0.9999)),
-             r"log-derivative tail 0\.0511 unresolved at 65536 nodes"),
+            (iterate(BlaschkeProduct(1.0, (0.0, 0.5)), 2),
+             "no closed-form lift for a map of class ComposedMap"),
+            (type("UserMap", (), {"degree": 2})(),
+             "no closed-form lift for a map of class UserMap"),
+            (MobiusFamilyMap(3.0), "MobiusFamilyMap: exponent analytic on no annulus"),
         ],
-        ids=["no-strip", "mean-off-the-degree", "tail-unresolved"],
+        ids=["composed", "user-class", "mobius-3"],
     )
-    def test_failure_exits(self, m, message):
-        with pytest.raises(RuntimeError, match=f"^{message}"):
+    def test_refused_maps(self, m, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             lift(m)
-
-    def test_vanishing_map_rejected(self):
-        class Vanishing:
-            def eval(self, z):
-                return z * z - 1.0
-
-            def deriv(self, z):
-                return 2 * z
-
-        with pytest.raises(ValueError, match="vanishes"):
-            lift(Vanishing())
 
 
 class TestLiftEval:
@@ -167,9 +100,9 @@ class TestLiftEval:
         assert L.eval(np.pi / 2) == pytest.approx(np.pi, abs=1e-14)
 
     def test_bstar_at_zero(self, bstar):
-        # B*(1) = 1 so alpha = 0 and lift(0) = 0
+        # B*(1) = 1 so arg tau(1) = 0 and lift(0) = 0
         L = lift(bstar)
-        assert abs(L.eval(0.0)) < 1e-12
+        assert abs(L.eval(0.0)) < 1e-15
 
     def test_imaginary_argument(self):
         L = lift(TrigLift(2))
@@ -177,26 +110,38 @@ class TestLiftEval:
 
     def test_strip_guard(self, bstar):
         L = lift(bstar)
-        with pytest.raises(ValueError, match="strip"):
-            L.eval(2j * L.strip + 1.0)
+        for theta in (1.0 + 1j * L.strip, 1.0 - 1j * L.strip):
+            with pytest.raises(ValueError, match="outside the lift's analytic annulus"):
+                L.eval(theta)
 
 
 class TestLiftOracle:
-    """LiftSeries, evaluated in z = e^{i theta}, against the phase-matrix sum."""
+    """The closed-form lift against the logarithm of the map's own values,
+    continued by unwrapping (helpers), on the rows Im theta = 0 and +-0.9
+    strip (+-0.5 for an infinite strip)."""
 
     @pytest.fixture(
         scope="class",
-        params=[(0.0, 0.5), (0.2, 0.3j, -0.4)],
-        ids=["bstar", "three-zero"],
+        params=[
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.2, 0.3j, -0.4)),
+            BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.3j, 0.4), anti=True),
+            BlaschkeProduct(1.0, (0.0, 0.99)),
+            MobiusFamilyMap(0.7 + 0.05j),
+            TrigLift(-3, (0.1, 0.05), (0.02,)),
+        ],
+        ids=["bstar", "three-zero", "anti-three-zero", "zero-0.99", "mobius-complex", "triglift-neg"],
     )
-    def series(self, request):
-        return lift(BlaschkeProduct(1.0, request.param))
+    def tau(self, request):
+        return request.param
 
     @pytest.mark.parametrize("row", [0.0, 0.9, -0.9])
-    def test_eval_and_deriv(self, series, row):
-        theta = THETA + 1j * row * series.strip
-        assert np.abs(series.eval(theta) - lift_eval_phases(series, theta)).max() < 1e-13
-        assert np.abs(series.deriv(theta) - lift_deriv_phases(series, theta)).max() < 1e-13
+    def test_eval_and_deriv(self, tau, row):
+        L = lift(tau)
+        height = row * min(L.strip, 0.5 / 0.9)
+        theta = THETA + 1j * height
+        np.testing.assert_allclose(L.eval(theta), lift_eval_ref(tau, height, 512), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(L.deriv(theta), lift_deriv_ref(tau, height, 512), rtol=1e-13)
 
 
 class TestBuildHomotopy:
@@ -258,13 +203,26 @@ PAIRS = pytest.mark.parametrize(
 
 @PAIRS
 def test_members_match_log_oracle(pair):
-    # z^d exp((1-w) Q_0 + w Q_1) against exp(i [(1-w) lift0 + w lift1](-i log z))
+    # z^d exp((1-w) Q_0 + w Q_1) against the exponents continued from the
+    # endpoint maps' own eval (helpers), on the certified circles and |z| = 1
     fam = build_homotopy(*pair)
-    zs = np.concatenate([rho * np.exp(1j * THETA) for rho in (fam.r0, 1.0, fam.R0)])
-    for w in (0.0, 0.5, 1.0, 0.3 + 0.5j * fam.eta):
-        member = fam.member(w)
-        np.testing.assert_allclose(member.eval(zs), member_eval_log(fam, w, zs), rtol=1e-13)
-        np.testing.assert_allclose(member.deriv(zs), member_deriv_log(fam, w, zs), rtol=1e-13)
+    for rho in (fam.r0, 1.0, fam.R0):
+        z = rho * np.exp(1j * THETA)
+        for w in (0.0, 0.5, 1.0, 0.3 + 0.5j * fam.eta):
+            member = fam.member(w)
+            np.testing.assert_allclose(member.eval(z), member_eval_ref(pair, w, rho, 512), rtol=1e-13)
+            np.testing.assert_allclose(member.deriv(z), member_deriv_ref(pair, w, rho, 512), rtol=1e-13)
+
+
+@PAIRS
+def test_endpoint_members_are_the_maps(pair):
+    # member(0) and member(1) are the endpoint maps to roundoff, on the
+    # certified annulus too, from their closed-form exponents
+    fam = build_homotopy(*pair)
+    z = np.concatenate([rho * np.exp(1j * THETA) for rho in (fam.r0, 1.0, fam.R0)])
+    for w, m in zip((0.0, 1.0), pair):
+        for f, g in ((fam.member(w).eval, m.eval), (fam.member(w).deriv, m.deriv)):
+            assert np.max(np.abs(f(z) - g(z)) / np.abs(g(z))) <= 1e-14
 
 
 @PAIRS
@@ -389,21 +347,13 @@ def test_find_expansive_annulus_skips_refused_annuli(mid_member):
     assert check_holo_expansive(member, ann).verdict == "A1"
 
 
-def test_lift_halves_past_a_refused_strip(mid_member, monkeypatch):
+def test_member_lift_is_the_family_exponent(mid_member):
+    # a member lifts on its family's certified strip, with Q_w = (1-w) Q_0 + w Q_1
     fam, member = mid_member
-    refused, real = [], lifts._roundtrip_error
-
-    def recording(m, L, im_offset, K):
-        try:
-            return real(m, L, im_offset, K)
-        except ValueError:
-            refused.append(im_offset)
-            raise
-
-    monkeypatch.setattr(lifts, "_roundtrip_error", recording)
     L = lift(member)
-    monkeypatch.undo()
-    # the strips refused lie off the certified annulus; the one returned lies on it
-    assert refused and min(map(abs, refused)) > fam.epsilon >= L.strip
-    for edge in (L.strip, -L.strip):
-        assert lifts._roundtrip_error(member, L, edge, 4096) <= 1e-13
+    assert L.d == 2 and L.strip == fam.epsilon and L.shift == 0
+    z = np.exp(1j * THETA)
+    want = 0.5 * fam.lift0.exponent(z, derivative=False) + 0.5 * fam.lift1.exponent(z, derivative=False)
+    np.testing.assert_allclose(L.exponent(z, derivative=False), want, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="outside the lift's analytic annulus"):
+        L.eval(THETA + 1j * fam.epsilon)

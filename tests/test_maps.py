@@ -453,12 +453,18 @@ class TestLengthIndependence:
         z = _annulus_points(fam.r0, fam.R0, 1 << 15, 7)
         self._assert_points_match(getattr(member, method), z)
 
+    @pytest.mark.parametrize(
+        "m", [TrigLift(2, (0.1,)), BlaschkeProduct(np.exp(0.3j), (0.2 + 0.1j, -0.3j, 0.4), anti=True),
+              MobiusFamilyMap(0.5 + 0.26j)],
+        ids=["triglift", "anti-three-zero", "mobius"],
+    )
     @pytest.mark.parametrize("method", ["eval", "deriv"])
-    def test_lift_series_point_gets_the_array_bits(self, method):
-        series = lift(TrigLift(2, (0.1,)))
+    def test_lift_point_gets_the_array_bits(self, m, method):
+        L = lift(m)
         rng = np.random.default_rng(8)
-        theta = rng.uniform(0, 2 * np.pi, 1 << 15) + 1j * rng.uniform(-1, 1, 1 << 15) * series.strip
-        self._assert_points_match(getattr(series, method), theta)
+        height = 0.9 * min(L.strip, 0.5)
+        theta = rng.uniform(0, 2 * np.pi, 1 << 15) + 1j * rng.uniform(-1, 1, 1 << 15) * height
+        self._assert_points_match(getattr(L, method), theta)
 
     @pytest.mark.parametrize("part", ["value", "slope", "value-alone"])
     def test_laurent_point_gets_the_array_bits(self, part):

@@ -235,11 +235,11 @@ NEAR_CIRCLE = BlaschkeProduct(1.0, (0.0, 0.999))
 THIN = Annulus(1 / 1.0005, 1.0005)
 
 
-def _homotopy_member(w=0.25):
-    # at w = 0.25 and truncation (64, 64): plus block resolved and minus block
-    # unresolved at its first K (512), through minus column 64 alone
-    fam = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
-    return fam.member(w), fam.annulus()
+# B* on (0.75, 1.25), where r R != 1, at truncation (64, 64): plus block
+# resolved and minus block unresolved at its first K (512)
+MINUS_ALONE = (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.75, 1.25))
+# the B* -> TrigLift(2, (0.1,)) homotopy: a circle map at real w, not at complex w
+BSTAR_TO_TRIG = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,)))
 
 
 class TestDiscardedPasses:
@@ -267,9 +267,9 @@ class TestDiscardedPasses:
             (FLOOR_STAR, Annulus(0.8, 1.25), 32),
             (TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32),
             (NEAR_CIRCLE, THIN, 4),  # resolves in the cap pass
-            _homotopy_member() + (64, 64),
+            MINUS_ALONE + (64, 64),
         ],
-        ids=["bstar-32", "bstar-64", "anti-32", "mobius_0.6", "floor", "triglift", "cap", "member"],
+        ids=["bstar-32", "bstar-64", "anti-32", "mobius_0.6", "floor", "triglift", "cap", "minus-alone"],
     )
     def test_escalated_matrix_is_the_explicit_K_matrix(self, case):
         m, annulus, N, *nminus = case
@@ -290,8 +290,7 @@ class TestDiscardedPasses:
         assert calls == [(256, "plus"), (512, "plus")]
 
     def test_unresolved_minus_block_alone_is_found(self, calls):
-        m, annulus = _homotopy_member()
-        assert assemble_dual(m, annulus, 64, 64).samples == 1024
+        assert assemble_dual(*MINUS_ALONE, 64, 64).samples == 1024
         assert calls == [(512, "plus"), (512, "minus"), (1024, "plus"), (1024, "minus")]
 
     def test_cap_quotes_the_worst_tail_of_both_blocks(self, calls):
@@ -480,6 +479,7 @@ REFLECTING = [
     pytest.param(TrigLift(2, (0.1,)), np.complex128, "A1", id="triglift"),
     pytest.param(TrigLift(2, (), (0.1,)), np.float64, "A1", id="odd_triglift"),
     pytest.param(FLOOR_STAR, np.complex128, "A2", id="floor_star"),
+    pytest.param(BSTAR_TO_TRIG.member(0.5), np.complex128, "A1", id="member-0.5"),
 ]
 
 
@@ -550,11 +550,11 @@ class TestReflection:
         "m, ann",
         [
             (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25)),  # not a circle map
-            (_homotopy_member(0.5)[0], Annulus(0.8, 1.25)),  # 137 eps
+            (BSTAR_TO_TRIG.member(0.5 + 0.5j * BSTAR_TO_TRIG.eta), Annulus(0.8, 1.25)),
             (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.93, 1.1)),  # r R != 1
             (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2)),
         ],
-        ids=["mobius-complex", "member-0.5", "bstar-0.93", "bstar-0.85"],
+        ids=["mobius-complex", "member-complex", "bstar-0.93", "bstar-0.85"],
     )
     def test_other_maps_keep_the_direct_minus_block(self, m, ann):
         T = assemble_dual(m, ann, 32, K=1024)

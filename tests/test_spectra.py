@@ -715,7 +715,7 @@ def test_homotopy_leading_group_is_holomorphic_in_w(w0, shallow, deep):
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 10: FFT roundoff and the snap are not holomorphic in w, and the "
-    "11-eigenvalue groups' gaps are 1.6e-8, 4.9e-7 and 4.0e-9",
+    "11-eigenvalue groups' gaps are 5.4e-8, 3.1e-8 and 5.5e-9",
 )
 @pytest.mark.parametrize("w0, shallow, deep", HOMOTOPY_CUTS)
 def test_homotopy_eleven_group_is_holomorphic_in_w(w0, shallow, deep):
