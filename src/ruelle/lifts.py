@@ -62,23 +62,28 @@ class Lift:
         return self.tau.degree
 
     def exponent(self, z, derivative=True):
-        """(Q(z), Q'(z)) at the points z, an array; Q(z) alone with
-        derivative=False.  A point off the annulus raises ValueError."""
-        mods = np.abs(z)
-        if np.any(mods <= math.exp(-self.strip)) or np.any(mods >= math.exp(self.strip)):
-            raise ValueError(f"z outside the lift's analytic annulus, |Im theta| < {self.strip:g}")
+        """(Q(z), Q'(z)) at the points z, an array that the caller keeps in
+        the annulus (eval and deriv refuse theta off the strip, and a homotopy
+        member z off its certified annulus); Q(z) alone with derivative=False."""
         out = self.tau._exponent(z, derivative)
         if not self.shift:
             return out
         return (out[0] + self.shift, out[1]) if derivative else out + self.shift
 
-    def eval(self, theta):
+    def _circle(self, theta):
+        # theta as an array and z = e^{i theta}, refused off the strip
         th = np.atleast_1d(np.asarray(theta, dtype=complex))
-        out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
+        if np.any(np.abs(th.imag) >= self.strip):
+            raise ValueError(f"Im theta outside the lift's analytic strip |Im theta| < {self.strip:g}")
+        return th, np.exp(1j * th)
+
+    def eval(self, theta):
+        th, z = self._circle(theta)
+        out = self.d * th - 1j * self.exponent(z, derivative=False)
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
-        z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=complex)))
+        z = self._circle(theta)[1]
         out = self.d + np.multiply(z, self.exponent(z)[1])  # in this order (module notes of maps)
         return complex(out[0]) if np.ndim(theta) == 0 else out
 

@@ -111,7 +111,7 @@ class TestLiftEval:
     def test_strip_guard(self, bstar):
         L = lift(bstar)
         for theta in (1.0 + 1j * L.strip, 1.0 - 1j * L.strip):
-            with pytest.raises(ValueError, match="outside the lift's analytic annulus"):
+            with pytest.raises(ValueError, match="outside the lift's analytic strip"):
                 L.eval(theta)
 
 
@@ -355,5 +355,5 @@ def test_member_lift_is_the_family_exponent(mid_member):
     z = np.exp(1j * THETA)
     want = 0.5 * fam.lift0.exponent(z, derivative=False) + 0.5 * fam.lift1.exponent(z, derivative=False)
     np.testing.assert_allclose(L.exponent(z, derivative=False), want, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError, match="outside the lift's analytic annulus"):
+    with pytest.raises(ValueError, match="outside the lift's analytic strip"):
         L.eval(THETA + 1j * fam.epsilon)
