@@ -1,17 +1,13 @@
 """Lifts of circle maps and complexified homotopies between them.
 
 A circle map tau of degree d is z^d e^{Q(z)}, and its lift is lift(theta) =
-d theta - i Q(e^{i theta}).  Every map class of the library has its exponent
-Q = log(tau(z)/z^d) and Q' in closed form (the classes' ``_exponent``),
-analytic on an annulus e^-s < |z| < e^s, the strip |Im theta| < s:
-
-- a Blaschke product: log alpha + sum log1p(-a_j/z) - log1p(-conj(a_j) z),
-  s = -log max|a_j|; an anti-product takes the negative;
-- a Mobius map: log1p(-w/(2z)) - log1p(-wz/2), s = -log(|w|/2);
-- a TrigLift: its Laurent polynomial, s = inf;
-- a homotopy member: (1-w) Q_0 + w Q_1, s its family's certified epsilon.
-
-A composition or any other class has no closed form, and ``lift`` refuses it.
+d theta - i Q(e^{i theta}).  Every map class of the library but the
+composition has its exponent Q = log(tau(z)/z^d) and Q' in closed form (the
+classes' ``_exponent``) and states ``strip``, the half-width s of the annulus
+e^-s < |z| < e^s on which Q is analytic, the strip |Im theta| < s (the
+classes' notes give s; a homotopy member's exponent (1-w) Q_0 + w Q_1 has
+its family's certified epsilon).  ``lift`` refuses a map that states no
+strip, a composition or any other class.
 The branch is fixed by Q(1) = i arg tau(1) (principal argument): an offset
 2 pi i k would change the members at every w that is not an integer.
 
@@ -34,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (
-    Annulus, BlaschkeProduct, MobiusFamilyMap, TrigLift, _PowerExpMap, check_holo_expansive
-)
+from .maps import Annulus, _PowerExpMap, check_holo_expansive
 
 __all__ = [
     "HomotopyFamily",
@@ -89,19 +83,12 @@ class Lift:
 
 
 def lift(m) -> Lift:
-    """The closed-form lift of a Blaschke product, Mobius map, TrigLift or
-    homotopy member, on its analytic strip (module notes).  Any other map,
-    a ComposedMap included, raises ValueError naming its class, and so does
-    a map whose exponent is analytic on no annulus about the unit circle
-    (a Mobius map with |w| >= 2)."""
-    if isinstance(m, HomotopyMember):
-        strip = m.family.epsilon
-    elif isinstance(m, TrigLift):
-        strip = math.inf
-    elif isinstance(m, (BlaschkeProduct, MobiusFamilyMap)):
-        rho = max(map(abs, m.zeros)) if isinstance(m, BlaschkeProduct) else abs(m.w) / 2
-        strip = -math.log(rho) if rho else math.inf
-    else:
+    """The closed-form lift of a map that states its ``strip`` (module notes),
+    on that strip.  Any other map, a ComposedMap included, raises ValueError
+    naming its class, and so does a map whose exponent is analytic on no
+    annulus about the unit circle (a Mobius map with |w| >= 2)."""
+    strip = getattr(m, "strip", None)
+    if strip is None:
         raise ValueError(f"no closed-form lift for a map of class {type(m).__name__}")
     if strip <= 0:
         raise ValueError(f"{type(m).__name__}: exponent analytic on no annulus about |z| = 1")
@@ -141,12 +128,14 @@ class HomotopyFamily:
 @dataclass(frozen=True)
 class HomotopyMember(_PowerExpMap):
     """The map T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}
-    on the certified annulus, for one parameter value w."""
+    on the certified annulus, for one parameter value w; its strip is the
+    family's epsilon."""
 
     family: HomotopyFamily
     w: complex
 
     def __post_init__(self):
+        object.__setattr__(self, "strip", self.family.epsilon)
         u = min(max(self.w.real, 0.0), 1.0)
         if abs(self.w - u) > self.family.eta + 1e-12:
             raise ValueError(

@@ -3,12 +3,13 @@
 Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
 analytically known degree.  Every type but the composition also gives its
-exponent Q = log(tau(z)/z^d) and Q' in closed form (``_exponent``, on the
-annulus stated in the notes of ``lifts``).  The module-level helpers
-implement the checks that the spectral machinery relies on: expansivity on
-the unit circle, boundary-circle inclusions certifying holomorphic
-expansivity (and naming the inward circle), and interior fixed points with
-their multipliers.
+exponent Q = log(tau(z)/z^d) and Q' in closed form (``_exponent``) and
+states ``strip``, the half-width s of the annulus e^-s < |z| < e^s on which
+Q is analytic (the class notes give s).  The module-level helpers implement
+the checks that the spectral machinery relies on: expansivity on the unit
+circle, boundary-circle inclusions certifying holomorphic expansivity (and
+naming the inward circle), and interior fixed points with their
+multipliers.
 
 One evaluation order: a value's bits depend only on its point, whatever the
 shape of the input.  A 0-d point is evaluated as a one-element array, and a
@@ -21,7 +22,6 @@ differ by operand order in their last bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,7 +89,9 @@ class BlaschkeProduct(_MapBase):
     """B(z) = alpha * prod (z - a_j)/(1 - conj(a_j) z), |alpha| = 1, |a_j| < 1.
 
     With anti=True the map is the reciprocal 1/B, an orientation-reversing
-    circle map of degree -d.
+    circle map of degree -d.  Its exponent log alpha + sum log1p(-a_j/z) -
+    log1p(-conj(a_j) z) (negated for 1/B) has strip -log max|a_j|, inf when
+    every zero is 0.
     """
 
     alpha: complex = 1.0
@@ -106,6 +108,8 @@ class BlaschkeProduct(_MapBase):
         for a in self.zeros:
             if abs(a) >= 1:
                 raise ValueError(f"zero {a} not inside the unit disk")
+        rho = max(map(abs, self.zeros))
+        object.__setattr__(self, "strip", -math.log(rho) if rho else math.inf)
 
     @property
     def degree(self) -> int:
@@ -147,8 +151,7 @@ class BlaschkeProduct(_MapBase):
         return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
 
     def _exponent(self, z, derivative=True):
-        # Q = log(B/z^d) = log alpha + sum log1p(-a/z) - log1p(-conj(a) z) and Q', analytic on
-        # max|a| < |z| < 1/max|a|; the anti map's exponent is -Q
+        # Q = log(B/z^d) and Q' (class notes); the anti map's exponent is -Q
         Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
         for a in self.zeros:
             Q = Q + np.log1p(-a / z) - np.log1p(-a.conjugate() * z)
@@ -165,12 +168,14 @@ class TrigLift(_PowerExpMap):
     with p(theta) = sum_k a_k cos(k theta) + b_k sin(k theta).
 
     Evaluation is single-valued on any annulus because cos/sin of k theta
-    are Laurent polynomials in z = e^{i theta}.
+    are Laurent polynomials in z = e^{i theta}: the exponent i p is analytic
+    on C*, strip inf.
     """
 
     d: int
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
+    strip = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
@@ -198,12 +203,15 @@ class MobiusFamilyMap(_MapBase):
     for real w in [0, 1] the unit circle is invariant (|2z - w| = |2 - wz|
     on |z| = 1).  The pole 2/w may lie anywhere, even inside an annulus of
     interest: ``check_holo_expansive`` decides whether an annulus is usable.
+    The exponent log1p(-w/(2z)) - log1p(-wz/2) has strip -log(|w|/2), inf
+    at w = 0 and not positive for |w| >= 2 (analytic on no annulus).
     """
 
     w: complex
 
     def __post_init__(self):
         object.__setattr__(self, "w", complex(self.w))
+        object.__setattr__(self, "strip", -math.log(abs(self.w) / 2) if self.w else math.inf)
 
     @property
     def degree(self) -> int:
@@ -223,7 +231,7 @@ class MobiusFamilyMap(_MapBase):
         return self.step(z, np.empty_like(z), np.empty_like(z))
 
     def _exponent(self, z, derivative=True):
-        # Q = log(T/z^2) = log1p(-w/(2z)) - log1p(-wz/2) and Q', analytic on |w|/2 < |z| < 2/|w|
+        # Q = log(T/z^2) and Q' (class notes)
         Q = np.log1p(-self.w / (2 * z)) - np.log1p(-self.w * z / 2)
         if not derivative:
             return Q
@@ -277,7 +285,7 @@ class ComposedMap(_MapBase):
 def iterate(m, n: int):
     """The n-th iterate as a map (chain rule derivative, degree d^n)."""
     if n < 1:
-        raise ValueError(f"iterate count must be >= 1, got {n}")
+        raise ValueError(f"power must be >= 1, got n={n}")
     return ComposedMap((m,) * n)
 
 
@@ -404,38 +412,38 @@ def _field(obj: dict, name: str, convert, *default):
         ) from exc
 
 
-def _json(kind, value):
-    # JSON values of one kind only: a string is no array, and a string, list or
-    # number is no boolean, however Python would read them
-    if not isinstance(value, kind):
-        raise TypeError(f"expected JSON {kind.__name__}, got {value!r}")
+def _json(value, kinds=(int, float)):
+    # a JSON value of the given kinds only, by default a number (int alone for a
+    # degree): a string is no array or number, and a boolean is only a boolean,
+    # however Python would read them (it counts True an int)
+    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected JSON {getattr(kinds, '__name__', 'number')}, got {value!r}")
     return value
 
 
-def _number(value):
-    # a JSON number: int or float; a string is none, and neither is a boolean,
-    # although Python counts it an int
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected JSON number, got {value!r}")
-    return value
+def _pair(value):
+    # a complex number: an array of one or two numbers (complex() reads [] as 0)
+    if not 1 <= len(_json(value, list)) <= 2:
+        raise TypeError(f"expected one or two JSON numbers, got {value!r}")
+    return complex(*map(_json, value))
 
 
 def from_descriptor(obj: dict):
     """Build a map from its JSON descriptor (see README for the schema)."""
     if not isinstance(obj, dict):
         raise ValueError(f"map descriptor must be a JSON object, got {obj!r}")
-    kind, pair = obj.get("type"), lambda p: complex(*map(_number, _json(list, p)))
+    kind = obj.get("type")
     if kind == "blaschke":
-        alpha = _field(obj, "alpha", pair, [1.0, 0.0])
-        zeros = _field(obj, "zeros", lambda zs: tuple(map(pair, _json(list, zs))))
-        return BlaschkeProduct(alpha, zeros, _field(obj, "anti", lambda b: _json(bool, b), False))
+        alpha = _field(obj, "alpha", _pair, [1.0, 0.0])
+        zeros = _field(obj, "zeros", lambda zs: tuple(map(_pair, _json(zs, list))))
+        return BlaschkeProduct(alpha, zeros, _field(obj, "anti", lambda b: _json(b, bool), False))
     if kind == "triglift":
         cos, sin = (
-            _field(obj, k, lambda cs: tuple(map(_number, _json(list, cs))), []) for k in ("cos", "sin")
+            _field(obj, k, lambda cs: tuple(map(_json, _json(cs, list))), []) for k in ("cos", "sin")
         )
-        return TrigLift(_field(obj, "d", operator.index), cos, sin)
+        return TrigLift(_field(obj, "d", lambda d: _json(d, int)), cos, sin)
     if kind == "mobius":
-        return MobiusFamilyMap(_field(obj, "w", pair))
+        return MobiusFamilyMap(_field(obj, "w", _pair))
     raise ValueError(f"unknown map descriptor type: {kind!r}")
 
 

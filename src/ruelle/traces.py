@@ -83,8 +83,6 @@ def trace_power(m, n: int, annulus: Annulus) -> complex:
     below 1e-8), the annulus is shrunk toward the unit circle (halving log r
     and log R) at most twice: a third gave TrigLift traces up to 3e-4 off, unflagged.
     """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got n={n}")
     it = iterate(m, n)
     ann = annulus
     last_err = None

@@ -545,6 +545,11 @@ def test_non_positive_tol_is_an_input_error(argv, capsys):
         ('{"type":"triglift","d":2,"cos":["0.1"]}', "cos"),
         ('{"type":"triglift","d":2,"sin":[true]}', "sin"),
         ('{"type":"mobius","w":[true]}', "w"),
+        # a complex number is one or two numbers: complex() would read [] as 0,
+        # and a degree is an integer, which a boolean is not
+        ('{"type":"mobius","w":[]}', "w"),
+        ('{"type":"blaschke","zeros":[[],[0.5,0]]}', "zeros"),
+        ('{"type":"triglift","d":true}', "d"),
     ],
 )
 def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):

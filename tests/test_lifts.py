@@ -57,7 +57,9 @@ class TestLift:
         ids=["bstar", "anti-zero-0.9", "squaring", "mobius-0.7", "mobius-0", "triglift"],
     )
     def test_analytic_strip(self, m, strip):
-        # the exponent is analytic on max|a| < |z| < 1/max|a| (|w|/2 for Mobius)
+        # the exponent is analytic on max|a| < |z| < 1/max|a| (|w|/2 for Mobius);
+        # the map states that strip, and its lift takes it
+        assert m.strip == strip
         assert lift(m).strip == strip
 
     def test_branch_is_the_principal_argument_at_one(self):
@@ -174,6 +176,12 @@ class TestBuildHomotopy:
         with pytest.raises(RuntimeError, match="^maps too wild for certified homotopy"):
             build_homotopy(bstar, BlaschkeProduct(1.0, (0.95, -0.9)))
 
+    def test_margins_too_thin(self):
+        # the lift derivatives pass at every strip width, but the boundary
+        # inclusions do not: eps is halved 12 times on a margin failure
+        with pytest.raises(RuntimeError, match="^maps too wild for certified homotopy"):
+            build_homotopy(MobiusFamilyMap(0.7 + 0.3j), MobiusFamilyMap(0.7))
+
     def test_zero_eta_ceiling(self, bstar):
         fam = build_homotopy(bstar, TrigLift(2, (0.1,)), eta_cap=0.0)
         assert fam.eta == 0.0 and fam.margin_inner > 0 and fam.margin_outer > 0
@@ -289,6 +297,9 @@ class TestHomotopyMembers:
             member = family.member(w)
             chk = check_holo_expansive(member, ann)
             assert chk.verdict == ("A1" if family.d > 0 else "A2")
+
+    def test_strip_is_the_certified_epsilon(self, family):
+        assert family.member(0.3).strip == lift(family.member(0.3)).strip == family.epsilon
 
     def test_membership_guard(self, family):
         with pytest.raises(ValueError, match="neighbourhood"):

@@ -377,7 +377,7 @@ class TestIterate:
         assert mu == pytest.approx(0.25, abs=1e-12)
 
     def test_rejects_zero(self, bstar):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power must be >= 1, got n=0"):
             iterate(bstar, 0)
 
 
