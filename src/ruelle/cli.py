@@ -151,6 +151,8 @@ def cmd_spectrum(args):
 
 
 def cmd_trace(args):
+    if args.N < 1:
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     m = _parse_map(args.map)
     ann, config = _annulus_and_config(args, m)
     rep = trace_report(m, ann, nplus=args.N)

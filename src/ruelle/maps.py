@@ -22,6 +22,7 @@ differ by operand order in their last bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -414,10 +415,13 @@ def _field(obj: dict, name: str, convert, *default):
 
 def _json(value, kinds=(int, float)):
     # a JSON value of the given kinds only, by default a number (int alone for a
-    # degree): a string is no array or number, and a boolean is only a boolean,
-    # however Python would read them (it counts True an int)
+    # degree): a string is no array or number, a boolean is only a boolean, however
+    # Python would read them (it counts True an int), and a number is finite as a
+    # float (json reads NaN, Infinity and 1e400, and keeps integers of any size)
     if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
         raise TypeError(f"expected JSON {getattr(kinds, '__name__', 'number')}, got {value!r}")
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite JSON number, got {value!r}")
     return value
 
 

@@ -34,7 +34,8 @@ Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
 plus block at row m with weight g_m (r/rho)^m, and in the minus block at
 row m >= 1 with weight g_{-m} (rho/R)^m.  Both weights are <= 1 for the
-circles used here, so the assembly never amplifies roundoff.
+circles used here, so the assembly never amplifies roundoff, and a00 = 1 (the
+constant 1 maps to itself) is the largest entry: column n >= 1 is at most max|step|^n < 1.
 
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
@@ -62,10 +63,10 @@ __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 # spectral tolerance used downstream).
 TAIL_REJECT = 1e-9
 
-# Entries below this fraction of the largest matrix entry are roundoff from
-# the FFT of analytically sparse columns (e.g. tau = z^d produces exactly
-# one coefficient per column); snapping them restores the exact nilpotent
-# structure and keeps spurious eigenvalues at 0 instead of ~1e-4.
+# Entries below this in magnitude are roundoff from the FFT of analytically sparse
+# columns (tau = z^d gives one per column); snapping them keeps the exact nilpotent
+# structure and spurious eigenvalues at 0, not ~1e-4.  It is absolute (a00 = 1 is the
+# largest entry, module notes); each column snaps as written, before the reflection copy.
 SNAP_TOL = 1e-14
 
 CHUNK_SAMPLES = 1 << 17  # per FFT call in the assembly: 2 MB of samples
@@ -141,6 +142,7 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
         d = out[start : start + len(n)]
         np.take(c, idx, axis=1, out=d, mode="wrap")
         d *= weight
+        d[np.abs(d) < SNAP_TOL] = 0.0  # the snap (notes of SNAP_TOL)
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
         # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
@@ -171,10 +173,10 @@ def assemble_dual(
     TAIL_REJECT) resolves every column; an explicit K with an unresolved tail
     above TAIL_REJECT raises instead.  Both errors quote the worst tail of
     both blocks and its floor.  An automatic pass below the cap whose plus
-    block is unresolved is discarded without building its minus block,
-    directly or by the reflection rule in the module notes.  The matrix is
-    float64, read from the half spectrum of real FFTs of folded columns, iff
-    each sample row v agrees with conj v[-j mod K].  The rows are tau at the
+    block is unresolved is discarded without building its minus block; a
+    reflected one (module notes) is copied once, from the accepted pass.
+    The matrix is float64, read from the half spectrum of real FFTs of
+    folded columns, iff each sample row v agrees with conj v[-j mod K].  The rows are tau at the
     pass's K nodes on each boundary circle, judged after the integer checks
     by the inclusion test: 'none' is refused (ValueError naming the margin);
     plus inputs go on the circle tau maps inward.
@@ -205,16 +207,10 @@ def assemble_dual(
         size, plus = (2 * p - 1, p) if reflected else (nplus + nminus, nplus)
         cols = np.empty((size, size), dtype=float if real else complex, order="F")
         unresolved = _assemble_block(cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus)
-        if not (retry and unresolved):
-            if reflected:  # the reflection rule of the module notes, on (p, p - 1)
-                minus = cols.T[p:]  # indices in range: "clip" only skips a buffered copy
-                np.take(cols.T[1:p], _swap(p), axis=1, out=minus, mode="clip")
-                if not real:
-                    np.conjugate(minus, out=minus)
-            else:
-                unresolved += _assemble_block(
-                    cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
-                )
+        if not (reflected or retry and unresolved):
+            unresolved += _assemble_block(
+                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+            )
         if not unresolved:
             break
         if retry:
@@ -232,15 +228,14 @@ def assemble_dual(
             )
         break
 
-    if reflected and nminus != nplus - 1:  # entry (m, n) depends on K alone
-        keep = np.r_[:nplus, p : p + nminus]
-        cols = _gather(cols, keep, keep)
-    if real:  # |x| < t as two comparisons, with no float copy
-        t = SNAP_TOL * max(cols.max(), -cols.min())
-        cols[(cols < t) & (cols > -t)] = 0.0
-    else:
-        mag = np.abs(cols)
-        cols[mag < SNAP_TOL * mag.max()] = 0.0
+    if reflected:  # the reflection rule of the module notes, on (p, p - 1)
+        minus = cols.T[p:]  # indices in range: "clip" only skips a buffered copy
+        np.take(cols.T[1:p], _swap(p), axis=1, out=minus, mode="clip")
+        if not real:  # conjugated as 0 - Im, so snapped zeros stay +0, not -0
+            np.subtract(0, minus.imag, out=minus.imag)
+        if nminus != nplus - 1:  # entry (m, n) depends on K alone
+            keep = np.r_[:nplus, p : p + nminus]
+            cols = _gather(cols, keep, keep)
     return TruncatedOperator(nplus, nminus, cols, k)
 
 

@@ -550,6 +550,20 @@ def test_non_positive_tol_is_an_input_error(argv, capsys):
         ('{"type":"mobius","w":[]}', "w"),
         ('{"type":"blaschke","zeros":[[],[0.5,0]]}', "zeros"),
         ('{"type":"triglift","d":true}', "d"),
+        # a number is finite as a float: json reads NaN, Infinity and 1e400 (as
+        # inf), and an integer beyond float range would overflow float()
+        *[
+            pytest.param(form.replace("X", bad), field, id=f"{field}-{bad[:9]}")
+            for bad in ("NaN", "Infinity", "-Infinity", "1e400", str(10**400))
+            for form, field in [
+                ('{"type":"blaschke","zeros":[[0,0],[X,0]]}', "zeros"),
+                ('{"type":"blaschke","zeros":[[0,0],[0.5,0]],"alpha":[1,X]}', "alpha"),
+                ('{"type":"triglift","d":2,"cos":[X]}', "cos"),
+                ('{"type":"triglift","d":2,"sin":[0.1,X]}', "sin"),
+                ('{"type":"mobius","w":[X]}', "w"),
+                ('{"type":"triglift","d":X}', "d"),
+            ]
+        ],
     ],
 )
 def test_incomplete_descriptor_is_an_input_error(descriptor, field, capsys):
@@ -663,6 +677,12 @@ def test_non_finite_number_is_an_input_error(argv, named, capsys, tmp_path, monk
     assert "Traceback" not in err
     assert not (tmp_path / "x.pgm").exists()
     assert not out  # no artifact, with a NaN or Infinity token or any other
+
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_trace_rejects_N_below_one(N, capsys):
+    assert main(["trace", "--map", BSTAR, "--N", N]) == 1
+    assert capsys.readouterr().err == f"error: --N must be at least 1, got {N}\n"
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

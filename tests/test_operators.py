@@ -395,8 +395,9 @@ class TestBlockAssembly:
             T = assemble_dual(m, annulus, N, nminus, K)
             assert T.samples == K
             expect = _column_by_column(m, annulus, N, K, nminus=nminus)
-            assert T.matrix.dtype == expect.dtype
-            assert np.array_equal(T.matrix, expect)
+            assert T.matrix.dtype == expect.dtype and T.matrix.shape == expect.shape
+            # bytes, not np.array_equal: a snapped zero must be +0, not -0
+            assert T.matrix.tobytes(order="C") == expect.tobytes(order="C")
 
     def test_underflowed_columns_count_as_resolved(self):
         # |tau / r| = 0.01 on |z| = r, so the samples step^n underflow to
@@ -405,6 +406,37 @@ class TestBlockAssembly:
             warnings.simplefilter("error")
             T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
         assert T.samples == 2048  # the default max(256, 8 * 256)
+
+
+class TestLargestEntry:
+    """The snap is absolute, SNAP_TOL rather than SNAP_TOL max|entry|, as a00 = 1
+    is the largest entry: the constant 1 maps to itself, and column n >= 1 is
+    bounded by max|step|^n < 1.  Checked reflected (r R = 1) and direct
+    ((0.85, 1.2)), real and complex, on both orientations."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            MobiusFamilyMap(0.7),
+            MobiusFamilyMap(0.7 + 0.05j),
+            TrigLift(2, (0.1,)),
+            TrigLift(2, (), (0.1,)),
+            TrigLift(-2, (0.1,)),
+            FLOOR_STAR,
+        ],
+        ids=["bstar", "anti_bstar", "mobius", "mobius_complex", "triglift", "odd_triglift",
+             "reversed_triglift", "floor_star"],
+    )
+    @pytest.mark.parametrize(
+        "radii", [(0.8, 1.25), (0.85, 1.2), None], ids=["r0.8", "r0.85", "auto"]
+    )
+    @pytest.mark.parametrize("N", [16, 48, 128])
+    def test_a00_is_the_largest_entry(self, m, radii, N):
+        annulus = Annulus(*radii) if radii else find_expansive_annulus(m)
+        matrix = assemble_dual(m, annulus, N).matrix
+        assert np.abs(matrix).max() == matrix[0, 0] == 1.0
 
 
 class TestRealMatrices:
