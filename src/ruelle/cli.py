@@ -122,6 +122,8 @@ def _spectrum_summary(spec):
 
 
 def cmd_spectrum(args):
+    if args.N < 64:
+        raise ValueError(f"--N must be at least 64, got {args.N}")
     m = _parse_map(args.map)
     ann, config = _annulus_and_config(args, m)
     spec = converged_spectrum(m, ann, tol=args.tol, max_order=args.N)
@@ -215,12 +217,7 @@ def _scan_members(args):
     else:
         if not (args.map0 and args.map1):
             raise ValueError("homotopy scan needs --map0 and --map1")
-        fam = build_homotopy(
-            _parse_map(args.map0),
-            _parse_map(args.map1),
-            epsilon=args.epsilon,
-            eta_cap=args.eta,
-        )
+        fam = build_homotopy(_parse_map(args.map0), _parse_map(args.map1))
         for w in grid:
             yield float(w), fam.member(complex(w)), fixed or fam.annulus()
 
@@ -260,7 +257,7 @@ def cmd_julia(args):
 
 def cmd_homotopy_check(args):
     map0, map1 = _parse_map(args.map0), _parse_map(args.map1)
-    fam = build_homotopy(map0, map1, epsilon=args.epsilon, eta_cap=args.eta)
+    fam = build_homotopy(map0, map1)
     # sup distance between the endpoint map and the member at real w = eta,
     # against the first-order bound eta * sup |d T / d w|
     b = circle_nodes(1.0, 512)
@@ -326,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map1", help="homotopy endpoint descriptor")
     p.add_argument("--grid", required=True, help="lo:hi:count")
     p.add_argument("--annulus", help="r,R override")
-    p.add_argument("--epsilon", type=float, help="homotopy strip half-width override")
-    p.add_argument("--eta", type=float, help="homotopy neighbourhood ceiling")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_scan)
@@ -345,8 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homotopy-check", help="certify a homotopy and report margins")
     p.add_argument("--map0", required=True)
     p.add_argument("--map1", required=True)
-    p.add_argument("--epsilon", type=float, help="strip half-width override")
-    p.add_argument("--eta", type=float, help="parameter-neighbourhood ceiling")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_homotopy_check)
     for p in sub.choices.values():  # a value such as -0.3,0.1, -1:1:3 or -inf, not an option

@@ -14,12 +14,12 @@ The branch is fixed by Q(1) = i arg tau(1) (principal argument): an offset
 Two equal-degree maps are joined by the convex combination of their lifts,
 T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}, which
 stays well defined on the annulus image of the strip and remains
-holomorphically expansive for w in a complex neighbourhood of [0, 1].  The
-strip half-width eps starts strictly inside both endpoints' analytic annuli,
-at half the narrower strip (and at most 0.35), and is halved until the
-neighbourhood half-width eta and eps are certified by dense sampling with
-explicit margins (the existence argument is a compactness one and yields no
-constants).
+holomorphically expansive for w in a complex neighbourhood of [0, 1].  Both
+widths depend on the two maps alone.  The strip half-width eps starts
+strictly inside both endpoints' analytic annuli, at min(strip0 / 2,
+strip1 / 2, 0.35), and is halved until the neighbourhood half-width
+eta <= 1 and eps are certified by dense sampling with explicit margins (the
+existence argument is a compactness one and yields no constants).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class HomotopyMember(_PowerExpMap):
     def __post_init__(self):
         object.__setattr__(self, "strip", self.family.epsilon)
         u = min(max(self.w.real, 0.0), 1.0)
-        if abs(self.w - u) > self.family.eta + 1e-12:
+        if not abs(self.w - u) <= self.family.eta + 1e-12:  # NaN included
             raise ValueError(
                 f"w={self.w:.6g} outside the certified neighbourhood "
                 f"[0,1] + disk({self.family.eta:g})"
@@ -158,23 +158,19 @@ class HomotopyMember(_PowerExpMap):
         return (1 - self.w) * q0 + self.w * q1
 
 
-def build_homotopy(
-    map0, map1, epsilon: float | None = None, eta_cap: float | None = None
-) -> HomotopyFamily:
+def build_homotopy(map0, map1) -> HomotopyFamily:
     """Certify a homotopy family between map0 and map1 (equal degrees).
 
-    The strip half-width eps starts at the smallest of 0.35, the override
-    epsilon and half of each lift's analytic strip, so that the rows
-    Im theta = +-eps lie strictly inside both endpoints' analytic annuli,
-    and is bisected until (a) the real part of the
+    The strip half-width eps depends on the two maps alone: it starts at
+    min(strip0 / 2, strip1 / 2, 0.35) for the lifts' analytic strips, so
+    that the rows Im theta = +-eps lie strictly inside both endpoints'
+    analytic annuli, and is bisected until (a) the real part of the
     combined lift derivative stays above 1 in modulus throughout the strip
     and the w-neighbourhood (giving the expansion factor rho), and (b) the
     boundary-circle inclusions hold with positive sampled margin for the
     annuli r0 = e^-eps, R0 = e^eps, r1/R1 the geometric midpoints toward
     e^{-/+ eps (rho+1)/2}.  eta is sized from sup|lift1 - lift0| so the
-    whole neighbourhood keeps |T| within the certified corridor, at most
-    eta_cap (default 1); the overrides must be finite, epsilon positive and
-    eta_cap non-negative (ValueError).
+    whole neighbourhood keeps |T| within the certified corridor, at most 1.
     Derivatives and lift differences are sampled on 512 points of the
     three rows Im theta = 0, +eps, -eps, and the inclusions on 4096 points
     of each boundary circle, where the margins are read.
@@ -185,15 +181,12 @@ def build_homotopy(
     d = l0.d
     sgn = 1 if d > 0 else -1
 
-    if epsilon is not None and not 0 < epsilon < math.inf:  # NaN included
-        need = "finite" if epsilon > 0 else "positive"
-        raise ValueError(f"epsilon override must be {need}, got {epsilon}")
-    if eta_cap is not None and not 0 <= eta_cap < math.inf:
-        need = "finite" if eta_cap > 0 else "non-negative"
-        raise ValueError(f"eta_cap override must be {need}, got {eta_cap}")
-    eps = min(l0.strip / 2, l1.strip / 2, 0.35, math.inf if epsilon is None else epsilon)
+    # what does not depend on eps: the real grid, the boundary base and sup|lift1 - lift0|
+    grid = 2 * np.pi * np.arange(512) / 512
+    b = 2 * np.pi * np.arange(4096) / 4096
+    m_lift = float(np.max(np.abs(l1.eval(grid) - l0.eval(grid))))
+    eps = min(l0.strip / 2, l1.strip / 2, 0.35)
     while eps >= 1e-4:
-        grid = 2 * np.pi * np.arange(512) / 512
         rows = [grid, grid + 1j * eps, grid - 1j * eps]
         derivs = [(l0.deriv(theta), l1.deriv(theta)) for theta in rows]
         rho_real = min(float(np.min(sgn * dl.real)) for pair in derivs for dl in pair)
@@ -202,12 +195,10 @@ def build_homotopy(
             continue
 
         m_deriv = max(float(np.max(np.abs(d1 - d0))) for d0, d1 in derivs)
-        m_lift = float(np.max(np.abs(l1.eval(grid) - l0.eval(grid))))
         slack = (rho_real - 1) / 2
         eta = min(
             slack / m_deriv if m_deriv > 1e-14 else math.inf,
             eps * slack / m_lift if m_lift > 1e-14 else math.inf,
-            eta_cap if eta_cap is not None else 1.0,
             1.0,
         )
         rho_u = rho_real - eta * m_deriv
@@ -221,7 +212,6 @@ def build_homotopy(
             for u in (0.0, 0.5, 1.0)
             for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False)
         ]
-        b = 2 * np.pi * np.arange(4096) / 4096
         # the row Im theta = +eps is |z| = r0, mapped inward for d > 0
         row_in, row_out = (b + 1j * eps, b - 1j * eps)[::sgn]
         in0, in1, out0, out1 = (lf.eval(row) for row in (row_in, row_out) for lf in (l0, l1))

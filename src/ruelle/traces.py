@@ -137,11 +137,15 @@ class DetResult:
 
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of
-    (1 - e^zeta lambda_k), with a geometric bound on the omitted tail."""
+    (1 - e^zeta lambda_k), with a geometric bound on the omitted tail.  A
+    zeta with a NaN part raises ValueError; zeta = -inf gives 1 with tail 0."""
+    zeta = complex(zeta)
+    if np.isnan(zeta):
+        raise ValueError(f"zeta={zeta} has a NaN part")
     lams = s.converged()
     if len(lams) == 0:
         raise ValueError("empty spectrum")
-    w = np.exp(complex(zeta))
+    w = np.exp(zeta)
     value = complex(np.prod(1 - w * lams))
 
     # geometric bound on the factors beyond the converged range, anchored at
@@ -180,14 +184,15 @@ def det_from_traces(
     """det(I - z L) = exp(-sum_{n<=nmax} z^n Tr(L^n) / n).
 
     The trace series converges only near 0 (the leading eigenvalue is 1);
-    |z| <= 0.5 is enforced to keep the geometric truncation tail tiny.  The
-    tail adds to that truncation the roundoff of the sum, nmax eps
-    sum |z^n Tr(L^n) / n|: it covers the contour traces' own accuracy of
-    about eps |Tr(L^n)|, the rounding of each term and the recursive
-    summation bound (nmax - 1) eps/2 sum |terms|; 2 eps more cover exp.
+    |z| <= 0.5 is enforced (a z with a NaN part fails it too) to keep the
+    geometric truncation tail tiny.  The tail adds to that truncation the
+    roundoff of the sum, nmax eps sum |z^n Tr(L^n) / n|: it covers the
+    contour traces' own accuracy of about eps |Tr(L^n)|, the rounding of
+    each term and the recursive summation bound (nmax - 1) eps/2 sum |terms|;
+    2 eps more cover exp.
     """
     z = complex(z)
-    if abs(z) > 0.5:
+    if not abs(z) <= 0.5:
         raise ValueError(f"|z|={abs(z):.3g} outside the validity window |z| <= 0.5")
     if nmax < 1:
         raise ValueError(f"nmax={nmax} must be at least 1")

@@ -19,7 +19,6 @@ ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
 SQUARING = '{"type":"triglift","d":2,"cos":[],"sin":[]}'
 MOBIUS = '{"type":"mobius","w":[0.7,0]}'
 TRIG = '{"type":"triglift","d":2,"cos":[0.1]}'
-HOMOTOPY = ["homotopy-check", "--map0", BSTAR, "--map1", TRIG]
 # an anti-product with min_expansion 0.902, so neither closed forms nor an annulus
 NON_EXPANDING = (
     '{"type":"blaschke","alpha":[0.5347014655892233,0.8450410301853613],'
@@ -424,15 +423,6 @@ class TestHomotopyCheck:
                      "--map1", '{"type":"triglift","d":3,"cos":[],"sin":[]}'])
         assert code == 1
 
-    def test_overrides(self, tmp_path):
-        out = tmp_path / "hc.json"
-        code = main(["homotopy-check", "--map0", SQUARING, "--map1", BSTAR,
-                     "--epsilon", "0.1", "--eta", "0.02", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["epsilon"] <= 0.1 + 1e-12
-        assert doc["eta"] <= 0.02 + 1e-12
-
 
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 1
@@ -650,22 +640,9 @@ def test_option_of_wrong_kind_is_an_input_error(argv, named, capsys, tmp_path, m
         ),
         (["spectrum", "--map", TRIG, "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
         (["scan", "--grid", "0:1:2", "--annulus", "0.8,1.25", "--tol", "inf"], "tol=inf"),
-        # the homotopy overrides: each of these certified the default family or,
-        # for --eta -1, failed as "maps too wild"
-        ([*HOMOTOPY, "--eta", "nan"], "eta_cap override must be non-negative, got nan"),
-        ([*HOMOTOPY, "--eta", "inf"], "eta_cap override must be finite, got inf"),
-        ([*HOMOTOPY, "--eta", "-1"], "eta_cap override must be non-negative, got -1.0"),
-        ([*HOMOTOPY, "--epsilon", "nan"], "epsilon override must be positive, got nan"),
-        ([*HOMOTOPY, "--epsilon", "inf"], "epsilon override must be finite, got inf"),
-        (
-            ["scan", "--family", "homotopy", "--map0", BSTAR, "--map1", TRIG, "--grid", "0:1:2",
-             "--eta", "nan"],
-            "eta_cap override must be non-negative, got nan",
-        ),
     ],
     ids=["z-inf", "z-nan", "zeta-scan", "annulus", "grid", "w", "viewport", "spectrum-tol",
-         "scan-tol", "eta-nan", "eta-inf", "eta-negative", "epsilon-nan", "epsilon-inf",
-         "scan-eta-nan"],
+         "scan-tol"],
 )
 def test_non_finite_number_is_an_input_error(argv, named, capsys, tmp_path, monkeypatch):
     # inf or nan in a numeric option exits 1 with an error line naming the option,
@@ -683,6 +660,12 @@ def test_non_finite_number_is_an_input_error(argv, named, capsys, tmp_path, monk
 def test_trace_rejects_N_below_one(N, capsys):
     assert main(["trace", "--map", BSTAR, "--N", N]) == 1
     assert capsys.readouterr().err == f"error: --N must be at least 1, got {N}\n"
+
+
+@pytest.mark.parametrize("N", ["0", "-1", "63"])
+def test_spectrum_rejects_N_below_64(N, capsys):
+    assert main(["spectrum", "--map", BSTAR, "--annulus", "0.8,1.25", "--N", N]) == 1
+    assert capsys.readouterr().err == f"error: --N must be at least 64, got {N}\n"
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -158,19 +158,6 @@ class TestBuildHomotopy:
         with pytest.raises(ValueError, match="2 vs 3"):
             build_homotopy(squaring, TrigLift(3))
 
-    def test_rejects_non_positive_epsilon(self, bstar):
-        # and every override that is not finite, or a negative eta ceiling
-        for override, message in [
-            ({"epsilon": 0.0}, "epsilon override must be positive, got 0.0"),
-            ({"epsilon": math.nan}, "epsilon override must be positive, got nan"),
-            ({"epsilon": math.inf}, "epsilon override must be finite, got inf"),
-            ({"eta_cap": math.nan}, "eta_cap override must be non-negative, got nan"),
-            ({"eta_cap": math.inf}, "eta_cap override must be finite, got inf"),
-            ({"eta_cap": -1.0}, "eta_cap override must be non-negative, got -1.0"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                build_homotopy(bstar, TrigLift(2, (0.1,)), **override)
-
     def test_maps_too_wild(self, bstar):
         # zeros at 0.95 and -0.9: no strip down to 1e-4 certifies the family
         with pytest.raises(RuntimeError, match="^maps too wild for certified homotopy"):
@@ -182,9 +169,24 @@ class TestBuildHomotopy:
         with pytest.raises(RuntimeError, match="^maps too wild for certified homotopy"):
             build_homotopy(MobiusFamilyMap(0.7 + 0.3j), MobiusFamilyMap(0.7))
 
-    def test_zero_eta_ceiling(self, bstar):
-        fam = build_homotopy(bstar, TrigLift(2, (0.1,)), eta_cap=0.0)
-        assert fam.eta == 0.0 and fam.margin_inner > 0 and fam.margin_outer > 0
+    @pytest.mark.parametrize(
+        "pair, start",
+        [
+            ((BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.1,))), math.log(2) / 2),
+            ((BlaschkeProduct(1.0, (0.0, 0.5)), MobiusFamilyMap(0.7)), math.log(2) / 2),
+            ((BlaschkeProduct(1.0, (0.0, 0.5)), BlaschkeProduct(1.0, (0.0, 0.97))),
+             0.015229603742354287),
+            ((TrigLift(-2), BlaschkeProduct(1.0, (0.0, 0.5), anti=True)), math.log(2) / 2),
+        ],
+        ids=["bstar-to-triglift", "bstar-to-mobius", "bstar-to-near-circle-zero",
+             "reversing"],
+    )
+    def test_strip_starts_from_the_two_maps(self, pair, start):
+        # eps = min(strip0 / 2, strip1 / 2, 0.35), certified without a halving
+        fam = build_homotopy(*pair)
+        assert fam.epsilon == min(lift(pair[0]).strip / 2, lift(pair[1]).strip / 2, 0.35)
+        assert fam.epsilon == pytest.approx(start, rel=1e-15)
+        assert 0 < fam.eta <= 1
 
     def test_constant_family(self, squaring):
         fam = build_homotopy(squaring, TrigLift(2))
@@ -304,6 +306,13 @@ class TestHomotopyMembers:
     def test_membership_guard(self, family):
         with pytest.raises(ValueError, match="neighbourhood"):
             family.member(0.5 + 3j * family.eta)
+
+    @pytest.mark.parametrize("w", [math.nan, complex(0.5, math.nan), math.inf],
+                             ids=["nan", "nan-imag", "inf"])
+    def test_membership_guard_refuses_non_finite(self, family, w):
+        # a NaN parameter once passed the guard and evaluated to nan+nanj
+        with pytest.raises(ValueError, match="outside the certified neighbourhood"):
+            family.member(w)
 
     def test_domain_guard(self, family):
         with pytest.raises(ValueError, match="annulus"):

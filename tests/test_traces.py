@@ -353,12 +353,37 @@ class TestDetRoutes:
                 lambda m, ann: det_from_traces(m, ann, 0.3, nmax=5, traces=[1.0, 0.5]),
                 "trace table has 2 entries, need 5",
             ),
+            # a point with a NaN part once gave nan+nanj with a nan tail and no warning
+            (
+                lambda m, ann: det_from_spectrum(Spectrum(np.array([0.5 + 0j]), None, 1), math.nan),
+                r"zeta=\(nan\+0j\) has a NaN part",
+            ),
+            (
+                lambda m, ann: det_from_spectrum(
+                    Spectrum(np.array([0.5 + 0j]), None, 1), complex(0, math.nan)
+                ),
+                "zeta=nanj has a NaN part",
+            ),
+            (
+                lambda m, ann: det_from_traces(m, ann, math.nan, traces=[1.0] * 24),
+                r"\|z\|=nan outside the validity window",
+            ),
+            (
+                lambda m, ann: det_from_traces(m, ann, 1j * math.nan, traces=[1.0] * 24),
+                r"\|z\|=nan outside the validity window",
+            ),
         ],
-        ids=["trace-power", "closed-form", "unconverged-spectrum", "short-table"],
+        ids=["trace-power", "closed-form", "unconverged-spectrum", "short-table",
+             "spectrum-zeta-nan", "spectrum-zeta-nan-imag", "traces-z-nan", "traces-z-nan-imag"],
     )
     def test_rejects_out_of_range_arguments(self, bstar, annulus, call, message):
         with pytest.raises(ValueError, match=message):
             call(bstar, annulus)
+
+    def test_zeta_minus_inf_is_one(self, bstar, annulus):
+        # e^zeta = 0: det = 1 exactly, with no tail
+        res = det_from_spectrum(converged_spectrum(bstar, annulus), -math.inf)
+        assert (res.value, res.tail) == (1, 0)
 
     def test_trivial_map_det(self, squaring, annulus):
         # spectrum {1}: det = 1 - z
