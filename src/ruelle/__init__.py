@@ -8,48 +8,13 @@ closed forms available for Blaschke and anti-Blaschke products: eigenvalue
 sequences driven by the interior fixed-point multiplier, contour-integral
 traces, Fredholm determinants, and the quadratic order of growth of the
 associated entire function.
+
+Each public name is imported from its module, as in
+``from ruelle.spectra import converged_spectrum``; the package itself
+binds only the modules.
 """
 
-from .maps import (
-    Annulus,
-    BlaschkeProduct,
-    ComposedMap,
-    MobiusFamilyMap,
-    TrigLift,
-    check_holo_expansive,
-    fixed_point_disk,
-    iterate,
-    min_expansion,
-    second_iterate_multiplier,
-)
-from .numerics import circle_integral, fourier_coeffs_from_samples, laurent
-from .operators import TruncatedOperator, assemble_dual, singular_values
-from .spectra import (
-    DecayFit,
-    Spectrum,
-    converged_spectrum,
-    counting_function,
-    decay_fit,
-    eigenvalues,
-    order_estimate,
-)
-from .traces import (
-    TraceReport,
-    blaschke_trace_closed,
-    det_from_spectrum,
-    det_from_traces,
-    det_product_formula,
-    trace_contour,
-    trace_power,
-    trace_report,
-)
-from .lifts import (
-    HomotopyFamily,
-    HomotopyMember,
-    build_homotopy,
-    find_expansive_annulus,
-    lift,
-)
-from .julia import Raster, render, write_pgm
+# the seven library modules and not the CLI, so a timed `import ruelle` loads the same code
+from . import julia, lifts, maps, numerics, operators, spectra, traces
 
 __version__ = "0.1.0"

@@ -205,7 +205,7 @@ def cmd_det(args):
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
 
 
-def _scan_members(args):
+def _scan_members(args, ends):
     """(w, member, annulus) per grid point; the annulus is --annulus, else the
     search's for a Mobius member or the homotopy family's certified one."""
     grid = _parse_grid(args.grid, "--grid")
@@ -215,17 +215,20 @@ def _scan_members(args):
             m = MobiusFamilyMap(complex(w))
             yield float(w), m, fixed or find_expansive_annulus(m)
     else:
-        if not (args.map0 and args.map1):
-            raise ValueError("homotopy scan needs --map0 and --map1")
-        fam = build_homotopy(_parse_map(args.map0), _parse_map(args.map1))
+        fam = build_homotopy(ends["map0"], ends["map1"])
         for w in grid:
             yield float(w), fam.member(complex(w)), fixed or fam.annulus()
 
 
 def cmd_scan(args):
+    ends = {}  # the homotopy endpoints, recorded as maps, not as the option strings
+    if args.family == "homotopy":
+        if not (args.map0 and args.map1):
+            raise ValueError("homotopy scan needs --map0 and --map1")
+        ends = {"map0": _parse_map(args.map0), "map1": _parse_map(args.map1)}
     rows = []
     in_band = 0
-    for w, m, ann in sorted(_scan_members(args), key=lambda t: t[0]):
+    for w, m, ann in sorted(_scan_members(args, ends), key=lambda t: t[0]):
         spec = converged_spectrum(m, ann, tol=args.tol)
         second, beta, rho = _spectrum_summary(spec)
         if 1.8 <= rho <= 2.2:
@@ -234,7 +237,7 @@ def cmd_scan(args):
             f"{w:.6g},{second:.12g},{'nan' if beta is None else f'{beta:.6g}'},"
             f"{rho:.6g},{spec.converged_count},{min_expansion(m):.6g}"
         )
-    config = _config_dict(args)
+    config = _config_dict(args, **{k: to_descriptor(m) for k, m in ends.items()})
     body = "# config: " + json.dumps(config) + "\n"
     body += "w,lambda2_abs,beta,rho_hat,converged,min_expansion\n"
     body += "\n".join(rows) + "\n"

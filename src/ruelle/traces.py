@@ -138,15 +138,19 @@ class DetResult:
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of
     (1 - e^zeta lambda_k), with a geometric bound on the omitted tail.  A
-    zeta with a NaN part raises ValueError; zeta = -inf gives 1 with tail 0."""
+    zeta with a NaN part raises ValueError, a product that is not finite
+    RuntimeError; zeta = -inf gives 1 with tail 0."""
     zeta = complex(zeta)
     if np.isnan(zeta):
         raise ValueError(f"zeta={zeta} has a NaN part")
     lams = s.converged()
     if len(lams) == 0:
         raise ValueError("empty spectrum")
-    w = np.exp(zeta)
-    value = complex(np.prod(1 - w * lams))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(zeta)
+        value = complex(np.prod(1 - w * lams))
+    if not np.isfinite(value):
+        raise RuntimeError(f"spectrum route: the product at zeta={zeta} is not finite")
 
     # geometric bound on the factors beyond the converged range, anchored at
     # the smallest converged modulus
@@ -219,7 +223,8 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     products (by at most sqrt(5) eps/2 each; Brent, Percival & Zimmermann,
     Math. Comp. 2007) and two differences, which 4 eps per step covers
     relative to size = (1 + |z|) prod (1 + |mu^k z|)^2 >= |value|; the
-    powers mu^k, a few eps of |mu^k z| each, add less while that is small."""
+    powers mu^k, a few eps of |mu^k z| each, add less while that is small.
+    A product that is not finite raises RuntimeError."""
     families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
     if mu == 0:
@@ -235,8 +240,10 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
                 factor *= 1 - c * b**k * z
                 size *= 1 + abs(b) ** k * abs(z)
         value *= factor
-    head = abs(mu) ** (kmax + 1) * abs(z)
-    tail = abs(value) * math.expm1(2 * head / max(1 - abs(mu), 1e-12)) if head < 1 else math.inf
+    if not np.isfinite(value):
+        raise RuntimeError(f"product route: the product at z={z} is not finite")
+    log_tail = 2 * abs(mu) ** (kmax + 1) * abs(z) / max(1 - abs(mu), 1e-12)
+    tail = abs(value) * (math.expm1(log_tail) if log_tail < 700 else math.inf)
     return DetResult(complex(value), tail + 4 * kmax * EPS * size)
 
 

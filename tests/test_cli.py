@@ -155,6 +155,23 @@ class TestDet:
             for b in vals:
                 assert abs(a - b) < 1e-7
 
+    @pytest.mark.parametrize(
+        "descriptor, argv, route",
+        [
+            (BSTAR, ["--annulus", "0.8,1.25", "--z", "1e300"], "spectrum route"),
+            ('{"type":"blaschke","zeros":[[0,0],[0.999,0]]}', ["--z", "100"], "product route"),
+        ],
+        ids=["spectrum-overflow", "product-overflow"],
+    )
+    def test_overflow_is_a_numerical_failure(self, descriptor, argv, route, tmp_path, capsys):
+        # once NaN tokens in the artifact, or an OverflowError from the tail
+        out = tmp_path / "det.json"
+        assert main(["det", "--map", descriptor, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: {route}: the product at" in err
+        assert "Traceback" not in err and not out.exists()
+        assert "encountered" not in err  # no numpy overflow or invalid-value warning
+
 
 class TestDetZetaScan:
     def test_closed_form_scan(self, tmp_path):
@@ -348,6 +365,20 @@ class TestScan:
         for row in data:
             assert float(row[5]) > 1.0           # expanding on the whole grid
 
+    def test_config_records_the_maps(self, tmp_path, capsys):
+        # a descriptor file and inline JSON spaced another way write one artifact
+        map0, map1 = tmp_path / "map0.json", tmp_path / "map1.json"
+        map0.write_text(SQUARING)
+        map1.write_text(BSTAR)
+        spaced = [json.dumps(json.loads(d), indent=2) for d in (SQUARING, BSTAR)]
+        artifacts = []
+        for ends in ([str(map0), str(map1)], spaced):
+            assert main(["scan", "--family", "homotopy", "--map0", ends[0], "--map1", ends[1],
+                         "--grid", "0:1:2"]) == 0
+            artifacts.append(capsys.readouterr().out)
+        assert artifacts[0] == artifacts[1]
+        config = json.loads(artifacts[0].splitlines()[0].removeprefix("# config: "))
+        assert config["map1"] == json.loads(BSTAR)
 
     def test_numerical_warning_exits_2(self, tmp_path, capsys):
         # the TrigLift end of the homotopy from B* converges 7 of 10

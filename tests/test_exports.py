@@ -1,11 +1,14 @@
-"""Every public name resolves: each name in a module's ``__all__`` and each
-name that ``ruelle/__init__.py`` imports.  A name removed from a module but
-left in an export list fails here.  No package module imports scipy or the
-test helpers."""
+"""Every public name resolves: each name in a module's ``__all__``.  The
+package binds its seven library modules and none of their names, so each
+public name has one home, its module's ``__all__``.  No package module
+imports scipy or the test helpers."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import ruelle
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ruelle.__path__))
+LIBRARY = ["julia", "lifts", "maps", "numerics", "operators", "spectra", "traces"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,15 +25,21 @@ def test_module_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_resolve():
-    tree = ast.parse(Path(ruelle.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"ruelle.{node.module}")
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"ruelle.{node.module}.{alias.name}"
-            assert hasattr(ruelle, alias.asname or alias.name)
+def test_package_binds_only_its_modules():
+    # a fresh interpreter, since an earlier test's import of ruelle.cli binds
+    # it here: the package loads and binds the seven library modules and no
+    # function, class or constant from them
+    code = (
+        "import sys, ruelle; "
+        "print(sorted(m for m in sys.modules if m.startswith('ruelle.'))); "
+        "print(sorted(n for n in vars(ruelle) if not n.startswith('_')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ruelle.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    loaded, names = (ast.literal_eval(line) for line in res.stdout.splitlines())
+    assert loaded == [f"ruelle.{name}" for name in LIBRARY]
+    assert names == LIBRARY
 
 
 @pytest.mark.parametrize("path", sorted(Path(ruelle.__file__).parent.glob("*.py")), ids=lambda p: p.name)

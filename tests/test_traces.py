@@ -385,6 +385,34 @@ class TestDetRoutes:
         res = det_from_spectrum(converged_spectrum(bstar, annulus), -math.inf)
         assert (res.value, res.tail) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda spec: det_from_spectrum(spec, math.log(1e300)), r"zeta=\(690\.77"),
+            (lambda spec: det_from_spectrum(spec, 800), r"zeta=\(800\+0j\)"),
+            (lambda spec: det_from_spectrum(spec, math.inf), r"zeta=\(inf\+0j\)"),
+            (lambda spec: det_from_spectrum(spec, complex(0, math.inf)), "zeta=infj"),
+            (lambda spec: det_product_formula(-0.5, False, 1e300), r"z=\(1e\+300\+0j\)"),
+            (lambda spec: det_product_formula(-0.999, False, 100), r"z=\(100\+0j\)"),
+        ],
+        ids=["spectrum-1e300", "spectrum-800", "spectrum-inf", "spectrum-inf-imag",
+             "product-1e300", "product-near-circle"],
+    )
+    def test_product_that_is_not_finite_fails_loudly(self, bstar, annulus, call, message):
+        # these once gave nan+nanj with a nan tail, or an OverflowError from
+        # the product route's tail; no RuntimeWarning escapes on the way
+        spec = converged_spectrum(bstar, annulus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=rf"route: the product at {message}"):
+                call(spec)
+
+    def test_product_tail_past_the_exp_range_is_inf(self):
+        # 2 |mu|^(kmax + 1) |z| / (1 - |mu|) = 728 at kmax = 5000: the value
+        # stands, and the tail is inf rather than an OverflowError
+        res = det_product_formula(0.9999, False, 0.06)
+        assert np.isfinite(res.value) and res.tail == math.inf
+
     def test_trivial_map_det(self, squaring, annulus):
         # spectrum {1}: det = 1 - z
         res = det_from_traces(squaring, annulus, 0.25, nmax=24)
