@@ -6,8 +6,9 @@ composition has its exponent Q = log(tau(z)/z^d) and Q' in closed form (the
 classes' ``_exponent``) and states ``strip``, the half-width s of the annulus
 e^-s < |z| < e^s on which Q is analytic, the strip |Im theta| < s (the
 classes' notes give s; a homotopy member's exponent (1-w) Q_0 + w Q_1 has
-its family's certified epsilon).  ``lift`` refuses a map that states no
-strip, a composition or any other class.
+the narrower of its endpoints' strips).  ``lift`` refuses a map that states
+no strip, a composition or any other class, and a lift's ``exponent`` (so
+its eval and deriv too) refuses z off its annulus, the edge included.
 The branch is fixed by Q(1) = i arg tau(1) (principal argument): an offset
 2 pi i k would change the members at every w that is not an integer.
 
@@ -56,28 +57,25 @@ class Lift:
         return self.tau.degree
 
     def exponent(self, z, derivative=True):
-        """(Q(z), Q'(z)) at the points z, an array that the caller keeps in
-        the annulus (eval and deriv refuse theta off the strip, and a homotopy
-        member z off its certified annulus); Q(z) alone with derivative=False."""
+        """(Q(z), Q'(z)) at the points z, an array inside the lift's annulus
+        (ValueError elsewhere); Q(z) alone with derivative=False."""
+        s = self.strip
+        with np.errstate(divide="ignore"):  # z = 0 is refused like any other point
+            if np.any(np.abs(np.log(np.abs(z))) >= s):
+                raise ValueError(f"z outside the lift's analytic strip |Im theta| < {s:g}, "
+                                 f"the annulus {math.exp(-s):g} < |z| < {math.exp(s):g}")
         out = self.tau._exponent(z, derivative)
         if not self.shift:
             return out
         return (out[0] + self.shift, out[1]) if derivative else out + self.shift
 
-    def _circle(self, theta):
-        # theta as an array and z = e^{i theta}, refused off the strip
-        th = np.atleast_1d(np.asarray(theta, dtype=complex))
-        if np.any(np.abs(th.imag) >= self.strip):
-            raise ValueError(f"Im theta outside the lift's analytic strip |Im theta| < {self.strip:g}")
-        return th, np.exp(1j * th)
-
     def eval(self, theta):
-        th, z = self._circle(theta)
-        out = self.d * th - 1j * self.exponent(z, derivative=False)
+        th = np.atleast_1d(np.asarray(theta, dtype=complex))
+        out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
-        z = self._circle(theta)[1]
+        z = np.exp(1j * np.atleast_1d(np.asarray(theta, dtype=complex)))
         out = self.d + np.multiply(z, self.exponent(z)[1])  # in this order (module notes of maps)
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
@@ -128,19 +126,21 @@ class HomotopyFamily:
 @dataclass(frozen=True)
 class HomotopyMember(_PowerExpMap):
     """The map T(w, .) = exp(i [(1-w) lift0 + w lift1]) = z^d e^{(1-w) Q_0 + w Q_1}
-    on the certified annulus, for one parameter value w; its strip is the
-    family's epsilon."""
+    for one parameter value w of the certified neighbourhood.  Its strip is the
+    narrower endpoint strip, off which the endpoints' exponents refuse z; it is
+    certified expansive on the family's annulus, which lies inside."""
 
     family: HomotopyFamily
     w: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "strip", self.family.epsilon)
+        fam = self.family
+        object.__setattr__(self, "strip", min(fam.lift0.strip, fam.lift1.strip))
         u = min(max(self.w.real, 0.0), 1.0)
-        if not abs(self.w - u) <= self.family.eta + 1e-12:  # NaN included
+        if not abs(self.w - u) <= fam.eta + 1e-12:  # NaN included
             raise ValueError(
                 f"w={self.w:.6g} outside the certified neighbourhood "
-                f"[0,1] + disk({self.family.eta:g})"
+                f"[0,1] + disk({fam.eta:g})"
             )
 
     @property
@@ -148,11 +148,8 @@ class HomotopyMember(_PowerExpMap):
         return self.family.d
 
     def _exponent(self, z, derivative=True):
-        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, or Q_w alone, on the certified annulus
-        fam, mods = self.family, np.abs(z)
-        if np.any(mods < fam.r0 * (1 - 1e-10)) or np.any(mods > fam.R0 * (1 + 1e-10)):
-            raise ValueError(f"z outside certified annulus ({fam.r0:g}, {fam.R0:g})")
-        q0, q1 = fam.lift0.exponent(z, derivative), fam.lift1.exponent(z, derivative)
+        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, or Q_w alone
+        q0, q1 = (lf.exponent(z, derivative) for lf in (self.family.lift0, self.family.lift1))
         if derivative:
             return tuple((1 - self.w) * a + self.w * b for a, b in zip(q0, q1))
         return (1 - self.w) * q0 + self.w * q1

@@ -270,27 +270,23 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     A scalar zeta gives a scalar, an array one value per entry.  An array runs
     to the cutoff of its largest Re zeta; the extra terms of other entries are
     log|1 - e^s| with Re s < -45, exactly 0.0, as if each ran alone.  The
-    shifted arguments of the factors, one row per (k, base, sign), are taken
-    through log|1 - e^s| in blocks of about BLOCK_VALUES values, and the rows
-    are added in that order, as a loop over the factors would add them."""
+    shifted arguments of the factors, one row per (k, base, sign), are formed
+    and taken through log|1 - e^s| a block of about BLOCK_VALUES values at a
+    time, and the rows are added in that order, as a loop over the factors
+    would add them."""
     families = _families(mu, anti)
     scalar = np.ndim(zeta) == 0
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     flat = zeta.reshape(-1)
     total = _log_abs_1m_exp(flat)
     if mu != 0:
-        logs = [(np.log(b), signs) for b, signs in families]
-        kcut = int((zeta.real.max() + 45) / -math.log(abs(mu))) + 2
-        shifts = [
-            (k * log_b, 1j * math.pi * (c < 0))
-            for k in range(1, kcut + 1)
-            for log_b, signs in logs
-            for c in signs
-        ]
+        pairs = [(np.log(b), 1j * math.pi * (c < 0)) for b, signs in families for c in signs]
+        log_b, turn = np.array(pairs).T
+        n = (int((zeta.real.max() + 45) / -math.log(abs(mu))) + 2) * len(pairs)  # rows to the cutoff
         rows = max(1, BLOCK_VALUES // flat.size)
-        for start in range(0, len(shifts), rows):
-            step, turn = np.array(shifts[start : start + rows]).T
-            for term in _log_abs_1m_exp((flat + step[:, None]) + turn[:, None]):
+        for start in range(0, n, rows):
+            k, j = np.divmod(np.arange(start, min(start + rows, n)), len(pairs))  # the block's rows
+            for term in _log_abs_1m_exp((flat + ((k + 1) * log_b[j])[:, None]) + turn[j][:, None]):
                 total += term
     return total[0] if scalar else total.reshape(zeta.shape)
 

@@ -300,8 +300,12 @@ class TestHomotopyMembers:
             chk = check_holo_expansive(member, ann)
             assert chk.verdict == ("A1" if family.d > 0 else "A2")
 
-    def test_strip_is_the_certified_epsilon(self, family):
-        assert family.member(0.3).strip == lift(family.member(0.3)).strip == family.epsilon
+    def test_strip_is_the_narrower_endpoint_strip(self, family):
+        # squaring (strip inf) to B* (log 2): the members' exponents are analytic
+        # where both endpoints' are, beyond the certified epsilon
+        strip = min(family.lift0.strip, family.lift1.strip)
+        assert family.member(0.3).strip == lift(family.member(0.3)).strip == strip == math.log(2)
+        assert family.epsilon < strip
 
     def test_membership_guard(self, family):
         with pytest.raises(ValueError, match="neighbourhood"):
@@ -315,8 +319,16 @@ class TestHomotopyMembers:
             family.member(w)
 
     def test_domain_guard(self, family):
-        with pytest.raises(ValueError, match="annulus"):
-            family.member(0.5).eval(family.R0 * 1.5)
+        # evaluated off the certified annulus up to B*'s 0.5 < |z| < 2, refused
+        # on its edge and beyond, and at 0, where squaring's exponent is not
+        # defined either
+        member = family.member(0.5)
+        assert family.R0 < 1.9 and np.all(np.isfinite(member.eval(np.array([0.51, 1.9]))))
+        for z in (2.0, 0.5, 1.5 * family.R0, 3.0j):
+            with pytest.raises(ValueError, match=r"annulus 0\.5 < \|z\| < 2$"):
+                member.eval(z)
+        with pytest.raises(ValueError, match=r"annulus 0 < \|z\| < inf$"):
+            member.eval(0.0)
 
     def test_member_drives_operator_pipeline(self, family):
         from ruelle.spectra import converged_spectrum
@@ -350,30 +362,31 @@ def test_find_expansive_annulus(bstar, anti_bstar):
         assert chk.margin > 0
 
 
-@pytest.fixture(scope="module")
-def mid_member(bstar):
-    # member 0.5 of the B* -> TrigLift(2, (0.1,)) family: it refuses points off its
-    # certified annulus, which the wider annuli and strips below reach
-    fam = build_homotopy(bstar, TrigLift(2, (0.1,)))
-    return fam, fam.member(0.5)
-
-
-def test_find_expansive_annulus_skips_refused_annuli(mid_member):
-    fam, member = mid_member
-    with pytest.raises(ValueError, match="outside certified annulus"):
+def test_find_expansive_annulus_skips_refused_annuli(bstar):
+    # member 0.5 of B* -> the product with zeros 0 and 0.97, whose exponent is
+    # analytic on 0.97 < |z| < 1/0.97 only (strip 0.0305): the search's wider
+    # annuli are refused, and it returns one inside that strip, outside the
+    # certified epsilon 0.0152
+    fam = build_homotopy(bstar, BlaschkeProduct(1.0, (0.0, 0.97)))
+    member = fam.member(0.5)
+    with pytest.raises(ValueError, match="outside the lift's analytic strip"):
         check_holo_expansive(member, Annulus(math.exp(-0.5), math.exp(0.5)))
     ann = find_expansive_annulus(member)
-    assert fam.r0 < ann.r and ann.R < fam.R0
+    assert fam.epsilon < -math.log(ann.r) and math.log(ann.R) < member.strip == -math.log(0.97)
     assert check_holo_expansive(member, ann).verdict == "A1"
 
 
-def test_member_lift_is_the_family_exponent(mid_member):
-    # a member lifts on its family's certified strip, with Q_w = (1-w) Q_0 + w Q_1
-    fam, member = mid_member
-    L = lift(member)
-    assert L.d == 2 and L.strip == fam.epsilon and L.shift == 0
-    z = np.exp(1j * THETA)
-    want = 0.5 * fam.lift0.exponent(z, derivative=False) + 0.5 * fam.lift1.exponent(z, derivative=False)
-    np.testing.assert_allclose(L.exponent(z, derivative=False), want, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError, match="outside the lift's analytic strip"):
-        L.eval(THETA + 1j * fam.epsilon)
+def test_member_lift_is_the_family_exponent(bstar):
+    # member 0.5 of B* -> TrigLift(2, (0.1,)) lifts on the narrower endpoint
+    # strip, B*'s log 2, beyond the certified epsilon, with Q_w = (1-w) Q_0 + w Q_1
+    fam = build_homotopy(bstar, TrigLift(2, (0.1,)))
+    L = lift(fam.member(0.5))
+    assert L.d == 2 and L.strip == math.log(2) > fam.epsilon and L.shift == 0
+    for rho in (1.0, 0.6, 1 / 0.6):
+        z = rho * np.exp(1j * THETA)
+        want = 0.5 * fam.lift0.exponent(z, derivative=False) + 0.5 * fam.lift1.exponent(z, derivative=False)
+        np.testing.assert_allclose(L.exponent(z, derivative=False), want, rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(L.eval(THETA + 1j * fam.epsilon)))
+    for row in (THETA + 1j * math.log(2), THETA - 1j * math.log(2)):
+        with pytest.raises(ValueError, match="outside the lift's analytic strip"):
+            L.eval(row)

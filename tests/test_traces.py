@@ -559,6 +559,21 @@ class TestLogAbsDetOnAGrid:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_long_range_memory_is_bounded_by_the_block(self, monkeypatch):
+        # mu = 0.9 runs to k = (Re zeta + 45) / 0.105: the ranges 0:1000 and
+        # 0:4000 take 19 and 75 blocks of 1024 factor rows, each formed as it
+        # is reached, so the peak is the block's, not the range's
+        monkeypatch.setattr(traces, "BLOCK_VALUES", 1 << 14)
+        peaks = []
+        for hi in (1000, 4000):
+            tracemalloc.start()
+            try:
+                log_abs_det_product(0.9, False, np.linspace(0, hi, 16))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.5 * min(peaks), peaks
+
     def test_exact_zero_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
