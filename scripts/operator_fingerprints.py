@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Fingerprint the operator assembly: for a fixed panel of maps and
-truncation orders N, assemble the adjoint at the library's own truncation
-(`assemble_dual(m, annulus, N)`, plus 0..N-1 and minus 1..nminus = N-1)
-with the automatic sample count and print one line per case,
+"""Fingerprint the operator assembly: for a fixed panel of maps with their
+annuli and truncation orders N, assemble the adjoint at the library's own
+truncation (`assemble_dual(m, annulus, N)`, plus 0..N-1 and minus
+1..nminus = N-1) with the automatic sample count and print one line per
+case,
 
     name N nminus K sha256(matrix) sha256(eigenvalues) sha256(singular values)
 
@@ -10,6 +11,12 @@ where the matrix is hashed as its C-ordered bytes, whatever its memory
 layout, and the eigenvalues and singular values as returned by
 `eigenvalues` and `singular_values`.  A case whose assembly raises prints
 `name N error: <message>` instead.
+
+The first six maps run on (0.8, 1.25), where r R = 1 and every map that
+reflects copies its minus block from the plus block (the reflection rule of
+the operators module).  The last two transform both blocks: Mobius
+0.7+0.05i, which is not a circle map, on (0.8, 1.25), and B* on (0.85, 1.2),
+where r R != 1.
 
 Two source trees that print the same lines assemble the same matrices, with
 the same K, and return the same spectra bit for bit.  As in
@@ -23,7 +30,9 @@ of 26 x 26 and 88 x 88 cores at each N of the panel), and the same
 singular values for B*, anti-B* and Mobius 0.7 (one shared SVD of the plus
 block, `singular_values`) and for the odd TrigLift, but different singular
 values for the complex, coupled TrigLift and FLOOR_STAR matrices at every
-N; pin one BLAS thread for a bit-for-bit comparison.
+N, for Mobius 0.7+0.05i from N = 128 and for B* on (0.85, 1.2) at N = 512
+(one SVD of the whole matrix's nonzero rows and columns); pin one BLAS
+thread for a bit-for-bit comparison.
 
 Usage: PYTHONPATH=src python scripts/operator_fingerprints.py
 """
@@ -38,19 +47,26 @@ from ruelle.spectra import eigenvalues
 
 ANNULUS = Annulus(0.8, 1.25)
 ORDERS = (48, 128, 256, 512)
-MAPS = {
-    "bstar": BlaschkeProduct(1.0, (0.0, 0.5)),
-    "anti-bstar": BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
-    "mobius-0.7": MobiusFamilyMap(0.7),
-    "triglift": TrigLift(2, (0.1,)),
-    "odd-triglift": TrigLift(2, (), (0.1,)),  # sin only: a real matrix
+BSTAR = BlaschkeProduct(1.0, (0.0, 0.5))
+PANEL = {
+    "bstar": (BSTAR, ANNULUS),
+    "anti-bstar": (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), ANNULUS),
+    "mobius-0.7": (MobiusFamilyMap(0.7), ANNULUS),
+    "triglift": (TrigLift(2, (0.1,)), ANNULUS),
+    "odd-triglift": (TrigLift(2, (), (0.1,)), ANNULUS),  # sin only: a real matrix
     # an anti-Blaschke product with complex data: a complex dense eigensolve
-    "floor-star": BlaschkeProduct(
-        complex(-0.6931143075585181, 0.7208276886036468),
-        (complex(-0.06947472054505469, -0.23304948848809703),
-         complex(-0.056942402897746186, 0.14855363242454417)),
-        anti=True,
+    "floor-star": (
+        BlaschkeProduct(
+            complex(-0.6931143075585181, 0.7208276886036468),
+            (complex(-0.06947472054505469, -0.23304948848809703),
+             complex(-0.056942402897746186, 0.14855363242454417)),
+            anti=True,
+        ),
+        ANNULUS,
     ),
+    # the direct assembly of both blocks: not a circle map, then r R != 1
+    "mobius-complex": (MobiusFamilyMap(0.7 + 0.05j), ANNULUS),
+    "bstar-0.85": (BSTAR, Annulus(0.85, 1.2)),
 }
 
 
@@ -59,10 +75,10 @@ def sha256(a) -> str:
 
 
 def main():
-    for name, m in MAPS.items():
+    for name, (m, annulus) in PANEL.items():
         for n in ORDERS:
             try:
-                T = assemble_dual(m, ANNULUS, n)
+                T = assemble_dual(m, annulus, n)
             except (ValueError, RuntimeError) as exc:
                 print(f"{name} {n} error: {exc}", flush=True)
                 continue

@@ -22,7 +22,7 @@ from . import julia as julia_mod
 from .lifts import build_homotopy, find_expansive_annulus
 from .maps import Annulus, MobiusFamilyMap, from_descriptor, min_expansion, to_descriptor
 from .numerics import circle_nodes
-from .spectra import converged_spectrum, decay_fit, order_estimate
+from .spectra import converged_spectrum, decay_fit
 from .traces import (
     closed_form_multiplier,
     det_from_spectrum,
@@ -112,13 +112,13 @@ def _spectrum_rows(spec) -> str:
 
 
 def _spectrum_summary(spec):
-    """(|lambda_2| or 0, decay exponent beta or None if unfit, rho_hat = order_estimate)."""
+    """(|lambda_2| or 0, decay exponent beta or None if unfit, its order_estimate)."""
     second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
     try:
         beta = decay_fit(spec).beta
     except ValueError:  # too few usable eigenvalues
         beta = None
-    return second, beta, order_estimate(spec)
+    return second, beta, 1.0 if beta is None else 1.0 + 1.0 / beta
 
 
 def cmd_spectrum(args):

@@ -244,14 +244,16 @@ def _gather(matrix, r, c):
     return matrix.T[np.ix_(c, r)].T
 
 
-def _reflected_plus(matrix, nonzero, nplus, blocks):
-    """The plus block of a decoupled symmetric truncation without index 0,
-    gathered, when row 0 and column 0 hold a00 alone and the gathered minus
-    block is, entry for entry, its conjugate in P order; else None."""
-    (rp, cp), (rm, cm) = blocks
-    if nonzero[0, 1:].any() or nonzero[1:, 0].any():
+def _reflected_plus(matrix, nonzero, rows, nplus):
+    """The plus block of a symmetric truncation without index 0, gathered,
+    when no column reaches both blocks, row 0 and column 0 hold a00 alone
+    and the gathered minus block is, entry for entry, its conjugate in P
+    order; else None."""
+    top, bottom = nonzero[:nplus].any(axis=0), nonzero[nplus:].any(axis=0)
+    if (top & bottom).any() or nonzero[0, 1:].any() or nonzero[1:, 0].any():
         return None
-    rp, cp = rp[rp > 0], cp[cp > 0]
+    rp, rm = rows[(rows > 0) & (rows < nplus)], rows[rows >= nplus]
+    cp, cm = np.flatnonzero(top[1:]) + 1, np.flatnonzero(bottom)
     swap = _swap(nplus)
     pr, pc = swap[rp], swap[cp]
     if not (np.array_equal(pr, rm) and np.array_equal(np.sort(pc), cm)):
@@ -263,49 +265,35 @@ def _reflected_plus(matrix, nonzero, nplus, blocks):
 def singular_values(T) -> np.ndarray:
     """Singular values of the truncated operator, decreasing, min(shape) of them.
 
-    Three exact reductions keep zeros and repeats away from LAPACK:
+    Two exact reductions keep zeros and repeats away from LAPACK:
 
-    - When no column of a ``TruncatedOperator`` has entries in both the plus
-      and the minus rows, a column permutation makes the matrix block
-      diagonal: the plus rows on the columns that reach them, the minus
-      rows on the rest.  Permutations preserve singular values, and those
-      of a block-diagonal matrix are the union of its blocks', so two
-      half-size SVDs give the full set.  Maps that fix 0 and infinity
-      decouple this way, and so do their anti-products, whose plus rows
-      take column 0 and the minus columns.  A raw array has no block
-      structure and takes one SVD.
-    - On the symmetric truncation (nminus = nplus - 1) of such a map, when
-      row 0 and column 0 hold a00 alone and the gathered minus block
-      equals, entry for entry, the conjugate of the plus block without
-      index 0 in P order (the reflection rule in the module notes), the two
-      blocks share their singular values: one SVD s of that plus block gives
-      {|a00|} and s twice.  A decoupled circle map on an annulus with r R = 1
-      assembles exactly this; B* at N = 512 takes one 511 x 388 SVD in
-      place of two 512 x 389 ones.  Any other matrix keeps the two SVDs,
-      and an explicit (N, N) truncation too.
-    - Each SVD drops the all-zero rows and columns of its block: up to a
-      permutation the block is [[A, 0], [0, 0]], which has the singular
-      values of A plus zeros.  B* at N = 512 has 246 such columns among
-      the 634 of its minus block.
+    - On the symmetric truncation (nminus = nplus - 1) of a
+      ``TruncatedOperator`` in which no column has entries in both the plus
+      and the minus rows, row 0 and column 0 hold a00 alone, and the
+      gathered minus block equals, entry for entry, the conjugate of the
+      plus block without index 0 in P order (the reflection rule in the
+      module notes), a permutation makes the matrix block diagonal with
+      blocks {a00}, that plus block and its conjugate, so one SVD s of the
+      plus block gives {|a00|} and s twice.  A decoupled circle map on an
+      annulus with r R = 1 assembles exactly this (maps that fix 0 and
+      infinity decouple, and so do their anti-products): B* at N = 512
+      takes one 511 x 388 SVD, not one 1023 x 777.
+    - Any other matrix, a raw array included, takes one SVD of its nonzero
+      rows and columns: up to a permutation it is [[A, 0], [0, 0]], which
+      has the singular values of A plus zeros.  So does a decoupled operator
+      whose blocks do not share their singular values (r R != 1, a map that
+      is not a circle map, or an explicit (N, N) truncation).
 
     The zeros removed either way return as the padding up to min(shape).
     """
     matrix = np.asarray(getattr(T, "matrix", T))
     nonzero, nplus = matrix != 0, getattr(T, "nplus", None)
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    blocks = [(rows, cols)]
     shared = None
-    if nplus is not None:
-        top, bottom = nonzero[:nplus].any(axis=0), nonzero[nplus:].any(axis=0)
-        if not (top & bottom).any():
-            plus = rows < nplus
-            blocks = [(rows[plus], np.flatnonzero(top)), (rows[~plus], np.flatnonzero(bottom))]
-            if T.nminus == nplus - 1:
-                shared = _reflected_plus(matrix, nonzero, nplus, blocks)
+    if nplus is not None and T.nminus == nplus - 1:
+        shared = _reflected_plus(matrix, nonzero, rows, nplus)
     if shared is None:
-        parts = np.concatenate(
-            [np.linalg.svd(_gather(matrix, r, c), compute_uv=False) for r, c in blocks]
-        )
+        parts = np.linalg.svd(_gather(matrix, rows, cols), compute_uv=False)
     else:
         s = np.linalg.svd(shared, compute_uv=False)
         parts = np.concatenate([[abs(matrix[0, 0])], s, s])

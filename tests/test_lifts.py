@@ -376,6 +376,17 @@ def test_find_expansive_annulus_skips_refused_annuli(bstar):
     assert check_holo_expansive(member, ann).verdict == "A1"
 
 
+@pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+def test_find_expansive_annulus_passes_other_errors_on(bstar, monkeypatch, error):
+    # only a refusal (ValueError) skips a width; any other error is a fault
+    def check(m, ann):
+        raise error("check failed")
+
+    monkeypatch.setattr("ruelle.lifts.check_holo_expansive", check)
+    with pytest.raises(error, match="check failed"):
+        find_expansive_annulus(bstar)
+
+
 def test_member_lift_is_the_family_exponent(bstar):
     # member 0.5 of B* -> TrigLift(2, (0.1,)) lifts on the narrower endpoint
     # strip, B*'s log 2, beyond the certified epsilon, with Q_w = (1-w) Q_0 + w Q_1

@@ -692,32 +692,29 @@ class TestColumnMajor:
         assert T.matrix.flags.f_contiguous
 
     @pytest.mark.parametrize(
-        "m, blocks",
+        "m",
         [
-            (BlaschkeProduct(1.0, (0.0, 0.5)), 2),
-            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), 2),
-            (BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j)), 2),  # complex, fixes 0 and infinity
-            (TrigLift(2, (0.1,)), 1),
-            (FLOOR_STAR, 1),
-            (BlaschkeProduct(1.0, (0.2 + 0.1j, -0.5)), 1),
+            BlaschkeProduct(1.0, (0.0, 0.5)),
+            BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+            BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j)),  # complex, fixes 0 and infinity
+            TrigLift(2, (0.1,)),
+            FLOOR_STAR,
+            BlaschkeProduct(1.0, (0.2 + 0.1j, -0.5)),
         ],
         ids=["bstar", "anti_bstar", "complex_bstar", "triglift", "floor_star", "complex_zero"],
     )
-    def test_svd_inputs(self, m, blocks, annulus, monkeypatch):
+    def test_svd_inputs(self, m, annulus, monkeypatch):
+        # the (N, N) truncation shares no SVD: one of the nonzero rows and columns
         T = assemble_dual(m, annulus, 48, 48)
-        matrix, nplus = T.matrix, T.nplus
-        expect = [matrix]  # the row-major gathers of the previous layout
-        top = matrix[:nplus].any(axis=0)
-        if not (top & matrix[nplus:].any(axis=0)).any():
-            expect = [matrix[:nplus, top], matrix[nplus:, ~top]]
-        expect = [b[np.ix_(b.any(axis=1), b.any(axis=0))] for b in expect]
+        matrix = T.matrix
+        want = matrix[np.ix_(matrix.any(axis=1), matrix.any(axis=0))]  # the row-major gather
         seen, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
         singular_values(T)
-        assert len(seen) == len(expect) == blocks
-        for got, want in zip(seen, expect):
-            assert got.flags.f_contiguous and got.dtype == want.dtype
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(seen) == 1
+        got = seen[0]
+        assert got.flags.f_contiguous and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_conjugate_symmetric_matches_roll(self):
         rng = np.random.default_rng(5)
@@ -836,15 +833,15 @@ class TestSingularValues:
         ],
         ids=["B*", "anti-B*", "anti-three-zero", "nminus=N//2"],
     )
-    def test_decoupled_blocks_take_two_half_size_svds(self, zeros, anti, nminus, annulus, monkeypatch):
+    def test_unshared_decoupled_blocks_take_one_svd(self, zeros, anti, nminus, annulus, monkeypatch):
         T = assemble_dual(BlaschkeProduct(1.0, zeros, anti=anti), annulus, 32, nminus)
+        top, bottom = T.matrix[: T.nplus].any(axis=0), T.matrix[T.nplus :].any(axis=0)
+        assert not (top & bottom).any()  # no column reaches both blocks
         full = np.linalg.svd(T.matrix, compute_uv=False)
         calls = self._record_svd(monkeypatch)
         sv = singular_values(T)
-        shapes = [a.shape for a in calls]
-        # one SVD per row block, on the nonzero columns that reach it
-        assert [rows for rows, _ in shapes] == [T.nplus, T.nminus]
-        assert sum(cols for _, cols in shapes) == self._nonzero_shape(T.matrix)[1]
+        # not the symmetric truncation: one SVD of the nonzero rows and columns
+        assert [a.shape for a in calls] == [self._nonzero_shape(T.matrix)]
         assert len(sv) == T.size
         assert np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
@@ -852,28 +849,31 @@ class TestSingularValues:
         assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "m, ann, nminus, svds",
+        "m, ann, nminus, shared",
         [
-            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), None, 1),
-            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), None, 1),
-            (MobiusFamilyMap(0.7), Annulus(0.8, 1.25), None, 1),
-            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2), None, 2),  # r R != 1
-            (MobiusFamilyMap(0.7), Annulus(0.7, 1.3), None, 2),  # r R != 1: unlike patterns
-            (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25), None, 2),  # not a circle map
-            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 64, 2),  # square truncation
-            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), 64, 2),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), None, True),
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), None, True),
+            (MobiusFamilyMap(0.7), Annulus(0.8, 1.25), None, True),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.85, 1.2), None, False),  # r R != 1
+            (MobiusFamilyMap(0.7), Annulus(0.7, 1.3), None, False),  # r R != 1: unlike patterns
+            (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25), None, False),  # not a circle map
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), 64, False),  # square truncation
+            (BlaschkeProduct(1.0, (0.0, 0.5), anti=True), Annulus(0.8, 1.25), 64, False),
         ],
         ids=["B*", "anti-B*", "mobius", "B*-0.85", "mobius-0.7-1.3", "mobius-complex", "B*-square",
              "anti-B*-square"],
     )
-    def test_reflected_blocks_share_one_svd(self, m, ann, nminus, svds, monkeypatch):
+    def test_reflected_blocks_share_one_svd(self, m, ann, nminus, shared, monkeypatch):
         T = assemble_dual(m, ann, 64, nminus)
         full = np.linalg.svd(T.matrix, compute_uv=False)
         calls = self._record_svd(monkeypatch)
         sv = singular_values(T)
-        assert len(calls) == svds
-        if svds == 1:  # the plus block without index 0, on its nonzero columns
+        assert len(calls) == 1
+        if shared:  # the plus block without index 0, on its nonzero columns
             assert calls[0].shape[0] == T.nplus - 1
+        else:  # the nonzero rows and columns of the whole matrix
+            assert calls[0].shape == self._nonzero_shape(T.matrix)
+        assert calls[0].flags.f_contiguous
         assert len(sv) == T.size
         assert np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
@@ -881,7 +881,7 @@ class TestSingularValues:
         assert np.sum(sv**2) == pytest.approx(fro, rel=1e-12)
 
     @pytest.mark.parametrize("where", ["minus-entry", "row-0", "column-0"])
-    def test_broken_reflection_takes_two_svds(self, bstar, anti_bstar, annulus, where, monkeypatch):
+    def test_broken_reflection_takes_one_full_svd(self, bstar, anti_bstar, annulus, where, monkeypatch):
         # one ulp off in the minus block, or a second entry in row 0 or
         # column 0, and the blocks no longer share their singular values
         for m in (bstar, anti_bstar):
@@ -896,7 +896,7 @@ class TestSingularValues:
             calls = self._record_svd(monkeypatch)
             sv = singular_values(broken)
             monkeypatch.undo()
-            assert len(calls) == 2
+            assert [c.shape for c in calls] == [self._nonzero_shape(a)]
             np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
 
     def test_coupled_blocks_take_one_full_svd(self, bstar, annulus, monkeypatch):
