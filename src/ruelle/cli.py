@@ -268,7 +268,7 @@ def cmd_homotopy_check(args):
     t0 = fam.member(0.0).eval(pts)
     sup_dist = float(np.max(np.abs(t0 - fam.member(fam.eta).eval(pts))))
     # T(w, z) = z^d exp((1-w) Q_0 + w Q_1), so |dT/dw| = |T| |Q_1 - Q_0|
-    q1, q0 = (lift.exponent(pts, derivative=False) for lift in (fam.lift1, fam.lift0))
+    q1, q0 = (lift.exponent(pts)[0] for lift in (fam.lift1, fam.lift0))
     dT_dw = np.abs(t0) * np.abs(q1 - q0)
     bound = fam.eta * float(dT_dw.max())
     doc = {

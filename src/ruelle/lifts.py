@@ -56,22 +56,20 @@ class Lift:
     def d(self) -> int:
         return self.tau.degree
 
-    def exponent(self, z, derivative=True):
+    def exponent(self, z):
         """(Q(z), Q'(z)) at the points z, an array inside the lift's annulus
-        (ValueError elsewhere); Q(z) alone with derivative=False."""
+        (ValueError elsewhere); callers that want Q alone take [0]."""
         s = self.strip
         with np.errstate(divide="ignore"):  # z = 0 is refused like any other point
             if np.any(np.abs(np.log(np.abs(z))) >= s):
                 raise ValueError(f"z outside the lift's analytic strip |Im theta| < {s:g}, "
                                  f"the annulus {math.exp(-s):g} < |z| < {math.exp(s):g}")
-        out = self.tau._exponent(z, derivative)
-        if not self.shift:
-            return out
-        return (out[0] + self.shift, out[1]) if derivative else out + self.shift
+        Q, slope = self.tau._exponent(z)
+        return (Q + self.shift, slope) if self.shift else (Q, slope)
 
     def eval(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=complex))
-        out = self.d * th - 1j * self.exponent(np.exp(1j * th), derivative=False)
+        out = self.d * th - 1j * self.exponent(np.exp(1j * th))[0]
         return complex(out[0]) if np.ndim(theta) == 0 else out
 
     def deriv(self, theta):
@@ -90,7 +88,7 @@ def lift(m) -> Lift:
         raise ValueError(f"no closed-form lift for a map of class {type(m).__name__}")
     if strip <= 0:
         raise ValueError(f"{type(m).__name__}: exponent analytic on no annulus about |z| = 1")
-    q1 = m._exponent(np.ones(1, dtype=complex), derivative=False)[0]
+    q1 = m._exponent(np.ones(1, dtype=complex))[0][0]
     turns = round((q1.imag - cmath.phase(m.eval(1.0))) / (2 * math.pi))
     return Lift(m, strip, -2j * math.pi * turns)
 
@@ -147,12 +145,10 @@ class HomotopyMember(_PowerExpMap):
     def degree(self) -> int:
         return self.family.d
 
-    def _exponent(self, z, derivative=True):
-        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1, or Q_w alone
-        q0, q1 = (lf.exponent(z, derivative) for lf in (self.family.lift0, self.family.lift1))
-        if derivative:
-            return tuple((1 - self.w) * a + self.w * b for a, b in zip(q0, q1))
-        return (1 - self.w) * q0 + self.w * q1
+    def _exponent(self, z):
+        # (Q_w, Q_w') for Q_w = (1-w) Q_0 + w Q_1
+        q0, q1 = (lf.exponent(z) for lf in (self.family.lift0, self.family.lift1))
+        return tuple((1 - self.w) * a + self.w * b for a, b in zip(q0, q1))
 
 
 def build_homotopy(map0, map1) -> HomotopyFamily:

@@ -2,10 +2,11 @@
 
 Every map type evaluates and differentiates in closed form, accepts scalar
 or ndarray arguments, is immutable after construction, and carries an
-analytically known degree.  Every type but the composition also gives its
-exponent Q = log(tau(z)/z^d) and Q' in closed form (``_exponent``) and
-states ``strip``, the half-width s of the annulus e^-s < |z| < e^s on which
-Q is analytic (the class notes give s).  The module-level helpers implement
+analytically known degree.  Every type but the composition also gives the
+pair (Q, Q') of its exponent Q = log(tau(z)/z^d) in closed form
+(``_exponent``; a caller that wants Q alone takes [0]) and states
+``strip``, the half-width s of the annulus e^-s < |z| < e^s on which Q is
+analytic (the class notes give s).  The module-level helpers implement
 the checks that the spectral machinery relies on: expansivity on the unit
 circle, boundary-circle inclusions certifying holomorphic expansivity (and
 naming the inward circle), and interior fixed points with their
@@ -78,7 +79,7 @@ class _PowerExpMap(_MapBase):
     """z^d e^{Q(z)}, for the degree d and the exponent (Q, Q') of ``_exponent``."""
 
     def _eval(self, z):
-        return z**self.degree * np.exp(self._exponent(z, derivative=False))
+        return z**self.degree * np.exp(self._exponent(z)[0])
 
     def _deriv(self, z):
         Q, Qprime = self._exponent(z)
@@ -151,16 +152,13 @@ class BlaschkeProduct(_MapBase):
             total = total + term
         return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
 
-    def _exponent(self, z, derivative=True):
+    def _exponent(self, z):
         # Q = log(B/z^d) and Q' (class notes); the anti map's exponent is -Q
         Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
         for a in self.zeros:
             Q = Q + np.log1p(-a / z) - np.log1p(-a.conjugate() * z)
-            if derivative:
-                slope = slope + a / np.multiply(z, z - a) + a.conjugate() / (1 - a.conjugate() * z)
-        if self.anti:
-            Q, slope = -Q, -slope
-        return (Q, slope) if derivative else Q
+            slope = slope + a / np.multiply(z, z - a) + a.conjugate() / (1 - a.conjugate() * z)
+        return (-Q, -slope) if self.anti else (Q, slope)
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,8 @@ class TrigLift(_PowerExpMap):
     def degree(self) -> int:
         return self.d
 
-    def _exponent(self, z, derivative=True):
-        return laurent(*self._laurent_coeffs, z, derivative)
+    def _exponent(self, z):
+        return laurent(*self._laurent_coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -231,11 +229,9 @@ class MobiusFamilyMap(_MapBase):
     def _eval(self, z):
         return self.step(z, np.empty_like(z), np.empty_like(z))
 
-    def _exponent(self, z, derivative=True):
+    def _exponent(self, z):
         # Q = log(T/z^2) and Q' (class notes)
         Q = np.log1p(-self.w / (2 * z)) - np.log1p(-self.w * z / 2)
-        if not derivative:
-            return Q
         return Q, self.w / np.multiply(z, 2 * z - self.w) + self.w / (2 - self.w * z)
 
     def _deriv(self, z):

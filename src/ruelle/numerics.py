@@ -1,6 +1,6 @@
 """Shared numeric kernels: Laurent coefficients as plain arrays, from
-samples on a circle and back to values by Horner's rule, and exponentially
-convergent circle quadrature.
+samples on a circle and back to values, with their derivatives, by Horner's
+rule, and exponentially convergent circle quadrature.
 
 Samples sit at the K-th roots of unity scaled to a circle |z| = radius,
 along the last axis (one row per function).  For functions analytic near
@@ -83,35 +83,32 @@ def unresolved_tails(mag, K: int, noise):
     return tail[tail > floor], floor[tail > floor]
 
 
-def laurent(pos, neg, z, derivative=True):
+def laurent(pos, neg, z):
     """(P(z), P'(z)) for P(z) = sum_k pos[k-1] z^k + neg[k-1] z^-k, k >= 1,
     by Horner's rule in z and in w = 1/z (formed only when neg is nonempty,
-    so that P without negative powers evaluates at z = 0).  With
-    derivative=False, P(z) alone, by the same operations; a 0-d z gives numpy scalars."""
+    so that P without negative powers evaluates at z = 0); a 0-d z gives
+    numpy scalars.  The slope's recurrence only reads the value's, so P has
+    the bits of its own recurrence."""
     x = np.atleast_1d(np.asarray(z, dtype=complex))
-    value, slope = _horner(pos, x, derivative)
+    value, slope = _horner(pos, x)
     if len(neg):
         w = x**-1
-        nv, ns = _horner(neg, w, derivative)
+        nv, ns = _horner(neg, w)
         value += nv
-        if derivative:
-            slope -= np.multiply(ns, w * w)
-    if np.ndim(z) == 0:
-        return (value[0], slope[0]) if derivative else value[0]
-    return (value, slope) if derivative else value
+        slope -= np.multiply(ns, w * w)
+    return (value[0], slope[0]) if np.ndim(z) == 0 else (value, slope)
 
 
-def _horner(coeffs, x, derivative):
-    # sum_k coeffs[k-1] x^k and (or None) its x-derivative, from the top coefficient; no
+def _horner(coeffs, x):
+    # sum_k coeffs[k-1] x^k and its x-derivative, from the top coefficient; no
     # product is written over its operand, which numpy's one-value loop rounds differently
     if not len(coeffs):
-        return np.zeros_like(x), np.zeros_like(x) if derivative else None
-    value, slope = coeffs[-1] * x, np.full_like(x, coeffs[-1]) if derivative else None
+        return np.zeros_like(x), np.zeros_like(x)
+    value, slope = coeffs[-1] * x, np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
         value += c
-        if derivative:
-            slope = slope * x
-            slope += value
+        slope = slope * x
+        slope += value
         value = value * x
     return value, slope
 

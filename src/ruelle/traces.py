@@ -79,9 +79,11 @@ def trace_contour(m, annulus: Annulus) -> complex:
 def trace_power(m, n: int, annulus: Annulus) -> complex:
     """Tr(L^n) as the contour trace of the n-th iterate (one evaluation per circle).
 
-    Iterates need thinner annuli; where that trace fails (an inclusion margin
-    below 1e-8), the annulus is shrunk toward the unit circle (halving log r
-    and log R) at most twice: a third gave TrigLift traces up to 3e-4 off, unflagged.
+    Iterates need thinner annuli; where trace_contour refuses the annulus (a
+    ValueError: an inclusion margin below 1e-8, a non-finite sample or an
+    anti-Blaschke pole), the annulus is shrunk toward the unit circle (halving
+    log r and log R) at most twice: a third gave TrigLift traces up to 3e-4
+    off, unflagged.  Any other error is a fault, and passes through unchanged.
     """
     it = iterate(m, n)
     ann = annulus
@@ -89,7 +91,7 @@ def trace_power(m, n: int, annulus: Annulus) -> complex:
     for _ in range(3):
         try:
             return trace_contour(it, ann)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             last_err = exc
             ann = ann.shrink()
     raise RuntimeError(
@@ -267,13 +269,18 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     log space so that quadratic growth in Re zeta never overflows; a factor
     (1 - c b^k e^zeta) with sign c = -1 is (1 - e^(zeta + k log b + i pi)).
 
-    A scalar zeta gives a scalar, an array one value per entry.  An array runs
-    to the cutoff of its largest Re zeta; the extra terms of other entries are
-    log|1 - e^s| with Re s < -45, exactly 0.0, as if each ran alone.  The
-    shifted arguments of the factors, one row per (k, base, sign), are formed
-    and taken through log|1 - e^s| a block of about BLOCK_VALUES values at a
-    time, and the rows are added in that order, as a loop over the factors
-    would add them."""
+    A scalar zeta gives a scalar, an array one value per entry.  The factors
+    k <= K = floor((Re zeta - 45) / -l), l = log|mu|, have Re s >= 45, where
+    log|1 - e^s| is Re s to the last bit: per sign they add up to
+    K (Re zeta + l (K + 1) / 2) in closed form, so the time does not grow with
+    Re zeta.  After each entry's own K an array evaluates one band of
+    (min(max Re zeta, 45) + 45) / -l + 2 rows per sign; the extra terms of
+    other entries are log|1 - e^s| with Re s < -45, exactly 0.0, as if each
+    ran alone.  The shifted arguments of the band, one row per (k, base,
+    sign), are formed and taken through log|1 - e^s| a block of about
+    BLOCK_VALUES values at a time, and the rows are added in that order, as
+    a loop over the factors would add them.  A log|det| of +inf or NaN raises
+    RuntimeError; an exact zero of the determinant gives -inf."""
     families = _families(mu, anti)
     scalar = np.ndim(zeta) == 0
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
@@ -282,11 +289,19 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     if mu != 0:
         pairs = [(np.log(b), 1j * math.pi * (c < 0)) for b, signs in families for c in signs]
         log_b, turn = np.array(pairs).T
-        n = (int((zeta.real.max() + 45) / -math.log(abs(mu))) + 2) * len(pairs)  # rows to the cutoff
+        ell = math.log(abs(mu))
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = np.floor(np.maximum(flat.real - 45, 0) / -ell)
+            total += len(pairs) * K * (flat.real + ell * (K + 1) / 2)
+        bad = ~np.isfinite(K) | np.isnan(total) | (total == np.inf)
+        if bad.any():
+            raise RuntimeError(f"product route: log|det| at zeta={flat[bad][0]} is not finite")
+        n = (int((min(flat.real.max(), 45) + 45) / -ell) + 2) * len(pairs)  # the band's rows
         rows = max(1, BLOCK_VALUES // flat.size)
         for start in range(0, n, rows):
             k, j = np.divmod(np.arange(start, min(start + rows, n)), len(pairs))  # the block's rows
-            for term in _log_abs_1m_exp((flat + ((k + 1) * log_b[j])[:, None]) + turn[j][:, None]):
+            s = (flat + (K + (k + 1)[:, None]) * log_b[j][:, None]) + turn[j][:, None]
+            for term in _log_abs_1m_exp(s):
                 total += term
     return total[0] if scalar else total.reshape(zeta.shape)
 

@@ -221,9 +221,9 @@ class CosineLift(_PowerExpMap):
     def cos_coeffs(self) -> tuple:
         return (self.a,)
 
-    def _exponent(self, z, derivative=True):
+    def _exponent(self, z):
         c = np.array([1j * complex(self.a) / 2])  # TrigLift's z and 1/z coefficient
-        return laurent(c, c, z, derivative)
+        return laurent(c, c, z)
 
 
 def holomorphy_gap(spectrum_of, w0, rho, J, cut):

@@ -211,6 +211,16 @@ class TestDetZetaScan:
         _, rows = _rows(out)
         assert rows == [f"2.5,0,{float(log_abs_det_product(-0.5, False, 2.5)):.16g}"]
 
+    def test_overflowing_scan_is_a_numerical_failure(self, tmp_path, capsys):
+        # log|det| at Re zeta = 1.7e308 overflows; its row count once ended in
+        # an OverflowError traceback
+        out = tmp_path / "zscan.csv"
+        assert main(["det", "--map", BSTAR, "--zeta-scan", "0:1.7e308:2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: product route: log|det| at zeta=(1.7e+308+0j) is not finite" in err
+        assert "Traceback" not in err and not out.exists()
+        assert "encountered" not in err
+
     def test_non_expanding_map_is_refused(self, capsys):
         # no closed forms without expansion: the scan takes the annulus route,
         # and fails as det --z does

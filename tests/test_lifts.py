@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ruelle.maps import (
     iterate,
     min_expansion,
 )
+from ruelle.numerics import circle_nodes
 
 THETA = 2 * np.pi * np.arange(512) / 512
 
@@ -72,7 +74,7 @@ class TestLift:
             m = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
             L = lift(m)
             turns.add(round(L.shift.imag / (2 * math.pi)))
-            assert L.exponent(np.ones(1, complex), derivative=False)[0] == pytest.approx(
+            assert L.exponent(np.ones(1, complex))[0][0] == pytest.approx(
                 1j * cmath.phase(m.eval(1.0)), abs=1e-15
             )
         assert turns == {-1, 0, 1}
@@ -263,6 +265,28 @@ def test_margins_match_the_branching_loop(pair):
     assert (fam.margin_inner, fam.margin_outer) == (margin_inner, margin_outer)
 
 
+def test_slopes_stay_finite_near_the_strip_edges():
+    # eval forms Q' too, whose poles lie on the edges of the strip: members
+    # close to both edges, and TrigLifts far from the unit circle, evaluate
+    # and differentiate to finite values without a RuntimeWarning
+    bstar, anti_bstar = BlaschkeProduct(1.0, (0.0, 0.5)), BlaschkeProduct(1.0, (0.0, 0.5), anti=True)
+    cases = []
+    for pair in ((bstar, TrigLift(2, (0.1,))),
+                 (BlaschkeProduct(1.0, (0.0, 0.0), anti=True), anti_bstar),
+                 (MobiusFamilyMap(0.7 + 0.05j), bstar)):
+        fam = build_homotopy(*pair)
+        for w in (0.0, 0.5, 1.0, 0.5 + 0.5j * fam.eta):
+            member = fam.member(w)
+            cases.append((member, [math.exp(sgn * 0.999 * member.strip) for sgn in (-1, 1)]))
+    cases += [(TrigLift(2, (0.1,)), [0.1, 10.0]), (TrigLift(2, (0.1, 0.05, 0.02)), [0.1, 10.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m, radii in cases:
+            for rho in radii:
+                z = circle_nodes(rho, 2048)
+                assert np.all(np.isfinite(m.eval(z))) and np.all(np.isfinite(m.deriv(z)))
+
+
 @pytest.fixture(scope="module")
 def family(squaring, bstar):
     return build_homotopy(squaring, bstar)
@@ -395,8 +419,8 @@ def test_member_lift_is_the_family_exponent(bstar):
     assert L.d == 2 and L.strip == math.log(2) > fam.epsilon and L.shift == 0
     for rho in (1.0, 0.6, 1 / 0.6):
         z = rho * np.exp(1j * THETA)
-        want = 0.5 * fam.lift0.exponent(z, derivative=False) + 0.5 * fam.lift1.exponent(z, derivative=False)
-        np.testing.assert_allclose(L.exponent(z, derivative=False), want, rtol=0, atol=1e-15)
+        want = 0.5 * fam.lift0.exponent(z)[0] + 0.5 * fam.lift1.exponent(z)[0]
+        np.testing.assert_allclose(L.exponent(z)[0], want, rtol=0, atol=1e-15)
     assert np.all(np.isfinite(L.eval(THETA + 1j * fam.epsilon)))
     for row in (THETA + 1j * math.log(2), THETA - 1j * math.log(2)):
         with pytest.raises(ValueError, match="outside the lift's analytic strip"):

@@ -466,15 +466,10 @@ class TestLengthIndependence:
         theta = rng.uniform(0, 2 * np.pi, 1 << 15) + 1j * rng.uniform(-1, 1, 1 << 15) * height
         self._assert_points_match(getattr(L, method), theta)
 
-    @pytest.mark.parametrize("part", ["value", "slope", "value-alone"])
+    @pytest.mark.parametrize("part", [0, 1], ids=["value", "slope"])
     def test_laurent_point_gets_the_array_bits(self, part):
         pos, neg = np.array([0.3 + 0.1j, -0.2j, 0.05, 0.01 - 0.02j]), np.array([0.1, 0.02 - 0.01j])
-        f = {
-            "value": lambda z: laurent(pos, neg, z)[0],
-            "slope": lambda z: laurent(pos, neg, z)[1],
-            "value-alone": lambda z: laurent(pos, neg, z, derivative=False),
-        }[part]
-        self._assert_points_match(f, _annulus_points(0.8, 1.25, 1 << 15, 9))
+        self._assert_points_match(lambda z: laurent(pos, neg, z)[part], _annulus_points(0.8, 1.25, 1 << 15, 9))
 
     @pytest.mark.parametrize("n", [1 << 15, 1], ids=["block", "one-value"])
     def test_mobius_step_in_place(self, n):

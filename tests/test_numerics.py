@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_coeff, residue_sum
@@ -288,24 +288,6 @@ class TestLaurent:
         assert value[0] == 0 and slope[0] == 2.0
         assert value[1] == pytest.approx(1.0 + 0.75j, rel=1e-15)
         assert slope[1] == pytest.approx(2.0 + 3j, rel=1e-15)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False), max_size=7),
-        st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False), max_size=7),
-        st.lists(
-            st.complex_numbers(min_magnitude=0.25, max_magnitude=4, allow_nan=False),
-            min_size=1, max_size=16,
-        ),
-    )
-    @example([], [], [1j])
-    @example([2 + 0j], [], [0.5])
-    @example([], [3j, 1], [0.5, -2j])
-    def test_value_alone_is_the_value_bit_for_bit(self, pos, neg, z):
-        pos, neg, z = (np.array(v, dtype=complex) for v in (pos, neg, z))
-        value = laurent(pos, neg, z, derivative=False)
-        assert value.shape == z.shape
-        assert np.array_equal(value, laurent(pos, neg, z)[0])
 
 
 class TestUnresolvedTails:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -184,6 +185,20 @@ class TestTracePower:
         T = assemble_dual(m, ann, 128)
         want = np.trace(np.linalg.matrix_power(T.matrix, n - 1))
         assert trace_power(m, n - 1, ann) == pytest.approx(want, abs=1e-14)
+
+    def test_only_a_refusal_shrinks_the_annulus(self, bstar, annulus, monkeypatch):
+        # trace_contour refuses an annulus with a ValueError; a RuntimeError is
+        # a fault, neither retried nor reworded
+        calls = []
+
+        def fault(m, ann):
+            calls.append(ann)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(traces, "trace_contour", fault)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            trace_power(bstar, 2, annulus)
+        assert calls == [annulus]
 
     def test_matrix_power_cross_check(self, bstar, annulus):
         from ruelle.operators import assemble_dual
@@ -560,19 +575,28 @@ class TestLogAbsDetOnAGrid:
         assert peak < 16 * 2**20
 
     def test_long_range_memory_is_bounded_by_the_block(self, monkeypatch):
-        # mu = 0.9 runs to k = (Re zeta + 45) / 0.105: the ranges 0:1000 and
-        # 0:4000 take 19 and 75 blocks of 1024 factor rows, each formed as it
-        # is reached, so the peak is the block's, not the range's
+        # mu = 0.999 evaluates a band of 2 x 89956 factor rows past each
+        # point's closed-form sum, whatever the range: 176 blocks of 1024 rows
+        # for 0:1000 and for 0:4000, each formed as it is reached, so the peak
+        # is the block's, not the band's
         monkeypatch.setattr(traces, "BLOCK_VALUES", 1 << 14)
         peaks = []
         for hi in (1000, 4000):
             tracemalloc.start()
             try:
-                log_abs_det_product(0.9, False, np.linspace(0, hi, 16))
+                log_abs_det_product(0.999, False, np.linspace(0, hi, 16))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert max(peaks) < 1.5 * min(peaks), peaks
+
+    def test_time_does_not_grow_with_re_zeta(self):
+        # the factors with Re s > 45 are summed in closed form: at zeta = 1e12
+        # a loop over every factor would take 1.4e12 rows per sign
+        start = time.perf_counter()
+        got = log_abs_det_product(-0.5, False, 1e12)
+        assert time.perf_counter() - start < 1.0
+        assert got == pytest.approx(1e24 / math.log(2), rel=1e-9)
 
     def test_exact_zero_does_not_warn(self):
         with warnings.catch_warnings():
