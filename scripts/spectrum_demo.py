@@ -9,7 +9,7 @@ cross-check table: eigenvalues, traces of powers, and determinant values.
 import numpy as np
 
 from ruelle.maps import Annulus, BlaschkeProduct
-from ruelle.spectra import converged_spectrum, decay_fit, order_estimate
+from ruelle.spectra import converged_spectrum, decay_fit
 from ruelle.traces import (
     blaschke_trace_closed,
     det_from_spectrum,
@@ -29,7 +29,7 @@ for n, lam in enumerate(spec.eigenvalues[:9], start=1):
 
 fit = decay_fit(spec)
 print(f"\ndecay fit: beta = {fit.beta:.4f}, c = {fit.c:.4f}, R^2 = {fit.r2:.5f}")
-print(f"order estimate 1 + 1/beta = {order_estimate(spec):.4f} (exact order: 2)")
+print(f"order estimate 1 + 1/beta = {1 + 1 / fit.beta:.4f} (exact order: 2)")
 
 print("\ntraces of powers vs closed form 1 + 2 mu^n/(1 - mu^n):")
 for n in range(1, 6):

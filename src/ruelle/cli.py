@@ -112,7 +112,9 @@ def _spectrum_rows(spec) -> str:
 
 
 def _spectrum_summary(spec):
-    """(|lambda_2| or 0, decay exponent beta or None if unfit, its order_estimate)."""
+    """(|lambda_2| or 0, decay exponent beta or None if unfit, order rho_hat):
+    rho_hat = 1 + 1/beta, the order of zeta -> det(I - e^zeta L), or 1.0
+    where decay_fit refuses, since a finite spectrum gives order exactly 1."""
     second = abs(spec.eigenvalues[1]) if len(spec.eigenvalues) > 1 else 0.0
     try:
         beta = decay_fit(spec).beta
@@ -193,7 +195,7 @@ def cmd_det(args):
         raise ValueError("need --z (or --zeta-scan) for the det command")
     z = _parse_complex(args.z, "--z")
     spec = converged_spectrum(m, ann)
-    zeta = np.log(z) if z != 0 else -745.0  # e^zeta below double tiny at z=0
+    zeta = np.log(z) if z != 0 else -np.inf  # det(I - 0 L) = 1, tail 0
     routes = {"spectrum": det_from_spectrum(spec, zeta)}
     if abs(z) <= 0.5:
         routes["traces"] = det_from_traces(m, ann, z, nmax=args.nmax)

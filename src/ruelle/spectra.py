@@ -1,5 +1,5 @@
-"""Eigenvalue extraction, truncation-convergence control, counting function,
-and decay-rate / order-of-growth estimation."""
+"""Eigenvalue extraction, truncation-convergence control and the
+eigenvalue decay fit."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ __all__ = [
     "DecayFit",
     "Spectrum",
     "converged_spectrum",
-    "counting_function",
     "decay_fit",
     "eigenvalues",
-    "order_estimate",
 ]
 
 
@@ -233,17 +231,6 @@ def converged_spectrum(
     return best
 
 
-def counting_function(s: Spectrum, threshold: float) -> int:
-    """N(threshold): number of converged eigenvalues with modulus >= threshold."""
-    if not threshold > 0:  # NaN included
-        raise ValueError("threshold must be positive")
-    if s.tol is not None and threshold < 10 * s.tol:
-        raise ValueError(
-            f"threshold {threshold:g} below the convergence floor {10 * s.tol:g}"
-        )
-    return int(np.sum(np.abs(s.converged()) >= threshold))
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares fit of |lambda_n| ~ exp(-c n^beta) over the converged
@@ -254,17 +241,16 @@ class DecayFit:
     r2: float
 
 
-def _usable_indices(s: Spectrum) -> np.ndarray:
+def decay_fit(s: Spectrum) -> DecayFit:
+    """Fit |lambda_n| ~ exp(-c n^beta) to the usable converged eigenvalues:
+    those at index n >= 2 with modulus in (max(1e-12, 10 tol), 1 - 1e-9),
+    the floor 1e-12 alone when the spectrum has no tol.  Fewer than 6 of
+    them raise ValueError (a finite-spectrum signal): the spectrum is
+    finite, and its determinant has order exactly 1."""
     mods = np.abs(s.converged())
     floor = max(1e-12, 10 * s.tol) if s.tol is not None else 1e-12
     n = np.arange(1, len(mods) + 1)
-    keep = (mods > floor) & (mods < 1 - 1e-9) & (n >= 2)
-    return n[keep]
-
-
-def decay_fit(s: Spectrum) -> DecayFit:
-    mods = np.abs(s.converged())
-    idx = _usable_indices(s)
+    idx = n[(mods > floor) & (mods < 1 - 1e-9) & (n >= 2)]
     if len(idx) < 6:
         raise ValueError(
             f"only {len(idx)} usable eigenvalues (< 6): finite-spectrum signal"
@@ -277,15 +263,3 @@ def decay_fit(s: Spectrum) -> DecayFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return DecayFit(float(slope), float(np.exp(intercept)), r2)
-
-
-def order_estimate(s: Spectrum) -> float:
-    """Order of growth of the spectral determinant zeta -> det(I - e^zeta L).
-
-    Eigenvalue decay |lambda_n| ~ exp(-c n^beta) gives order 1 + 1/beta;
-    with fewer than 6 usable eigenvalues the determinant is a finite
-    product times (1 - e^zeta), of order exactly 1.
-    """
-    if len(_usable_indices(s)) < 6:
-        return 1.0
-    return 1.0 + 1.0 / decay_fit(s).beta

@@ -41,6 +41,7 @@ __all__ = [
     "det_from_traces",
     "det_product_formula",
     "log_abs_det_product",
+    "power_trace_table",
     "trace_contour",
     "trace_power",
     "trace_report",
@@ -274,13 +275,14 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     log|1 - e^s| is Re s to the last bit: per sign they add up to
     K (Re zeta + l (K + 1) / 2) in closed form, so the time does not grow with
     Re zeta.  After each entry's own K an array evaluates one band of
-    (min(max Re zeta, 45) + 45) / -l + 2 rows per sign; the extra terms of
-    other entries are log|1 - e^s| with Re s < -45, exactly 0.0, as if each
-    ran alone.  The shifted arguments of the band, one row per (k, base,
-    sign), are formed and taken through log|1 - e^s| a block of about
-    BLOCK_VALUES values at a time, and the rows are added in that order, as
-    a loop over the factors would add them.  A log|det| of +inf or NaN raises
-    RuntimeError; an exact zero of the determinant gives -inf."""
+    (m + 45) / -l + 2 rows per sign, m = max Re zeta clipped to [-45, 45];
+    the extra terms of other entries are log|1 - e^s| with Re s < -45,
+    exactly 0.0, as if each ran alone.  The shifted arguments of the band,
+    one row per (k, base, sign), are formed and taken through log|1 - e^s| a
+    block of about BLOCK_VALUES values at a time, and the rows are added in
+    that order, as a loop over the factors would add them.  A log|det| of
+    +inf or NaN raises RuntimeError; an exact zero of the determinant gives
+    -inf, and zeta = -inf (K = 0) gives 0, the log of det(I - 0 L) = 1."""
     families = _families(mu, anti)
     scalar = np.ndim(zeta) == 0
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
@@ -292,11 +294,12 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
         ell = math.log(abs(mu))
         with np.errstate(over="ignore", invalid="ignore"):
             K = np.floor(np.maximum(flat.real - 45, 0) / -ell)
-            total += len(pairs) * K * (flat.real + ell * (K + 1) / 2)
+            far = K > 0  # K = 0 at zeta = -inf, where K Re zeta is 0 * inf = NaN
+            total[far] += len(pairs) * K[far] * (flat.real[far] + ell * (K[far] + 1) / 2)
         bad = ~np.isfinite(K) | np.isnan(total) | (total == np.inf)
         if bad.any():
             raise RuntimeError(f"product route: log|det| at zeta={flat[bad][0]} is not finite")
-        n = (int((min(flat.real.max(), 45) + 45) / -ell) + 2) * len(pairs)  # the band's rows
+        n = (int((np.clip(flat.real.max(), -45, 45) + 45) / -ell) + 2) * len(pairs)  # band rows
         rows = max(1, BLOCK_VALUES // flat.size)
         for start in range(0, n, rows):
             k, j = np.divmod(np.arange(start, min(start + rows, n)), len(pairs))  # the block's rows

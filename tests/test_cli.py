@@ -12,7 +12,7 @@ import ruelle
 import ruelle.cli
 import ruelle.julia
 from ruelle.cli import _build_parser, _spectrum_summary, main
-from ruelle.spectra import Spectrum, order_estimate
+from ruelle.spectra import Spectrum, decay_fit
 
 BSTAR = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":false}'
 ANTI = '{"type":"blaschke","alpha":[1,0],"zeros":[[0,0],[0.5,0]],"anti":true}'
@@ -141,8 +141,11 @@ class TestDet:
         out = tmp_path / "det.json"
         code = main(["det", "--map", BSTAR, "--annulus", "0.8,1.25", "--z", "0", "--out", str(out)])
         assert code == 0
+        # the spectrum route takes z = 0 as zeta = -inf: every factor is
+        # exactly 1 and the tail 0, as written to the artifact
+        block = '"spectrum": {\n  "value": [\n   1.0,\n   0.0\n  ],\n  "tail": 0.0\n }'
+        assert block in out.read_text()
         doc = json.loads(out.read_text())
-        assert doc["spectrum"]["value"][0] == pytest.approx(1.0, abs=1e-9)
         assert doc["traces"]["value"][0] == pytest.approx(1.0, abs=1e-9)
         assert doc["product"]["value"][0] == pytest.approx(1.0, abs=1e-9)
 
@@ -314,11 +317,17 @@ def test_every_subcommand_exits_2_on_warning(module, name, argv, monkeypatch, tm
     ids=["stretched", "geometric", "three", "none"],
 )
 def test_summary_order_is_order_estimate(moduli):
-    # rho_hat comes from the one decay fit, or is 1 where that fit is refused
+    # the order estimate rho_hat is 1 + 1/beta of the one decay fit, or
+    # exactly 1 where that fit is refused
     spec = Spectrum(np.array([1.0, *moduli], dtype=complex), None, None, 1e-9)
     second, beta, rho = _spectrum_summary(spec)
-    assert rho == order_estimate(spec)
-    assert (beta is None) == (len(moduli) < 6)
+    if len(moduli) < 6:
+        with pytest.raises(ValueError, match="finite-spectrum"):
+            decay_fit(spec)
+        assert (beta, rho) == (None, 1.0)
+    else:
+        fit = decay_fit(spec)
+        assert (beta, rho) == (fit.beta, 1 + 1 / fit.beta)
 
 
 class TestScan:

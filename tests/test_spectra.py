@@ -15,6 +15,7 @@ from helpers import (
     leading_match_loop,
     match_multiset,
 )
+from ruelle.cli import _spectrum_summary
 from ruelle.lifts import build_homotopy, find_expansive_annulus
 from ruelle.maps import (
     Annulus,
@@ -31,10 +32,8 @@ from ruelle.spectra import (
     _lower_triangular,
     _unisolated,
     converged_spectrum,
-    counting_function,
     decay_fit,
     eigenvalues,
-    order_estimate,
 )
 
 
@@ -498,34 +497,6 @@ def test_leading_match_crosses_row_blocks():
     assert _leading_match(spec, other, 1e-12) == n - 1
 
 
-class TestCounting:
-    def test_bstar_at_point_two(self, bstar, annulus):
-        spec = converged_spectrum(bstar, annulus)
-        # 1, 0.5, 0.5, 0.25, 0.25 are the entries >= 0.2
-        assert counting_function(spec, 0.2) == 5
-
-    def test_unit_threshold(self, bstar, annulus):
-        spec = converged_spectrum(bstar, annulus)
-        assert counting_function(spec, 1.0 - 1e-12) == 1
-
-    def test_trivial(self, squaring, annulus):
-        spec = converged_spectrum(squaring, annulus)
-        assert counting_function(spec, 0.5) == 1
-
-    def test_floor_refusal(self, bstar, annulus):
-        spec = converged_spectrum(bstar, annulus, tol=1e-9)
-        with pytest.raises(ValueError, match="floor"):
-            counting_function(spec, 1e-9)
-        with pytest.raises(ValueError):
-            counting_function(spec, 0.0)
-
-    def test_nan_threshold_raises(self, bstar, annulus):
-        # NaN compares False with everything: it once counted 0 eigenvalues
-        spec = converged_spectrum(bstar, annulus)
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            counting_function(spec, float("nan"))
-
-
 class TestDecayFit:
     def test_pure_exponential(self):
         spec = _synthetic(np.exp(-np.arange(2, 30)))
@@ -551,6 +522,26 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="finite-spectrum"):
             decay_fit(spec)
 
+    # |lambda_n| = e^-n for n = 2..18, then 2e-9 at n = 19, off that line
+    FLOOR_BASE = list(np.exp(-np.arange(2, 19)))
+
+    def test_floor_leaves_out_below_ten_tol(self):
+        # 2e-9 is above tol = 1e-9 but below the floor 10 tol: left out, and
+        # the fit is exact
+        fit = decay_fit(_synthetic(self.FLOOR_BASE + [2e-9], tol=1e-9))
+        assert fit.beta == pytest.approx(1.0, abs=1e-9)
+
+    def test_floor_fits_above_ten_tol(self):
+        # above the floor 10 tol = 1e-10: fitted, and beta moves
+        moved = decay_fit(_synthetic(self.FLOOR_BASE + [2e-9], tol=1e-11))
+        assert abs(moved.beta - 1.0) > 1e-3
+
+    def test_floor_without_tol_is_1e_12(self):
+        # with no tol the floor is 1e-12: 2e-12 is fitted, 5e-13 is not
+        base = self.FLOOR_BASE + [2e-9]
+        fit = decay_fit(_synthetic(base + [2e-12, 5e-13], tol=None))
+        assert fit == decay_fit(_synthetic(base + [2e-12], tol=None))
+        assert fit.beta != decay_fit(_synthetic(base, tol=None)).beta
 
 def test_exponential_lower_bound_on_fitted_beta(bstar, anti_bstar, annulus):
     # every converged oracle spectrum decays at least exponentially
@@ -559,17 +550,22 @@ def test_exponential_lower_bound_on_fitted_beta(bstar, anti_bstar, annulus):
         assert fit.beta >= 0.9
 
 
+
 class TestOrder:
+    """rho_hat = 1 + 1/beta, the order of zeta -> det(I - e^zeta L), on known
+    spectra; the rule lives in ``cli._spectrum_summary``."""
+
     def test_bstar_quadratic(self, bstar, annulus):
-        assert order_estimate(converged_spectrum(bstar, annulus)) == pytest.approx(2.0, abs=0.2)
+        rho = _spectrum_summary(converged_spectrum(bstar, annulus))[2]
+        assert rho == pytest.approx(2.0, abs=0.2)
 
     def test_trivial_is_one(self, squaring, annulus):
-        assert order_estimate(converged_spectrum(squaring, annulus)) == 1.0
+        _, beta, rho = _spectrum_summary(converged_spectrum(squaring, annulus))
+        assert (beta, rho) == (None, 1.0)
 
     def test_beta_two_gives_three_halves(self):
         spec = _synthetic(np.exp(-0.05 * np.arange(2, 16) ** 2))
-        assert order_estimate(spec) == pytest.approx(1.5, abs=1e-9)
-
+        assert _spectrum_summary(spec)[2] == pytest.approx(1.5, abs=1e-9)
 
 class TestAntiRealness:
     def test_all_converged_real(self, anti_bstar, annulus):

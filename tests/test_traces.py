@@ -604,6 +604,21 @@ class TestLogAbsDetOnAGrid:
             assert log_abs_det_product(-0.5, False, 0.0) == -np.inf
             assert log_abs_det_product(0.5, True, np.array([0.0, 1.0]))[0] == -np.inf
 
+    def test_minus_inf_is_zero(self):
+        # e^zeta = 0, so det = 1 and log|det| = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_abs_det_product(-0.5, False, -np.inf) == 0.0
+
+    def test_minus_inf_in_a_grid(self):
+        # -inf gives 0 and leaves the finite points' bits alone (B*'s values
+        # at 0.3 and 50, pinned)
+        want = [0.0, float.fromhex("-0x1.4e1dacc36f86cp-1"), float.fromhex("0x1.c257de0d91f72p+11")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_abs_det_product(-0.5, False, np.array([-np.inf, 0.3, 50]))
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_shape_follows_zeta(self):
         # a scalar gives a scalar; an array, a length-1 one included, keeps
         # its shape
