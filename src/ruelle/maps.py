@@ -6,11 +6,12 @@ analytically known degree.  Every type but the composition also gives the
 pair (Q, Q') of its exponent Q = log(tau(z)/z^d) in closed form
 (``_exponent``; a caller that wants Q alone takes [0]) and states
 ``strip``, the half-width s of the annulus e^-s < |z| < e^s on which Q is
-analytic (the class notes give s).  The module-level helpers implement
-the checks that the spectral machinery relies on: expansivity on the unit
-circle, boundary-circle inclusions certifying holomorphic expansivity (and
-naming the inward circle), and interior fixed points with their
-multipliers.
+analytic (the class notes give s).  Blaschke products and Mobius members
+share one rational base, which holds that exponent, the map's derivative and
+its strip once.  The module-level helpers implement the checks that the
+spectral machinery relies on: expansivity on the unit circle,
+boundary-circle inclusions certifying holomorphic expansivity (and naming
+the inward circle), and interior fixed points with their multipliers.
 
 One evaluation order: a value's bits depend only on its point, whatever the
 shape of the input.  A 0-d point is evaluated as a one-element array, and a
@@ -86,15 +87,67 @@ class _PowerExpMap(_MapBase):
         return np.exp(Q) * (self.degree * z ** (self.degree - 1) + z**self.degree * Qprime)
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct(_MapBase):
-    """B(z) = alpha * prod (z - a_j)/(1 - conj(a_j) z), |alpha| = 1, |a_j| < 1.
+class _RationalMap(_MapBase):
+    """alpha prod (z - a_j)/(1 - b_j z) over the ``zeros`` a_j and the pole
+    coefficients b_j (``_poles``), or with anti=True its reciprocal, of degree
+    -d.  The exponent log alpha + sum log1p(-a_j/z) - log1p(-b_j z) (negated
+    when anti) has strip -log max(|a_j|, |b_j|), inf when all are 0."""
 
-    With anti=True the map is the reciprocal 1/B, an orientation-reversing
-    circle map of degree -d.  Its exponent log alpha + sum log1p(-a_j/z) -
-    log1p(-conj(a_j) z) (negated for 1/B) has strip -log max|a_j|, inf when
-    every zero is 0.
-    """
+    alpha = 1.0
+    anti = False
+
+    @property
+    def degree(self) -> int:
+        d = len(self.zeros)
+        return -d if self.anti else d
+
+    @property
+    def strip(self) -> float:
+        rho = max(map(abs, self.zeros + self._poles))
+        return -math.log(rho) if rho else math.inf
+
+    def _factors(self, z):
+        return [(z - a) / (1 - b * z) for a, b in zip(self.zeros, self._poles)]
+
+    def _product(self, z, us):
+        # alpha prod u_j over the factors us at z; its zeros are the anti map's poles
+        p = np.full_like(z, self.alpha)
+        for u in us:
+            p = p * u
+        if self.anti and np.any(p == 0):
+            raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
+        return p
+
+    def _eval(self, z):
+        p = self._product(z, self._factors(z))
+        return 1.0 / p if self.anti else p
+
+    def _deriv(self, z):
+        # product rule; each factor has derivative (1 - a b)/(1 - b z)^2
+        us = self._factors(z)
+        total = np.zeros_like(z)
+        for k, (a, b) in enumerate(zip(self.zeros, self._poles)):
+            term = (1 - a * b) / (1 - b * z) ** 2
+            for j, u in enumerate(us):
+                if j != k:
+                    term = term * u
+            total = total + term
+        return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
+
+    def _exponent(self, z):
+        # Q = log(tau/z^d) and Q' (class notes); the anti map's exponent is -Q
+        Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
+        for a, b in zip(self.zeros, self._poles):
+            Q = Q + np.log1p(-a / z) - np.log1p(-b * z)
+            slope = slope + a / np.multiply(z, z - a) + b / (1 - b * z)
+        return (-Q, -slope) if self.anti else (Q, slope)
+
+
+@dataclass(frozen=True)
+class BlaschkeProduct(_RationalMap):
+    """B(z) = alpha * prod (z - a_j)/(1 - conj(a_j) z), |alpha| = 1, |a_j| < 1,
+    the rational map with b_j = conj(a_j).  With anti=True the map is the
+    reciprocal 1/B, an orientation-reversing circle map."""
 
     alpha: complex = 1.0
     zeros: tuple = ()
@@ -110,55 +163,13 @@ class BlaschkeProduct(_MapBase):
         for a in self.zeros:
             if abs(a) >= 1:
                 raise ValueError(f"zero {a} not inside the unit disk")
-        rho = max(map(abs, self.zeros))
-        object.__setattr__(self, "strip", -math.log(rho) if rho else math.inf)
-
-    @property
-    def degree(self) -> int:
-        d = len(self.zeros)
-        return -d if self.anti else d
+        object.__setattr__(self, "_poles", tuple(a.conjugate() for a in self.zeros))
 
     def conjugate_params(self) -> "BlaschkeProduct":
         """The product with conjugated data (alpha and all zeros)."""
         return BlaschkeProduct(
             self.alpha.conjugate(), tuple(a.conjugate() for a in self.zeros), self.anti
         )
-
-    def _factors(self, z):
-        return [(z - a) / (1 - a.conjugate() * z) for a in self.zeros]
-
-    def _product(self, z, us):
-        # alpha prod u_j over the factors us at z; its zeros are the anti map's poles
-        b = np.full_like(z, self.alpha)
-        for u in us:
-            b = b * u
-        if self.anti and np.any(b == 0):
-            raise ValueError("anti-Blaschke pole: underlying product vanishes at z")
-        return b
-
-    def _eval(self, z):
-        b = self._product(z, self._factors(z))
-        return 1.0 / b if self.anti else b
-
-    def _deriv(self, z):
-        # product rule; each factor has derivative (1-|a|^2)/(1-conj(a) z)^2
-        us = self._factors(z)
-        total = np.zeros_like(z)
-        for k, a in enumerate(self.zeros):
-            term = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
-            for j, u in enumerate(us):
-                if j != k:
-                    term = term * u
-            total = total + term
-        return -(self.alpha * total) / self._product(z, us) ** 2 if self.anti else self.alpha * total
-
-    def _exponent(self, z):
-        # Q = log(B/z^d) and Q' (class notes); the anti map's exponent is -Q
-        Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
-        for a in self.zeros:
-            Q = Q + np.log1p(-a / z) - np.log1p(-a.conjugate() * z)
-            slope = slope + a / np.multiply(z, z - a) + a.conjugate() / (1 - a.conjugate() * z)
-        return (-Q, -slope) if self.anti else (Q, slope)
 
 
 @dataclass(frozen=True)
@@ -195,26 +206,23 @@ class TrigLift(_PowerExpMap):
 
 
 @dataclass(frozen=True)
-class MobiusFamilyMap(_MapBase):
-    """Degree-2 family T(w, z) = z (2z - w) / (2 - w z).
+class MobiusFamilyMap(_RationalMap):
+    """Degree-2 family T(w, z) = z (2z - w) / (2 - w z), evaluated by ``step``:
+    the rational map with a = b = (0, w/2).
 
-    w = 0 gives z^2 and w = 1 the Blaschke product z (z - 1/2)/(1 - z/2);
-    for real w in [0, 1] the unit circle is invariant (|2z - w| = |2 - wz|
-    on |z| = 1).  The pole 2/w may lie anywhere, even inside an annulus of
-    interest: ``check_holo_expansive`` decides whether an annulus is usable.
-    The exponent log1p(-w/(2z)) - log1p(-wz/2) has strip -log(|w|/2), inf
-    at w = 0 and not positive for |w| >= 2 (analytic on no annulus).
+    w = 0 gives z^2 and w = 1 the Blaschke product z (z - 1/2)/(1 - z/2); for
+    every real w, b = conj(a) and the unit circle is invariant (|2z - w| =
+    |2 - wz| on |z| = 1).  The pole 2/w may lie anywhere, even inside an
+    annulus of interest: ``check_holo_expansive`` decides whether an annulus
+    is usable.  The strip -log(|w|/2) is not positive for |w| >= 2.
     """
 
     w: complex
 
     def __post_init__(self):
         object.__setattr__(self, "w", complex(self.w))
-        object.__setattr__(self, "strip", -math.log(abs(self.w) / 2) if self.w else math.inf)
-
-    @property
-    def degree(self) -> int:
-        return 2
+        object.__setattr__(self, "zeros", (0j, self.w / 2))
+        object.__setattr__(self, "_poles", self.zeros)
 
     def step(self, z, a, b, out=None):
         """T(w, z) computed in ``a`` and ``b``, arrays of z's shape, into
@@ -228,15 +236,6 @@ class MobiusFamilyMap(_MapBase):
 
     def _eval(self, z):
         return self.step(z, np.empty_like(z), np.empty_like(z))
-
-    def _exponent(self, z):
-        # Q = log(T/z^2) and Q' (class notes)
-        Q = np.log1p(-self.w / (2 * z)) - np.log1p(-self.w * z / 2)
-        return Q, self.w / np.multiply(z, 2 * z - self.w) + self.w / (2 - self.w * z)
-
-    def _deriv(self, z):
-        den = 2 - self.w * z
-        return ((4 * z - self.w) * den + np.multiply(self.w, 2 * z**2 - self.w * z)) / den**2
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,10 @@ def iterate(m, n: int):
 
 
 def min_expansion(m) -> float:
-    """min |tau'| over 4096 equispaced points of the unit circle (expanding iff > 1)."""
-    return float(np.min(np.abs(m.deriv(circle_nodes(1.0, 4096)))))
+    """min |tau'| over 4096 equispaced points of the unit circle (expanding iff
+    > 1); NaN, without a warning, where a point meets a pole of tau."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(np.abs(m.deriv(circle_nodes(1.0, 4096)))))
 
 
 @dataclass(frozen=True)

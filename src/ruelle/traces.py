@@ -20,9 +20,8 @@ import numpy as np
 
 from .maps import (
     Annulus,
-    BlaschkeProduct,
-    MobiusFamilyMap,
     _inclusions,
+    _RationalMap,
     fixed_point_disk,
     iterate,
     min_expansion,
@@ -320,20 +319,18 @@ class TraceReport:
 
 
 def closed_form_multiplier(m):
-    """(mu, anti) for the closed forms of a map that has them, else None:
-    the interior fixed-point multiplier of a Blaschke product or of a Mobius
-    family member with real w in [0, 1] (which is one; mu = -w/2), and for an
-    anti-product the square root of its second-iterate multiplier.  A map
-    with min_expansion <= 1 is not expanding, and has no closed forms."""
-    if not isinstance(m, (BlaschkeProduct, MobiusFamilyMap)) or min_expansion(m) <= 1:
+    """(mu, anti) for the closed forms of a map that has them, else None: for
+    a rational map whose pole coefficients are its zeros' conjugates (every
+    Blaschke product, and every Mobius member with real w, mu = -w/2), the
+    interior fixed-point multiplier, and for an anti-product the square root
+    of its second-iterate multiplier.  A map whose min_expansion is not above
+    1, NaN included, is not expanding, and has no closed forms."""
+    circle = isinstance(m, _RationalMap) and m._poles == tuple(a.conjugate() for a in m.zeros)
+    if not circle or not min_expansion(m) > 1:
         return None
-    if isinstance(m, BlaschkeProduct):
-        if m.anti:
-            return second_iterate_multiplier(m), True
-        return fixed_point_disk(m)[1], False
-    if abs(m.w.imag) < 1e-14 and 0 <= m.w.real <= 1:
-        return fixed_point_disk(m)[1], False
-    return None
+    if m.anti:
+        return second_iterate_multiplier(m), True
+    return fixed_point_disk(m)[1], False
 
 
 def trace_report(m, annulus: Annulus, nplus: int = 48) -> TraceReport:

@@ -1,7 +1,8 @@
 """Oracles and comparison utilities shared across the test modules.
 
-Besides the closed-form spectra and comparison helpers, independent checks
-of the package live here, since only the tests call them: the winding
+Besides the closed-form spectra (of a Blaschke product, and of a rational
+map by its two fixed-point multipliers) and comparison helpers, independent
+checks of the package live here, since only the tests call them: the winding
 number of a map on the unit circle; lifts and homotopy members evaluated
 from the endpoint maps' own eval and deriv, the logarithm continued by
 unwrapping its argument;
@@ -24,7 +25,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ruelle.maps import Annulus, BlaschkeProduct, _PowerExpMap
+from ruelle.maps import Annulus, BlaschkeProduct, _PowerExpMap, _RationalMap, fixed_point_disk
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples, laurent
 from ruelle.operators import assemble_dual
 from ruelle.traces import log_abs_det_product
@@ -72,6 +73,39 @@ def blaschke_spectrum(mu, count, anti=False):
             lam = mu ** (n // 2) if n % 2 == 0 else np.conj(mu) ** ((n - 1) // 2)
         out.append(complex(lam))
     vals = np.array(out)
+    vals = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
+    return vals[:count]
+
+
+def rational_map(zeros, poles, alpha=1.0):
+    """alpha prod (z - a_j)/(1 - b_j z) for the zeros a_j and free pole
+    coefficients b_j, by the library's rational formula: no public class
+    states it unless b = conj(a) (a Blaschke product) or a = b (a Mobius
+    member)."""
+    tau = _RationalMap()
+    tau.alpha, tau.zeros, tau._poles = complex(alpha), tuple(map(complex, zeros)), tuple(map(complex, poles))
+    return tau
+
+
+def reflected_multiplier(m):
+    """mu_out = sigma'(u_0) for sigma(u) = 1/tau(1/u) and its attracting fixed
+    point u_0 in the unit disk, for a rational map tau that is not anti: sigma
+    = (1/alpha) prod (u - b_j)/(1 - a_j u), the same formula with the a_j and
+    b_j swapped.  For a Blaschke product it is conj(mu_in); for a Mobius
+    member, where a = b = (0, w/2), mu_in = mu_out = -w/2."""
+    return fixed_point_disk(rational_map(m._poles, m.zeros, 1 / m.alpha))[1]
+
+
+def two_multiplier_spectrum(mu_in, mu_out, count):
+    """The leading ``count`` eigenvalues {1} and {mu_in^k, mu_out^k : k >= 1}
+    of a rational map holomorphically expansive on its annulus, with mu_in =
+    tau'(z_in) at the attracting fixed point inside and mu_out from
+    ``reflected_multiplier``.  tau has no pole inside the outer circle and no
+    zero outside the inner one, so the adjoint is block triangular, its
+    spectrum the union of the two Koenigs spectra.  mu_out = conj(mu_in) is
+    ``blaschke_spectrum(mu_in)``; two equal multipliers give each power twice.
+    Sorted as the package sorts (modulus descending, then argument)."""
+    vals = np.array([1] + [mu**k for k in range(1, count + 1) for mu in (mu_in, mu_out)], dtype=complex)
     vals = vals[np.lexsort((np.angle(vals), -np.abs(vals)))]
     return vals[:count]
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,39 @@ class TestDeriv:
                 fd = finite_difference(m, z)
                 an = m.deriv(z)
                 assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
+
+
+def _mobius_deriv_ref(m, z):
+    # the quotient rule on z (2z - w)/(2 - wz)
+    w = m.w
+    return ((4 * z - w) * (2 - w * z) + w * (2 * z**2 - w * z)) / (2 - w * z) ** 2
+
+
+def _blaschke_deriv_ref(m, z):
+    # the product rule with factor derivatives (1 - |a|^2)/(1 - conj(a) z)^2,
+    # and -B'/B^2 for the anti map
+    us = [(z - a) / (1 - a.conjugate() * z) for a in m.zeros]
+    total = 0
+    for k, a in enumerate(m.zeros):
+        term = (1 - abs(a) ** 2) / (1 - a.conjugate() * z) ** 2
+        for u in us[:k] + us[k + 1 :]:
+            term = term * u
+        total = total + term
+    return -total / (m.alpha * np.prod(us, axis=0) ** 2) if m.anti else m.alpha * total
+
+
+_DERIV_REFS = {f"mobius{w}": (MobiusFamilyMap(w), _mobius_deriv_ref)
+               for w in (0.7, 0.7 + 0.05j, 0.5 + 0.26j, 1.7, 0.3 - 0.2j, 0)}
+_DERIV_REFS.update({f"seeded{i}-{'anti' if anti else 'plain'}": (replace(m, anti=anti), _blaschke_deriv_ref)
+                    for i, m in enumerate(seeded_products(10)) for anti in (False, True)})
+
+
+@pytest.mark.parametrize("m, ref", _DERIV_REFS.values(), ids=list(_DERIV_REFS))
+def test_rational_deriv_matches_the_class_formulas(m, ref):
+    # the shared product rule against each class's own former derivative
+    z = _annulus_points(0.8, 1.25, 10**4, 12)
+    expected = ref(m, z)
+    assert np.all(np.abs(m.deriv(z) - expected) <= 1e-14 * np.abs(expected))
 
 
 class TestDegreeOrientation:

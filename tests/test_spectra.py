@@ -14,6 +14,9 @@ from helpers import (
     jacobi_anger_matrix,
     leading_match_loop,
     match_multiset,
+    rational_map,
+    reflected_multiplier,
+    two_multiplier_spectrum,
 )
 from ruelle.cli import _spectrum_summary
 from ruelle.lifts import build_homotopy, find_expansive_annulus
@@ -22,6 +25,7 @@ from ruelle.maps import (
     BlaschkeProduct,
     MobiusFamilyMap,
     TrigLift,
+    fixed_point_disk,
     second_iterate_multiplier,
 )
 from ruelle.operators import TruncatedOperator, assemble_dual
@@ -407,6 +411,30 @@ class TestConverged:
         spec = converged_spectrum(MobiusFamilyMap(1.7), annulus)
         assert spec.converged_count == 63  # all of the symmetric truncation (32, 31)
         match_multiset(blaschke_spectrum(-0.85, 11), spec.eigenvalues, 1e-9)
+
+    @pytest.mark.parametrize(
+        "m",
+        [MobiusFamilyMap(0.7 + 0.05j), MobiusFamilyMap(0.6 + 0.2j),
+         rational_map((0, 0.25 - 0.1j), (0, 0.35 + 0.05j))],
+        ids=["mobius0.7+0.05i", "mobius0.6+0.2i", "rational"],
+    )
+    def test_full_complex_assembly_two_multiplier_closed_form(self, m, annulus):
+        # no circle maps, so no reflected minus block: the complex assembly
+        # transforms both blocks, and its spectrum is {1} and the powers of
+        # mu_in = tau'(z_in) and of mu_out, each -w/2 for a Mobius member
+        assert assemble_dual(m, annulus, 32).matrix.dtype == np.complex128
+        mu_in, mu_out = fixed_point_disk(m)[1], reflected_multiplier(m)
+        if isinstance(m, MobiusFamilyMap):
+            assert mu_in == mu_out == -m.w / 2
+        spec = converged_spectrum(m, annulus)
+        assert spec.converged_count >= 15
+        match_multiset(two_multiplier_spectrum(mu_in, mu_out, 15), spec.eigenvalues, 1e-12)
+
+    def test_reflected_multiplier_of_a_blaschke_product_is_conjugate(self):
+        for m in (BlaschkeProduct(1.0, (0.0, 0.3 + 0.2j)), BlaschkeProduct(1j, (0.2 - 0.1j, 0.4j))):
+            mu = fixed_point_disk(m)[1]
+            assert reflected_multiplier(m) == pytest.approx(mu.conjugate(), abs=1e-14)
+            assert np.array_equal(two_multiplier_spectrum(mu, mu.conjugate(), 11), blaschke_spectrum(mu, 11))
 
     def test_fine_level_reused_as_next_coarse(self, monkeypatch):
         # levels 32->64, 64->128, 128->256 need the four orders 32..256 once each

@@ -301,7 +301,21 @@ class TestClosedFormMultiplier:
         assert mu == pytest.approx(-0.35, abs=1e-12)
         assert anti is False
 
+    @pytest.mark.parametrize("w", [-0.5, 1.7, 1.9])
+    def test_real_mobius_off_the_unit_segment(self, w):
+        # every real w gives b = conj(a): the product with zeros 0 and w/2
+        assert closed_form_multiplier(MobiusFamilyMap(w)) == (-w / 2, False)
+
+    def test_mobius_with_a_pole_on_the_circle_has_none(self):
+        # w = 2 is z(z - 1)/(1 - z) = -z, whose pole the node z = 1 meets
+        # (min_expansion NaN, not expanding); w = -2 is z(z + 1)/(1 + z) = z
+        assert math.isnan(min_expansion(MobiusFamilyMap(2.0)))
+        for w in (2.0, -2.0):
+            assert closed_form_multiplier(MobiusFamilyMap(w)) is None
+
     def test_complex_mobius_has_none(self):
+        # its spectrum is {1} and each power of -w/2 twice (a family in mu and
+        # one in mu, not in conj(mu)), which no (mu, anti) pair states
         assert closed_form_multiplier(MobiusFamilyMap(0.5 + 0.26j)) is None
 
     def test_triglift_has_none(self):
@@ -324,6 +338,28 @@ class TestClosedFormMultiplier:
         assert len(refused) == 12
         assert all(closed_form_multiplier(m) is None for m in refused)
         assert all(closed_form_multiplier(m) is not None for m in panel if m not in refused)
+
+
+class TestRealMobiusClosedForms:
+    """Members with real w off [0, 1] against the independent routes, each on
+    its automatic annulus."""
+
+    @pytest.mark.parametrize("w", [-0.5, 1.7, 1.9])
+    def test_contour_trace(self, w):
+        m = MobiusFamilyMap(w)
+        report = trace_report(m, find_expansive_annulus(m))
+        assert abs(report.contour - report.closed_form) <= 1e-12
+
+    def test_matrix_trace_and_determinant(self):
+        # at w = 1.7 and 1.9 the matrix trace at nplus = 48 is truncated at
+        # mu^48, 4.4e-4 and 0.087 off; at w = -0.5 it is not
+        m = MobiusFamilyMap(-0.5)
+        ann = find_expansive_annulus(m)
+        report = trace_report(m, ann)
+        assert abs(report.eigensum - report.closed_form) <= 1e-12
+        product = det_product_formula(*closed_form_multiplier(m), 0.2)
+        spectrum = det_from_spectrum(converged_spectrum(m, ann), math.log(0.2))
+        assert abs(product.value - spectrum.value) <= 1e-12
 
 
 class TestDetRoutes:
