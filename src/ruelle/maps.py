@@ -107,7 +107,7 @@ class _RationalMap(_MapBase):
         return -math.log(rho) if rho else math.inf
 
     def _factors(self, z):
-        return [(z - a) / (1 - b * z) for a, b in zip(self.zeros, self._poles)]
+        return [(z - a) / (1 - b * z) if a or b else z for a, b in zip(self.zeros, self._poles)]
 
     def _product(self, z, us):
         # alpha prod u_j over the factors us at z; its zeros are the anti map's poles
@@ -123,11 +123,11 @@ class _RationalMap(_MapBase):
         return 1.0 / p if self.anti else p
 
     def _deriv(self, z):
-        # product rule; each factor has derivative (1 - a b)/(1 - b z)^2
+        # product rule; factor derivatives (1 - a b)/(1 - b z)^2, or 1 for a factor z
         us = self._factors(z)
         total = np.zeros_like(z)
         for k, (a, b) in enumerate(zip(self.zeros, self._poles)):
-            term = (1 - a * b) / (1 - b * z) ** 2
+            term = (1 - a * b) / (1 - b * z) ** 2 if a or b else 1
             for j, u in enumerate(us):
                 if j != k:
                     term = term * u

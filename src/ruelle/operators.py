@@ -107,14 +107,13 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
-    unresolved column.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    unresolved column.  Plus row m < nplus is read from c[m] and minus row m <= nminus
+    from c[-m]: Re X[m] -+ Im X[m] of the half spectrum, or entries m and K - m of the
+    full one.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
     K = len(step)
     step_max = float(np.abs(step).max())
     nminus = out.shape[1] - nplus
-    plus, minus = np.arange(nplus), np.arange(1, nminus + 1)  # the rows of ``out``'s columns
-    idx = np.r_[plus, -minus]  # each row's coefficient index, taken with mode="wrap"
-    weight = np.r_[(r / rho) ** plus, (rho / R) ** minus]
-    top = max(nplus - 1, nminus)  # the largest |index|
+    weight = np.r_[(r / rho) ** np.arange(nplus), (rho / R) ** np.arange(1, nminus + 1)]
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
@@ -131,16 +130,15 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
                 g = np.multiply(g, step, out=chunk[i])
             else:
                 chunk[i] = g
-        if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m], into the spent chunk
+        d = out[start : start + len(n)]
+        if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m]
             x = half_spectrum_from_samples(chunk, rho)
             re, im = x.real, x.imag
-            np.subtract(re[:, : top + 1], im[:, : top + 1], out=chunk[:, : top + 1])
-            np.add(re[:, top:0:-1], im[:, top:0:-1], out=chunk[:, K - top :])
-            c = chunk
-        else:
-            c = x = fourier_coeffs_from_samples(chunk, rho)
-        d = out[start : start + len(n)]
-        np.take(c, idx, axis=1, out=d, mode="wrap")
+            np.subtract(re[:, :nplus], im[:, :nplus], out=d[:, :nplus])
+            np.add(re[:, 1 : nminus + 1], im[:, 1 : nminus + 1], out=d[:, nplus:])
+        else:  # c[-m] is numpy's fold, index K - m
+            x = fourier_coeffs_from_samples(chunk, rho)
+            d[:, :nplus], d[:, nplus:] = x[:, :nplus], x[:, : -nminus - 1 : -1]
         d *= weight
         d[np.abs(d) < SNAP_TOL] = 0.0  # the snap (notes of SNAP_TOL)
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
@@ -172,14 +170,14 @@ def assemble_dual(
     doubled (up to numerics.MAX_SAMPLES) until the aliasing monitor (notes of
     TAIL_REJECT) resolves every column; an explicit K with an unresolved tail
     above TAIL_REJECT raises instead.  Both errors quote the worst tail of
-    both blocks and its floor.  An automatic pass below the cap whose plus
-    block is unresolved is discarded without building its minus block; a
-    reflected one (module notes) is copied once, from the accepted pass.
-    The matrix is float64, read from the half spectrum of real FFTs of
-    folded columns, iff each sample row v agrees with conj v[-j mod K].  The rows are tau at the
-    pass's K nodes on each boundary circle, judged after the integer checks
-    by the inclusion test: 'none' is refused (ValueError naming the margin);
-    plus inputs go on the circle tau maps inward.
+    both blocks and its floor.  A direct pass builds both blocks, resolved or
+    not; a reflected one (module notes) copies its minus block once, from
+    the accepted pass.  The matrix is float64, read from the half spectrum
+    of real FFTs of folded columns, iff each sample row v agrees with
+    conj v[-j mod K].  The rows are tau at the pass's K nodes on each
+    boundary circle, judged after the integer checks by the inclusion test:
+    'none' is refused (ValueError naming the margin); plus inputs go on the
+    circle tau maps inward.
     """
     nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
@@ -201,19 +199,18 @@ def assemble_dual(
                 f"(margin {check.margin:.3g}); refusing assembly"
             )
         real = all(_agrees(v, np.conj(v[-np.arange(k)])) for v in (tp, tm))
-        retry = auto and k < MAX_SAMPLES  # an unresolved pass is redone at 2K, its matrix dropped
         with np.errstate(all="ignore"):  # tp may vanish at a node
             reflected = _agrees(tm, 1 / np.conj(tp))
         size, plus = (2 * p - 1, p) if reflected else (nplus + nminus, nplus)
         cols = np.empty((size, size), dtype=float if real else complex, order="F")
         unresolved = _assemble_block(cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus)
-        if not (reflected or retry and unresolved):
+        if not reflected:
             unresolved += _assemble_block(
                 cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
             )
         if not unresolved:
             break
-        if retry:
+        if auto and k < MAX_SAMPLES:  # redone at 2K, its matrix dropped
             k *= 2
             continue
         tail, floor = max(unresolved)

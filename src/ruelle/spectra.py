@@ -158,9 +158,7 @@ def eigenvalues(T: TruncatedOperator) -> Spectrum:
       to ``eigvals`` whole.
     """
     a = T.matrix
-    with np.errstate(all="ignore"):  # one pass: a NaN or inf entry makes the sum non-finite
-        finite = np.isfinite(a.sum())
-    if not finite and not np.isfinite(a).all():  # or finite entries overflowed the sum
+    if not np.isfinite(a).all():
         raise RuntimeError("eigensolver failed (non-finite matrix)")
     nz = a != 0
     vals = _pattern_eigenvalues(a, nz, T.nplus)

@@ -195,7 +195,8 @@ def det_from_traces(
     roundoff of the sum, nmax eps sum |z^n Tr(L^n) / n|: it covers the
     contour traces' own accuracy of about eps |Tr(L^n)|, the rounding of
     each term and the recursive summation bound (nmax - 1) eps/2 sum |terms|;
-    2 eps more cover exp.
+    2 eps more cover exp, and a log tail of 700 or more gives tail inf.  An
+    exponential that is not finite raises RuntimeError.
     """
     z = complex(z)
     if not abs(z) <= 0.5:
@@ -208,11 +209,14 @@ def det_from_traces(
         raise ValueError(f"trace table has {len(traces)} entries, need {nmax}")
     terms = [z**n / n * traces[n - 1] for n in range(1, nmax + 1)]
     total = sum(terms)
-    value = complex(np.exp(-total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.exp(-total))
+    if not np.isfinite(value):
+        raise RuntimeError(f"trace route: the exponential at z={z} is not finite")
     scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
     log_tail = scale * abs(z) ** (nmax + 1) / ((nmax + 1) * (1 - abs(z)))
     log_tail += EPS * (nmax * sum(abs(t) for t in terms) + 2)
-    return DetResult(value, abs(value) * math.expm1(log_tail))
+    return DetResult(value, abs(value) * math.expm1(log_tail) if log_tail < 700 else math.inf)
 
 
 def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:

@@ -29,7 +29,7 @@ from ruelle.maps import (
     second_iterate_multiplier,
     to_descriptor,
 )
-from ruelle.numerics import laurent
+from ruelle.numerics import circle_nodes, laurent
 
 
 class TestEval:
@@ -116,6 +116,52 @@ def test_rational_deriv_matches_the_class_formulas(m, ref):
     z = _annulus_points(0.8, 1.25, 10**4, 12)
     expected = ref(m, z)
     assert np.all(np.abs(m.deriv(z) - expected) <= 1e-14 * np.abs(expected))
+
+
+def _rational_ref(m, z):
+    # eval and deriv with every factor as (z - a)/(1 - b z), a = b = 0 included;
+    # a Mobius member evaluates by its ``step`` order
+    us = [(z - a) / (1 - b * z) for a, b in zip(m.zeros, m._poles)]
+    p = np.full_like(z, m.alpha)
+    for u in us:
+        p = p * u
+    total = np.zeros_like(z)
+    for k, (a, b) in enumerate(zip(m.zeros, m._poles)):
+        term = (1 - a * b) / (1 - b * z) ** 2
+        for j, u in enumerate(us):
+            if j != k:
+                term = term * u
+        total = total + term
+    if isinstance(m, MobiusFamilyMap):
+        value = np.multiply(z, np.subtract(np.multiply(2, z), m.w))
+        value = np.divide(value, np.subtract(2, np.multiply(m.w, z)))
+    else:
+        value = 1.0 / p if m.anti else p
+    return value, -(m.alpha * total) / p**2 if m.anti else m.alpha * total
+
+
+_ZERO_AT_0 = {
+    "mobius0.7": MobiusFamilyMap(0.7),
+    "mobius0.7+0.05j": MobiusFamilyMap(0.7 + 0.05j),
+    "bstar": BlaschkeProduct(1.0, (0.0, 0.5)),
+    "anti-bstar": BlaschkeProduct(1.0, (0.0, 0.5), anti=True),
+    "z^2": BlaschkeProduct(1.0, (0.0, 0.0)),
+    "anti-z^2": BlaschkeProduct(1.0, (0.0, 0.0), anti=True),
+}
+
+
+@pytest.mark.parametrize("m", _ZERO_AT_0.values(), ids=list(_ZERO_AT_0))
+def test_factor_z_keeps_the_bits(m):
+    # a factor with a = b = 0 is z itself, with derivative 1: the same values
+    # at z = 0 (a pole of the anti maps) and on circle nodes
+    z = np.concatenate([[0j], circle_nodes(0.8, 512), circle_nodes(1.25, 512)])
+    if m.anti:
+        z = z[1:]
+        for f in (m.eval, m.deriv):
+            with pytest.raises(ValueError, match="anti-Blaschke pole"):
+                f(0j)
+    value, slope = _rational_ref(m, z)
+    assert np.array_equal(m.eval(z), value) and np.array_equal(m.deriv(z), slope)
 
 
 class TestDegreeOrientation:

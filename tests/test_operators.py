@@ -243,8 +243,8 @@ BSTAR_TO_TRIG = build_homotopy(BlaschkeProduct(1.0, (0.0, 0.5)), TrigLift(2, (0.
 
 
 class TestDiscardedPasses:
-    """An automatic pass below the cap whose plus block is unresolved skips
-    its minus block; every kept matrix and every error text is unchanged."""
+    """A direct pass builds both blocks, resolved or not, and a reflected one
+    its plus block alone; an escalated matrix is the explicit-K matrix."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -279,10 +279,10 @@ class TestDiscardedPasses:
         assert T.matrix.dtype == explicit.matrix.dtype
         assert T.matrix.tobytes() == explicit.matrix.tobytes()
 
-    def test_discarded_pass_builds_its_plus_block_only(self, calls, bstar):
-        # r R != 1: the minus block is built directly, once the plus block resolves
+    def test_discarded_pass_builds_both_blocks(self, calls, bstar):
+        # r R != 1: every pass builds the minus block directly, the discarded one too
         assemble_dual(bstar, Annulus(0.85, 1.2), 32)
-        assert calls == [(256, "plus"), (512, "plus"), (512, "minus")]
+        assert calls == [(256, "plus"), (256, "minus"), (512, "plus"), (512, "minus")]
 
     def test_reflected_pass_builds_one_block(self, calls, bstar, annulus):
         # a circle map on r R = 1: each pass transforms the plus powers only
@@ -299,7 +299,7 @@ class TestDiscardedPasses:
         message = "aliasing tail 7.03e-12 (roundoff floor 2.01e-15) unresolved at K=65536"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             assemble_dual(NEAR_CIRCLE, THIN, 8, 8)
-        assert calls == [(1 << k, "plus") for k in range(8, 17)] + [(65536, "minus")]
+        assert calls == [(1 << k, block) for k in range(8, 17) for block in ("plus", "minus")]
 
     def test_explicit_K_quotes_the_worst_tail_of_both_blocks(self, calls):
         # the plus block's worst tail at K = 1024 is 0.00144, minus column 8's 0.00154

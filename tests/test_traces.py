@@ -464,6 +464,22 @@ class TestDetRoutes:
         res = det_product_formula(0.9999, False, 0.06)
         assert np.isfinite(res.value) and res.tail == math.inf
 
+    def test_trace_series_that_is_not_finite_fails_loudly(self, bstar, annulus):
+        # exp(66666.7) overflows; this once raised OverflowError from the tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match=r"trace route: the exponential at z=\(0\.5\+0j\)"):
+                det_from_traces(bstar, annulus, 0.5, nmax=3, traces=[-1e5] * 3)
+
+    @pytest.mark.parametrize("traces, value", [([1e5] * 3, 0), ([1e5, -4e5, 0.0], 1)])
+    def test_trace_tail_past_the_exp_range_is_inf(self, bstar, annulus, traces, value):
+        # log tails of 3125 and 12500: the value stands, and the tail is inf
+        # rather than an OverflowError from math.expm1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = det_from_traces(bstar, annulus, 0.5, nmax=3, traces=traces)
+        assert (res.value, res.tail) == (value, math.inf)
+
     def test_trivial_map_det(self, squaring, annulus):
         # spectrum {1}: det = 1 - z
         res = det_from_traces(squaring, annulus, 0.25, nmax=24)
