@@ -91,7 +91,9 @@ class _RationalMap(_MapBase):
     """alpha prod (z - a_j)/(1 - b_j z) over the ``zeros`` a_j and the pole
     coefficients b_j (``_poles``), or with anti=True its reciprocal, of degree
     -d.  The exponent log alpha + sum log1p(-a_j/z) - log1p(-b_j z) (negated
-    when anti) has strip -log max(|a_j|, |b_j|), inf when all are 0."""
+    when anti) has strip -log max(|a_j|, |b_j|), inf when all are 0.  A factor
+    with a_j = b_j = 0 is z itself: it adds nothing to the exponent and
+    contributes the derivative term 1."""
 
     alpha = 1.0
     anti = False
@@ -138,8 +140,9 @@ class _RationalMap(_MapBase):
         # Q = log(tau/z^d) and Q' (class notes); the anti map's exponent is -Q
         Q, slope = np.full_like(z, np.log(self.alpha)), np.zeros_like(z)
         for a, b in zip(self.zeros, self._poles):
-            Q = Q + np.log1p(-a / z) - np.log1p(-b * z)
-            slope = slope + a / np.multiply(z, z - a) + b / (1 - b * z)
+            if a or b:  # a factor z adds nothing (class notes)
+                Q = Q + np.log1p(-a / z) - np.log1p(-b * z)
+                slope = slope + a / np.multiply(z, z - a) + b / (1 - b * z)
         return (-Q, -slope) if self.anti else (Q, slope)
 
 

@@ -184,7 +184,7 @@ def _leading_match(primary: np.ndarray, other: np.ndarray, tol: float) -> int:
         dist = np.abs(other - lams[start : start + MATCH_ROWS, None])
         dist[:, used] = np.inf
         for i, row in enumerate(dist):
-            j = int(np.argmin(row))
+            j = row.argmin()
             if row[j] > tol:
                 return start + i
             used[j] = True

@@ -137,6 +137,12 @@ class DetResult:
     tail: float
 
 
+def _tail(value: complex, log_tail: float) -> float:
+    """|value| expm1(log_tail), the routes' one tail rule: inf from a log tail
+    of 700 on, past exp's range, whatever |value| (0 included)."""
+    return abs(value) * math.expm1(log_tail) if log_tail < 700 else math.inf
+
+
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of
     (1 - e^zeta lambda_k), with a geometric bound on the omitted tail.  A
@@ -165,7 +171,7 @@ def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
         if len(mods) >= 3 and mods[1] > 0 and last < mods[1]:
             q = min((last / mods[1]) ** (1.0 / (len(mods) - 2)), 0.99)
         log_tail = abs(w) * last * q / (1 - q)
-    tail = abs(value) * (math.expm1(log_tail) if log_tail < 700 else math.inf)
+    tail = _tail(value, log_tail)
     if tail > 1e-6 * abs(value):
         warnings.warn(
             f"determinant tail estimate {tail:.3g} exceeds 1e-6 of |value|",
@@ -216,7 +222,7 @@ def det_from_traces(
     scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
     log_tail = scale * abs(z) ** (nmax + 1) / ((nmax + 1) * (1 - abs(z)))
     log_tail += EPS * (nmax * sum(abs(t) for t in terms) + 2)
-    return DetResult(value, abs(value) * math.expm1(log_tail) if log_tail < 700 else math.inf)
+    return DetResult(value, _tail(value, log_tail))
 
 
 def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
@@ -230,7 +236,8 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     Math. Comp. 2007) and two differences, which 4 eps per step covers
     relative to size = (1 + |z|) prod (1 + |mu^k z|)^2 >= |value|; the
     powers mu^k, a few eps of |mu^k z| each, add less while that is small.
-    A product that is not finite raises RuntimeError."""
+    A log tail of 700 or more gives tail inf, and a product that is not
+    finite raises RuntimeError."""
     families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
     if mu == 0:
@@ -249,8 +256,7 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     if not np.isfinite(value):
         raise RuntimeError(f"product route: the product at z={z} is not finite")
     log_tail = 2 * abs(mu) ** (kmax + 1) * abs(z) / max(1 - abs(mu), 1e-12)
-    tail = abs(value) * (math.expm1(log_tail) if log_tail < 700 else math.inf)
-    return DetResult(complex(value), tail + 4 * kmax * EPS * size)
+    return DetResult(complex(value), _tail(value, log_tail) + 4 * kmax * EPS * size)
 
 
 def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:

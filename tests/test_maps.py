@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,6 +163,46 @@ def test_factor_z_keeps_the_bits(m):
                 f(0j)
     value, slope = _rational_ref(m, z)
     assert np.array_equal(m.eval(z), value) and np.array_equal(m.deriv(z), slope)
+
+
+def _full_exponent(m, z):
+    # the rational exponent with every factor's log1p terms, a = b = 0 included
+    Q, slope = np.full_like(z, np.log(m.alpha)), np.zeros_like(z)
+    for a, b in zip(m.zeros, m._poles):
+        Q = Q + np.log1p(-a / z) - np.log1p(-b * z)
+        slope = slope + a / np.multiply(z, z - a) + b / (1 - b * z)
+    return (-Q, -slope) if m.anti else (Q, slope)
+
+
+_WITH_FACTOR_Z = {
+    **_ZERO_AT_0,
+    "alpha-i": BlaschkeProduct(1j, (0.0, 0.3 + 0.2j)),
+    "mobius0": MobiusFamilyMap(0.0),
+}
+
+
+def _same_bits(x, y):
+    # equal float64 views, so that signed zeros count (and NaN matches NaN)
+    x, y = (np.asarray(v, dtype=complex).view(np.float64) for v in (x, y))
+    return np.array_equal(x, y, equal_nan=True)
+
+
+@pytest.mark.parametrize("m", _WITH_FACTOR_Z.values(), ids=list(_WITH_FACTOR_Z))
+def test_factor_z_keeps_the_exponent_bits(m):
+    # skipping a factor z leaves Q and Q' bit for bit as the full loop gives
+    # them, on circles inside and outside the unit circle and at +-1, +-i
+    # (the node 0.5 is B*'s zero, where Q is -inf)
+    radii = (0.5, np.exp(-0.1), 0.8, 1.0, 1.25, np.exp(0.1), 1.5)
+    z = np.concatenate([circle_nodes(rho, 1024) for rho in radii] + [[1, -1, 1j, -1j]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert all(map(_same_bits, m._exponent(z), _full_exponent(m, z)))
+    # and so the lift's values and derivatives on the row Im theta = 0.05
+    theta = 2 * np.pi * np.arange(1024) / 1024 + 0.05j
+    new = lift(m)
+    tau = SimpleNamespace(degree=m.degree, _exponent=lambda z: _full_exponent(m, z))
+    old = replace(new, tau=tau)
+    assert _same_bits(new.eval(theta), old.eval(theta))
+    assert _same_bits(new.deriv(theta), old.deriv(theta))
 
 
 class TestDegreeOrientation:

@@ -464,6 +464,19 @@ class TestDetRoutes:
         res = det_product_formula(0.9999, False, 0.06)
         assert np.isfinite(res.value) and res.tail == math.inf
 
+    def test_exact_zero_past_the_exp_range_has_tail_inf(self):
+        # value 1 - z = 0 and a log tail of about 1.2e4: inf, not 0 * inf = NaN
+        res = det_product_formula(0.9999, False, 1.0)
+        assert res.value == 0 and res.tail == math.inf
+
+    def test_spectrum_route_shares_the_tail_rule(self):
+        # the factor 1 - 1 vanishes, and the anchor |lambda| = 1000 gives a
+        # log tail of 1000: tail inf, which the precision warning reports
+        spec = Spectrum(np.array([1.0 + 0j, 1000.0 + 0j]), None)
+        with pytest.warns(RuntimeWarning, match="tail estimate inf"):
+            res = det_from_spectrum(spec, 0.0)
+        assert res.value == 0 and res.tail == math.inf
+
     def test_trace_series_that_is_not_finite_fails_loudly(self, bstar, annulus):
         # exp(66666.7) overflows; this once raised OverflowError from the tail
         with warnings.catch_warnings():
