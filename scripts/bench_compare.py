@@ -9,7 +9,12 @@ speed falls on both sides alike.  Then each tree runs the workload once
 traced.  The last line of a run's output is its result line; the file
 keeps every result line and, for each end-to-end metric of BENCHMARK.json,
 the median and quartiles of each side and the number of pairs in which the
-change was better.  The file is rewritten after every run, so an
+change was better.  Each untraced run also keeps, from the record that its
+`record:` line names (read before the next run of the workload overwrites
+it), the figures as timed (`as_timed`, not scaled to reference speed) and
+the median of the calibration kernel's times (`calibration_median_s`); the
+summary gives each side's median and quartiles of `as_timed.ops_per_s` and
+of that kernel median.  The file is rewritten after every run, so an
 interrupted comparison keeps what it did.
 
 Before the first run, every `__pycache__` directory under each tree's src/
@@ -49,11 +54,22 @@ TRACE_SEED = 7
 
 
 def run_bench(command: list, tree: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
+              trace: int) -> tuple:
+    """The run's result line and the lines before it."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    *lines, last = out.strip().splitlines()
+    return json.loads(last), lines
+
+
+def unscaled(tree: Path, lines: list) -> dict:
+    """The `as_timed` figures of an untraced run and the median of its
+    calibration kernel's times, from the record its `record:` line names."""
+    path = next(line.split(":", 1)[1].strip() for line in lines if line.startswith("record:"))
+    record = json.loads((tree / path).read_text())
+    return {"as_timed": record["as_timed"],
+            "calibration_median_s": float(np.median(record["calibration_s"]))}
 
 
 def git(tree: Path, *args):
@@ -82,21 +98,36 @@ def source(tree: Path) -> dict:
             "sha256": digest.hexdigest()}
 
 
+def quartiles(runs: list, value) -> dict:
+    """Each side's median and quartiles of value(run), over its runs so far."""
+    entry = {}
+    for side in SIDES:
+        vals = [value(r) for r in runs if r["side"] == side]
+        if vals:
+            q1, med, q3 = np.percentile(vals, [25, 50, 75])
+            entry[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
+    return entry
+
+
 def summarise(runs: list, end_to_end: list) -> dict:
+    """For each end-to-end metric, each side's quartiles and the pairs in
+    which the change was better; for the unscaled ops/s and the calibration
+    kernel's median, each side's quartiles alone."""
     summary = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
         values = {s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
                   for s in SIDES}
-        entry = {"unit": spec["unit"], "better": spec["better"]}
-        for side, vals in values.items():
-            if vals:
-                q1, med, q3 = np.percentile(vals, [25, 50, 75])
-                entry[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
+        entry = {"unit": spec["unit"], "better": spec["better"],
+                 **quartiles(runs, lambda r: r["result"]["metrics"][name]["value"])}
         pairs = list(zip(values["parent"], values["change"]))
         entry["pairs_change_better"] = sum(sign * (c - p) > 0 for p, c in pairs)
         entry["pairs"] = len(pairs)
         summary[name] = entry
+    summary["as_timed.ops_per_s"] = {"unit": "1/s",
+                                     **quartiles(runs, lambda r: r["as_timed"]["ops_per_s"])}
+    summary["calibration_median_s"] = {"unit": "s",
+                                       **quartiles(runs, lambda r: r["calibration_median_s"])}
     return summary
 
 
@@ -129,14 +160,15 @@ def main(argv=None) -> int:
         entry = doc["workloads"][workload] = {"runs": [], "summary": {}, "traced": {}}
         for pair in range(PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_bench(command, trees[side], workload, SEED, seconds, 0)
-                entry["runs"].append({"pair": pair, "side": side, "result": result})
+                result, lines = run_bench(command, trees[side], workload, SEED, seconds, 0)
+                entry["runs"].append({"pair": pair, "side": side, "result": result,
+                                      **unscaled(trees[side], lines)})
                 entry["summary"] = summarise(entry["runs"], end_to_end)
                 save()
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} pair {pair} {side}: ops_per_s {ops:.4g}", flush=True)
         for side in SIDES:
-            result = run_bench(command, trees[side], workload, TRACE_SEED, seconds, 1)
+            result, _ = run_bench(command, trees[side], workload, TRACE_SEED, seconds, 1)
             entry["traced"][side] = {k: v["value"] for k, v in result["metrics"].items()}
             save()
             print(f"{workload} traced {side}", flush=True)

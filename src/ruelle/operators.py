@@ -37,6 +37,15 @@ row m >= 1 with weight g_{-m} (rho/R)^m.  Both weights are <= 1 for the
 circles used here, so the assembly never amplifies roundoff, and a00 = 1 (the
 constant 1 maps to itself) is the largest entry: column n >= 1 is at most max|step|^n < 1.
 
+Snap horizon: the samples g_n of column n have max|g_n| <= max|step|^n up to the
+products' roundoff, and every entry of the column is at most 2 max|step|^n (1 + delta),
+delta = 4 (n + log2 K) eps (the weights are <= 1, |Re X| + |Im X| <= 2 max|g_n| on the
+folded path, and delta covers the products, the fold and the FFT).  From the first power
+n* at which that bound is below SNAP_TOL, n* ~ log(SNAP_TOL / 2) / log max|step|, the
+snap zeroes every entry, so those columns are written +0 without being sampled or
+transformed, and the aliasing monitor judges the columns below n* alone.  There is no
+horizon when max|step| is 0, not finite or >= 1.
+
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
 values converge geometrically in the truncation order.
@@ -44,6 +53,7 @@ values converge geometrically in the truncation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +66,9 @@ from .numerics import (
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
-# Aliasing monitor: numerics.unresolved_tails judges each column, with the noise
-# (n+1) eps max|g| of its samples g = (tau/r)^n or (R/tau)^n, n repeated products.
+# Aliasing monitor: numerics.unresolved_tails judges each column below the snap horizon
+# (module notes), with the noise (n+1) eps max|g| of its samples g = (tau/r)^n or
+# (R/tau)^n, n repeated products.
 # Automatic sample counts double until every column resolves; an explicit K is
 # honoured while no unresolved tail exceeds TAIL_REJECT (comfortably under every
 # spectral tolerance used downstream).
@@ -106,12 +117,15 @@ def _agrees(x, y) -> bool:
 def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
-    (folded, Re g_n + Im g_n, for a real ``out``); return the (tail, floor) of each
-    unresolved column.  Plus row m < nplus is read from c[m] and minus row m <= nminus
+    (folded, Re g_n + Im g_n, for a real ``out``), the rows from the snap horizon on
+    (module notes) with +0; return the (tail, floor) of each unresolved column below
+    it.  Plus row m < nplus is read from c[m] and minus row m <= nminus
     from c[-m]: Re X[m] -+ Im X[m] of the half spectrum, or entries m and K - m of the
     full one.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
     K = len(step)
     step_max = float(np.abs(step).max())
+    powers = range(powers.start, min(powers.stop, _horizon(step_max, K, powers.stop)))
+    out[len(powers) :] = 0.0  # the columns past the snap horizon (module notes)
     nminus = out.shape[1] - nplus
     weight = np.r_[(r / rho) ** np.arange(nplus), (rho / R) ** np.arange(1, nminus + 1)]
     real = out.dtype == np.float64
@@ -146,6 +160,17 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
         unresolved += zip(*unresolved_tails(mag, K, (n + 1) * EPS * step_max**n))
     return unresolved
+
+
+def _horizon(step_max, K, stop):
+    """The snap horizon of the module notes: the first power n < stop whose column
+    bound 2 step_max^n (1 + 4 (n + log2 K) eps) is below SNAP_TOL, else ``stop``."""
+    if not 0 < step_max < 1:
+        return stop
+    n = max(1, math.floor(math.log(SNAP_TOL / 2) / math.log(step_max)) - 1)  # at or below it
+    while n < stop and 2 * step_max**n * (1 + 4 * (n + math.log2(K)) * EPS) >= SNAP_TOL:
+        n += 1
+    return min(n, stop)
 
 
 def _swap(nplus):

@@ -195,6 +195,17 @@ class TestAliasingMonitor:
             spec = converged_spectrum(TrigLift(2, (0.1,)), annulus)
         assert spec.operator.samples <= 16 * spec.operator.nplus
 
+    def test_columns_past_the_horizon_do_not_escalate(self):
+        # a degree-3 TrigLift of the spectra-auto panel: the columns that kept
+        # K = 512 from resolving lie past the horizon, where the snap zeroes
+        # every entry, so K = 1024 changes no entry by more than 1e-15
+        m = TrigLift(3, (0.010558122485974514,), (-0.050231134344082204,))
+        ann = find_expansive_annulus(m)
+        T = assemble_dual(m, ann, 64)
+        assert T.samples == 512
+        doubled = assemble_dual(m, ann, 64, K=1024)
+        assert np.abs(T.matrix - doubled.matrix).max() <= 1e-15
+
     def test_default_samples(self, squaring, annulus):
         # max(256, 8N) rounded up to a power of two; z^2 never escalates
         for N, K in ((4, 256), (32, 256), (48, 512), (100, 1024)):
@@ -370,6 +381,42 @@ def _column_by_column(m, annulus, N, K, real=True, reflect=True, nminus=None):
     return matrix
 
 
+def _first_snapped_power(step):
+    """The first n at which 2 max|step|^n, the bound of a column's entries
+    without its roundoff factor (the snap horizon of the module notes), is
+    below SNAP_TOL."""
+    return math.floor(math.log(SNAP_TOL / 2) / math.log(np.abs(step).max())) + 1
+
+
+def _all_plus_zero(a):
+    """Every entry is +0: zero, with no sign bit on its real or imaginary part."""
+    return not a.any() and not (np.signbit(a.real) | np.signbit(a.imag)).any()
+
+
+@pytest.fixture
+def transformed(monkeypatch):
+    """A log of (circle radius, rows, smallest max|row|) for each call of the
+    two row transforms, by the names the operators module imports."""
+    log = []
+    for name in ("fourier_coeffs_from_samples", "half_spectrum_from_samples"):
+        transform = getattr(operators, name)
+
+        def counted(chunk, rho, transform=transform):
+            log.append((rho, len(chunk), np.abs(chunk).max(axis=1).min()))
+            return transform(chunk, rho)
+
+        monkeypatch.setattr(operators, name, counted)
+    return log
+
+
+def _rows_per_circle(log):
+    """The rows transformed on each circle, the plus block's circle first."""
+    rows = {}
+    for rho, n, _ in log:
+        rows[rho] = rows.get(rho, 0) + n
+    return list(rows.values())
+
+
 class TestBlockAssembly:
     """Row-chunked assembly gives the column-by-column matrix bit for bit, on
     the symmetric truncation and on the square one; N=48 at K=4096 splits
@@ -399,13 +446,48 @@ class TestBlockAssembly:
             # bytes, not np.array_equal: a snapped zero must be +0, not -0
             assert T.matrix.tobytes(order="C") == expect.tobytes(order="C")
 
-    def test_underflowed_columns_count_as_resolved(self):
-        # |tau / r| = 0.01 on |z| = r, so the samples step^n underflow to
-        # exactly 0 from n = 162 on: no 0/0 tail, and no K escalation
+    @pytest.mark.parametrize(
+        "m, radii, N, K",
+        [
+            (TrigLift(2, (0.1,)), (0.8, 1.25), 256, 2048),
+            (MobiusFamilyMap(0.7), (0.8, 1.25), 512, 4096),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), (0.8, 1.25), 512, 4096),
+            (TrigLift(2, (0.1,)), (0.85, 1.2), 256, 2048),
+            (BlaschkeProduct(1.0, (0.0, 0.0)), (0.85, 1.2), 256, 2048),
+        ],
+        ids=["triglift", "mobius", "bstar", "triglift-direct", "squaring-direct"],
+    )
+    def test_past_the_horizon_matches_column_by_column(self, m, radii, N, K, transformed):
+        # complex and real reflected passes, and direct passes (r R != 1) that
+        # cut both blocks, each resolved at its default K: the transforms see
+        # only the powers below each block's horizon (minus powers start at 1),
+        # and the matrix is the column-by-column build that transforms them all
+        ann = Annulus(*radii)
+        T = assemble_dual(m, ann, N)
+        assert T.samples == K
+        _, (_, tp), (_, tm) = _sampled(m, ann, K)
+        plus, minus = _first_snapped_power(tp / ann.r), _first_snapped_power(ann.R / tm)
+        rows = [plus] if radii == (0.8, 1.25) else [plus, minus - 1]
+        assert _rows_per_circle(transformed) == rows and max(plus, minus) < N
+        expect = _column_by_column(m, ann, N, K)
+        assert T.matrix.dtype == expect.dtype
+        assert T.matrix.tobytes(order="C") == expect.tobytes(order="C")
+
+    def test_underflowed_columns_count_as_resolved(self, transformed):
+        # |tau / r| = 0.01 on |z| = r: the samples step^n would underflow to
+        # exactly 0 from n = 162 on, but the horizon stops the products at
+        # n = 8, so no sample underflows, the columns from 8 on are +0, and
+        # there is no 0/0 tail, no warning and no K escalation (the zero-row
+        # guard of numerics.unresolved_tails stays that function's contract)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
         assert T.samples == 2048  # the default max(256, 8 * 256)
+        cut = _first_snapped_power(np.full(8, 0.01))
+        assert cut == 8 and _rows_per_circle(transformed) == [cut]
+        assert min(smallest for *_, smallest in transformed) >= np.finfo(float).tiny
+        past = T.matrix[:, np.r_[cut:256, 256 + cut - 1 : T.size]]
+        assert _all_plus_zero(past)
 
 
 class TestLargestEntry:
@@ -646,6 +728,19 @@ class TestJacobiAnger:
         assert (np.abs(np.where(snapped, exact, 0)) <= SNAP_TOL * top + floors).all()
         err = np.where(snapped, 0, np.abs(T.matrix - exact))
         assert (err <= floors).all(), (err / floors).max()
+
+    def test_columns_past_the_horizon_are_plus_zero(self, annulus):
+        # the closed form puts every entry of those columns below SNAP_TOL, and
+        # the assembly writes them as +0 without sampling them
+        m, N = TrigLift(2, (0.1,)), 256
+        T = assemble_dual(m, annulus, N)
+        _, (_, tp), _ = _sampled(m, annulus, T.samples)
+        cut = _first_snapped_power(tp / annulus.r)
+        past = np.r_[cut:N, N + cut - 1 : T.size]
+        assert len(past) == 2 * (N - cut) > 0
+        assert _all_plus_zero(T.matrix[:, past])
+        exact = jacobi_anger_matrix(m, annulus, N, T.nminus)[:, past]
+        assert np.abs(exact).max() < SNAP_TOL
 
 
 def _sampled(m, ann, K):
