@@ -35,16 +35,17 @@ circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
 plus block at row m with weight g_m (r/rho)^m, and in the minus block at
 row m >= 1 with weight g_{-m} (rho/R)^m.  Both weights are <= 1 for the
 circles used here, so the assembly never amplifies roundoff, and a00 = 1 (the
-constant 1 maps to itself) is the largest entry: column n >= 1 is at most max|step|^n < 1.
+constant 1 maps to itself) is the largest entry: column n >= 1 is at most b_n < 1.
 
-Snap horizon: the samples g_n of column n have max|g_n| <= max|step|^n up to the
-products' roundoff, and every entry of the column is at most 2 max|step|^n (1 + delta),
-delta = 4 (n + log2 K) eps (the weights are <= 1, |Re X| + |Im X| <= 2 max|g_n| on the
-folded path, and delta covers the products, the fold and the FFT).  From the first power
-n* at which that bound is below SNAP_TOL, n* ~ log(SNAP_TOL / 2) / log max|step|, the
-snap zeroes every entry, so those columns are written +0 without being sampled or
-transformed, and the aliasing monitor judges the columns below n* alone.  There is no
-horizon when max|step| is 0, not finite or >= 1.
+Column bound: the samples g_n of column n, n products of step = tau/r or R/tau, have
+max|g_n| <= b_n = max|step|^n up to their roundoff, and every entry of the column is at
+most 2 b_n (1 + delta), delta = 4 (n + log2 K) eps (the weights are <= 1, |Re X| + |Im X|
+<= 2 max|g_n| on the folded path, and delta covers the products, the fold and the FFT).
+The assembly runs only past the inclusion verdict, so max|step| < 1 up to one rounding.
+_assemble_block forms b_n once per block, before any FFT.  From the first power n* whose
+bound is below SNAP_TOL (the snap horizon) the snap zeroes every entry, so those columns
+are written +0 without being sampled or transformed, and the aliasing monitor judges the
+columns below n* alone, against their samples' noise floor (n + 1) eps b_n.
 
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
@@ -53,7 +54,6 @@ values converge geometrically in the truncation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +66,8 @@ from .numerics import (
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
-# Aliasing monitor: numerics.unresolved_tails judges each column below the snap horizon
-# (module notes), with the noise (n+1) eps max|g| of its samples g = (tau/r)^n or
-# (R/tau)^n, n repeated products.
+# Aliasing monitor: numerics.unresolved_tails judges each column below the snap horizon,
+# with the noise floor of the module notes.
 # Automatic sample counts double until every column resolves; an explicit K is
 # honoured while no unresolved tail exceeds TAIL_REJECT (comfortably under every
 # spectral tolerance used downstream).
@@ -77,7 +76,8 @@ TAIL_REJECT = 1e-9
 # Entries below this in magnitude are roundoff from the FFT of analytically sparse
 # columns (tau = z^d gives one per column); snapping them keeps the exact nilpotent
 # structure and spurious eigenvalues at 0, not ~1e-4.  It is absolute (a00 = 1 is the
-# largest entry, module notes); each column snaps as written, before the reflection copy.
+# largest entry: the column bound of the module notes); each column snaps as written,
+# before the reflection copy.
 SNAP_TOL = 1e-14
 
 CHUNK_SAMPLES = 1 << 17  # per FFT call in the assembly: 2 MB of samples
@@ -118,24 +118,25 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``), the rows from the snap horizon on
-    (module notes) with +0; return the (tail, floor) of each unresolved column below
-    it.  Plus row m < nplus is read from c[m] and minus row m <= nminus
-    from c[-m]: Re X[m] -+ Im X[m] of the half spectrum, or entries m and K - m of the
-    full one.  max|g_n| is step_max^n up to roundoff, as |g_n| = |step|^n."""
+    with +0; return the (tail, floor) of each unresolved column below it, both from
+    the column bound of the module notes.  Plus row m < nplus is read from c[m]
+    and minus row m <= nminus from c[-m]: Re X[m] -+ Im X[m] of the half spectrum,
+    or entries m and K - m of the full one."""
     K = len(step)
-    step_max = float(np.abs(step).max())
-    powers = range(powers.start, min(powers.stop, _horizon(step_max, K, powers.stop)))
-    out[len(powers) :] = 0.0  # the columns past the snap horizon (module notes)
+    n = np.arange(powers.start, powers.stop)
+    bound = float(np.abs(step).max()) ** n  # b_n
+    horizon = np.append(2 * bound * (1 + 4 * (n + np.log2(K)) * EPS) < SNAP_TOL, True).argmax()
+    out[horizon:] = 0.0  # the columns past the snap horizon
     nminus = out.shape[1] - nplus
     weight = np.r_[(r / rho) ** np.arange(nplus), (rho / R) ** np.arange(1, nminus + 1)]
     real = out.dtype == np.float64
     g = np.ones(K, dtype=complex)
     rows = max(1, CHUNK_SAMPLES // K)
-    unresolved, buffer = [], np.empty((min(rows, len(powers)), K), dtype=out.dtype)
-    for start in range(0, len(powers), rows):
-        n = np.asarray(powers[start : start + rows])
-        chunk = buffer[: len(n)]
-        for i, power in enumerate(n):
+    unresolved, buffer = [], np.empty((min(rows, horizon), K), dtype=out.dtype)
+    for start in range(0, horizon, rows):
+        cut = slice(start, min(start + rows, horizon))
+        chunk = buffer[: cut.stop - start]
+        for i, power in enumerate(n[cut]):
             if real:
                 if power:
                     np.multiply(g, step, out=g)
@@ -144,7 +145,7 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
                 g = np.multiply(g, step, out=chunk[i])
             else:
                 chunk[i] = g
-        d = out[start : start + len(n)]
+        d = out[cut]
         if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m]
             x = half_spectrum_from_samples(chunk, rho)
             re, im = x.real, x.imag
@@ -158,19 +159,8 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
         v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
         # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
         mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
-        unresolved += zip(*unresolved_tails(mag, K, (n + 1) * EPS * step_max**n))
+        unresolved += zip(*unresolved_tails(mag, K, (n[cut] + 1) * EPS * bound[cut]))
     return unresolved
-
-
-def _horizon(step_max, K, stop):
-    """The snap horizon of the module notes: the first power n < stop whose column
-    bound 2 step_max^n (1 + 4 (n + log2 K) eps) is below SNAP_TOL, else ``stop``."""
-    if not 0 < step_max < 1:
-        return stop
-    n = max(1, math.floor(math.log(SNAP_TOL / 2) / math.log(step_max)) - 1)  # at or below it
-    while n < stop and 2 * step_max**n * (1 + 4 * (n + math.log2(K)) * EPS) >= SNAP_TOL:
-        n += 1
-    return min(n, stop)
 
 
 def _swap(nplus):

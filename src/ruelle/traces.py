@@ -143,6 +143,14 @@ def _tail(value: complex, log_tail: float) -> float:
     return abs(value) * math.expm1(log_tail) if log_tail < 700 else math.inf
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where a finite z is past the float range (abs raises OverflowError)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of
     (1 - e^zeta lambda_k), with a geometric bound on the omitted tail.  A
@@ -205,8 +213,9 @@ def det_from_traces(
     exponential that is not finite raises RuntimeError.
     """
     z = complex(z)
-    if not abs(z) <= 0.5:
-        raise ValueError(f"|z|={abs(z):.3g} outside the validity window |z| <= 0.5")
+    az = _modulus(z)
+    if not az <= 0.5:
+        raise ValueError(f"|z|={az:.3g} outside the validity window |z| <= 0.5")
     if nmax < 1:
         raise ValueError(f"nmax={nmax} must be at least 1")
     if traces is None:
@@ -220,7 +229,7 @@ def det_from_traces(
     if not np.isfinite(value):
         raise RuntimeError(f"trace route: the exponential at z={z} is not finite")
     scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
-    log_tail = scale * abs(z) ** (nmax + 1) / ((nmax + 1) * (1 - abs(z)))
+    log_tail = scale * az ** (nmax + 1) / ((nmax + 1) * (1 - az))
     log_tail += EPS * (nmax * sum(abs(t) for t in terms) + 2)
     return DetResult(value, _tail(value, log_tail))
 
@@ -236,26 +245,30 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     Math. Comp. 2007) and two differences, which 4 eps per step covers
     relative to size = (1 + |z|) prod (1 + |mu^k z|)^2 >= |value|; the
     powers mu^k, a few eps of |mu^k z| each, add less while that is small.
-    A log tail of 700 or more gives tail inf, and a product that is not
-    finite raises RuntimeError."""
+    A log tail of 700 or more gives tail inf; a z with a NaN part raises
+    ValueError, and a product that is not finite, or a |z| past the float
+    range, RuntimeError."""
     families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
-    if mu == 0:
+    if np.isnan(z):
+        raise ValueError(f"z={z} has a NaN part")
+    az = _modulus(z)
+    if mu == 0 or az == math.inf:
         kmax = 1
     else:
-        kmax = max(4, int(math.ceil((16 * math.log(10) + math.log(1 + abs(z))) / -math.log(abs(mu)))))
+        kmax = max(4, int(math.ceil((16 * math.log(10) + math.log(1 + az)) / -math.log(abs(mu)))))
     kmax = min(kmax, 5000)
-    value, size = 1 - z, 1 + abs(z)
+    value, size = 1 - z, 1 + az
     for k in range(1, kmax + 1):
         factor = 1
         for b, signs in families:
             for c in signs:
                 factor *= 1 - c * b**k * z
-                size *= 1 + abs(b) ** k * abs(z)
+                size *= 1 + abs(b) ** k * az
         value *= factor
-    if not np.isfinite(value):
+    if not (np.isfinite(value) and az < math.inf):
         raise RuntimeError(f"product route: the product at z={z} is not finite")
-    log_tail = 2 * abs(mu) ** (kmax + 1) * abs(z) / max(1 - abs(mu), 1e-12)
+    log_tail = 2 * abs(mu) ** (kmax + 1) * az / max(1 - abs(mu), 1e-12)
     return DetResult(complex(value), _tail(value, log_tail) + 4 * kmax * EPS * size)
 
 
@@ -297,7 +310,7 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     flat = zeta.reshape(-1)
     total = _log_abs_1m_exp(flat)
-    if mu != 0:
+    if mu != 0 and flat.size:
         pairs = [(np.log(b), 1j * math.pi * (c < 0)) for b, signs in families for c in signs]
         log_b, turn = np.array(pairs).T
         ell = math.log(abs(mu))

@@ -388,6 +388,26 @@ def _first_snapped_power(step):
     return math.floor(math.log(SNAP_TOL / 2) / math.log(np.abs(step).max())) + 1
 
 
+def _rows_below_horizon(step_max, K, start, stop):
+    """The rows from ``start`` that the snap horizon leaves to transform, as a
+    Python-scalar loop: the powers before the first n < stop whose column bound
+    2 step_max^n (1 + 4 (n + log2 K) eps) is below SNAP_TOL (module notes)."""
+    n = start
+    while n < stop and 2 * step_max**n * (1 + 4 * (n + math.log2(K)) * EPS) >= SNAP_TOL:
+        n += 1
+    return n - start
+
+
+def _block(step, start, stop, dtype):
+    """_assemble_block on the unit circle (weights 1) for the powers start..stop-1,
+    three plus and two minus rows, with warnings as errors; its output."""
+    out = np.full((stop - start, 5), np.nan, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        operators._assemble_block(out, step, range(start, stop), 1.0, 1.0, 1.0, 3)
+    return out
+
+
 def _all_plus_zero(a):
     """Every entry is +0: zero, with no sign bit on its real or imaginary part."""
     return not a.any() and not (np.signbit(a.real) | np.signbit(a.imag)).any()
@@ -472,6 +492,45 @@ class TestBlockAssembly:
         expect = _column_by_column(m, ann, N, K)
         assert T.matrix.dtype == expect.dtype
         assert T.matrix.tobytes(order="C") == expect.tobytes(order="C")
+
+    def test_horizon_matches_the_scalar_rule(self, transformed):
+        # a seeded sweep, both start powers and K = 2^8..2^12: max|step| with
+        # -log max|step| log-uniform on (1e-9, -log 1e-3) in half the draws, and
+        # in the other half the root of a horizon n* in 5..159 nudged by a few
+        # ulps, where the vector and the scalar arithmetic would part first
+        rng = np.random.default_rng(50)
+        cut = 0
+        for i in range(48):
+            K, start, stop = 1 << int(rng.integers(8, 13)), i % 2, int(rng.integers(2, 160))
+            if i % 4 < 2:
+                step_max = math.exp(-(10 ** rng.uniform(-9, math.log10(-math.log(1e-3)))))
+            else:
+                h = int(rng.integers(5, 160))
+                step_max = (SNAP_TOL / 2 / (1 + 4 * (h + math.log2(K)) * EPS)) ** (1 / h)
+                step_max += int(rng.integers(-4, 5)) * math.ulp(step_max)
+            step = step_max * circle_nodes(1.0, K)
+            transformed.clear()
+            out = _block(step, start, stop, complex if i % 3 else float)
+            rows = sum(n for _, n, _ in transformed)
+            assert rows == _rows_below_horizon(float(np.abs(step).max()), K, start, stop)
+            assert _all_plus_zero(out[rows:]) and not np.isnan(out[:rows]).any()
+            cut += rows < stop - start
+        assert 0 < cut < 48  # the sweep has horizons on both sides of stop
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1.0, 1 + EPS], ids=["one", "one-plus-ulp"])
+    def test_unit_step_transforms_every_row(self, transformed, dtype, scale):
+        # |step| = 1 on the roots of unity (or one ulp above): no column bound
+        # falls below SNAP_TOL, so there is no horizon, and no warning
+        _block(scale * circle_nodes(1.0, 256), 0, 300, dtype)
+        assert _rows_per_circle(transformed) == [300]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_step_leaves_row_zero(self, transformed, dtype):
+        # b_n = 0^n: the horizon is power 1, so only g_0 = 1 is transformed
+        out = _block(np.zeros(256, dtype=complex), 0, 8, dtype)
+        assert _rows_per_circle(transformed) == [1] and out[0, 0] == 1
+        assert _all_plus_zero(out[1:])
 
     def test_underflowed_columns_count_as_resolved(self, transformed):
         # |tau / r| = 0.01 on |z| = r: the samples step^n would underflow to

@@ -362,6 +362,10 @@ class TestRealMobiusClosedForms:
         assert abs(product.value - spectrum.value) <= 1e-12
 
 
+# finite, but its modulus is past the float range: abs() of it raises OverflowError
+_PAST_RANGE = complex(1.7e308, 1.7e308)
+
+
 class TestDetRoutes:
     def test_single_eigenvalue(self):
         from ruelle.spectra import Spectrum
@@ -423,9 +427,24 @@ class TestDetRoutes:
                 lambda m, ann: det_from_traces(m, ann, 1j * math.nan, traces=[1.0] * 24),
                 r"\|z\|=nan outside the validity window",
             ),
+            # these three once raised Python's own OverflowError or ValueError, the
+            # last two as int(ceil(nan)) failed in the count of factors
+            (
+                lambda m, ann: det_from_traces(m, ann, _PAST_RANGE, traces=[1.0] * 24),
+                r"\|z\|=inf outside the validity window",
+            ),
+            (
+                lambda m, ann: det_product_formula(-0.5, False, math.nan),
+                r"z=\(nan\+0j\) has a NaN part",
+            ),
+            (
+                lambda m, ann: det_product_formula(-0.5, False, complex(0, math.nan)),
+                "z=nanj has a NaN part",
+            ),
         ],
         ids=["trace-power", "closed-form", "unconverged-spectrum", "short-table",
-             "spectrum-zeta-nan", "spectrum-zeta-nan-imag", "traces-z-nan", "traces-z-nan-imag"],
+             "spectrum-zeta-nan", "spectrum-zeta-nan-imag", "traces-z-nan", "traces-z-nan-imag",
+             "traces-z-past-range", "product-z-nan", "product-z-nan-imag"],
     )
     def test_rejects_out_of_range_arguments(self, bstar, annulus, call, message):
         with pytest.raises(ValueError, match=message):
@@ -445,13 +464,19 @@ class TestDetRoutes:
             (lambda spec: det_from_spectrum(spec, complex(0, math.inf)), "zeta=infj"),
             (lambda spec: det_product_formula(-0.5, False, 1e300), r"z=\(1e\+300\+0j\)"),
             (lambda spec: det_product_formula(-0.999, False, 100), r"z=\(100\+0j\)"),
+            (lambda spec: det_product_formula(-0.5, False, math.inf), r"z=\(inf\+0j\)"),
+            (lambda spec: det_product_formula(-0.5, False, _PAST_RANGE), r"z=\(1\.7e\+308\+"),
+            (lambda spec: det_product_formula(0, False, _PAST_RANGE), r"z=\(1\.7e\+308\+"),
         ],
         ids=["spectrum-1e300", "spectrum-800", "spectrum-inf", "spectrum-inf-imag",
-             "product-1e300", "product-near-circle"],
+             "product-1e300", "product-near-circle", "product-inf", "product-past-range",
+             "product-mu-0-past-range"],
     )
     def test_product_that_is_not_finite_fails_loudly(self, bstar, annulus, call, message):
         # these once gave nan+nanj with a nan tail, or an OverflowError from
-        # the product route's tail; no RuntimeWarning escapes on the way
+        # the product route's tail or from abs(z), as |z| of the finite
+        # 1.7e308 (1 + i) is past the float range; no RuntimeWarning escapes
+        # on the way
         spec = converged_spectrum(bstar, annulus)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -683,6 +708,14 @@ class TestLogAbsDetOnAGrid:
             warnings.simplefilter("error")
             got = log_abs_det_product(-0.5, False, np.array([-np.inf, 0.3, 50]))
         assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_zeta_gives_empty(self, mu, shape):
+        # one value per entry: none, rather than numpy's error from the max
+        # of a zero-size array, for every mu
+        got = log_abs_det_product(mu, False, np.empty(shape))
+        assert got.shape == shape and got.dtype == float
 
     def test_shape_follows_zeta(self):
         # a scalar gives a scalar; an array, a length-1 one included, keeps
