@@ -12,11 +12,12 @@ layout, and the eigenvalues and singular values as returned by
 `eigenvalues` and `singular_values`.  A case whose assembly raises prints
 `name N error: <message>` instead.
 
-The first six maps run on (0.8, 1.25), where r R = 1 and every map that
-reflects copies its minus block from the plus block (the reflection rule of
-the operators module).  The last two transform both blocks: Mobius
-0.7+0.05i, which is not a circle map, on (0.8, 1.25), and B* on (0.85, 1.2),
-where r R != 1.
+The orders run from N = 32, the first level of `converged_spectrum`'s
+ladder, on which every converged count rests, to 512.  The first six maps
+run on (0.8, 1.25), where r R = 1 and every map that reflects copies its
+minus block from the plus block (the reflection rule of the operators
+module).  The last two transform both blocks: Mobius 0.7+0.05i, which is
+not a circle map, on (0.8, 1.25), and B* on (0.85, 1.2), where r R != 1.
 
 Two source trees that print the same lines assemble the same matrices, with
 the same K, and return the same spectra bit for bit.  As in
@@ -25,12 +26,13 @@ bits of a dense eigensolve or SVD may differ across CPUs, BLAS builds and
 thread counts, so compare two runs on one machine instead.  On a 2-core
 x86-64 host with numpy 2.4.6 and its OpenBLAS 0.3.31, OPENBLAS_NUM_THREADS=1
 and the default (2 threads) print the same K, matrix and eigenvalue hashes
-everywhere (the TrigLift and FLOOR_STAR eigenvalues come from dense solves
-of 26 x 26 and 88 x 88 cores at each N of the panel), and the same
-singular values for B*, anti-B* and Mobius 0.7 (one shared SVD of the plus
-block, `singular_values`) and for the odd TrigLift, but different singular
-values for the complex, coupled TrigLift and FLOOR_STAR matrices at every
-N, for Mobius 0.7+0.05i from N = 128 and for B* on (0.85, 1.2) at N = 512
+everywhere (the TrigLift eigenvalues come from a dense solve of a 26 x 26
+core at each N of the panel, and FLOOR_STAR's from 62 x 62 at N = 32 and
+88 x 88 above), and the same singular values for B*, anti-B* and Mobius
+0.7 (one shared SVD of the plus rows' block, `singular_values`), for the
+odd TrigLift and for every map at N = 32, but different singular values
+for the complex, coupled TrigLift and FLOOR_STAR matrices from N = 48,
+for Mobius 0.7+0.05i from N = 128 and for B* on (0.85, 1.2) at N = 512
 (one SVD of the whole matrix's nonzero rows and columns); pin one BLAS
 thread for a bit-for-bit comparison.
 
@@ -46,7 +48,7 @@ from ruelle.operators import assemble_dual, singular_values
 from ruelle.spectra import eigenvalues
 
 ANNULUS = Annulus(0.8, 1.25)
-ORDERS = (48, 128, 256, 512)
+ORDERS = (32, 48, 128, 256, 512)
 BSTAR = BlaschkeProduct(1.0, (0.0, 0.5))
 PANEL = {
     "bstar": (BSTAR, ANNULUS),

@@ -24,11 +24,12 @@ at m = 0, K/2).
 Reflection rule: a circle map, tau(1/conj z) = 1/conj tau(z), on an annulus
 with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
 input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the
-symmetric truncation satisfies M = P conj(M) P, P (_swap) swapping plus
-row/column m and minus m (m >= 1).  When tm agrees with 1/conj tp, only the
-plus block of the symmetric truncation (p, p - 1), p = max(nplus, nminus + 1),
-is sampled and transformed; its minus block is copied as P conj(M) P, with
-the plus columns' tails, and any other truncation gathered from it.
+symmetric truncation (p, p - 1) satisfies M = P conj(M) P, with P: plus index
+m <-> minus index m (1 <= m < p), each block's order kept, so P moves whole
+blocks and is applied as slices.  When tm agrees with 1/conj tp, only the
+plus block of (p, p - 1), p = max(nplus, nminus + 1), is sampled and
+transformed; its minus block is copied as P conj(M) P, with the plus
+columns' tails, and any other truncation gathered from it.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -163,11 +164,6 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     return unresolved
 
 
-def _swap(nplus):
-    """The reflection rule's P on the truncation (nplus, nplus - 1), as a row order."""
-    return np.r_[0, nplus : 2 * nplus - 1, 1:nplus]
-
-
 def assemble_dual(
     m,
     annulus: Annulus,
@@ -240,9 +236,9 @@ def assemble_dual(
             )
         break
 
-    if reflected:  # the reflection rule of the module notes, on (p, p - 1)
-        minus = cols.T[p:]  # indices in range: "clip" only skips a buffered copy
-        np.take(cols.T[1:p], _swap(p), axis=1, out=minus, mode="clip")
+    if reflected:  # minus column m is plus column m in P (module notes), conjugated
+        plus, minus = cols.T[1:p], cols.T[p:]
+        minus[:, 0], minus[:, 1:p], minus[:, p:] = plus[:, 0], plus[:, p:], plus[:, 1:p]
         if not real:  # conjugated as 0 - Im, so snapped zeros stay +0, not -0
             np.subtract(0, minus.imag, out=minus.imag)
         if nminus != nplus - 1:  # entry (m, n) depends on K alone
@@ -256,22 +252,22 @@ def _gather(matrix, r, c):
     return matrix.T[np.ix_(c, r)].T
 
 
-def _reflected_plus(matrix, nonzero, rows, nplus):
-    """The plus block of a symmetric truncation without index 0, gathered,
-    when no column reaches both blocks, row 0 and column 0 hold a00 alone
-    and the gathered minus block is, entry for entry, its conjugate in P
-    order; else None."""
-    top, bottom = nonzero[:nplus].any(axis=0), nonzero[nplus:].any(axis=0)
-    if (top & bottom).any() or nonzero[0, 1:].any() or nonzero[1:, 0].any():
+def _reflected_plus(matrix, p):
+    """The plus rows' block of the symmetric truncation (p, p - 1) without index 0,
+    a view, when row 0 and column 0 hold a00 alone and the matrix splits into two
+    blocks that P (module notes) swaps: the off-diagonal blocks vanish (B*, Mobius)
+    or the diagonal ones do (anti-products), and the minus rows' block is, entry
+    for entry, the plus rows' conjugate in P order; else None."""
+    if matrix[0, 1:].any() or matrix[1:, 0].any():
         return None
-    rp, rm = rows[(rows > 0) & (rows < nplus)], rows[rows >= nplus]
-    cp, cm = np.flatnonzero(top[1:]) + 1, np.flatnonzero(bottom)
-    swap = _swap(nplus)
-    pr, pc = swap[rp], swap[cp]
-    if not (np.array_equal(pr, rm) and np.array_equal(np.sort(pc), cm)):
-        return None
-    plus = _gather(matrix, rp, cp)
-    return plus if np.array_equal(_gather(matrix, pr, pc), plus.conj()) else None
+    inner, outer = slice(1, p), slice(p, None)  # the plus and the minus indices >= 1
+    plus, minus = matrix[inner], matrix[outer]
+    for own, other in ((inner, outer), (outer, inner)):  # B*, Mobius; anti-products
+        if plus[:, other].any() or minus[:, own].any():
+            continue
+        if np.array_equal(minus[:, other], plus[:, own].conj()):
+            return plus[:, own]
+    return None
 
 
 def singular_values(T) -> np.ndarray:
@@ -280,35 +276,34 @@ def singular_values(T) -> np.ndarray:
     Two exact reductions keep zeros and repeats away from LAPACK:
 
     - On the symmetric truncation (nminus = nplus - 1) of a
-      ``TruncatedOperator`` in which no column has entries in both the plus
-      and the minus rows, row 0 and column 0 hold a00 alone, and the
-      gathered minus block equals, entry for entry, the conjugate of the
-      plus block without index 0 in P order (the reflection rule in the
-      module notes), a permutation makes the matrix block diagonal with
-      blocks {a00}, that plus block and its conjugate, so one SVD s of the
-      plus block gives {|a00|} and s twice.  A decoupled circle map on an
-      annulus with r R = 1 assembles exactly this (maps that fix 0 and
-      infinity decouple, and so do their anti-products): B* at N = 512
-      takes one 511 x 388 SVD, not one 1023 x 777.
+      ``TruncatedOperator`` whose row 0 and column 0 hold a00 alone, and
+      whose off-diagonal blocks (plus rows, minus columns and the reverse)
+      or diagonal blocks vanish, with the minus rows' block equal, entry for
+      entry, to the conjugate of the plus rows' block in P order (the
+      reflection rule in the module notes), the matrix is {a00}, that plus
+      rows' block and its conjugate, so one SVD s of that block gives
+      {|a00|} and s twice.  A decoupled circle map on an annulus with r R = 1
+      assembles exactly this (maps that fix 0 and infinity decouple, and so
+      do their anti-products): B* at N = 512 takes one 511 x 388 SVD, not
+      one 1023 x 777.
     - Any other matrix, a raw array included, takes one SVD of its nonzero
       rows and columns: up to a permutation it is [[A, 0], [0, 0]], which
       has the singular values of A plus zeros.  So does a decoupled operator
       whose blocks do not share their singular values (r R != 1, a map that
-      is not a circle map, or an explicit (N, N) truncation).
+      is not a circle map, or an explicit (N, N) truncation), and one whose
+      plus columns split between the plus and the minus rows.
 
     The zeros removed either way return as the padding up to min(shape).
     """
     matrix = np.asarray(getattr(T, "matrix", T))
-    nonzero, nplus = matrix != 0, getattr(T, "nplus", None)
-    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    shared = None
+    nplus, shared = getattr(T, "nplus", None), None
     if nplus is not None and T.nminus == nplus - 1:
-        shared = _reflected_plus(matrix, nonzero, rows, nplus)
-    if shared is None:
-        parts = np.linalg.svd(_gather(matrix, rows, cols), compute_uv=False)
-    else:
-        s = np.linalg.svd(shared, compute_uv=False)
-        parts = np.concatenate([[abs(matrix[0, 0])], s, s])
+        shared = _reflected_plus(matrix, nplus)
+    block = matrix if shared is None else shared
+    nonzero = block != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    s = np.linalg.svd(_gather(block, rows, cols), compute_uv=False)
+    parts = s if shared is None else np.concatenate([[abs(matrix[0, 0])], s, s])
     sv = np.zeros(min(matrix.shape))
     sv[: len(parts)] = np.sort(parts)[::-1]
     return sv

@@ -310,7 +310,8 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     flat = zeta.reshape(-1)
     total = _log_abs_1m_exp(flat)
-    if mu != 0 and flat.size:
+    K = np.zeros(flat.shape)  # no factor but 1 - e^zeta at mu = 0
+    if mu != 0:
         pairs = [(np.log(b), 1j * math.pi * (c < 0)) for b, signs in families for c in signs]
         log_b, turn = np.array(pairs).T
         ell = math.log(abs(mu))
@@ -318,9 +319,10 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
             K = np.floor(np.maximum(flat.real - 45, 0) / -ell)
             far = K > 0  # K = 0 at zeta = -inf, where K Re zeta is 0 * inf = NaN
             total[far] += len(pairs) * K[far] * (flat.real[far] + ell * (K[far] + 1) / 2)
-        bad = ~np.isfinite(K) | np.isnan(total) | (total == np.inf)
-        if bad.any():
-            raise RuntimeError(f"product route: log|det| at zeta={flat[bad][0]} is not finite")
+    bad = ~np.isfinite(K) | np.isnan(total) | (total == np.inf)
+    if bad.any():
+        raise RuntimeError(f"product route: log|det| at zeta={flat[bad][0]} is not finite")
+    if mu != 0 and flat.size:
         n = (int((np.clip(flat.real.max(), -45, 45) + 45) / -ell) + 2) * len(pairs)  # band rows
         rows = max(1, BLOCK_VALUES // flat.size)
         for start in range(0, n, rows):

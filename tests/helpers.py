@@ -1,8 +1,10 @@
 """Oracles and comparison utilities shared across the test modules.
 
 Besides the closed-form spectra (of a Blaschke product, and of a rational
-map by its two fixed-point multipliers) and comparison helpers, independent
-checks of the package live here, since only the tests call them: the winding
+map by its two fixed-point multipliers), the seeded panels of random
+products (the route-agreement sweep among them) and comparison helpers,
+independent checks of the package live here, since only the tests call
+them: the winding
 number of a map on the unit circle; lifts and homotopy members evaluated
 from the endpoint maps' own eval and deriv, the logarithm continued by
 unwrapping its argument;
@@ -25,7 +27,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ruelle.maps import Annulus, BlaschkeProduct, _PowerExpMap, _RationalMap, fixed_point_disk
+from ruelle.lifts import find_expansive_annulus
+from ruelle.maps import (
+    Annulus, BlaschkeProduct, _PowerExpMap, _RationalMap, fixed_point_disk, min_expansion,
+)
 from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples, laurent
 from ruelle.operators import assemble_dual
 from ruelle.traces import log_abs_det_product
@@ -51,6 +56,28 @@ def seeded_products(count=40):
         zeros = rng.uniform(0, 0.6, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
         alpha = np.exp(2j * np.pi * rng.uniform())
         out.append(BlaschkeProduct(alpha, tuple(zeros), bool(rng.integers(2))))
+    return out
+
+
+def sweep_products(draws=60):
+    """The seed-2024 route-agreement sweep, in draw order, as (map, annulus):
+    draws cycle through degree 2 and 3, plain then anti, each with zeros
+    uniform in modulus below 0.6 and uniform in argument, then a unimodular
+    alpha.  A draw is kept when min_expansion > 1 and find_expansive_annulus
+    finds its annulus: 53 of the 60."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(draws):
+        d, anti = (2, 3, 2, 3)[i % 4], i % 4 >= 2
+        zeros = rng.uniform(0, 0.6, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        alpha = np.exp(2j * np.pi * rng.uniform())
+        m = BlaschkeProduct(alpha, tuple(zeros), anti)
+        if not min_expansion(m) > 1:
+            continue
+        try:
+            out.append((m, find_expansive_annulus(m)))
+        except RuntimeError:  # no annulus in the search range
+            continue
     return out
 
 

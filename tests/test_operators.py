@@ -1053,6 +1053,29 @@ class TestSingularValues:
             assert [c.shape for c in calls] == [self._nonzero_shape(a)]
             np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
 
+    def test_split_decoupled_pattern_takes_one_full_svd(self, monkeypatch):
+        # P-symmetric, and no column reaches both row blocks, but plus column 1
+        # reaches the plus rows and plus column 2 the minus rows: no two blocks
+        # that P swaps hold the matrix, so it takes the general path
+        p = 5
+        a = np.zeros((2 * p - 1, 2 * p - 1), dtype=complex, order="F")
+        a[0, 0] = 1.0
+        a[1:3, 1] = 0.5, 0.2 - 0.1j  # plus rows 1 and 2
+        a[p + 1, 2] = 0.3 + 0.4j  # minus row 2
+        a[3:5, 3] = 0.1j, 0.05
+        P = _swap(p, p - 1)
+        a[:, p:] = np.conj(a[np.ix_(P, P[p:])])  # each minus column from its plus partner
+        T = TruncatedOperator(p, p - 1, a, 256)
+        assert np.array_equal(a, np.conj(a[np.ix_(P, P)]))
+        top, bottom = a[:p].any(axis=0), a[p:].any(axis=0)
+        assert not (top & bottom).any()
+        assert top[1] and bottom[2]
+        full = np.linalg.svd(a, compute_uv=False)
+        calls = self._record_svd(monkeypatch)
+        sv = singular_values(T)
+        assert [c.shape for c in calls] == [self._nonzero_shape(a)]
+        np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
+
     def test_coupled_blocks_take_one_full_svd(self, bstar, annulus, monkeypatch):
         ops = [
             assemble_dual(TrigLift(2, (0.1,)), annulus, 16),

@@ -695,10 +695,20 @@ class TestLogAbsDetOnAGrid:
             assert log_abs_det_product(0.5, True, np.array([0.0, 1.0]))[0] == -np.inf
 
     def test_minus_inf_is_zero(self):
-        # e^zeta = 0, so det = 1 and log|det| = 0
+        # e^zeta = 0, so det = 1 and log|det| = 0, for the squaring map's mu = 0 too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert log_abs_det_product(-0.5, False, -np.inf) == 0.0
+            assert log_abs_det_product(0.0, False, -np.inf) == 0.0
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    @pytest.mark.parametrize(
+        "zeta", [np.inf, np.nan, np.array([np.inf, np.nan])], ids=["inf", "nan", "both"]
+    )
+    def test_log_det_that_is_not_finite_is_refused(self, mu, zeta):
+        # the refusal of the docstring holds for every mu, mu = 0 included
+        with pytest.raises(RuntimeError, match="log\\|det\\| at zeta=.* is not finite"):
+            log_abs_det_product(mu, False, zeta)
 
     def test_minus_inf_in_a_grid(self):
         # -inf gives 0 and leaves the finite points' bits alone (B*'s values
