@@ -52,7 +52,7 @@ def _checked_samples(values, radius: float, dtype) -> np.ndarray:
     return values
 
 
-def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
+def fourier_coeffs_from_samples(values, radius: float, out=None) -> np.ndarray:
     """Fourier coefficients of samples at circle_nodes(radius, K), along the
     last axis: c[..., m] = (1/K) sum_j f(z_j) e^{-2 pi i j m / K}, the
     coefficient of z^m / radius^m, for m in [-K/2, K/2) (a negative m reads
@@ -60,15 +60,20 @@ def fourier_coeffs_from_samples(values, radius: float) -> np.ndarray:
 
     Satisfies the Parseval identity sum |c[m]|^2 = mean |values|^2 to
     roundoff, and recovers trigonometric polynomials of degree < K/2 exactly.
+    ``out``, a complex128 array of the samples' shape, receives and returns
+    the coefficients, as in np.fft.fft; it may be the samples themselves
+    (a complex128 array), which are then transformed in place.
     """
-    return np.fft.fft(_checked_samples(values, radius, complex), norm="forward")
+    return np.fft.fft(_checked_samples(values, radius, complex), norm="forward", out=out)
 
 
-def half_spectrum_from_samples(folded, radius: float) -> np.ndarray:
+def half_spectrum_from_samples(folded, radius: float, out=None) -> np.ndarray:
     """X = rfft(h) / K, m = 0..K/2, of folded samples h = Re f + Im f at
     circle_nodes(radius, K): for f with real coefficients (Re f even, Im f odd
-    in the node index), c[+-m] = Re X[m] -+ Im X[m] in fourier_coeffs_from_samples."""
-    return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward")
+    in the node index), c[+-m] = Re X[m] -+ Im X[m] in fourier_coeffs_from_samples.
+    ``out``, a complex128 array of shape (..., K/2 + 1), receives and returns X,
+    as in np.fft.rfft."""
+    return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward", out=out)
 
 
 def unresolved_tails(mag, K: int, noise):

@@ -21,6 +21,11 @@ from the half spectrum X = rfft(folded) / K as c_{+-m} = Re X[m] -+ Im X[m],
 as the aliasing monitor's magnitude (rounding is sign-symmetric; Im X = 0
 at m = 0, K/2).
 
+Workspace: each pass allocates one, before its matrix, and both blocks share
+it: the sample chunk, transformed in place when complex, and for a real chunk
+one buffer for its half spectrum (allocated after the matrix, it left a heap
+hole that a later, larger matrix could not reuse, and the peak RSS rose).
+
 Reflection rule: a circle map, tau(1/conj z) = 1/conj tau(z), on an annulus
 with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
 input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the
@@ -46,7 +51,9 @@ The assembly runs only past the inclusion verdict, so max|step| < 1 up to one ro
 _assemble_block forms b_n once per block, before any FFT.  From the first power n* whose
 bound is below SNAP_TOL (the snap horizon) the snap zeroes every entry, so those columns
 are written +0 without being sampled or transformed, and the aliasing monitor judges the
-columns below n* alone, against their samples' noise floor (n + 1) eps b_n.
+columns below n* alone, against their samples' noise floor (n + 1) eps b_n.  It forms a
+column's magnitudes on the tail band 3K/8 <= |m| <= K/2 first: a column whose band peaks at
+or below its noise is resolved, and only the others' full magnitudes are formed (_unresolved).
 
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
@@ -67,8 +74,8 @@ from .numerics import (
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
 
-# Aliasing monitor: numerics.unresolved_tails judges each column below the snap horizon,
-# with the noise floor of the module notes.
+# Aliasing monitor: _unresolved screens each column below the snap horizon on its tail band,
+# and numerics.unresolved_tails judges the rest, with the noise floor of the module notes.
 # Automatic sample counts double until every column resolves; an explicit K is
 # honoured while no unresolved tail exceeds TAIL_REJECT (comfortably under every
 # spectral tolerance used downstream).
@@ -81,7 +88,7 @@ TAIL_REJECT = 1e-9
 # before the reflection copy.
 SNAP_TOL = 1e-14
 
-CHUNK_SAMPLES = 1 << 17  # per FFT call in the assembly: 2 MB of samples
+CHUNK_SAMPLES = 1 << 17  # per FFT call in the assembly: a complex workspace of 2 MB
 
 
 @dataclass(frozen=True)
@@ -115,14 +122,38 @@ def _agrees(x, y) -> bool:
     return bool(np.isfinite(diff).all()) and diff.max() <= SNAP_TOL * np.abs(x).max()
 
 
-def _assemble_block(out, step, powers: range, rho, r, R, nplus):
+def _workspace(K: int, powers: int, real: bool):
+    """One pass's workspace, which its blocks share: a sample chunk of at most
+    CHUNK_SAMPLES samples (at least one row, at most ``powers``), float64 on the real
+    path with a complex buffer for its half spectrum, else complex128 and transformed
+    in place."""
+    rows = min(max(1, CHUNK_SAMPLES // K), powers)
+    chunk = np.empty((rows, K), dtype=float if real else complex)
+    return chunk, np.empty((len(chunk), K // 2 + 1), dtype=complex) if real else None
+
+
+def _unresolved(x, K: int, noise):
+    """numerics.unresolved_tails of the coefficient rows x, whose magnitudes are |c_m| (a
+    full spectrum, K entries) or |Re X[m]| + |Im X[m]| (a half one), formed on the tail band
+    3K/8 <= |m| <= K/2 first: a row whose band peaks at or below its noise is resolved
+    (tail <= noise gives fl(tail / scale) <= fl(noise / scale)), so only the other rows'
+    full magnitudes are formed and judged."""
+
+    def magnitudes(rows):
+        return np.abs(rows) if rows.shape[-1] == K else np.abs(rows.real) + np.abs(rows.imag)
+
+    loud = magnitudes(x[:, 3 * K // 8 : 5 * K // 8 + 1]).max(axis=-1) > noise
+    return unresolved_tails(magnitudes(x[loud]), K, noise[loud])
+
+
+def _assemble_block(out, step, powers: range, rho, r, R, nplus, workspace):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
-    (folded, Re g_n + Im g_n, for a real ``out``), the rows from the snap horizon on
-    with +0; return the (tail, floor) of each unresolved column below it, both from
-    the column bound of the module notes.  Plus row m < nplus is read from c[m]
-    and minus row m <= nminus from c[-m]: Re X[m] -+ Im X[m] of the half spectrum,
-    or entries m and K - m of the full one."""
+    (folded, Re g_n + Im g_n, for a real ``out``), in chunks of the rows of the pass's
+    ``workspace`` (_workspace), the rows from the snap horizon on with +0; return the
+    (tail, floor) of each unresolved column below it, both from the column bound of the
+    module notes.  Plus row m < nplus is read from c[m] and minus row m <= nminus from
+    c[-m]: Re X[m] -+ Im X[m] of the half spectrum, or entries m and K - m of the full one."""
     K = len(step)
     n = np.arange(powers.start, powers.stop)
     bound = float(np.abs(step).max()) ** n  # b_n
@@ -131,11 +162,11 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
     nminus = out.shape[1] - nplus
     weight = np.r_[(r / rho) ** np.arange(nplus), (rho / R) ** np.arange(1, nminus + 1)]
     real = out.dtype == np.float64
-    g = np.ones(K, dtype=complex)
-    rows = max(1, CHUNK_SAMPLES // K)
-    unresolved, buffer = [], np.empty((min(rows, horizon), K), dtype=out.dtype)
-    for start in range(0, horizon, rows):
-        cut = slice(start, min(start + rows, horizon))
+    buffer, spectrum = workspace
+    g = last = np.ones(K, dtype=complex)
+    unresolved = []
+    for start in range(0, horizon, len(buffer)):
+        cut = slice(start, min(start + len(buffer), horizon))
         chunk = buffer[: cut.stop - start]
         for i, power in enumerate(n[cut]):
             if real:
@@ -148,19 +179,17 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus):
                 chunk[i] = g
         d = out[cut]
         if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m]
-            x = half_spectrum_from_samples(chunk, rho)
+            x = half_spectrum_from_samples(chunk, rho, out=spectrum[: len(chunk)])
             re, im = x.real, x.imag
             np.subtract(re[:, :nplus], im[:, :nplus], out=d[:, :nplus])
             np.add(re[:, 1 : nminus + 1], im[:, 1 : nminus + 1], out=d[:, nplus:])
-        else:  # c[-m] is numpy's fold, index K - m
-            x = fourier_coeffs_from_samples(chunk, rho)
-            d[:, :nplus], d[:, nplus:] = x[:, :nplus], x[:, : -nminus - 1 : -1]
+        else:  # in place, after keeping the row that the next chunk's products read
+            last[:] = g
+            g, x = last, fourier_coeffs_from_samples(chunk, rho, out=chunk)
+            d[:, :nplus], d[:, nplus:] = x[:, :nplus], x[:, : -nminus - 1 : -1]  # c[-m] at K - m
         d *= weight
         d[np.abs(d) < SNAP_TOL] = 0.0  # the snap (notes of SNAP_TOL)
-        v = np.abs(x.view(float), out=x.view(float)) if real else np.abs(x)  # x is spent
-        # max(|c[m]|, |c[-m]|), into the spent chunk's rows: contiguous max reductions
-        mag = np.add(v[:, ::2], v[:, 1::2], out=chunk[:, : K // 2 + 1]) if real else v
-        unresolved += zip(*unresolved_tails(mag, K, (n[cut] + 1) * EPS * bound[cut]))
+        unresolved += zip(*_unresolved(x, K, (n[cut] + 1) * EPS * bound[cut]))
     return unresolved
 
 
@@ -213,11 +242,14 @@ def assemble_dual(
         with np.errstate(all="ignore"):  # tp may vanish at a node
             reflected = _agrees(tm, 1 / np.conj(tp))
         size, plus = (2 * p - 1, p) if reflected else (nplus + nminus, nplus)
+        workspace = _workspace(k, max(plus, nminus), real)  # before the matrix (module notes)
         cols = np.empty((size, size), dtype=float if real else complex, order="F")
-        unresolved = _assemble_block(cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus)
+        unresolved = _assemble_block(
+            cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus, workspace
+        )
         if not reflected:
             unresolved += _assemble_block(
-                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus
+                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus, workspace
             )
         if not unresolved:
             break

@@ -188,6 +188,13 @@ class TestStackedSamples:
         assert np.all(got[differ] == 0) and np.all(want[differ] == 0)
         assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
 
+    def test_in_place_keeps_the_bits(self):
+        # out= is the samples themselves: the coefficients overwrite them
+        stack = self._stack()
+        want = fourier_coeffs_from_samples(stack, 0.9)
+        assert fourier_coeffs_from_samples(stack, 0.9, out=stack) is stack
+        assert stack.tobytes() == want.tobytes()
+
     def test_non_finite_sample_quotes_its_angle(self):
         stack = self._stack()
         stack[3, 5] = np.nan
@@ -229,6 +236,13 @@ class TestRealCoeffs:
         assert x.shape == (5, 33)
         for i, row in enumerate(stack):
             assert np.array_equal(x[i], half_spectrum_from_samples(row, 0.9))
+
+    def test_out_keeps_the_bits(self):
+        # out= takes leading rows of a larger buffer, as the assembly passes it
+        stack, buffer = np.random.default_rng(4).standard_normal((5, 64)), np.empty((7, 33), complex)
+        x = half_spectrum_from_samples(stack, 0.9, out=buffer[:5])
+        assert np.shares_memory(x, buffer)
+        assert x.tobytes() == half_spectrum_from_samples(stack, 0.9).tobytes()
 
     def test_rejects_bad_sample_counts(self):
         for K in (4, 12, 100):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from helpers import (
     pairing,
     transfer_apply_rational,
 )
-from ruelle import operators
+from ruelle import operators, spectra
 from ruelle.lifts import build_homotopy, find_expansive_annulus
 from ruelle.maps import (
     Annulus,
@@ -27,7 +28,9 @@ from ruelle.maps import (
     _MapBase,
     check_holo_expansive,
 )
-from ruelle.numerics import circle_integral, circle_nodes, fourier_coeffs_from_samples
+from ruelle.numerics import (
+    circle_integral, circle_nodes, fourier_coeffs_from_samples, unresolved_tails,
+)
 from ruelle.operators import EPS, SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, eigenvalues
 from ruelle.traces import trace_contour
@@ -261,9 +264,9 @@ class TestDiscardedPasses:
     def calls(self, monkeypatch):
         log, block = [], operators._assemble_block
 
-        def logged(out, step, powers, rho, r, R, nplus):
+        def logged(out, step, powers, rho, r, R, nplus, workspace):
             log.append((len(step), "minus" if powers.start else "plus"))
-            return block(out, step, powers, rho, r, R, nplus)
+            return block(out, step, powers, rho, r, R, nplus, workspace)
 
         monkeypatch.setattr(operators, "_assemble_block", logged)
         return log
@@ -318,6 +321,148 @@ class TestDiscardedPasses:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             assemble_dual(NEAR_CIRCLE, THIN, 8, 8, K=1024)
         assert calls == [(1024, "plus"), (1024, "minus")]
+
+
+def _full_monitor(x, K, noise):
+    """numerics.unresolved_tails on every row's full magnitudes, and those
+    magnitudes: |c_m| of a full spectrum (K entries), or |Re X[m]| + |Im X[m]|
+    of a half one, from its interleaved parts."""
+    if x.shape[-1] == K:
+        mag = np.abs(x)
+    else:
+        v = np.abs(x.view(float))
+        mag = v[:, ::2] + v[:, 1::2]
+    return unresolved_tails(mag, K, noise), mag
+
+
+# the Mobius scan members w = 0, 0.1, ..., 1 of `ruelle scan --grid 0:1:11`
+SCAN = [MobiusFamilyMap(w) for w in np.linspace(0, 1, 11)]
+
+
+class TestBandFirstScreen:
+    """The aliasing monitor forms magnitudes on the tail band first
+    (operators._unresolved): on every transformed chunk its verdict and its
+    (tail, floor) pairs are those of numerics.unresolved_tails on the full
+    magnitudes, and the sample counts, spectra and refusals are those of a
+    monitor that forms every magnitude."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch, transformed):
+        """A log of (rows, loud rows) per transformed chunk, each chunk's verdict
+        checked against the full monitor; a loud row's tail band exceeds its noise."""
+        log, screen = [], operators._unresolved
+
+        def checked(x, K, noise):
+            assert len(transformed) == len(log) + 1  # one verdict per transformed chunk
+            got = screen(x, K, noise)
+            want, mag = _full_monitor(x, K, noise)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            loud = mag[:, 3 * K // 8 : 5 * K // 8 + 1].max(axis=1) > noise
+            log.append((len(x), int(loud.sum())))
+            return got
+
+        monkeypatch.setattr(operators, "_unresolved", checked)
+        return log
+
+    @staticmethod
+    def _spectra(maps, monkeypatch):
+        """converged_spectrum of each map on (0.8, 1.25): the K of each pass
+        (its plus block), by assembly, and the bytes of its eigenvalues and of
+        its operator."""
+        passes, assemble, block = [], spectra.assemble_dual, operators._assemble_block
+
+        def assembly(*args):
+            passes.append([])
+            return assemble(*args)
+
+        def logged(out, step, powers, rho, r, R, nplus, workspace):
+            if not powers.start:
+                passes[-1].append(len(step))
+            return block(out, step, powers, rho, r, R, nplus, workspace)
+
+        monkeypatch.setattr(spectra, "assemble_dual", assembly)
+        monkeypatch.setattr(operators, "_assemble_block", logged)
+        runs = []
+        for m in maps:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "spectrum not converged", RuntimeWarning)
+                spec = converged_spectrum(m, Annulus(0.8, 1.25))
+            runs.append((spec.eigenvalues.tobytes(), spec.operator.matrix.tobytes()))
+        monkeypatch.setattr(spectra, "assemble_dual", assemble)
+        monkeypatch.setattr(operators, "_assemble_block", block)
+        return passes, runs
+
+    @pytest.mark.parametrize(
+        "maps, passes, redone, rows, loud",
+        [(SCAN, 34, 12, 1600, 118), ([TrigLift(2, (0.1,))], 4, 0, 389, 0)],
+        ids=["mobius-scan", "triglift-ladder"],
+    )
+    def test_screen_is_the_full_monitor(self, maps, passes, redone, rows, loud, chunks, monkeypatch):
+        # the scan redoes passes at 2K, and its loud rows take the fallback; the
+        # cos TrigLift's ladder N = 32..256 screens every row
+        screened = self._spectra(maps, monkeypatch)
+        assert sum(map(len, screened[0])) == passes
+        assert sum(len(ks) - 1 for ks in screened[0]) == redone
+        assert [sum(c) for c in zip(*chunks)] == [rows, loud]
+        monkeypatch.setattr(operators, "_unresolved", lambda *a: _full_monitor(*a)[0])
+        assert self._spectra(maps, monkeypatch) == screened
+
+    @pytest.mark.parametrize(
+        "m, annulus, args",
+        [
+            (MobiusFamilyMap(0.7 + 0.05j), Annulus(0.8, 1.25), (32, None, 256)),
+            (BlaschkeProduct(1.0, (0.0, 0.5)), Annulus(0.8, 1.25), (32, None, 256)),
+            (NEAR_CIRCLE, THIN, (8, 8, 1024)),
+        ],
+        ids=["complex-direct", "real-reflected", "real-thin"],
+    )
+    def test_explicit_K_refusal_is_the_full_monitor(self, m, annulus, args, chunks, monkeypatch):
+        with pytest.raises(RuntimeError, match="request a larger K") as screened:
+            assemble_dual(m, annulus, *args)
+        assert any(loud for _, loud in chunks)
+        monkeypatch.setattr(operators, "_unresolved", lambda *a: _full_monitor(*a)[0])
+        with pytest.raises(RuntimeError) as full:
+            assemble_dual(m, annulus, *args)
+        assert str(screened.value) == str(full.value)
+
+
+class TestWorkspace:
+    """Each pass allocates one workspace, which its blocks share, and no
+    chunk allocates its own transform output or full magnitude array."""
+
+    def test_triglift_peak(self, annulus):
+        # parent build: 11.1 MB for the 4.2 MB complex matrix at K = 2048
+        args = (TrigLift(2, (0.1,)), annulus, 256)
+        assemble_dual(*args)  # FFT plans and nodes cached outside the trace
+        tracemalloc.start()
+        try:
+            T = assemble_dual(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.matrix.dtype == complex and T.samples == 2048
+        assert peak < T.matrix.nbytes + 16 * operators.CHUNK_SAMPLES + (1 << 20)
+
+    def test_two_blocks_share_one_workspace(self, annulus, monkeypatch):
+        # a complex map that is not a circle map: both blocks are transformed,
+        # in one workspace (parent build: 6.05 MB peak, a buffer per block)
+        m, seen, block = MobiusFamilyMap(0.7 + 0.05j), [], operators._assemble_block
+
+        def logged(out, step, powers, rho, r, R, nplus, workspace):
+            seen.append(workspace)
+            return block(out, step, powers, rho, r, R, nplus, workspace)
+
+        assemble_dual(m, annulus, 128)
+        monkeypatch.setattr(operators, "_assemble_block", logged)
+        tracemalloc.start()
+        try:
+            T = assemble_dual(m, annulus, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 2 and seen[0] is seen[1] and seen[0][1] is None
+        assert seen[0][0].nbytes == 16 * operators.CHUNK_SAMPLES  # 128 rows at K = 1024
+        assert peak < T.matrix.nbytes + 16 * operators.CHUNK_SAMPLES + (1 << 20)
 
 
 def _column_by_column(m, annulus, N, K, real=True, reflect=True, nminus=None):
@@ -404,7 +549,8 @@ def _block(step, start, stop, dtype):
     out = np.full((stop - start, 5), np.nan, dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        operators._assemble_block(out, step, range(start, stop), 1.0, 1.0, 1.0, 3)
+        workspace = operators._workspace(len(step), stop - start, out.dtype == float)
+        operators._assemble_block(out, step, range(start, stop), 1.0, 1.0, 1.0, 3, workspace)
     return out
 
 
@@ -421,9 +567,9 @@ def transformed(monkeypatch):
     for name in ("fourier_coeffs_from_samples", "half_spectrum_from_samples"):
         transform = getattr(operators, name)
 
-        def counted(chunk, rho, transform=transform):
+        def counted(chunk, rho, out=None, transform=transform):
             log.append((rho, len(chunk), np.abs(chunk).max(axis=1).min()))
-            return transform(chunk, rho)
+            return transform(chunk, rho, out=out)
 
         monkeypatch.setattr(operators, name, counted)
     return log
