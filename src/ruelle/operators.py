@@ -53,7 +53,9 @@ bound is below SNAP_TOL (the snap horizon) the snap zeroes every entry, so those
 are written +0 without being sampled or transformed, and the aliasing monitor judges the
 columns below n* alone, against their samples' noise floor (n + 1) eps b_n.  It forms a
 column's magnitudes on the tail band 3K/8 <= |m| <= K/2 first: a column whose band peaks at
-or below its noise is resolved, and only the others' full magnitudes are formed (_unresolved).
+or below its noise is resolved, and only the others' full magnitudes are formed (_unresolved,
+then numerics.unresolved_tails).  A pass that leaves a column unresolved is redone at 2K, up
+to numerics.MAX_SAMPLES: a given K is only where this doubling starts.
 
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
@@ -73,13 +75,6 @@ from .numerics import (
 )
 
 __all__ = ["TruncatedOperator", "assemble_dual", "singular_values"]
-
-# Aliasing monitor: _unresolved screens each column below the snap horizon on its tail band,
-# and numerics.unresolved_tails judges the rest, with the noise floor of the module notes.
-# Automatic sample counts double until every column resolves; an explicit K is
-# honoured while no unresolved tail exceeds TAIL_REJECT (comfortably under every
-# spectral tolerance used downstream).
-TAIL_REJECT = 1e-9
 
 # Entries below this in magnitude are roundoff from the FFT of analytically sparse
 # columns (tau = z^d gives one per column); snapping them keeps the exact nilpotent
@@ -205,25 +200,24 @@ def assemble_dual(
     minus 1..nplus-1, the index sets that the reflection P swaps.
 
     Each block is built in row chunks of at most 2^17 samples, one FFT per
-    chunk, with the bits of a column-by-column build.  With K=None the
-    sample count starts at max(256, 8N) rounded up to a power of two, and is
-    doubled (up to numerics.MAX_SAMPLES) until the aliasing monitor (notes of
-    TAIL_REJECT) resolves every column; an explicit K with an unresolved tail
-    above TAIL_REJECT raises instead.  Both errors quote the worst tail of
-    both blocks and its floor.  A direct pass builds both blocks, resolved or
-    not; a reflected one (module notes) copies its minus block once, from
-    the accepted pass.  The matrix is float64, read from the half spectrum
-    of real FFTs of folded columns, iff each sample row v agrees with
-    conj v[-j mod K].  The rows are tau at the pass's K nodes on each
-    boundary circle, judged after the integer checks by the inclusion test:
-    'none' is refused (ValueError naming the margin); plus inputs go on the
-    circle tau maps inward.
+    chunk, with the bits of a column-by-column build.  One rule sets the
+    sample count: it starts at K, by default max(256, 8N) rounded up to a
+    power of two, and doubles until the aliasing monitor (module notes)
+    resolves every column; a pass at K >= numerics.MAX_SAMPLES that leaves
+    one unresolved raises, quoting the worst tail of both blocks and its
+    floor.  A direct pass builds both blocks, resolved or not; a reflected
+    one (module notes) copies its minus block once, from the accepted pass.
+    The matrix is float64, read from the half spectrum of real FFTs of
+    folded columns, iff each sample row v agrees with conj v[-j mod K].
+    The rows are tau at the pass's K nodes on each boundary circle, judged
+    after the integer checks by the inclusion test: 'none' is refused
+    (ValueError naming the margin); plus inputs go on the circle tau maps
+    inward.
     """
     nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
         raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
-    auto = K is None
-    k = 1 << (max(256, 8 * max(nplus, nminus)) - 1).bit_length() if auto else K
+    k = 1 << (max(256, 8 * max(nplus, nminus)) - 1).bit_length() if K is None else K
     if k < 8 * max(nplus, nminus):
         raise ValueError(f"K={k} below 8*max(nplus, nminus)={8*max(nplus, nminus)}")
 
@@ -253,20 +247,12 @@ def assemble_dual(
             )
         if not unresolved:
             break
-        if auto and k < MAX_SAMPLES:  # redone at 2K, its matrix dropped
-            k *= 2
-            continue
-        tail, floor = max(unresolved)
-        if auto:
+        if k >= MAX_SAMPLES:
+            tail, floor = max(unresolved)
             raise RuntimeError(
                 f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) unresolved at K={k}"
             )
-        if tail > TAIL_REJECT:
-            raise RuntimeError(
-                f"aliasing tail {tail:.3g} (roundoff floor {floor:.3g}) exceeds "
-                f"{TAIL_REJECT:g} at K={k}; request a larger K"
-            )
-        break
+        k *= 2  # the pass is redone at 2K, its matrix dropped
 
     if reflected:  # minus column m is plus column m in P (module notes), conjugated
         plus, minus = cols.T[1:p], cols.T[p:]

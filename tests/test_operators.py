@@ -218,12 +218,16 @@ class TestAliasingMonitor:
         T = assemble_dual(TrigLift(2, (0.4,)), Annulus(0.97, 1.03), 32)
         assert T.samples == 512  # twice the default 256 for N = 32
 
-    def test_explicit_K_with_large_tail_raises(self, annulus):
-        # the pole of z (z - 0.7)/(1 - 0.7 z) at 1/0.7 sits close to R = 1.25
+    def test_explicit_K_starts_the_doubling(self, annulus, monkeypatch):
+        # the pole of z (z - 0.7)/(1 - 0.7 z) at 1/0.7 sits close to R = 1.25:
+        # K = 256 leaves an aliasing tail, so it doubles, as the default does
         near_pole = BlaschkeProduct(1.0, (0.0, 0.7))
-        with pytest.raises(RuntimeError, match="roundoff floor .* exceeds .* request a larger K"):
+        T, auto = assemble_dual(near_pole, annulus, 32, K=256), assemble_dual(near_pole, annulus, 32)
+        assert T.samples == auto.samples == 512
+        assert T.matrix.tobytes() == auto.matrix.tobytes()
+        monkeypatch.setattr(operators, "MAX_SAMPLES", 256)  # a cap at the start refuses
+        with pytest.raises(RuntimeError, match="roundoff floor .* unresolved at K=256"):
             assemble_dual(near_pole, annulus, 32, K=256)
-        assert assemble_dual(near_pole, annulus, 32).samples > 256
 
     @pytest.mark.parametrize(
         "m, tail, floor",
@@ -233,12 +237,14 @@ class TestAliasingMonitor:
         ],
         ids=["bstar", "mobius_0.6"],
     )
-    def test_real_monitor_quotes_its_numbers(self, m, tail, floor, annulus):
+    def test_real_monitor_quotes_its_numbers(self, m, tail, floor, annulus, monkeypatch):
         # real maps take the half-spectrum monitor; it quotes the tail and
         # floor of the full coefficient array to the last printed digit (the
-        # worst of plus powers 0..31, the ones the symmetric truncation samples)
+        # worst of plus powers 0..31, the ones the symmetric truncation samples),
+        # here at a cap lowered to the first pass's K
         assert assemble_dual(m, annulus, 32).matrix.dtype == np.float64
-        message = f"aliasing tail {tail} (roundoff floor {floor}) exceeds 1e-09 at K=256"
+        monkeypatch.setattr(operators, "MAX_SAMPLES", 256)
+        message = f"aliasing tail {tail} (roundoff floor {floor}) unresolved at K=256"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             assemble_dual(m, annulus, 32, K=256)
 
@@ -288,10 +294,15 @@ class TestDiscardedPasses:
     def test_escalated_matrix_is_the_explicit_K_matrix(self, case):
         m, annulus, N, *nminus = case
         T = assemble_dual(m, annulus, N, *nminus)
-        assert T.samples > max(256, 8 * N)  # it escalated
-        explicit = assemble_dual(m, annulus, N, *nminus, K=T.samples)
-        assert T.matrix.dtype == explicit.matrix.dtype
-        assert T.matrix.tobytes() == explicit.matrix.tobytes()
+        first = 1 << (max(256, 8 * N) - 1).bit_length()
+        assert T.samples > first  # it escalated
+        # a start at the final K, or at the default start, which repeats the
+        # passes of K=None, gives its K and its bytes
+        for K in (T.samples, first):
+            explicit = assemble_dual(m, annulus, N, *nminus, K=K)
+            assert explicit.samples == T.samples
+            assert T.matrix.dtype == explicit.matrix.dtype
+            assert T.matrix.tobytes() == explicit.matrix.tobytes()
 
     def test_discarded_pass_builds_both_blocks(self, calls, bstar):
         # r R != 1: every pass builds the minus block directly, the discarded one too
@@ -315,12 +326,23 @@ class TestDiscardedPasses:
             assemble_dual(NEAR_CIRCLE, THIN, 8, 8)
         assert calls == [(1 << k, block) for k in range(8, 17) for block in ("plus", "minus")]
 
-    def test_explicit_K_quotes_the_worst_tail_of_both_blocks(self, calls):
-        # the plus block's worst tail at K = 1024 is 0.00144, minus column 8's 0.00154
-        message = "aliasing tail 0.00154 (roundoff floor 2.02e-15) exceeds 1e-09 at K=1024"
+    @pytest.mark.parametrize(
+        "K, cap, message",
+        [
+            (65536, None, "aliasing tail 7.03e-12 (roundoff floor 2.01e-15) unresolved at K=65536"),
+            # the plus block's worst tail at K = 1024 is 0.00144, minus column 8's 0.00154
+            (1024, 1024, "aliasing tail 0.00154 (roundoff floor 2.02e-15) unresolved at K=1024"),
+            (1024, 512, "aliasing tail 0.00154 (roundoff floor 2.02e-15) unresolved at K=1024"),
+        ],
+        ids=["at-cap", "at-lowered-cap", "above-lowered-cap"],
+    )
+    def test_start_at_or_above_the_cap_is_one_pass(self, K, cap, message, calls, monkeypatch):
+        # an unresolved pass at K >= MAX_SAMPLES refuses, quoting the worst tail of both blocks
+        if cap is not None:
+            monkeypatch.setattr(operators, "MAX_SAMPLES", cap)
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            assemble_dual(NEAR_CIRCLE, THIN, 8, 8, K=1024)
-        assert calls == [(1024, "plus"), (1024, "minus")]
+            assemble_dual(NEAR_CIRCLE, THIN, 8, 8, K=K)
+        assert calls == [(K, "plus"), (K, "minus")]
 
 
 def _full_monitor(x, K, noise):
@@ -417,7 +439,8 @@ class TestBandFirstScreen:
         ids=["complex-direct", "real-reflected", "real-thin"],
     )
     def test_explicit_K_refusal_is_the_full_monitor(self, m, annulus, args, chunks, monkeypatch):
-        with pytest.raises(RuntimeError, match="request a larger K") as screened:
+        monkeypatch.setattr(operators, "MAX_SAMPLES", args[-1])  # the start pass refuses
+        with pytest.raises(RuntimeError, match=f"unresolved at K={args[-1]}") as screened:
             assemble_dual(m, annulus, *args)
         assert any(loud for _, loud in chunks)
         monkeypatch.setattr(operators, "_unresolved", lambda *a: _full_monitor(*a)[0])
@@ -603,11 +626,13 @@ class TestBlockAssembly:
     def test_matches_column_by_column(self, m, N, K, annulus):
         # N//2 and 0 are gathered from the symmetric truncation (N, N - 1) of a
         # reflected map, N and 2N from (N + 1, N) and (2N + 1, 2N); 2N only at
-        # K = 4096, as (16, 32) leaves an aliasing tail above TAIL_REJECT at 256
+        # K = 4096; the Blaschke products leave an aliasing tail at (16, 256),
+        # so they resolve at 512
+        reached = 2 * K if N == 16 and isinstance(m, BlaschkeProduct) else K
         for nminus in (None, N, N // 2, 0) + ((2 * N,) if K == 4096 else ()):
             T = assemble_dual(m, annulus, N, nminus, K)
-            assert T.samples == K
-            expect = _column_by_column(m, annulus, N, K, nminus=nminus)
+            assert T.samples == reached
+            expect = _column_by_column(m, annulus, N, T.samples, nminus=nminus)
             assert T.matrix.dtype == expect.dtype and T.matrix.shape == expect.shape
             # bytes, not np.array_equal: a snapped zero must be +0, not -0
             assert T.matrix.tobytes(order="C") == expect.tobytes(order="C")
@@ -1048,10 +1073,11 @@ class TestColumnMajor:
         v[5] = inf
         assert not _conjugate_symmetric(v)
 
-    def test_overflowed_node_keeps_the_complex_path(self, bstar):
+    def test_overflowed_node_keeps_the_complex_path(self, bstar, monkeypatch):
         # tau = inf at node 0 of |z| = R passes the inclusion test as "outside";
         # a non-finite row is not symmetric, and with no warning the
-        # assembly reports the aliasing that the broken sample causes
+        # assembly reports the aliasing that the broken sample causes (at a
+        # cap lowered to the start, as every K has the broken node)
         class OuterInf(_MapBase):
             degree = 2
 
@@ -1064,7 +1090,8 @@ class TestColumnMajor:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert not _conjugate_symmetric(OuterInf().eval(circle_nodes(1.25, 256)))
-            with pytest.raises(RuntimeError, match=r"aliasing tail .* exceeds 1e-09 at K=256"):
+            monkeypatch.setattr(operators, "MAX_SAMPLES", 256)
+            with pytest.raises(RuntimeError, match=r"aliasing tail .* unresolved at K=256"):
                 assemble_dual(OuterInf(), Annulus(0.8, 1.25), 16, K=256)
 
 
