@@ -2,8 +2,8 @@
 """Fingerprint the operator assembly: for a fixed panel of maps with their
 annuli and truncation orders N, assemble the adjoint at the library's own
 truncation (`assemble_dual(m, annulus, N)`, plus 0..N-1 and minus
-1..nminus = N-1) with the automatic sample count and print one line per
-case,
+1..nminus = N-1), and for three cases at an explicit nminus, with the
+automatic sample count, and print one line per case,
 
     name N nminus K sha256(matrix) sha256(eigenvalues) sha256(singular values)
 
@@ -18,6 +18,10 @@ run on (0.8, 1.25), where r R = 1 and every map that reflects copies its
 minus block from the plus block (the reflection rule of the operators
 module).  The last two transform both blocks: Mobius 0.7+0.05i, which is
 not a circle map, on (0.8, 1.25), and B* on (0.85, 1.2), where r R != 1.
+Three more lines follow the panel: those two maps at N = 32 with
+nminus = 32, and B* on (0.85, 1.2) with nminus = 16.  Every pass builds the
+symmetric truncation (p, p - 1) that holds (N, nminus), so these lines pin
+the gather of another truncation after a direct pass.
 
 Two source trees that print the same lines assemble the same matrices, with
 the same K, and return the same spectra bit for bit.  As in
@@ -70,6 +74,8 @@ PANEL = {
     "mobius-complex": (MobiusFamilyMap(0.7 + 0.05j), ANNULUS),
     "bstar-0.85": (BSTAR, Annulus(0.85, 1.2)),
 }
+# (name, N, nminus): truncations other than the symmetric one, after a direct pass
+GATHERED = [("mobius-complex", 32, 32), ("bstar-0.85", 32, 32), ("bstar-0.85", 32, 16)]
 
 
 def sha256(a) -> str:
@@ -77,16 +83,17 @@ def sha256(a) -> str:
 
 
 def main():
-    for name, (m, annulus) in PANEL.items():
-        for n in ORDERS:
-            try:
-                T = assemble_dual(m, annulus, n)
-            except (ValueError, RuntimeError) as exc:
-                print(f"{name} {n} error: {exc}", flush=True)
-                continue
-            eigs = eigenvalues(T).eigenvalues
-            print(f"{name} {n} {T.nminus} {T.samples} {sha256(T.matrix)} {sha256(eigs)} "
-                  f"{sha256(singular_values(T))}", flush=True)
+    cases = [(name, n, None) for name in PANEL for n in ORDERS] + GATHERED
+    for name, n, nminus in cases:
+        m, annulus = PANEL[name]
+        try:
+            T = assemble_dual(m, annulus, n, nminus)
+        except (ValueError, RuntimeError) as exc:
+            print(f"{name} {n} error: {exc}", flush=True)
+            continue
+        eigs = eigenvalues(T).eigenvalues
+        print(f"{name} {n} {T.nminus} {T.samples} {sha256(T.matrix)} {sha256(eigs)} "
+              f"{sha256(singular_values(T))}", flush=True)
 
 
 if __name__ == "__main__":

@@ -76,15 +76,25 @@ def half_spectrum_from_samples(folded, radius: float, out=None) -> np.ndarray:
     return np.fft.rfft(_checked_samples(folded, radius, float), norm="forward", out=out)
 
 
-def unresolved_tails(mag, K: int, noise):
-    """(tail, floor) of the unresolved rows of magnitudes ``mag``: |c_m| (K of them) or
-    max(|c_m|, |c_-m|), m = 0..K/2.  The tail, max over 3K/8 <= |m| <= K/2 per max|c| (0 for a
-    zero row), decays geometrically in K to the floor noise / max|c|: the sample roundoff,
-    which the FFT spreads evenly, so no K passes it.  Unresolved: above it and TAIL_TOL."""
-    scale, tail = mag.max(axis=-1), mag[..., 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
-    tail = np.divide(tail, scale, out=np.zeros(np.shape(scale)), where=scale > 0)
+def unresolved_tails(x, K: int, noise):
+    """(tail, floor) of the unresolved rows of coefficients ``x``: a full spectrum c (K
+    entries), whose magnitudes are |c_m|, or a half one X (K/2 + 1, m = 0..K/2), whose are
+    |Re X[m]| + |Im X[m]| = max(|c_m|, |c_-m|).  The tail, max over 3K/8 <= |m| <= K/2 per
+    max|c|, decays geometrically in K to the floor noise / max|c|: the sample roundoff,
+    which the FFT spreads evenly, so no K passes it.  Unresolved: above it and TAIL_TOL.
+    The band is screened first, by |Re| + |Im| on both spectra, which bounds |c| from above:
+    a row whose band sum is at most its noise is resolved (band <= noise gives
+    fl(band / scale) <= fl(noise / scale)), and only the other, loud rows' full magnitudes
+    are formed; a loud row has a nonzero band entry, so its max|c| is not 0."""
+    band = x[..., 3 * K // 8 : 5 * K // 8 + 1]
+    noise = np.broadcast_to(noise, band.shape[:-1])
+    loud = (np.abs(band.real) + np.abs(band.imag)).max(axis=-1) > noise
+    x, noise = x[loud], noise[loud]
+    mag = np.abs(x) if x.shape[-1] == K else np.abs(x.real) + np.abs(x.imag)
+    scale = mag.max(axis=-1)
+    tail = mag[..., 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1) / scale
     bad = tail > TAIL_TOL
-    tail, floor = tail[bad], np.broadcast_to(noise, bad.shape)[bad] / scale[bad]
+    tail, floor = tail[bad], noise[bad] / scale[bad]
     return tail[tail > floor], floor[tail > floor]
 
 

@@ -31,10 +31,10 @@ with r R = 1 has outward samples tm = 1/conj tp node by node, so its minus
 input (R/tau)^n is the conjugate of its plus input (tau/r)^n and the
 symmetric truncation (p, p - 1) satisfies M = P conj(M) P, with P: plus index
 m <-> minus index m (1 <= m < p), each block's order kept, so P moves whole
-blocks and is applied as slices.  When tm agrees with 1/conj tp, only the
-plus block of (p, p - 1), p = max(nplus, nminus + 1), is sampled and
-transformed; its minus block is copied as P conj(M) P, with the plus
-columns' tails, and any other truncation gathered from it.
+blocks and is applied as slices.  Every pass builds (p, p - 1), p = max(nplus,
+nminus + 1), and any other truncation is gathered from it: when tm agrees with
+1/conj tp, only its plus block is sampled and transformed, and its minus block
+is copied as P conj(M) P, with the plus columns' tails; else both are.
 
 Transport rule (the single source of truth for radius powers): data g on a
 circle of radius rho with coefficients g_m (of z^m / rho^m) lands in the
@@ -51,11 +51,11 @@ The assembly runs only past the inclusion verdict, so max|step| < 1 up to one ro
 _assemble_block forms b_n once per block, before any FFT.  From the first power n* whose
 bound is below SNAP_TOL (the snap horizon) the snap zeroes every entry, so those columns
 are written +0 without being sampled or transformed, and the aliasing monitor judges the
-columns below n* alone, against their samples' noise floor (n + 1) eps b_n.  It forms a
-column's magnitudes on the tail band 3K/8 <= |m| <= K/2 first: a column whose band peaks at
-or below its noise is resolved, and only the others' full magnitudes are formed (_unresolved,
-then numerics.unresolved_tails).  A pass that leaves a column unresolved is redone at 2K, up
-to numerics.MAX_SAMPLES: a given K is only where this doubling starts.
+columns below n* alone, against their samples' noise floor (n + 1) eps b_n.  The monitor,
+numerics.unresolved_tails of each chunk's coefficients, sums |Re| + |Im| >= |c| on the tail
+band 3K/8 <= |m| <= K/2 first: a column whose band sum peaks at or below its noise is
+resolved, and only the others' full magnitudes are formed.  A pass that leaves a column
+unresolved is redone at 2K, up to numerics.MAX_SAMPLES: K is only where this doubling starts.
 
 The entries decay geometrically away from a diagonal band, so the operator
 is of exponential class and the matrix trace, eigenvalues and singular
@@ -127,35 +127,22 @@ def _workspace(K: int, powers: int, real: bool):
     return chunk, np.empty((len(chunk), K // 2 + 1), dtype=complex) if real else None
 
 
-def _unresolved(x, K: int, noise):
-    """numerics.unresolved_tails of the coefficient rows x, whose magnitudes are |c_m| (a
-    full spectrum, K entries) or |Re X[m]| + |Im X[m]| (a half one), formed on the tail band
-    3K/8 <= |m| <= K/2 first: a row whose band peaks at or below its noise is resolved
-    (tail <= noise gives fl(tail / scale) <= fl(noise / scale)), so only the other rows'
-    full magnitudes are formed and judged."""
-
-    def magnitudes(rows):
-        return np.abs(rows) if rows.shape[-1] == K else np.abs(rows.real) + np.abs(rows.imag)
-
-    loud = magnitudes(x[:, 3 * K // 8 : 5 * K // 8 + 1]).max(axis=-1) > noise
-    return unresolved_tails(magnitudes(x[loud]), K, noise[loud])
-
-
-def _assemble_block(out, step, powers: range, rho, r, R, nplus, workspace):
+def _assemble_block(out, step, powers: range, rho, r, R, workspace):
     """Fill the rows of ``out``, the block's columns as rows of the transpose,
     from the samples g_n = g_{n-1} step, g_0 = 1, on |z| = rho for n in ``powers``
     (folded, Re g_n + Im g_n, for a real ``out``), in chunks of the rows of the pass's
     ``workspace`` (_workspace), the rows from the snap horizon on with +0; return the
     (tail, floor) of each unresolved column below it, both from the column bound of the
-    module notes.  Plus row m < nplus is read from c[m] and minus row m <= nminus from
-    c[-m]: Re X[m] -+ Im X[m] of the half spectrum, or entries m and K - m of the full one."""
+    module notes.  ``out`` has the 2p - 1 entries of the symmetric truncation (p, p - 1):
+    plus row m < p is read from c[m] and minus row m < p from c[-m]: Re X[m] -+ Im X[m]
+    of the half spectrum, or entries m and K - m of the full one."""
     K = len(step)
     n = np.arange(powers.start, powers.stop)
     bound = float(np.abs(step).max()) ** n  # b_n
     horizon = np.append(2 * bound * (1 + 4 * (n + np.log2(K)) * EPS) < SNAP_TOL, True).argmax()
     out[horizon:] = 0.0  # the columns past the snap horizon
-    nminus = out.shape[1] - nplus
-    weight = np.r_[(r / rho) ** np.arange(nplus), (rho / R) ** np.arange(1, nminus + 1)]
+    p = (out.shape[1] + 1) // 2
+    weight = np.r_[(r / rho) ** np.arange(p), (rho / R) ** np.arange(1, p)]
     real = out.dtype == np.float64
     buffer, spectrum = workspace
     g = last = np.ones(K, dtype=complex)
@@ -176,15 +163,15 @@ def _assemble_block(out, step, powers: range, rho, r, R, nplus, workspace):
         if real:  # c[m] = Re X[m] - Im X[m], c[-m] = Re X[m] + Im X[m]
             x = half_spectrum_from_samples(chunk, rho, out=spectrum[: len(chunk)])
             re, im = x.real, x.imag
-            np.subtract(re[:, :nplus], im[:, :nplus], out=d[:, :nplus])
-            np.add(re[:, 1 : nminus + 1], im[:, 1 : nminus + 1], out=d[:, nplus:])
+            np.subtract(re[:, :p], im[:, :p], out=d[:, :p])
+            np.add(re[:, 1:p], im[:, 1:p], out=d[:, p:])
         else:  # in place, after keeping the row that the next chunk's products read
             last[:] = g
             g, x = last, fourier_coeffs_from_samples(chunk, rho, out=chunk)
-            d[:, :nplus], d[:, nplus:] = x[:, :nplus], x[:, : -nminus - 1 : -1]  # c[-m] at K - m
+            d[:, :p], d[:, p:] = x[:, :p], x[:, : -p : -1]  # c[-m] at K - m
         d *= weight
         d[np.abs(d) < SNAP_TOL] = 0.0  # the snap (notes of SNAP_TOL)
-        unresolved += zip(*_unresolved(x, K, (n[cut] + 1) * EPS * bound[cut]))
+        unresolved += zip(*unresolved_tails(x, K, (n[cut] + 1) * EPS * bound[cut]))
     return unresolved
 
 
@@ -201,12 +188,14 @@ def assemble_dual(
 
     Each block is built in row chunks of at most 2^17 samples, one FFT per
     chunk, with the bits of a column-by-column build.  One rule sets the
-    sample count: it starts at K, by default max(256, 8N) rounded up to a
-    power of two, and doubles until the aliasing monitor (module notes)
-    resolves every column; a pass at K >= numerics.MAX_SAMPLES that leaves
-    one unresolved raises, quoting the worst tail of both blocks and its
-    floor.  A direct pass builds both blocks, resolved or not; a reflected
-    one (module notes) copies its minus block once, from the accepted pass.
+    sample count: it starts at K (refused before any sampling unless a power
+    of two >= 8N), by default max(256, 8N) rounded up to a power of two, and
+    doubles until the aliasing monitor (module notes) resolves every column;
+    a pass at K >= numerics.MAX_SAMPLES that leaves one unresolved raises,
+    quoting the worst tail of both blocks and its floor.  Each pass builds
+    the symmetric truncation that holds (nplus, nminus), a direct one both
+    blocks, resolved or not, a reflected one (module notes) its plus block,
+    whose minus block is copied once, from the accepted pass.
     The matrix is float64, read from the half spectrum of real FFTs of
     folded columns, iff each sample row v agrees with conj v[-j mod K].
     The rows are tau at the pass's K nodes on each boundary circle, judged
@@ -217,9 +206,10 @@ def assemble_dual(
     nminus = nplus - 1 if nminus is None else nminus
     if min(nplus, nminus) < 0 or nplus == nminus == 0:
         raise ValueError(f"need nplus, nminus >= 0, not both 0; got {nplus}, {nminus}")
-    k = 1 << (max(256, 8 * max(nplus, nminus)) - 1).bit_length() if K is None else K
-    if k < 8 * max(nplus, nminus):
-        raise ValueError(f"K={k} below 8*max(nplus, nminus)={8*max(nplus, nminus)}")
+    least = 8 * max(nplus, nminus)
+    k = 1 << (max(256, least) - 1).bit_length() if K is None else K
+    if k < least or k & (k - 1):
+        raise ValueError(f"K={k} is not a power of two >= 8*max(nplus, nminus)={least}")
 
     r, R = annulus.r, annulus.R
     p = max(nplus, nminus + 1)  # the symmetric truncation (p, p - 1) holds (nplus, nminus)
@@ -235,15 +225,12 @@ def assemble_dual(
         real = all(_agrees(v, np.conj(v[-np.arange(k)])) for v in (tp, tm))
         with np.errstate(all="ignore"):  # tp may vanish at a node
             reflected = _agrees(tm, 1 / np.conj(tp))
-        size, plus = (2 * p - 1, p) if reflected else (nplus + nminus, nplus)
-        workspace = _workspace(k, max(plus, nminus), real)  # before the matrix (module notes)
-        cols = np.empty((size, size), dtype=float if real else complex, order="F")
-        unresolved = _assemble_block(
-            cols.T[:plus], tp / r, range(plus), rho_plus, r, R, plus, workspace
-        )
+        workspace = _workspace(k, p, real)  # before the matrix (module notes)
+        cols = np.empty((2 * p - 1,) * 2, dtype=float if real else complex, order="F")
+        unresolved = _assemble_block(cols.T[:p], tp / r, range(p), rho_plus, r, R, workspace)
         if not reflected:
             unresolved += _assemble_block(
-                cols.T[nplus:], R / tm, range(1, nminus + 1), rho_minus, r, R, nplus, workspace
+                cols.T[p:], R / tm, range(1, p), rho_minus, r, R, workspace
             )
         if not unresolved:
             break
@@ -259,9 +246,9 @@ def assemble_dual(
         minus[:, 0], minus[:, 1:p], minus[:, p:] = plus[:, 0], plus[:, p:], plus[:, 1:p]
         if not real:  # conjugated as 0 - Im, so snapped zeros stay +0, not -0
             np.subtract(0, minus.imag, out=minus.imag)
-        if nminus != nplus - 1:  # entry (m, n) depends on K alone
-            keep = np.r_[:nplus, p : p + nminus]
-            cols = _gather(cols, keep, keep)
+    if nminus != nplus - 1:  # entry (m, n) depends on K alone
+        keep = np.r_[:nplus, p : p + nminus]
+        cols = _gather(cols, keep, keep)
     return TruncatedOperator(nplus, nminus, cols, k)
 
 

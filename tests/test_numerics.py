@@ -326,10 +326,46 @@ class TestUnresolvedTails:
         for got, want in zip(unresolved_tails(folded, self.K, noise), (tail, floor)):
             np.testing.assert_array_equal(got, want)
 
+    def test_complex_full_and_half_spectra_give_one_verdict(self):
+        # the half spectrum X of the rows' real coefficients, c[+-m] = Re X[m] -+ Im X[m],
+        # and the complex full spectrum read from it: |Re X[m]| + |Im X[m]| is
+        # max(|c_m|, |c_-m|) bit for bit
+        c, half = self._rows(), self.K // 2 + 1
+        plus, minus = c[:, :half], c[:, -np.arange(half) % self.K]
+        X = (plus + minus) / 2 + 1j * (minus - plus) / 2
+        full = np.empty(c.shape, dtype=complex)
+        full[:, :half], full[:, -np.arange(half) % self.K] = X.real - X.imag, X.real + X.imag
+        noise = np.array([1e-16, 2e-16, 3e-16, 4e-16])
+        tail, floor = unresolved_tails(full, self.K, noise)
+        assert tail == pytest.approx([0.9**24, 0.95**24], rel=1e-12)  # rows 0 and 2
+        for got, want in zip(unresolved_tails(X, self.K, noise), (tail, floor)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_band_sum_over_noise_is_judged_by_modulus(self):
+        # |c| = 5e-13 <= noise < |Re c| + |Im c| = 7e-13 on the band: the row passes
+        # the screen, and its full magnitudes resolve it (tail 5e-13 <= floor)
+        x = np.zeros(self.K, dtype=complex)
+        x[0], x[self.K // 2] = 1.0, (3 + 4j) * 1e-13
+        noise = 6e-13
+        assert abs(x[self.K // 2]) <= noise < 7e-13 and 5e-13 > TAIL_TOL
+        assert unresolved_tails(x, self.K, noise)[0].size == 0
+        tail, floor = unresolved_tails(x, self.K, 4e-13)
+        assert tail == pytest.approx([5e-13], rel=1e-15) and floor.tolist() == [4e-13]
+
+    def test_scalar_noise_is_broadcast(self):
+        c = self._rows()
+        for noise in (1e-16, 1e-12):
+            got = unresolved_tails(c, self.K, noise)
+            want = unresolved_tails(c, self.K, np.full(len(c), noise))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert len(unresolved_tails(c, self.K, 1e-16)[0]) == 2
+
     def test_zero_row_is_resolved(self):
         with np.errstate(all="raise"):
             tail, floor = unresolved_tails(np.zeros((2, self.K)), self.K, 0.0)
             assert unresolved_tails(np.zeros(self.K), self.K, 1e-16)[0].size == 0
+            for width in (self.K, self.K // 2 + 1):  # a full and a half spectrum
+                assert unresolved_tails(np.zeros((2, width), complex), self.K, 0.0)[0].size == 0
         assert tail.size == floor.size == 0
 
     def test_tail_under_its_floor_is_resolved(self):

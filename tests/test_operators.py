@@ -29,7 +29,7 @@ from ruelle.maps import (
     check_holo_expansive,
 )
 from ruelle.numerics import (
-    circle_integral, circle_nodes, fourier_coeffs_from_samples, unresolved_tails,
+    TAIL_TOL, circle_integral, circle_nodes, fourier_coeffs_from_samples,
 )
 from ruelle.operators import EPS, SNAP_TOL, TruncatedOperator, assemble_dual, singular_values
 from ruelle.spectra import converged_spectrum, eigenvalues
@@ -160,6 +160,15 @@ class TestAssembly:
         with pytest.raises(ValueError, match="8"):
             assemble_dual(bstar, annulus, 48, 48, 256)
 
+    @pytest.mark.parametrize("K", [300, 384])
+    def test_rejects_K_not_a_power_of_two_before_sampling(self, bstar, annulus, K, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("the map was sampled before K was checked")
+
+        monkeypatch.setattr(operators, "_inclusions", sampled)
+        with pytest.raises(ValueError, match=f"K={K} is not a power of two"):
+            assemble_dual(bstar, annulus, 32, K=K)
+
     @pytest.mark.parametrize("nplus, nminus", [(0, 0), (-1, None), (8, -2), (-1, 8)])
     def test_rejects_degenerate_orders(self, bstar, annulus, nplus, nminus):
         with pytest.raises(ValueError, match="nplus, nminus"):
@@ -270,9 +279,9 @@ class TestDiscardedPasses:
     def calls(self, monkeypatch):
         log, block = [], operators._assemble_block
 
-        def logged(out, step, powers, rho, r, R, nplus, workspace):
+        def logged(out, step, powers, *rest):
             log.append((len(step), "minus" if powers.start else "plus"))
-            return block(out, step, powers, rho, r, R, nplus, workspace)
+            return block(out, step, powers, *rest)
 
         monkeypatch.setattr(operators, "_assemble_block", logged)
         return log
@@ -346,15 +355,21 @@ class TestDiscardedPasses:
 
 
 def _full_monitor(x, K, noise):
-    """numerics.unresolved_tails on every row's full magnitudes, and those
-    magnitudes: |c_m| of a full spectrum (K entries), or |Re X[m]| + |Im X[m]|
-    of a half one, from its interleaved parts."""
+    """The aliasing monitor on every row's full magnitudes, with no band screen,
+    and those magnitudes: |c_m| of a full spectrum (K entries), or
+    |Re X[m]| + |Im X[m]| of a half one, from its interleaved parts.  A row's
+    tail is its max over 3K/8 <= |m| <= K/2 per max|c| (0 for a zero row); it
+    is unresolved above TAIL_TOL and its floor, noise / max|c|."""
     if x.shape[-1] == K:
         mag = np.abs(x)
     else:
         v = np.abs(x.view(float))
         mag = v[:, ::2] + v[:, 1::2]
-    return unresolved_tails(mag, K, noise), mag
+    scale, tail = mag.max(axis=-1), mag[..., 3 * K // 8 : 5 * K // 8 + 1].max(axis=-1)
+    tail = np.divide(tail, scale, out=np.zeros(np.shape(scale)), where=scale > 0)
+    bad = tail > TAIL_TOL
+    tail, floor = tail[bad], np.broadcast_to(noise, bad.shape)[bad] / scale[bad]
+    return (tail[tail > floor], floor[tail > floor]), mag
 
 
 # the Mobius scan members w = 0, 0.1, ..., 1 of `ruelle scan --grid 0:1:11`
@@ -362,17 +377,17 @@ SCAN = [MobiusFamilyMap(w) for w in np.linspace(0, 1, 11)]
 
 
 class TestBandFirstScreen:
-    """The aliasing monitor forms magnitudes on the tail band first
-    (operators._unresolved): on every transformed chunk its verdict and its
-    (tail, floor) pairs are those of numerics.unresolved_tails on the full
-    magnitudes, and the sample counts, spectra and refusals are those of a
-    monitor that forms every magnitude."""
+    """The aliasing monitor, numerics.unresolved_tails, screens the tail band
+    first: on every transformed chunk its verdict and its (tail, floor) pairs
+    are those of the monitor on the full magnitudes (_full_monitor), and the
+    sample counts, spectra and refusals are those of a monitor that forms
+    every magnitude."""
 
     @pytest.fixture
     def chunks(self, monkeypatch, transformed):
         """A log of (rows, loud rows) per transformed chunk, each chunk's verdict
         checked against the full monitor; a loud row's tail band exceeds its noise."""
-        log, screen = [], operators._unresolved
+        log, screen = [], operators.unresolved_tails
 
         def checked(x, K, noise):
             assert len(transformed) == len(log) + 1  # one verdict per transformed chunk
@@ -383,7 +398,7 @@ class TestBandFirstScreen:
             log.append((len(x), int(loud.sum())))
             return got
 
-        monkeypatch.setattr(operators, "_unresolved", checked)
+        monkeypatch.setattr(operators, "unresolved_tails", checked)
         return log
 
     @staticmethod
@@ -397,10 +412,10 @@ class TestBandFirstScreen:
             passes.append([])
             return assemble(*args)
 
-        def logged(out, step, powers, rho, r, R, nplus, workspace):
+        def logged(out, step, powers, *rest):
             if not powers.start:
                 passes[-1].append(len(step))
-            return block(out, step, powers, rho, r, R, nplus, workspace)
+            return block(out, step, powers, *rest)
 
         monkeypatch.setattr(spectra, "assemble_dual", assembly)
         monkeypatch.setattr(operators, "_assemble_block", logged)
@@ -426,7 +441,7 @@ class TestBandFirstScreen:
         assert sum(map(len, screened[0])) == passes
         assert sum(len(ks) - 1 for ks in screened[0]) == redone
         assert [sum(c) for c in zip(*chunks)] == [rows, loud]
-        monkeypatch.setattr(operators, "_unresolved", lambda *a: _full_monitor(*a)[0])
+        monkeypatch.setattr(operators, "unresolved_tails", lambda *a: _full_monitor(*a)[0])
         assert self._spectra(maps, monkeypatch) == screened
 
     @pytest.mark.parametrize(
@@ -443,7 +458,7 @@ class TestBandFirstScreen:
         with pytest.raises(RuntimeError, match=f"unresolved at K={args[-1]}") as screened:
             assemble_dual(m, annulus, *args)
         assert any(loud for _, loud in chunks)
-        monkeypatch.setattr(operators, "_unresolved", lambda *a: _full_monitor(*a)[0])
+        monkeypatch.setattr(operators, "unresolved_tails", lambda *a: _full_monitor(*a)[0])
         with pytest.raises(RuntimeError) as full:
             assemble_dual(m, annulus, *args)
         assert str(screened.value) == str(full.value)
@@ -471,9 +486,9 @@ class TestWorkspace:
         # in one workspace (parent build: 6.05 MB peak, a buffer per block)
         m, seen, block = MobiusFamilyMap(0.7 + 0.05j), [], operators._assemble_block
 
-        def logged(out, step, powers, rho, r, R, nplus, workspace):
-            seen.append(workspace)
-            return block(out, step, powers, rho, r, R, nplus, workspace)
+        def logged(out, step, powers, *rest):
+            seen.append(rest[-1])  # the workspace
+            return block(out, step, powers, *rest)
 
         assemble_dual(m, annulus, 128)
         monkeypatch.setattr(operators, "_assemble_block", logged)
@@ -573,7 +588,7 @@ def _block(step, start, stop, dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         workspace = operators._workspace(len(step), stop - start, out.dtype == float)
-        operators._assemble_block(out, step, range(start, stop), 1.0, 1.0, 1.0, 3, workspace)
+        operators._assemble_block(out, step, range(start, stop), 1.0, 1.0, 1.0, workspace)
     return out
 
 
@@ -707,8 +722,8 @@ class TestBlockAssembly:
         # |tau / r| = 0.01 on |z| = r: the samples step^n would underflow to
         # exactly 0 from n = 162 on, but the horizon stops the products at
         # n = 8, so no sample underflows, the columns from 8 on are +0, and
-        # there is no 0/0 tail, no warning and no K escalation (the zero-row
-        # guard of numerics.unresolved_tails stays that function's contract)
+        # there is no 0/0 tail, no warning and no K escalation (a zero row
+        # never passes the band screen of numerics.unresolved_tails)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             T = assemble_dual(TrigLift(2), Annulus(0.01, 100.0), 256)
