@@ -56,8 +56,8 @@ class Annulus:
     R: float
 
     def __post_init__(self):
-        if not 0 < self.r < self.R:
-            raise ValueError(f"need 0 < r < R, got r={self.r}, R={self.R}")
+        if not 0 < self.r < self.R < math.inf:
+            raise ValueError(f"need 0 < r < R < inf, got r={self.r}, R={self.R}")
 
     def shrink(self) -> "Annulus":
         """Pull both radii toward the unit circle (halve log r, log R)."""
@@ -161,10 +161,10 @@ class BlaschkeProduct(_RationalMap):
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
         if len(self.zeros) < 2:
             raise ValueError("need degree >= 2 (at least two zeros)")
-        if abs(abs(self.alpha) - 1.0) > 1e-12:
+        if not abs(abs(self.alpha) - 1.0) <= 1e-12:
             raise ValueError(f"|alpha| must be 1, got {abs(self.alpha)}")
         for a in self.zeros:
-            if abs(a) >= 1:
+            if not abs(a) < 1:
                 raise ValueError(f"zero {a} not inside the unit disk")
         object.__setattr__(self, "_poles", tuple(a.conjugate() for a in self.zeros))
 

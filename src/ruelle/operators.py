@@ -257,14 +257,15 @@ def _gather(matrix, r, c):
     return matrix.T[np.ix_(c, r)].T
 
 
-def _reflected_plus(matrix, p):
-    """The plus rows' block of the symmetric truncation (p, p - 1) without index 0,
-    a view, when row 0 and column 0 hold a00 alone and the matrix splits into two
-    blocks that P (module notes) swaps: the off-diagonal blocks vanish (B*, Mobius)
-    or the diagonal ones do (anti-products), and the minus rows' block is, entry
-    for entry, the plus rows' conjugate in P order; else None."""
-    if matrix[0, 1:].any() or matrix[1:, 0].any():
+def _reflected_plus(matrix):
+    """The plus rows' block without index 0, a view, when the matrix is the symmetric
+    truncation (p, p - 1), p = (len(matrix) + 1) // 2, in the pattern that P (module
+    notes) swaps: row 0 and column 0 hold a00 alone, the off-diagonal blocks vanish
+    (B*, Mobius) or the diagonal ones do (anti-products), and the minus rows' block
+    is, entry for entry, the plus rows' conjugate in P order; else None."""
+    if not matrix.size or matrix[0, 1:].any() or matrix[1:, 0].any():
         return None
+    p = (len(matrix) + 1) // 2
     inner, outer = slice(1, p), slice(p, None)  # the plus and the minus indices >= 1
     plus, minus = matrix[inner], matrix[outer]
     for own, other in ((inner, outer), (outer, inner)):  # B*, Mobius; anti-products
@@ -280,30 +281,28 @@ def singular_values(T) -> np.ndarray:
 
     Two exact reductions keep zeros and repeats away from LAPACK:
 
-    - On the symmetric truncation (nminus = nplus - 1) of a
-      ``TruncatedOperator`` whose row 0 and column 0 hold a00 alone, and
-      whose off-diagonal blocks (plus rows, minus columns and the reverse)
-      or diagonal blocks vanish, with the minus rows' block equal, entry for
-      entry, to the conjugate of the plus rows' block in P order (the
-      reflection rule in the module notes), the matrix is {a00}, that plus
-      rows' block and its conjugate, so one SVD s of that block gives
-      {|a00|} and s twice.  A decoupled circle map on an annulus with r R = 1
-      assembles exactly this (maps that fix 0 and infinity decouple, and so
-      do their anti-products): B* at N = 512 takes one 511 x 388 SVD, not
-      one 1023 x 777.
-    - Any other matrix, a raw array included, takes one SVD of its nonzero
-      rows and columns: up to a permutation it is [[A, 0], [0, 0]], which
-      has the singular values of A plus zeros.  So does a decoupled operator
-      whose blocks do not share their singular values (r R != 1, a map that
-      is not a circle map, or an explicit (N, N) truncation), and one whose
-      plus columns split between the plus and the minus rows.
+    - A matrix, operator or raw array, of odd size 2p - 1, read as the
+      symmetric truncation (p, p - 1), whose row 0 and column 0 hold a00
+      alone, and whose off-diagonal blocks (plus rows, minus columns and the
+      reverse) or diagonal blocks vanish, with the minus rows' block equal,
+      entry for entry, to the conjugate of the plus rows' block in P order
+      (the reflection rule in the module notes), is {a00}, that plus rows'
+      block and its conjugate, so one SVD s of that block gives {|a00|} and
+      s twice.  A decoupled circle map on an annulus with r R = 1 assembles
+      exactly this (maps that fix 0 and infinity decouple, and so do their
+      anti-products): B* at N = 512 takes one 511 x 388 SVD, not one
+      1023 x 777.
+    - Any other matrix takes one SVD of its nonzero rows and columns: up to
+      a permutation it is [[A, 0], [0, 0]], which has the singular values of
+      A plus zeros.  So does a decoupled operator whose blocks do not share
+      their singular values (r R != 1, a map that is not a circle map, or
+      another truncation, whose blocks about p differ in shape), and one
+      whose plus columns split between the plus and the minus rows.
 
     The zeros removed either way return as the padding up to min(shape).
     """
     matrix = np.asarray(getattr(T, "matrix", T))
-    nplus, shared = getattr(T, "nplus", None), None
-    if nplus is not None and T.nminus == nplus - 1:
-        shared = _reflected_plus(matrix, nplus)
+    shared = _reflected_plus(matrix)
     block = matrix if shared is None else shared
     nonzero = block != 0
     rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))

@@ -107,7 +107,7 @@ def _families(mu: complex, anti: bool) -> tuple:
     once with all its signs, so sums over the signs stay exact integers (odd
     anti traces are exactly 1)."""
     mu = complex(mu)
-    if abs(mu) >= 1:
+    if not abs(mu) < 1:
         raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
     if anti:
         return ((mu, (1, -1)),)
@@ -154,8 +154,8 @@ def _modulus(z: complex) -> float:
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     """det(I - e^zeta L) as the product over converged eigenvalues of
     (1 - e^zeta lambda_k), with a geometric bound on the omitted tail.  A
-    zeta with a NaN part raises ValueError, a product that is not finite
-    RuntimeError; zeta = -inf gives 1 with tail 0."""
+    zeta with a NaN part raises ValueError, a product with a NaN or a modulus
+    past the float range RuntimeError; zeta = -inf gives 1 with tail 0."""
     zeta = complex(zeta)
     if np.isnan(zeta):
         raise ValueError(f"zeta={zeta} has a NaN part")
@@ -165,7 +165,7 @@ def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(zeta)
         value = complex(np.prod(1 - w * lams))
-    if not np.isfinite(value):
+    if not _modulus(value) < math.inf:
         raise RuntimeError(f"spectrum route: the product at zeta={zeta} is not finite")
 
     # geometric bound on the factors beyond the converged range, anchored at

@@ -163,8 +163,11 @@ class TestDet:
         [
             (BSTAR, ["--annulus", "0.8,1.25", "--z", "1e300"], "spectrum route"),
             ('{"type":"blaschke","zeros":[[0,0],[0.999,0]]}', ["--z", "100"], "product route"),
+            # finite parts, and a modulus past the float range
+            ('{"type":"triglift","d":2}', ["--annulus", "0.8,1.25", "--z", "-1.3e308,-1.3e308"],
+             "spectrum route"),
         ],
-        ids=["spectrum-overflow", "product-overflow"],
+        ids=["spectrum-overflow", "product-overflow", "spectrum-past-range"],
     )
     def test_overflow_is_a_numerical_failure(self, descriptor, argv, route, tmp_path, capsys):
         # once NaN tokens in the artifact, or an OverflowError from the tail

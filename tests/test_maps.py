@@ -661,6 +661,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call, message",
         [
+            (lambda: BlaschkeProduct(1.0, (0.0, np.nan)), "unit disk"),
+            (lambda: BlaschkeProduct(1.0, (0.0, complex(0, np.nan))), "unit disk"),
+            (lambda: BlaschkeProduct(np.nan, (0.0, 0.5)), r"\|alpha\| must be 1"),
+            (lambda: BlaschkeProduct(complex(np.inf, 0), (0.0, 0.5)), r"\|alpha\| must be 1"),
+            (lambda: Annulus(0.5, np.inf), "need 0 < r < R < inf"),
+            (lambda: Annulus(0.5, np.nan), "need 0 < r < R < inf"),
+        ],
+        ids=["nan-zero", "nan-imag-zero", "nan-alpha", "inf-alpha", "inf-R", "nan-R"],
+    )
+    def test_rejects_nan_and_inf_data(self, call, message):
+        # NaN failed none of the comparisons, so the product was built and the
+        # assembly refused it as "not holomorphically expansive (margin -inf)"
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
             (lambda b: BlaschkeProduct(1, (0, 0.5), anti=True).deriv(0), "anti-Blaschke pole"),
             (lambda b: ComposedMap(()), "empty composition"),
             (lambda b: to_descriptor(iterate(b, 2)), "no descriptor for map of type ComposedMap"),

@@ -1264,17 +1264,58 @@ class TestSingularValues:
         assert [c.shape for c in calls] == [self._nonzero_shape(a)]
         np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
 
-    def test_coupled_blocks_take_one_full_svd(self, bstar, annulus, monkeypatch):
+    def test_coupled_blocks_take_one_full_svd(self, annulus, monkeypatch):
         ops = [
             assemble_dual(TrigLift(2, (0.1,)), annulus, 16),
             assemble_dual(BlaschkeProduct(1.0, (0.2, 0.3j)), annulus, 16),
-            assemble_dual(bstar, annulus, 16).matrix,  # a raw array has no blocks
         ]
         calls = self._record_svd(monkeypatch)
         for T in ops:
             singular_values(T)
         # one SVD each, on the nonzero rows and columns
-        assert [a.shape for a in calls] == [self._nonzero_shape(getattr(T, "matrix", T)) for T in ops]
+        assert [a.shape for a in calls] == [self._nonzero_shape(T.matrix) for T in ops]
+
+    @staticmethod
+    def _raw(case, p=6):
+        """A raw (2p - 1)-square array: a00 alone in row and column 0, and a
+        dense complex block A with its partner about index p, in the decoupled
+        pattern (A on the plus, conj A on the minus diagonal block), the
+        swapped one (A and conj A off the diagonal) or the decoupled one with
+        A, not conj A, as the partner; return it and A."""
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((p - 1, p - 1)) + 1j * rng.standard_normal((p - 1, p - 1))
+        a = np.zeros((2 * p - 1, 2 * p - 1), dtype=complex, order="F")
+        a[0, 0] = 1.0
+        inner, outer = slice(1, p), slice(p, None)
+        own, other = (outer, inner) if case == "swapped" else (inner, outer)
+        a[inner, own] = A
+        a[outer, other] = A if case == "unmatched" else A.conj()
+        return a, A
+
+    @pytest.mark.parametrize("case", ["decoupled", "swapped", "raw-B*", "unmatched"])
+    def test_raw_array_reads_p_from_its_shape(self, case, bstar, annulus, monkeypatch):
+        # a raw array needs no truncation data: with the pattern about
+        # p = (n + 1) // 2 it shares one SVD, and unmatched blocks take one full one
+        if case == "raw-B*":
+            a, A = assemble_dual(bstar, annulus, 16).matrix, None
+        else:
+            a, A = self._raw(case)
+        p = (len(a) + 1) // 2
+        full = np.linalg.svd(a, compute_uv=False)
+        calls = self._record_svd(monkeypatch)
+        sv = singular_values(a)
+        assert len(calls) == 1
+        if case == "unmatched":
+            assert calls[0].shape == a.shape
+        else:
+            assert calls[0].shape[0] == p - 1
+            assert A is None or np.array_equal(calls[0], A)
+        assert len(sv) == len(a)
+        np.testing.assert_allclose(sv, full, rtol=0, atol=1e-14 * full[0])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_empty_array(self, shape):
+        assert singular_values(np.zeros(shape)).shape == (0,)
 
     @pytest.mark.parametrize(
         "case", ["B*@512", "anti-B*", "triglift", "all-zero", "raw-array"]

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import tracemalloc
@@ -228,6 +229,22 @@ class TestClosedForm:
     def test_domain(self):
         with pytest.raises(ValueError, match="mu"):
             blaschke_trace_closed(1.0, False, 1)
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda mu: blaschke_trace_closed(mu, False),
+            lambda mu: det_product_formula(mu, False, 0.3),
+            lambda mu: log_abs_det_product(mu, False, 0.3),
+        ],
+        ids=["trace", "det", "log-det"],
+    )
+    @pytest.mark.parametrize("mu", [math.nan, complex(0, math.nan)], ids=["nan", "nan-imag"])
+    def test_nan_multiplier_is_refused(self, closed_form, mu):
+        # |nan| >= 1 is False: the trace was nan+nanj, and the determinant
+        # failed in int(ceil(nan)) as it counted its factors
+        with pytest.raises(ValueError, match=r"\|mu\| must be < 1, got nan"):
+            closed_form(mu)
 
 
 # (mu, anti): B*, a complex multiplier, and anti-B*
@@ -482,6 +499,15 @@ class TestDetRoutes:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match=rf"route: the product at {message}"):
                 call(spec)
+
+    def test_spectrum_product_past_the_float_range_fails_loudly(self):
+        # 1 - e^zeta = 1.3e308 (1 + i) has finite parts and a modulus past the
+        # float range: abs() of it, for the tail warning, raised OverflowError
+        spec = Spectrum(np.array([1.0 + 0j]), None, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"spectrum route: the product at zeta=\(709\.80"):
+                det_from_spectrum(spec, cmath.log(complex(-1.3e308, -1.3e308)))
 
     def test_product_tail_past_the_exp_range_is_inf(self):
         # 2 |mu|^(kmax + 1) |z| / (1 - |mu|) = 728 at kmax = 5000: the value
