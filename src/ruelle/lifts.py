@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Annulus, _PowerExpMap, check_holo_expansive
+from .numerics import _modulus
 
 __all__ = [
     "HomotopyFamily",
@@ -135,7 +136,7 @@ class HomotopyMember(_PowerExpMap):
         fam = self.family
         object.__setattr__(self, "strip", min(fam.lift0.strip, fam.lift1.strip))
         u = min(max(self.w.real, 0.0), 1.0)
-        if not abs(self.w - u) <= fam.eta + 1e-12:  # NaN included
+        if not _modulus(self.w - u) <= fam.eta + 1e-12:  # NaN included
             raise ValueError(
                 f"w={self.w:.6g} outside the certified neighbourhood "
                 f"[0,1] + disk({fam.eta:g})"

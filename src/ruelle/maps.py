@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import circle_nodes, laurent
+from .numerics import _modulus, circle_nodes, laurent
 
 __all__ = [
     "Annulus",
@@ -105,7 +105,7 @@ class _RationalMap(_MapBase):
 
     @property
     def strip(self) -> float:
-        rho = max(map(abs, self.zeros + self._poles))
+        rho = max(map(_modulus, self.zeros + self._poles))
         return -math.log(rho) if rho else math.inf
 
     def _factors(self, z):
@@ -161,10 +161,10 @@ class BlaschkeProduct(_RationalMap):
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
         if len(self.zeros) < 2:
             raise ValueError("need degree >= 2 (at least two zeros)")
-        if not abs(abs(self.alpha) - 1.0) <= 1e-12:
-            raise ValueError(f"|alpha| must be 1, got {abs(self.alpha)}")
+        if not abs(_modulus(self.alpha) - 1.0) <= 1e-12:
+            raise ValueError(f"|alpha| must be 1, got {_modulus(self.alpha)}")
         for a in self.zeros:
-            if not abs(a) < 1:
+            if not _modulus(a) < 1:
                 raise ValueError(f"zero {a} not inside the unit disk")
         object.__setattr__(self, "_poles", tuple(a.conjugate() for a in self.zeros))
 
@@ -195,6 +195,9 @@ class TrigLift(_PowerExpMap):
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         if abs(self.d) < 2:
             raise ValueError(f"need |d| >= 2, got d={self.d}")
+        for name in ("cos_coeffs", "sin_coeffs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # i p(theta) = Q(z): z^k has coefficient (i a_k + b_k)/2, z^-k (i a_k - b_k)/2
         n = max(len(self.cos_coeffs), len(self.sin_coeffs))
         a, b = (np.pad(c, (0, n - len(c))) for c in (self.cos_coeffs, self.sin_coeffs))
@@ -224,6 +227,8 @@ class MobiusFamilyMap(_RationalMap):
 
     def __post_init__(self):
         object.__setattr__(self, "w", complex(self.w))
+        if not _modulus(self.w) < math.inf:
+            raise ValueError(f"|w| must be finite, got {_modulus(self.w)}")
         object.__setattr__(self, "zeros", (0j, self.w / 2))
         object.__setattr__(self, "_poles", self.zeros)
 

@@ -36,6 +36,14 @@ def _roots_of_unity(K: int) -> np.ndarray:
     return roots
 
 
+def _modulus(z) -> float:
+    """abs(z), or inf where a complex z with finite parts is past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return np.inf
+
+
 def _check_finite(values: np.ndarray, radius: float):
     if not np.isfinite(values).all():
         bad = np.flatnonzero(~np.isfinite(values))[0] % values.shape[-1]

@@ -27,7 +27,7 @@ from .maps import (
     min_expansion,
     second_iterate_multiplier,
 )
-from .numerics import EPS, circle_integral, circle_nodes
+from .numerics import EPS, _modulus, circle_integral, circle_nodes
 from .operators import assemble_dual
 from .spectra import Spectrum
 
@@ -107,8 +107,8 @@ def _families(mu: complex, anti: bool) -> tuple:
     once with all its signs, so sums over the signs stay exact integers (odd
     anti traces are exactly 1)."""
     mu = complex(mu)
-    if not abs(mu) < 1:
-        raise ValueError(f"|mu| must be < 1, got {abs(mu)}")
+    if not _modulus(mu) < 1:
+        raise ValueError(f"|mu| must be < 1, got {_modulus(mu)}")
     if anti:
         return ((mu, (1, -1)),)
     return ((mu, (1,)), (mu.conjugate(), (1,)))
@@ -137,18 +137,14 @@ class DetResult:
     tail: float
 
 
-def _tail(value: complex, log_tail: float) -> float:
-    """|value| expm1(log_tail), the routes' one tail rule: inf from a log tail
-    of 700 on, past exp's range, whatever |value| (0 included)."""
-    return abs(value) * math.expm1(log_tail) if log_tail < 700 else math.inf
-
-
-def _modulus(z: complex) -> float:
-    """abs(z), or inf where a finite z is past the float range (abs raises OverflowError)."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
+def _tail(value: complex, log_tail: float, refusal: str) -> float:
+    """|value| expm1(log_tail), the determinant routes' one result rule: a value whose
+    modulus is not finite, finite parts past the float range included, raises
+    RuntimeError(refusal); a log tail of 700 on gives inf, whatever |value| (0 included)."""
+    modulus = _modulus(value)
+    if not modulus < math.inf:
+        raise RuntimeError(refusal)
+    return modulus * math.expm1(log_tail) if log_tail < 700 else math.inf
 
 
 def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
@@ -165,8 +161,6 @@ def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(zeta)
         value = complex(np.prod(1 - w * lams))
-    if not _modulus(value) < math.inf:
-        raise RuntimeError(f"spectrum route: the product at zeta={zeta} is not finite")
 
     # geometric bound on the factors beyond the converged range, anchored at
     # the smallest converged modulus
@@ -179,7 +173,7 @@ def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
         if len(mods) >= 3 and mods[1] > 0 and last < mods[1]:
             q = min((last / mods[1]) ** (1.0 / (len(mods) - 2)), 0.99)
         log_tail = abs(w) * last * q / (1 - q)
-    tail = _tail(value, log_tail)
+    tail = _tail(value, log_tail, f"spectrum route: the product at zeta={zeta} is not finite")
     if tail > 1e-6 * abs(value):
         warnings.warn(
             f"determinant tail estimate {tail:.3g} exceeds 1e-6 of |value|",
@@ -210,7 +204,7 @@ def det_from_traces(
     contour traces' own accuracy of about eps |Tr(L^n)|, the rounding of
     each term and the recursive summation bound (nmax - 1) eps/2 sum |terms|;
     2 eps more cover exp, and a log tail of 700 or more gives tail inf.  An
-    exponential that is not finite raises RuntimeError.
+    exponential whose modulus is not finite raises RuntimeError.
     """
     z = complex(z)
     az = _modulus(z)
@@ -226,12 +220,11 @@ def det_from_traces(
     total = sum(terms)
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(np.exp(-total))
-    if not np.isfinite(value):
-        raise RuntimeError(f"trace route: the exponential at z={z} is not finite")
-    scale = max(abs(t) for t in traces[nmax - 3 : nmax]) if nmax >= 3 else 1.0
+    scale = max(map(_modulus, traces[nmax - 3 : nmax])) if nmax >= 3 else 1.0
     log_tail = scale * az ** (nmax + 1) / ((nmax + 1) * (1 - az))
-    log_tail += EPS * (nmax * sum(abs(t) for t in terms) + 2)
-    return DetResult(value, _tail(value, log_tail))
+    log_tail += EPS * (nmax * sum(map(_modulus, terms)) + 2)
+    refusal = f"trace route: the exponential at z={z} is not finite"
+    return DetResult(value, _tail(value, log_tail, refusal))
 
 
 def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
@@ -246,17 +239,16 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
     relative to size = (1 + |z|) prod (1 + |mu^k z|)^2 >= |value|; the
     powers mu^k, a few eps of |mu^k z| each, add less while that is small.
     A log tail of 700 or more gives tail inf; a z with a NaN part raises
-    ValueError, and a product that is not finite, or a |z| past the float
-    range, RuntimeError."""
+    ValueError, and a product whose modulus is not finite RuntimeError."""
     families = _families(mu, anti)
     mu, z = complex(mu), complex(z)
     if np.isnan(z):
         raise ValueError(f"z={z} has a NaN part")
-    az = _modulus(z)
+    az, amu = _modulus(z), _modulus(mu)  # |b| = |mu| for every base b
     if mu == 0 or az == math.inf:
         kmax = 1
     else:
-        kmax = max(4, int(math.ceil((16 * math.log(10) + math.log(1 + az)) / -math.log(abs(mu)))))
+        kmax = max(4, int(math.ceil((16 * math.log(10) + math.log(1 + az)) / -math.log(amu))))
     kmax = min(kmax, 5000)
     value, size = 1 - z, 1 + az
     for k in range(1, kmax + 1):
@@ -264,12 +256,11 @@ def det_product_formula(mu: complex, anti: bool, z: complex) -> DetResult:
         for b, signs in families:
             for c in signs:
                 factor *= 1 - c * b**k * z
-                size *= 1 + abs(b) ** k * az
+                size *= 1 + amu**k * az
         value *= factor
-    if not (np.isfinite(value) and az < math.inf):
-        raise RuntimeError(f"product route: the product at z={z} is not finite")
-    log_tail = 2 * abs(mu) ** (kmax + 1) * az / max(1 - abs(mu), 1e-12)
-    return DetResult(complex(value), _tail(value, log_tail) + 4 * kmax * EPS * size)
+    log_tail = 2 * amu ** (kmax + 1) * az / max(1 - amu, 1e-12)
+    refusal = f"product route: the product at z={z} is not finite"
+    return DetResult(complex(value), _tail(value, log_tail, refusal) + 4 * kmax * EPS * size)
 
 
 def _log_abs_1m_exp(s: np.ndarray) -> np.ndarray:
@@ -314,7 +305,7 @@ def log_abs_det_product(mu: complex, anti: bool, zeta) -> np.ndarray:
     if mu != 0:
         pairs = [(np.log(b), 1j * math.pi * (c < 0)) for b, signs in families for c in signs]
         log_b, turn = np.array(pairs).T
-        ell = math.log(abs(mu))
+        ell = math.log(_modulus(mu))
         with np.errstate(over="ignore", invalid="ignore"):
             K = np.floor(np.maximum(flat.real - 45, 0) / -ell)
             far = K > 0  # K = 0 at zeta = -inf, where K Re zeta is 0 * inf = NaN

@@ -135,6 +135,14 @@ class TestTrace:
         assert doc["maxPairwiseDiff"] < 1e-8
         assert "closedForm" in doc
 
+    def test_zero_past_the_float_range_is_an_input_error(self, capsys):
+        # the zero 1.7e308 (1 + i) has finite parts and a modulus past the float
+        # range: abs() of it once ended in an OverflowError traceback
+        descriptor = '{"type":"blaschke","zeros":[[0,0],[1.7e308,1.7e308]]}'
+        assert main(["trace", "--map", descriptor]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: zero (1.7e+308+1.7e+308j) not inside the unit disk\n" and not out
+
 
 class TestDet:
     def test_bstar_at_zero(self, tmp_path):

@@ -335,10 +335,13 @@ class TestHomotopyMembers:
         with pytest.raises(ValueError, match="neighbourhood"):
             family.member(0.5 + 3j * family.eta)
 
-    @pytest.mark.parametrize("w", [math.nan, complex(0.5, math.nan), math.inf],
-                             ids=["nan", "nan-imag", "inf"])
+    @pytest.mark.parametrize("w", [math.nan, complex(0.5, math.nan), math.inf,
+                                   complex(1.7e308, 1.7e308)],
+                             ids=["nan", "nan-imag", "inf", "past-range"])
     def test_membership_guard_refuses_non_finite(self, family, w):
-        # a NaN parameter once passed the guard and evaluated to nan+nanj
+        # a NaN parameter once passed the guard and evaluated to nan+nanj, and
+        # |w - u| of the finite 1.7e308 (1 + i), past the float range, raised
+        # OverflowError
         with pytest.raises(ValueError, match="outside the certified neighbourhood"):
             family.member(w)
 

@@ -637,6 +637,10 @@ def test_point_evaluation_bound():
         assert abs(fval) <= bound * (1 + 1e-12)
 
 
+# finite, but its modulus is past the float range: abs() of it raises OverflowError
+_PAST_RANGE = complex(1.7e308, 1.7e308)
+
+
 class TestValidation:
     def test_unimodular_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -667,12 +671,26 @@ class TestValidation:
             (lambda: BlaschkeProduct(complex(np.inf, 0), (0.0, 0.5)), r"\|alpha\| must be 1"),
             (lambda: Annulus(0.5, np.inf), "need 0 < r < R < inf"),
             (lambda: Annulus(0.5, np.nan), "need 0 < r < R < inf"),
+            (lambda: BlaschkeProduct(1, (0, _PAST_RANGE)),
+             r"zero \(1\.7e\+308\+1\.7e\+308j\) not inside the unit disk"),
+            (lambda: BlaschkeProduct(_PAST_RANGE, (0, 0.5)), r"\|alpha\| must be 1, got inf"),
+            (lambda: TrigLift(2, (np.inf,)), r"cos_coeffs must be finite, got \(inf,\)"),
+            (lambda: TrigLift(2, (), (0.1, np.nan)), r"sin_coeffs must be finite, got \(0\.1, nan\)"),
+            (lambda: MobiusFamilyMap(complex(np.nan, 0)), r"\|w\| must be finite, got nan"),
+            (lambda: MobiusFamilyMap(np.inf), r"\|w\| must be finite, got inf"),
+            (lambda: MobiusFamilyMap(_PAST_RANGE), r"\|w\| must be finite, got inf"),
         ],
-        ids=["nan-zero", "nan-imag-zero", "nan-alpha", "inf-alpha", "inf-R", "nan-R"],
+        ids=["nan-zero", "nan-imag-zero", "nan-alpha", "inf-alpha", "inf-R", "nan-R",
+             "past-range-zero", "past-range-alpha", "inf-cos", "nan-sin", "nan-w", "inf-w",
+             "past-range-w"],
     )
     def test_rejects_nan_and_inf_data(self, call, message):
         # NaN failed none of the comparisons, so the product was built and the
-        # assembly refused it as "not holomorphically expansive (margin -inf)"
+        # assembly refused it as "not holomorphically expansive (margin -inf)";
+        # abs() of the finite 1.7e308 (1 + i), past the float range, raised
+        # OverflowError; an infinite cos coefficient warned "invalid value
+        # encountered in multiply" as the map was built, and a NaN w gave a
+        # map that lift() refused with "cannot convert float NaN to integer"
         with pytest.raises(ValueError, match=message):
             call()
 

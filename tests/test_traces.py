@@ -42,6 +42,20 @@ from ruelle.traces import (
     trace_report,
 )
 
+# finite, but its modulus is past the float range: abs() of it raises OverflowError
+_PAST_RANGE = complex(1.7e308, 1.7e308)
+
+# the three closed forms, each as a function of mu alone
+_CLOSED_FORMS = pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda mu: blaschke_trace_closed(mu, False),
+        lambda mu: det_product_formula(mu, False, 0.3),
+        lambda mu: log_abs_det_product(mu, False, 0.3),
+    ],
+    ids=["trace", "det", "log-det"],
+)
+
 
 class Identity(_MapBase):
     degree = 1
@@ -230,21 +244,19 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="mu"):
             blaschke_trace_closed(1.0, False, 1)
 
-    @pytest.mark.parametrize(
-        "closed_form",
-        [
-            lambda mu: blaschke_trace_closed(mu, False),
-            lambda mu: det_product_formula(mu, False, 0.3),
-            lambda mu: log_abs_det_product(mu, False, 0.3),
-        ],
-        ids=["trace", "det", "log-det"],
-    )
+    @_CLOSED_FORMS
     @pytest.mark.parametrize("mu", [math.nan, complex(0, math.nan)], ids=["nan", "nan-imag"])
     def test_nan_multiplier_is_refused(self, closed_form, mu):
         # |nan| >= 1 is False: the trace was nan+nanj, and the determinant
         # failed in int(ceil(nan)) as it counted its factors
         with pytest.raises(ValueError, match=r"\|mu\| must be < 1, got nan"):
             closed_form(mu)
+
+    @_CLOSED_FORMS
+    def test_multiplier_past_the_float_range_is_refused(self, closed_form):
+        # abs() of the finite 1.7e308 (1 + i) raised OverflowError
+        with pytest.raises(ValueError, match=r"\|mu\| must be < 1, got inf"):
+            closed_form(_PAST_RANGE)
 
 
 # (mu, anti): B*, a complex multiplier, and anti-B*
@@ -379,10 +391,6 @@ class TestRealMobiusClosedForms:
         assert abs(product.value - spectrum.value) <= 1e-12
 
 
-# finite, but its modulus is past the float range: abs() of it raises OverflowError
-_PAST_RANGE = complex(1.7e308, 1.7e308)
-
-
 class TestDetRoutes:
     def test_single_eigenvalue(self):
         from ruelle.spectra import Spectrum
@@ -484,15 +492,23 @@ class TestDetRoutes:
             (lambda spec: det_product_formula(-0.5, False, math.inf), r"z=\(inf\+0j\)"),
             (lambda spec: det_product_formula(-0.5, False, _PAST_RANGE), r"z=\(1\.7e\+308\+"),
             (lambda spec: det_product_formula(0, False, _PAST_RANGE), r"z=\(1\.7e\+308\+"),
+            (
+                lambda spec: det_product_formula(
+                    0.3, False, complex(-666835889534.2407, 4794696648632.625)
+                ),
+                r"z=\(-666835889534\.2407\+4794696648632\.625j\)",
+            ),
         ],
         ids=["spectrum-1e300", "spectrum-800", "spectrum-inf", "spectrum-inf-imag",
              "product-1e300", "product-near-circle", "product-inf", "product-past-range",
-             "product-mu-0-past-range"],
+             "product-mu-0-past-range", "product-value-past-range"],
     )
     def test_product_that_is_not_finite_fails_loudly(self, bstar, annulus, call, message):
         # these once gave nan+nanj with a nan tail, or an OverflowError from
         # the product route's tail or from abs(z), as |z| of the finite
-        # 1.7e308 (1 + i) is past the float range; no RuntimeWarning escapes
+        # 1.7e308 (1 + i) is past the float range; the last product has finite
+        # parts and a modulus past the float range, which the route's own
+        # np.isfinite passed on to abs() in the tail; no RuntimeWarning escapes
         # on the way
         spec = converged_spectrum(bstar, annulus)
         with warnings.catch_warnings():
@@ -528,17 +544,27 @@ class TestDetRoutes:
             res = det_from_spectrum(spec, 0.0)
         assert res.value == 0 and res.tail == math.inf
 
-    def test_trace_series_that_is_not_finite_fails_loudly(self, bstar, annulus):
-        # exp(66666.7) overflows; this once raised OverflowError from the tail
+    @pytest.mark.parametrize(
+        "nmax, traces",
+        [(3, [-1e5] * 3), (1, [-(709.9 + 1j * math.pi / 4) / 0.5])],
+        ids=["overflow", "past-range"],
+    )
+    def test_trace_series_that_is_not_finite_fails_loudly(self, bstar, annulus, nmax, traces):
+        # exp(66666.7) overflows, and exp(709.9 + i pi/4) has finite parts and a
+        # modulus past the float range, which the route's own np.isfinite once
+        # passed; each raised OverflowError from the tail
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match=r"trace route: the exponential at z=\(0\.5\+0j\)"):
-                det_from_traces(bstar, annulus, 0.5, nmax=3, traces=[-1e5] * 3)
+                det_from_traces(bstar, annulus, 0.5, nmax=nmax, traces=traces)
 
-    @pytest.mark.parametrize("traces, value", [([1e5] * 3, 0), ([1e5, -4e5, 0.0], 1)])
+    @pytest.mark.parametrize(
+        "traces, value", [([1e5] * 3, 0), ([1e5, -4e5, 0.0], 1), ([_PAST_RANGE] * 3, 0)]
+    )
     def test_trace_tail_past_the_exp_range_is_inf(self, bstar, annulus, traces, value):
-        # log tails of 3125 and 12500: the value stands, and the tail is inf
-        # rather than an OverflowError from math.expm1
+        # log tails of 3125, 12500 and inf: the value stands, and the tail is
+        # inf rather than an OverflowError from math.expm1, or from abs() of the
+        # given trace 1.7e308 (1 + i), whose modulus is past the float range
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = det_from_traces(bstar, annulus, 0.5, nmax=3, traces=traces)
