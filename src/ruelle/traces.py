@@ -158,21 +158,20 @@ def det_from_spectrum(s: Spectrum, zeta: complex) -> DetResult:
     lams = s.converged()
     if len(lams) == 0:
         raise ValueError("empty spectrum")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # _tail judges any overflow
         w = np.exp(zeta)
         value = complex(np.prod(1 - w * lams))
-
-    # geometric bound on the factors beyond the converged range, anchored at
-    # the smallest converged modulus
-    mods = np.abs(lams)
-    last = float(mods[-1])
-    if last <= 1e-12:
-        log_tail = abs(w) * 1e-12
-    else:
-        q = 0.5
-        if len(mods) >= 3 and mods[1] > 0 and last < mods[1]:
-            q = min((last / mods[1]) ** (1.0 / (len(mods) - 2)), 0.99)
-        log_tail = abs(w) * last * q / (1 - q)
+        # geometric bound on the factors beyond the converged range, anchored at
+        # the smallest converged modulus
+        mods = np.abs(lams)
+        last = float(mods[-1])
+        if last <= 1e-12:
+            log_tail = abs(w) * 1e-12
+        else:
+            q = 0.5
+            if len(mods) >= 3 and mods[1] > 0 and last < mods[1]:
+                q = min((last / mods[1]) ** (1.0 / (len(mods) - 2)), 0.99)
+            log_tail = abs(w) * last * q / (1 - q)
     tail = _tail(value, log_tail, f"spectrum route: the product at zeta={zeta} is not finite")
     if tail > 1e-6 * abs(value):
         warnings.warn(
@@ -218,11 +217,11 @@ def det_from_traces(
         raise ValueError(f"trace table has {len(traces)} entries, need {nmax}")
     terms = [z**n / n * traces[n - 1] for n in range(1, nmax + 1)]
     total = sum(terms)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # _tail judges any overflow
         value = complex(np.exp(-total))
-    scale = max(map(_modulus, traces[nmax - 3 : nmax])) if nmax >= 3 else 1.0
-    log_tail = scale * az ** (nmax + 1) / ((nmax + 1) * (1 - az))
-    log_tail += EPS * (nmax * sum(map(_modulus, terms)) + 2)
+        scale = max(map(_modulus, traces[nmax - 3 : nmax])) if nmax >= 3 else 1.0
+        log_tail = scale * az ** (nmax + 1) / ((nmax + 1) * (1 - az))
+        log_tail += EPS * (nmax * sum(map(_modulus, terms)) + 2)
     refusal = f"trace route: the exponential at z={z} is not finite"
     return DetResult(value, _tail(value, log_tail, refusal))
 

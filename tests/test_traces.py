@@ -498,18 +498,25 @@ class TestDetRoutes:
                 ),
                 r"z=\(-666835889534\.2407\+4794696648632\.625j\)",
             ),
+            (
+                lambda spec: det_from_spectrum(
+                    Spectrum(np.array([1, 0.9, 0.8], dtype=complex), None, 3), math.log(1e308)
+                ),
+                r"zeta=\(709\.19",
+            ),
         ],
         ids=["spectrum-1e300", "spectrum-800", "spectrum-inf", "spectrum-inf-imag",
              "product-1e300", "product-near-circle", "product-inf", "product-past-range",
-             "product-mu-0-past-range", "product-value-past-range"],
+             "product-mu-0-past-range", "product-value-past-range", "spectrum-tail-overflow"],
     )
     def test_product_that_is_not_finite_fails_loudly(self, bstar, annulus, call, message):
         # these once gave nan+nanj with a nan tail, or an OverflowError from
         # the product route's tail or from abs(z), as |z| of the finite
         # 1.7e308 (1 + i) is past the float range; the last product has finite
         # parts and a modulus past the float range, which the route's own
-        # np.isfinite passed on to abs() in the tail; no RuntimeWarning escapes
-        # on the way
+        # np.isfinite passed on to abs() in the tail; the spectrum at e^zeta =
+        # 1e308 overflows its tail bound too (|w| * 0.8 * q / (1 - q), q = 8/9);
+        # no RuntimeWarning escapes on the way
         spec = converged_spectrum(bstar, annulus)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -546,13 +553,14 @@ class TestDetRoutes:
 
     @pytest.mark.parametrize(
         "nmax, traces",
-        [(3, [-1e5] * 3), (1, [-(709.9 + 1j * math.pi / 4) / 0.5])],
-        ids=["overflow", "past-range"],
+        [(3, [-1e5] * 3), (1, [-(709.9 + 1j * math.pi / 4) / 0.5]), (3, np.full(3, -1e308 + 0j))],
+        ids=["overflow", "past-range", "numpy-overflow"],
     )
     def test_trace_series_that_is_not_finite_fails_loudly(self, bstar, annulus, nmax, traces):
         # exp(66666.7) overflows, and exp(709.9 + i pi/4) has finite parts and a
         # modulus past the float range, which the route's own np.isfinite once
-        # passed; each raised OverflowError from the tail
+        # passed; each raised OverflowError from the tail; with numpy traces of
+        # -1e308 the tail bound's sum of |terms| overflows too
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match=r"trace route: the exponential at z=\(0\.5\+0j\)"):
